@@ -41,7 +41,7 @@ from .errors import (
     EstimationError,
 )
 from .localproj import LPSpec, estimate_irf, irf_table
-from .regress import HACSpec, default_bandwidth, significance_stars
+from .regress import HACSpec, significance_stars
 from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
 
 
@@ -602,11 +602,8 @@ def _cmd_ardl(cfg: RunConfig) -> None:
     ds = _load_merged(cfg)
     ds = _attach_all(cfg, ds, cfg.ardl.m, seasonal=False)
     window = _window(cfg, ds)
-    hac = None
-    if cfg.ardl.se == "driscoll-kraay":
-        bw = (cfg.ardl.bandwidth if cfg.ardl.bandwidth is not None
-              else default_bandwidth(ds.n_quarters))
-        hac = HACSpec(bw, cfg.ardl.small_sample)
+    hac = (HACSpec(cfg.ardl.bandwidth, cfg.ardl.small_sample)
+           if cfg.ardl.se == "driscoll-kraay" else None)
     suite = ardl_suite(
         ds, cfg.ardl.outcomes, cfg.ardl.m,
         cfg.input.temperature_var, cfg.input.precipitation_var,

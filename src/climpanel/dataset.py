@@ -348,7 +348,8 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     units: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         data_lines = []
-        for line in fh:
+        file_linenos = []
+        for file_lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 m = _UNIT_COMMENT_RE.match(line.strip())
                 if m:
@@ -356,6 +357,7 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
                 continue
             if line.strip():
                 data_lines.append(line)
+                file_linenos.append(file_lineno)
     if not data_lines:
         raise SchemaError(f"{path}: no data rows")
     reader = csv.reader(data_lines)
@@ -377,9 +379,13 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
 
     cells: dict[tuple[str, QuarterIndex], list[float]] = {}
     regions: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = file_linenos[reader.line_num - 1]
         if not row:
             continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: {len(row)} fields where the "
+                              f"header has {len(header)}")
         region = row[pos[schema.region]].strip()
         try:
             q = QuarterIndex(int(row[pos[schema.year]]),
@@ -393,11 +399,15 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
                 vals.append(math.nan)
             else:
                 try:
-                    vals.append(float(text))
+                    val = float(text)
                 except ValueError:
+                    val = math.nan
+                if not math.isfinite(val):
                     raise SchemaError(
-                        f"{path}:{lineno}: cannot parse {col}={text!r}"
-                    ) from None
+                        f"{path}:{lineno}: cannot parse {col}={text!r} as a "
+                        f"finite number"
+                    )
+                vals.append(val)
         key = (region, q)
         if key in cells:
             old = cells[key]

@@ -2,7 +2,7 @@
 
 The estimation path is: assemble a listwise-deleted design from panel
 series, absorb region/time fixed effects by demeaning (two-way by
-alternating projections), solve by rank-revealing pivoted QR, then attach
+one exact projection), solve by rank-revealing pivoted QR, then attach
 either the classical covariance sigma^2 (X'X)^-1 or the Driscoll-Kraay HAC
 covariance built from Bartlett-weighted autocovariances of the
 cross-sectionally summed moment vectors h_t = sum_i x_it e_it.
@@ -14,7 +14,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
+from scipy.special import ndtri, stdtrit
 
 from .dataset import PanelDataset, QuarterIndex
 from .errors import (
@@ -28,9 +29,9 @@ FIXED_EFFECT_DIMS = ("region", "time")
 
 # Two-sided normal critical values for 1% / 5% / 10% significance stars.
 _STAR_CUTOFFS = (
-    (float(stats.norm.ppf(0.995)), "***"),
-    (float(stats.norm.ppf(0.975)), "**"),
-    (float(stats.norm.ppf(0.95)), "*"),
+    (float(ndtri(0.995)), "***"),
+    (float(ndtri(0.975)), "**"),
+    (float(ndtri(0.95)), "*"),
 )
 
 _RANK_TOL = 1e-10
@@ -39,14 +40,16 @@ _RANK_TOL = 1e-10
 @dataclass(frozen=True)
 class HACSpec:
     """Bartlett-kernel HAC settings: lag truncation L and the small-sample
-    scaling T/(T-k) applied to the moment covariance when flagged."""
+    scaling T/(T-k) applied to the moment covariance when flagged. A
+    bandwidth of None takes default_bandwidth of the periods in the
+    estimation sample."""
 
-    bandwidth: int
+    bandwidth: int | None
     small_sample: bool = True
     kernel: str = "bartlett"
 
     def __post_init__(self):
-        if self.bandwidth < 0:
+        if self.bandwidth is not None and self.bandwidth < 0:
             raise ValueError("bandwidth must be >= 0")
         if self.kernel != "bartlett":
             raise ValueError(f"only the bartlett kernel is supported, "
@@ -177,27 +180,29 @@ def build_design(ds: PanelDataset, spec: RegressionSpec) -> Design:
     )
 
 
-def _subtract_group_means(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> float:
-    sums = np.zeros((n_groups, Z.shape[1]))
-    np.add.at(sums, codes, Z)
-    counts = np.bincount(codes, minlength=n_groups).astype(float)
-    means = sums / counts[:, None]
-    Z -= means[codes]
-    return float(np.abs(means).max())
+def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per-group column sums of Z, one np.bincount per column."""
+    return np.column_stack([np.bincount(codes, weights=col, minlength=n_groups)
+                            for col in Z.T])
 
 
-def within_transform(
-    design: Design,
-    drop_singletons: bool = True,
-    tol: float = 1e-12,
-    max_iter: int = 1000,
-) -> Design:
+def _demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    counts = np.bincount(codes, minlength=n_groups)
+    return Z - (_group_sums(Z, codes, n_groups) / counts[:, None])[codes]
+
+
+def within_transform(design: Design, drop_singletons: bool = True) -> Design:
     """Absorb declared fixed effects by demeaning.
 
-    Two-way absorption alternates region and time demeaning until the
-    largest subtracted group mean falls below tol (scaled up for data far
-    from unit magnitude). Groups with a single observation carry no within
-    information and are dropped with a warning.
+    One-way absorption subtracts group means. Two-way absorption is the
+    exact projection off both sets of dummies, in one pass: with a the
+    dimension with fewer groups and b the other, subtract the b means, then
+    solve C alpha = D_a' Z_b for C = diag(n_a) - N diag(1/n_b) N' (N the
+    a-by-b count cross-tab) and subtract alpha[a] net of its own b means.
+    The absorbed count is G_b + rank(C), which is right also when the
+    region-period graph splits into disconnected blocks. Groups with a
+    single observation carry no within variation and are dropped with a
+    warning.
     """
     if design.demeaned:
         return design
@@ -232,8 +237,8 @@ def within_transform(
         raise SampleError("no observations remain after dropping singleton "
                           "fixed-effect groups")
 
-    y = design.y[keep].copy()
-    X = design.X[keep].copy()
+    y = design.y[keep]
+    X = design.X[keep]
     region_codes = design.region_codes[keep]
     time_codes = design.time_codes[keep]
 
@@ -246,20 +251,20 @@ def within_transform(
         group_counts[dim] = len(vals)
 
     Z = np.column_stack([y, X])
-    scale = max(1.0, float(np.abs(Z).max())) if Z.size else 1.0
-    tol_eff = tol * scale
     if len(dims) == 1:
-        _subtract_group_means(Z, recoded[dims[0]], group_counts[dims[0]])
+        Z = _demean(Z, recoded[dims[0]], group_counts[dims[0]])
         absorbed = group_counts[dims[0]]
     else:
-        for _ in range(max_iter):
-            dev = 0.0
-            for dim in dims:
-                dev = max(dev, _subtract_group_means(
-                    Z, recoded[dim], group_counts[dim]))
-            if dev < tol_eff:
-                break
-        absorbed = sum(group_counts.values()) - 1
+        a, b = sorted(dims, key=group_counts.get)
+        ca, cb = recoded[a], recoded[b]
+        ga, gb = group_counts[a], group_counts[b]
+        Z = _demean(Z, cb, gb)
+        N = np.bincount(ca * gb + cb, minlength=ga * gb).reshape(ga, gb)
+        C = np.diag(N.sum(axis=1)) - (N / N.sum(axis=0)) @ N.T
+        alpha, _, rank_c, _ = np.linalg.lstsq(
+            C, _group_sums(Z, ca, ga), rcond=_RANK_TOL)
+        Z -= _demean(alpha[ca], cb, gb)
+        absorbed = gb + int(rank_c)
 
     return Design(
         y=Z[:, 0], X=Z[:, 1:], names=design.names,
@@ -439,28 +444,20 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
     """
     tvals = np.unique(fit.time_codes)
     T = len(tvals)
-    L = hac.bandwidth
+    L = default_bandwidth(T) if hac.bandwidth is None else hac.bandwidth
     if L >= T:
         raise BandwidthError(f"bandwidth {L} must be < {T} time periods")
-    k = fit.within_x.shape[1]
-    xu = fit.within_x * fit.resid_vec[:, None]
-    H = np.zeros((T, k))
-    rows = np.searchsorted(tvals, fit.time_codes)
-    np.add.at(H, rows, xu)
+    # scores summed onto the dense quarter grid from the first sample period
+    # to the last; absent periods are zero rows, so each lag is one product
+    # of shifted slices, while T stays the number of periods present
+    rows = fit.time_codes - tvals[0]
+    H = _group_sums(fit.within_x * fit.resid_vec[:, None], rows,
+                    int(tvals[-1] - tvals[0]) + 1)
 
     w = bartlett_weights(L)
     S = w[0] * (H.T @ H) / T
-    pos_row = {int(p): j for j, p in enumerate(tvals)}
     for lag in range(1, L + 1):
-        cur, lagged = [], []
-        for j, p in enumerate(tvals):
-            j2 = pos_row.get(int(p) - lag)
-            if j2 is not None:
-                cur.append(j)
-                lagged.append(j2)
-        if not cur:
-            continue
-        gamma = (H[cur].T @ H[lagged]) / T
+        gamma = (H[lag:].T @ H[:-lag]) / T
         S += w[lag] * (gamma + gamma.T)
 
     if hac.small_sample:
@@ -495,7 +492,7 @@ def confidence_band(
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level}")
     p = (1.0 + level) / 2.0
-    q = float(stats.t.ppf(p, fit.dof)) if use_t else float(stats.norm.ppf(p))
+    q = float(stdtrit(fit.dof, p)) if use_t else float(ndtri(p))
     return fit.coef - q * fit.se, fit.coef + q * fit.se
 
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written as plain loops and lstsq calls so
 it shares no code path with the package: spreadsheet-style norm and anomaly
-recomputation, full dummy-variable least squares, double-loop Newey-West,
-direct-sum Driscoll-Kraay at lag zero, and simulation-based truths for the
-local-projection and ARDL designs.
+recomputation, full dummy-variable least squares and residual projection,
+double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
+zero, and simulation-based truths for the local-projection and ARDL designs.
 """
 import math
 
@@ -61,6 +61,19 @@ def dummy_ols_slopes(y, X, region_codes, time_codes, fixed_effects):
     return coef[: X.shape[1]]
 
 
+def lsdv_residuals(Z, region_codes, time_codes, fixed_effects):
+    """LSDV projection oracle: residuals of every column of Z on the full,
+    unreduced set of fixed-effect dummies by lstsq, plus the dummies' rank
+    (the number of absorbed parameters)."""
+    D = np.column_stack([
+        (codes[:, None] == np.unique(codes)[None, :]).astype(float)
+        for dim, codes in (("region", region_codes), ("time", time_codes))
+        if dim in fixed_effects
+    ])
+    coef, _, rank, _ = np.linalg.lstsq(D, Z, rcond=None)
+    return Z - D @ coef, int(rank)
+
+
 def newey_west_double_loop(X, resid, bandwidth, small_sample=True):
     """Literal double-loop Newey-West covariance for one time series."""
     n, k = X.shape
@@ -88,6 +101,27 @@ def dk_direct_sum_lag0(X, resid, time_codes, scale=1.0):
         rows = time_codes == tv
         h = (X[rows] * resid[rows, None]).sum(axis=0)
         meat += np.outer(h, h)
+    bread = np.linalg.inv(X.T @ X)
+    return scale * (bread @ meat @ bread)
+
+
+def dk_double_loop(X, resid, time_codes, bandwidth, scale=1.0):
+    """Driscoll-Kraay as a literal double loop over pairs of sample periods,
+    Bartlett-weighted by their distance in quarters, times an externally
+    supplied small-sample scale."""
+    tvals = [int(t) for t in np.unique(time_codes)]
+    k = X.shape[1]
+    h = {}
+    for tv in tvals:
+        rows = time_codes == tv
+        h[tv] = (X[rows] * resid[rows, None]).sum(axis=0)
+    meat = np.zeros((k, k))
+    for t in tvals:
+        for s in tvals:
+            lag = abs(t - s)
+            if lag > bandwidth:
+                continue
+            meat += (1.0 - lag / (bandwidth + 1.0)) * np.outer(h[t], h[s])
     bread = np.linalg.inv(X.T @ X)
     return scale * (bread @ meat @ bread)
 

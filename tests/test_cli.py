@@ -1,10 +1,15 @@
 """End-to-end CLI runs: simulate -> anomaly -> lp -> ardl -> stats."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from climpanel import PanelSchema, load_panel
+import climpanel
+from climpanel import PanelSchema, default_bandwidth, load_panel
 from climpanel.cli import main
 
 
@@ -285,3 +290,64 @@ def test_missing_sentinel_schema_round_trip(tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     ds = load_panel(path, PanelSchema(missing="NA"))
     assert math.isnan(ds.values("cpi")[0, 0])
+
+
+@pytest.mark.parametrize("damage", ["short", "nan", "inf"])
+def test_malformed_price_row_exit_2(workspace, tmp_path, damage):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "climate.csv").write_bytes(
+        (workspace["data"] / "climate.csv").read_bytes())
+    lines = (workspace["data"] / "prices.csv").read_text(
+        encoding="utf-8").splitlines()
+    row = 1 + next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    cells = lines[row].split(",")[:-1]
+    lines[row] = ",".join(cells if damage == "short" else cells + [damage])
+    (data / "prices.csv").write_text("\n".join(lines) + "\n",
+                                     encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=data, out=tmp_path / "o"),
+                   encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == 2
+
+
+def test_ardl_driscoll_kraay_default_bandwidth_uses_sample_periods(tmp_path):
+    # 110 quarters give the rule L=4, the m=3 estimation sample's fewer
+    # than 100 periods give L=3; a blank bandwidth must mean the latter
+    sim = tmp_path / "sim.ini"
+    sim.write_text("[simulate]\nkind = climate\nseed = 8\nregions = 3\n"
+                   "quarters = 110\nstart = 1990Q1\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(sim),
+                 "--out", str(tmp_path / "data")]) == 0
+
+    def run(bandwidth_line, out):
+        cfg = tmp_path / f"{out}.ini"
+        cfg.write_text(
+            BASE_CONFIG.format(data=tmp_path / "data", out=tmp_path / out)
+            .replace("m = 2,3\np = 1",
+                     f"m = 3\np = 1\nse = driscoll-kraay\n{bandwidth_line}"),
+            encoding="utf-8")
+        assert main(["ardl", "--config", str(cfg)]) == 0
+        rows = [l.split(",") for l in
+                _read_lines(tmp_path / out / "longrun_table.csv")
+                if not l.startswith("#")][1:]
+        return rows
+
+    rule = run("", "rule")
+    periods = int(rule[0][-1]) // 3
+    assert periods < 100
+    assert (default_bandwidth(periods), default_bandwidth(110)) == (3, 4)
+    assert rule == run("bandwidth = 3", "explicit")
+    assert rule != run("bandwidth = 4", "panel_rule")
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(climpanel.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, climpanel.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

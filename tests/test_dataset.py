@@ -142,6 +142,25 @@ def test_load_panel_missing_sentinel(tmp_path):
     assert ds.values("cpi")[0, 1] == 2.0
 
 
+@pytest.mark.parametrize("row", ["a,2000,2", "a,2000,2,2.5,9"])
+def test_load_panel_ragged_row_names_file_line(tmp_path, row):
+    path = tmp_path / "panel.csv"
+    path.write_text("# unit cpi = index\nregion,year,quarter,cpi\n"
+                    f"a,2000,1,1.5\n\n{row}\n", encoding="utf-8")
+    n = row.count(",") + 1
+    with pytest.raises(SchemaError, match=rf"panel\.csv:5: {n} fields"):
+        load_panel(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+def test_load_panel_rejects_non_finite_literals(tmp_path, cell):
+    path = tmp_path / "panel.csv"
+    write_csv(path, ["a,2000,1,1.5", f"a,2000,2,{cell}"])
+    with pytest.raises(SchemaError, match=rf"panel\.csv:3: cannot parse "
+                                          rf"cpi='{cell}'"):
+        load_panel(path)
+
+
 def test_round_trip_bitwise(tmp_path):
     ds = make_panel(seed=42)
     mat = np.array(ds.values("cpi"))

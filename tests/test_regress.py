@@ -1,6 +1,7 @@
 """Within transformation, pivoted-QR OLS, classical and DK covariance."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from climpanel import (
     with_driscoll_kraay,
     within_transform,
 )
-from climpanel.regress import design_from_matrices
+from climpanel.regress import _STAR_CUTOFFS, design_from_matrices
 from climpanel.simulate import fe_panel
 from climpanel.errors import (
     BandwidthError,
@@ -32,7 +33,9 @@ from climpanel.errors import (
 )
 from oracles import (
     dk_direct_sum_lag0,
+    dk_double_loop,
     dummy_ols_slopes,
+    lsdv_residuals,
     newey_west_double_loop,
 )
 
@@ -97,6 +100,90 @@ def test_two_way_demeaning_zero_means():
         for val in np.unique(codes):
             means = Z[codes == val].mean(axis=0)
             assert np.abs(means).max() < 1e-12
+
+
+def _ragged_design(rng, R, T, layout, fixed_effects=("region", "time")):
+    """Random R x T panel with cells blanked by layout, on a data scale far
+    from 1: 'random' blanks 40% of cells, so singleton groups appear;
+    'gaps' blanks whole interior quarters; 'blocks' splits the regions into
+    two groups observed in disjoint quarters, a disconnected sample."""
+    y = 1e3 * rng.normal(size=(R, T)) + 5e3
+    x1 = 1e3 * rng.normal(size=(R, T))
+    x2 = rng.normal(size=(R, T)) + np.arange(T) / T
+    if layout == "random":
+        y[rng.random((R, T)) < 0.4] = np.nan
+    elif layout == "gaps":
+        y[:, rng.choice(np.arange(1, T - 1), size=3, replace=False)] = np.nan
+        y[rng.random((R, T)) < 0.1] = np.nan
+    else:
+        y[: R // 2, T // 2:] = np.nan
+        y[R // 2:, : T // 2] = np.nan
+        y[rng.random((R, T)) < 0.1] = np.nan
+    return design_from_matrices(
+        y, [("x1", x1), ("x2", x2)], [f"r{i}" for i in range(R)], grid(T),
+        fixed_effects=fixed_effects)
+
+
+@pytest.mark.parametrize("fixed_effects",
+                         [("region", "time"), ("time", "region"),
+                          ("region",), ("time",)])
+@pytest.mark.parametrize("layout", ["random", "gaps", "blocks"])
+def test_within_transform_matches_lsdv_projection(layout, fixed_effects):
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        R = int(rng.integers(2, 9))
+        T = int(rng.integers(6, 30))
+        design = _ragged_design(rng, R, T, layout, fixed_effects)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                within = within_transform(design)
+            except SampleError:
+                continue
+        Z = np.column_stack([within.orig_y, within.orig_X])
+        want, rank = lsdv_residuals(Z, within.region_codes,
+                                    within.time_codes, fixed_effects)
+        got = np.column_stack([within.y, within.X])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(Z).max()
+        assert within.absorbed == rank
+
+
+def test_within_transform_singleton_drop_matches_lsdv_projection():
+    # region r0 keeps one observation and quarter 2000Q4 one region
+    rng = np.random.default_rng(31)
+    y = 1e3 * rng.normal(size=(5, 12))
+    y[0, 1:] = np.nan
+    y[2:, 3] = np.nan
+    design = design_from_matrices(
+        y, [("x", rng.normal(size=(5, 12)))], [f"r{i}" for i in range(5)],
+        grid(12), fixed_effects=("region", "time"))
+    with pytest.warns(UserWarning, match="dropped 2 observation"):
+        within = within_transform(design)
+    assert within.nobs == design.nobs - 2
+    Z = np.column_stack([within.orig_y, within.orig_X])
+    want, rank = lsdv_residuals(Z, within.region_codes, within.time_codes,
+                                ("region", "time"))
+    got = np.column_stack([within.y, within.X])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(Z).max()
+    assert within.absorbed == rank
+
+
+def test_absorbed_count_on_disconnected_sample():
+    # regions a, b are observed only in 2000Q1-2002Q2 and c, d only in
+    # 2002Q3-2004Q4: the dummies have rank 4 + 20 - 2, not 4 + 20 - 1
+    rng = np.random.default_rng(32)
+    y = rng.normal(size=(4, 20))
+    y[:2, 10:] = np.nan
+    y[2:, :10] = np.nan
+    design = design_from_matrices(
+        y, [("x", rng.normal(size=(4, 20)))], list("abcd"), grid(20),
+        fixed_effects=("region", "time"))
+    fit = ols(design)
+    _, rank = lsdv_residuals(design.y[:, None], design.region_codes,
+                             design.time_codes, ("region", "time"))
+    assert rank == 22
+    assert fit.absorbed == 22
+    assert fit.dof == 40 - 1 - 22
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +377,29 @@ def test_dk_lag0_equals_direct_sum():
     np.testing.assert_allclose(adj, raw * fit.nobs / fit.dof, rtol=1e-12)
 
 
+def test_dk_dense_grid_matches_double_loop_with_missing_periods():
+    # 101 quarters, two of them absent from the sample: the rule bandwidth
+    # must come from the 99 periods present (L=3), not the 101-quarter span
+    rng = np.random.default_rng(33)
+    x1 = rng.normal(size=(3, 101))
+    x2 = rng.normal(size=(3, 101))
+    y = 0.5 * x1 - 0.2 * x2 + rng.normal(size=(3, 101))
+    y[:, [40, 70]] = np.nan
+    y[1, 10] = np.nan
+    fit = ols(design_from_matrices(
+        y, [("x1", x1), ("x2", x2)], list("abc"), grid(101),
+        fixed_effects=("region",)))
+    assert len(np.unique(fit.time_codes)) == 99
+    assert (default_bandwidth(99), default_bandwidth(101)) == (3, 4)
+    for bandwidth, L in ((None, 3), (0, 0), (2, 2), (6, 6)):
+        got = vcov_driscoll_kraay(fit, HACSpec(bandwidth))
+        want = dk_double_loop(fit.within_x, fit.resid_vec, fit.time_codes,
+                              L, scale=fit.nobs / fit.dof)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(BandwidthError, match="< 99 time periods"):
+        vcov_driscoll_kraay(fit, HACSpec(99))
+
+
 def test_dk_bandwidth_error():
     ds = fe_panel(n_regions=3, n_quarters=10, seed=17)
     fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
@@ -356,6 +466,12 @@ def test_default_bandwidth_rule():
     assert default_bandwidth(100) == 4
     assert default_bandwidth(88) == 3
     assert default_bandwidth(25) == math.floor(4 * (25 / 100) ** (2 / 9))
+
+
+def test_star_cutoffs_pinned():
+    assert _STAR_CUTOFFS == ((2.5758293035489004, "***"),
+                             (1.959963984540054, "**"),
+                             (1.6448536269514722, "*"))
 
 
 def test_significance_stars_convention():
