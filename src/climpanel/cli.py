@@ -398,7 +398,11 @@ def _load_merged(cfg: RunConfig) -> PanelDataset:
     if not cfg.input.prices:
         raise ConfigError("[input] prices: path to the price CSV is required")
     prices = load_panel(cfg.input.prices, _schema(cfg))
-    return merge_panels(prices, ds)
+    # the climate file fixes the region order, so the price file may list
+    # its regions in any order without changing a result; the price series
+    # still come first
+    merged = merge_panels(ds, prices)
+    return subset(merged, prices.variables + ds.variables)
 
 
 def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool) -> PanelDataset:
@@ -491,11 +495,22 @@ def _cmd_lp(cfg: RunConfig) -> None:
     ds = _attach_all(cfg, ds, [cfg.lp.m], seasonal=True)
     shocks = _resolve_shocks(cfg)
     window = _window(cfg, ds)
-    hac = (HACSpec(cfg.lp.bandwidth, cfg.lp.small_sample)
-           if cfg.lp.bandwidth is not None else None)
+    # a blank bandwidth (None) means max(rule, h) for each horizon
+    hac = HACSpec(cfg.lp.bandwidth, cfg.lp.small_sample)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # every shock of an outcome is estimated in one call, which fits the
+    # shocks sharing a sample together; files and reports stay shock-major
+    by_cell = {}
+    for outcome in cfg.lp.outcomes:
+        spec = LPSpec(
+            outcome=outcome, shock=shocks[0], horizons=cfg.lp.horizons,
+            lags=cfg.lp.lags, fixed_effects=cfg.lp.fixed_effects,
+            hac=hac, level=cfg.lp.level, sample=window,
+        )
+        for res in estimate_irf(ds, spec, shocks=shocks):
+            by_cell[(res.shock, outcome)] = res
     results = []
     cell_failures = []
     written = []
@@ -504,17 +519,10 @@ def _cmd_lp(cfg: RunConfig) -> None:
              "se": "same as estimate", "lo": "band lower", "hi": "band upper"}
     for shock in shocks:
         for outcome in cfg.lp.outcomes:
-            spec = LPSpec(
-                outcome=outcome, shock=shock, horizons=cfg.lp.horizons,
-                lags=cfg.lp.lags, fixed_effects=cfg.lp.fixed_effects,
-                hac=hac, level=cfg.lp.level, sample=window,
-            )
-            try:
-                res = estimate_irf(ds, spec)
-            except ClimPanelError as exc:
-                cell_failures.append(
-                    f"shock={shock} outcome={outcome}: "
-                    f"{type(exc).__name__}: {exc}")
+            res = by_cell[(shock, outcome)]
+            if not res.responses and res.failures:
+                cell_failures.append(f"shock={shock} outcome={outcome}: "
+                                     f"{res.failures[0].message}")
                 continue
             results.append(res)
             path = out / f"irf_{shock}__{outcome}.csv"

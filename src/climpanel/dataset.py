@@ -477,8 +477,12 @@ def write_panel(
 
 
 def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:
-    """Combine two panels on the same regions over their common window."""
-    if a.regions != b.regions:
+    """Combine two panels on the same regions over their common window.
+
+    The result keeps a's region order; b's rows are reordered to match, so
+    the two files may list their regions in different orders.
+    """
+    if sorted(a.regions) != sorted(b.regions):
         raise PanelIntegrityError(
             f"region lists differ: {a.regions} vs {b.regions}"
         )
@@ -491,8 +495,9 @@ def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:
         raise PanelIntegrityError(f"series defined in both panels: {sorted(clash)}")
     a = subset(a, start=lo, end=hi)
     b = subset(b, start=lo, end=hi)
+    rows = [b.regions.index(r) for r in a.regions]
     series = dict(a.series)
-    series.update(b.series)
+    series.update((name, mat[rows]) for name, mat in b.series.items())
     units = dict(a.units)
     units.update(b.units)
     return PanelDataset(a.regions, a.time, series, units)

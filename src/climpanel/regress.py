@@ -6,6 +6,11 @@ one exact projection), solve by rank-revealing pivoted QR, then attach
 either the classical covariance sigma^2 (X'X)^-1 or the Driscoll-Kraay HAC
 covariance built from Bartlett-weighted autocovariances of the
 cross-sectionally summed moment vectors h_t = sum_i x_it e_it.
+focal_driscoll_kraay does the same for several focal columns that share
+one outcome and one set of controls, absorbing and factoring them once.
+
+scipy is imported inside the functions that use it, so importing the
+package (and every command that fits nothing) does not pay for it.
 """
 from __future__ import annotations
 
@@ -14,8 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
-from scipy.special import ndtri, stdtrit
 
 from .dataset import PanelDataset, QuarterIndex
 from .errors import (
@@ -27,11 +30,13 @@ from .errors import (
 
 FIXED_EFFECT_DIMS = ("region", "time")
 
-# Two-sided normal critical values for 1% / 5% / 10% significance stars.
+# Two-sided normal critical values for 1% / 5% / 10% significance stars:
+# scipy.special.ndtri at 0.995, 0.975 and 0.95, written out so that
+# formatting stars needs no scipy import.
 _STAR_CUTOFFS = (
-    (float(ndtri(0.995)), "***"),
-    (float(ndtri(0.975)), "**"),
-    (float(ndtri(0.95)), "*"),
+    (2.5758293035489004, "***"),
+    (1.959963984540054, "**"),
+    (1.6448536269514722, "*"),
 )
 
 _RANK_TOL = 1e-10
@@ -113,6 +118,19 @@ def _quarter_code(q: QuarterIndex) -> int:
     return q.year * 4 + (q.quarter - 1)
 
 
+def window_slice(time, window) -> slice:
+    """Columns of a quarter axis inside a (start, end) window; None keeps all."""
+    if window is None:
+        return slice(None)
+    lo = QuarterIndex.parse(window[0])
+    hi = QuarterIndex.parse(window[1])
+    a = max(lo - time[0], 0)
+    b = min(hi - time[0], len(time) - 1)
+    if b < a:
+        raise SampleError(f"sample window {lo}..{hi} is empty")
+    return slice(a, b + 1)
+
+
 def design_from_matrices(
     y_mat: np.ndarray,
     x_named,
@@ -131,13 +149,7 @@ def design_from_matrices(
     regions = tuple(regions)
     time = tuple(time)
     if window is not None:
-        lo = QuarterIndex.parse(window[0])
-        hi = QuarterIndex.parse(window[1])
-        a = max(lo - time[0], 0)
-        b = min(hi - time[0], len(time) - 1)
-        if b < a:
-            raise SampleError(f"sample window {lo}..{hi} is empty")
-        sl = slice(a, b + 1)
+        sl = window_slice(time, window)
         time = time[sl]
         y_mat = y_mat[:, sl]
         x_named = [(name, mat[:, sl]) for name, mat in x_named]
@@ -311,6 +323,8 @@ class FitResult:
 
 
 def _describe_rank_deficiency(R, piv, rank, names, col_norms):
+    from scipy import linalg
+
     offenders = []
     lines = []
     norm_scale = col_norms.max() if col_norms.size else 0.0
@@ -336,6 +350,8 @@ def ols(design: Design, recover_fe: bool = False) -> FitResult:
     Raises RankDeficiencyError naming the collinear or degenerate columns
     instead of silently dropping them; dof = nobs - rank - absorbed FE count.
     """
+    from scipy import linalg
+
     d = design if design.demeaned else within_transform(design)
     n, k = d.X.shape
     if n == 0:
@@ -434,6 +450,32 @@ def vcov_classical(fit: FitResult) -> np.ndarray:
     return sigma2 * fit.xtx_inv
 
 
+def _dk_meat(scores: np.ndarray, time_codes: np.ndarray,
+             bandwidth: int | None) -> tuple[np.ndarray, int]:
+    """Bartlett-weighted autocovariance sum of the period score totals.
+
+    h_t = sum_i scores_it; Gamma_l = (1/T) sum_t h_t h_{t-l}'; returns
+    S = sum_l w_l (Gamma_l + Gamma_l') (Gamma_0 once) and T, the number of
+    periods present. A bandwidth of None takes default_bandwidth(T).
+    """
+    tvals = np.unique(time_codes)
+    T = len(tvals)
+    L = default_bandwidth(T) if bandwidth is None else bandwidth
+    if L >= T:
+        raise BandwidthError(f"bandwidth {L} must be < {T} time periods")
+    # scores summed onto the dense quarter grid from the first sample period
+    # to the last; absent periods are zero rows, so each lag is one product
+    # of shifted slices, while T stays the number of periods present
+    H = _group_sums(scores, time_codes - tvals[0],
+                    int(tvals[-1] - tvals[0]) + 1)
+    w = bartlett_weights(L)
+    S = w[0] * (H.T @ H) / T
+    for lag in range(1, L + 1):
+        gamma = (H[lag:].T @ H[:-lag]) / T
+        S += w[lag] * (gamma + gamma.T)
+    return S, T
+
+
 def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
     """HAC covariance over cross-sectionally summed score vectors.
 
@@ -442,24 +484,8 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
     nobs/(nobs - k - absorbed) when hac.small_sample (T/(T-k) for a single
     unit without fixed effects); vcov = (X'X)^-1 (T S) (X'X)^-1.
     """
-    tvals = np.unique(fit.time_codes)
-    T = len(tvals)
-    L = default_bandwidth(T) if hac.bandwidth is None else hac.bandwidth
-    if L >= T:
-        raise BandwidthError(f"bandwidth {L} must be < {T} time periods")
-    # scores summed onto the dense quarter grid from the first sample period
-    # to the last; absent periods are zero rows, so each lag is one product
-    # of shifted slices, while T stays the number of periods present
-    rows = fit.time_codes - tvals[0]
-    H = _group_sums(fit.within_x * fit.resid_vec[:, None], rows,
-                    int(tvals[-1] - tvals[0]) + 1)
-
-    w = bartlett_weights(L)
-    S = w[0] * (H.T @ H) / T
-    for lag in range(1, L + 1):
-        gamma = (H[lag:].T @ H[:-lag]) / T
-        S += w[lag] * (gamma + gamma.T)
-
+    S, T = _dk_meat(fit.within_x * fit.resid_vec[:, None], fit.time_codes,
+                    hac.bandwidth)
     if hac.small_sample:
         # dof-aware factor: within residuals are shrunk by the absorbed FE
         # dummies as well as the k slopes, so scale by nobs/(nobs-k-absorbed);
@@ -481,6 +507,68 @@ def with_driscoll_kraay(fit: FitResult, hac: HACSpec) -> FitResult:
                    vcov_kind="driscoll-kraay")
 
 
+@dataclass(frozen=True)
+class FocalFit:
+    """Slope and standard error of each focal column, entry j from the
+    regression of y on focal column j and the shared controls only; NaN
+    where ok[j] is False."""
+
+    coef: np.ndarray
+    se: np.ndarray
+    ok: np.ndarray
+    nobs: int
+    dof: int
+
+
+def focal_driscoll_kraay(design: Design, n_focal: int,
+                         hac: HACSpec) -> FocalFit:
+    """Fit each of the first n_focal columns of design.X in its own
+    regression on y and the remaining columns (the controls), in one pass.
+
+    The design is absorbed once and the controls are factored once by
+    pivoted QR; y and the focal columns are partialled on them in one
+    product. By Frisch-Waugh-Lovell, with s~ a partialled focal column and
+    y~ the partialled outcome, the slope is s~'y~ / s~'s~ with residual
+    e = y~ - slope * s~, and the Driscoll-Kraay variance is that column's
+    element of the full sandwich: the Bartlett sum over
+    g_t = sum_i s~_it e_it (times nobs/dof when hac.small_sample) over
+    (s~'s~)^2, dof = nobs - 1 - n_controls - absorbed as in ols. ok[j] is
+    False where ols on column j's own design would fail its rank or dof
+    check: rank-deficient controls, dof <= 0, or a partialled focal column
+    within the rank tolerance; refit those with ols to get its error.
+    """
+    from scipy import linalg
+
+    d = within_transform(design)
+    n = d.nobs
+    n_controls = d.X.shape[1] - n_focal
+    Z = np.column_stack([d.y, d.X[:, :n_focal]])
+    scale = np.linalg.norm(Z[:, 1:], axis=0)
+    controls_ok = True
+    if n_controls:
+        Q, R, _ = linalg.qr(d.X[:, n_focal:], mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        controls_ok = bool(diag[0] > 0 and (diag > _RANK_TOL * diag[0]).all())
+        scale = np.maximum(scale, diag[0])
+        Z -= Q @ (Q.T @ Z)
+    dof = n - 1 - n_controls - d.absorbed
+    y, s = Z[:, 0], Z[:, 1:]
+    ss = np.einsum("ij,ij->j", s, s)
+    ok = (np.sqrt(ss) > _RANK_TOL * scale) & controls_ok & (dof > 0)
+    coef = np.full(n_focal, np.nan)
+    se = np.full(n_focal, np.nan)
+    if ok.any():
+        s = s[:, ok]
+        coef[ok] = (s.T @ y) / ss[ok]
+        S, T = _dk_meat(s * (y[:, None] - s * coef[ok]), d.time_codes,
+                        hac.bandwidth)
+        meat = T * np.diag(S)
+        if hac.small_sample:
+            meat = meat * (n / dof)
+        se[ok] = np.sqrt(meat) / ss[ok]
+    return FocalFit(coef=coef, se=se, ok=ok, nobs=n, dof=dof)
+
+
 def confidence_band(
     fit: FitResult, level: float, use_t: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +577,8 @@ def confidence_band(
     Normal quantiles by default (use_t switches to Student t with the fit's
     dof). level = 0 degenerates to [coef, coef].
     """
+    from scipy.special import ndtri, stdtrit
+
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level}")
     p = (1.0 + level) / 2.0

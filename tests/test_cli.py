@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 import climpanel
-from climpanel import PanelSchema, default_bandwidth, load_panel
-from climpanel.cli import main
+from climpanel import (
+    HACSpec,
+    LPSpec,
+    PanelSchema,
+    build_lp_design,
+    default_bandwidth,
+    load_panel,
+    ols,
+    with_driscoll_kraay,
+)
+from climpanel.cli import _attach_all, _load_merged, load_config, main
 
 
 BASE_CONFIG = """\
@@ -351,3 +360,101 @@ def test_cli_import_leaves_scipy_stats_out():
          "import sys, climpanel.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+        .replace("level = 0.90", "level = 0.90\nsmall_sample = false"),
+        encoding="utf-8")
+    assert main(["lp", "--config", str(cfg)]) == 0
+    assert main(["lp", "--config", str(workspace["config"]),
+                 "--out", str(tmp_path / "default")]) == 0
+    run = load_config(str(cfg))
+    ds = _attach_all(run, _load_merged(run), [run.lp.m], seasonal=True)
+    name = "irf_temperature_spring_hot_m2__food.csv"
+    rows = [l.split(",") for l in _read_lines(tmp_path / "o" / name)
+            if not l.startswith("#")][1:]
+    default = [l.split(",") for l in _read_lines(tmp_path / "default" / name)
+               if not l.startswith("#")][1:]
+    spec = LPSpec("food", "temperature_spring_hot_m2", lags=2)
+    for row, base in zip(rows, default):
+        h = int(row[0])
+        design = build_lp_design(ds, spec, h)
+        bandwidth = max(default_bandwidth(len(np.unique(design.time_codes))), h)
+        fit = with_driscoll_kraay(ols(design), HACSpec(bandwidth, False))
+        assert row[1] == base[1]
+        assert float(row[2]) == pytest.approx(fit.se_for(spec.shock),
+                                              rel=1e-12)
+        assert float(row[2]) < float(base[2])
+
+
+def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "climate.csv").write_bytes(
+        (workspace["data"] / "climate.csv").read_bytes())
+    prices = (workspace["data"] / "prices.csv").read_text(encoding="utf-8")
+    (data / "prices.csv").write_text(prices, encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=data, out=tmp_path / "o"),
+                   encoding="utf-8")
+    for cmd in ("lp", "ardl"):
+        assert main([cmd, "--config", str(cfg),
+                     "--out", str(tmp_path / "same")]) == 0
+    lines = prices.splitlines(keepends=True)
+    body = [l for l in lines if not l.startswith("#")]
+    blocks = {}
+    for line in body[1:]:
+        blocks.setdefault(line.split(",")[0], []).append(line)
+    order = list(blocks)[2:] + list(blocks)[:2]
+    permuted = [l for l in lines if l.startswith("#")] + body[:1] + [
+        line for region in order for line in blocks[region]]
+    (data / "prices.csv").write_text("".join(permuted), encoding="utf-8")
+    for cmd in ("lp", "ardl"):
+        assert main([cmd, "--config", str(cfg),
+                     "--out", str(tmp_path / "permuted")]) == 0
+    names = sorted(p.name for p in (tmp_path / "same").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "permuted").iterdir())
+    for name in names:
+        assert ((tmp_path / "same" / name).read_bytes()
+                == (tmp_path / "permuted" / name).read_bytes()), name
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(climpanel.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, climpanel.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_patches_current_modules():
+    # the benchmark's --trace 1 wraps layer functions by attribute name;
+    # a rename in the program must fail here, not only in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root))
+    try:
+        from climbench.tracing import Tracer, install
+    finally:
+        sys.path.remove(str(root))
+    from climpanel import cli, localproj, regress
+    before = {(m.__name__, a): getattr(m, a) for m, a in (
+        (cli, "estimate_irf"), (localproj, "build_lp_design"),
+        (localproj, "ols"), (regress, "within_transform"),
+        (regress, "vcov_driscoll_kraay"))}
+    tracer = Tracer()
+    install(tracer)
+    try:
+        for (mod, attr), fn in before.items():
+            assert getattr(sys.modules[mod], attr) is not fn
+    finally:
+        tracer.unpatch()
+    for (mod, attr), fn in before.items():
+        assert getattr(sys.modules[mod], attr) is fn

@@ -324,6 +324,21 @@ def test_merge_panels_common_window():
     assert set(merged.variables) == {"cpi", "temp", "other"}
 
 
+def test_merge_panels_aligns_region_order_and_rejects_other_sets():
+    a = make_panel(n_quarters=8)
+    rows = list(reversed(range(a.n_regions)))
+    b = PanelDataset([a.regions[i] for i in rows], a.time,
+                     {"other": np.asarray(a.values("temp"))[rows] + 1.0})
+    merged = merge_panels(a, b)
+    assert merged.regions == a.regions
+    np.testing.assert_array_equal(merged.values("other"),
+                                  np.asarray(a.values("temp")) + 1.0)
+    c = PanelDataset(a.regions[:-1] + ("zz",), a.time,
+                     {"other": b.values("other")})
+    with pytest.raises(PanelIntegrityError):
+        merge_panels(a, c)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12),

@@ -1,22 +1,28 @@
 """Local projections: design construction, IRF estimation, tables."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from climpanel import (
+    HACSpec,
     ImpulseResponse,
     LPResult,
     LPSpec,
     PanelDataset,
     QuarterIndex,
     build_lp_design,
+    confidence_band,
+    default_bandwidth,
     estimate_irf,
     irf_table,
     ols,
     quarter_range,
+    with_driscoll_kraay,
 )
-from climpanel.errors import RankDeficiencyError
+from climpanel.errors import ClimPanelError, RankDeficiencyError
+from climpanel.localproj import _sample_groups
 from climpanel.simulate import lp_panel
 from oracles import lp_true_cumulative_response
 
@@ -160,3 +166,128 @@ def test_irf_table_multi_result_ordering():
     rows = irf_table([mk("b", "y"), mk("a", "z"), mk("a", "y")])
     assert [(r.shock, r.outcome) for r in rows] == [
         ("a", "y"), ("a", "z"), ("b", "y")]
+
+
+# ---------------------------------------------------------------------------
+# several shocks in one call: each must equal its own regression
+# ---------------------------------------------------------------------------
+
+def _per_shock(ds, spec, shock):
+    """One regression per horizon with ols and with_driscoll_kraay: the
+    ImpulseResponse, or the failure message, keyed by horizon."""
+    one = dataclasses.replace(spec, shock=shock)
+    out = {}
+    for h in spec.horizons:
+        try:
+            design = build_lp_design(ds, one, h)
+            hac = spec.hac or HACSpec(None)
+            if hac.bandwidth is None:
+                periods = len(np.unique(design.time_codes))
+                hac = HACSpec(max(default_bandwidth(periods), h),
+                              hac.small_sample)
+            fit = with_driscoll_kraay(ols(design), hac)
+        except ClimPanelError as exc:
+            out[h] = f"{type(exc).__name__}: {exc}"
+            continue
+        lo, hi = confidence_band(fit, spec.level)
+        i = fit.names.index(shock)
+        out[h] = ImpulseResponse(h, float(fit.coef[i]), float(fit.se[i]),
+                                 (float(lo[i]), float(hi[i])), fit.nobs)
+    return out
+
+
+def _assert_batched_equals_per_shock(ds, spec, shocks):
+    results = estimate_irf(ds, spec, shocks=shocks)
+    assert [r.shock for r in results] == list(shocks)
+    for res in results:
+        want = _per_shock(ds, spec, res.shock)
+        assert {f.horizon: f.message for f in res.failures} == {
+            h: w for h, w in want.items() if isinstance(w, str)}
+        assert [r.horizon for r in res.responses] == [
+            h for h, w in want.items() if not isinstance(w, str)]
+        for got in res.responses:
+            ref = want[got.horizon]
+            assert got.nobs == ref.nobs
+            scale = max(abs(ref.estimate), ref.se)
+            for a, b in ((got.estimate, ref.estimate), (got.se, ref.se),
+                         (got.band[0], ref.band[0]),
+                         (got.band[1], ref.band[1])):
+                assert abs(a - b) <= 1e-12 * scale, (res.shock, got.horizon)
+    return results
+
+
+def _multi_shock_panel(seed, n_regions=6, n_quarters=60):
+    ds = lp_panel(n_regions=n_regions, n_quarters=n_quarters,
+                  region_sd=0.5, time_sd=0.5, seed=seed)
+    rng = np.random.default_rng(seed)
+    shape = (n_regions, n_quarters)
+    ds = ds.with_series("s2", rng.normal(size=shape) + 3.0)
+    return ds.with_series("s3", 0.5 * np.asarray(ds.values("shock"))
+                          + rng.normal(size=shape))
+
+
+def test_batched_shocks_sharing_one_sample():
+    ds = _multi_shock_panel(40)
+    spec = LPSpec("price", "shock", horizons=(0, 1, 4), lags=3)
+    assert _sample_groups(ds, spec, ("shock", "s2", "s3")) == [[0, 1, 2]]
+    _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
+
+
+def test_shock_with_extra_blanks_is_its_own_group():
+    ds = _multi_shock_panel(41)
+    s2 = np.array(ds.values("s2"))
+    s2[np.random.default_rng(1).random(s2.shape) < 0.1] = np.nan
+    ds = ds.with_series("s2", s2)
+    spec = LPSpec("price", "shock", horizons=(0, 2), lags=2)
+    assert _sample_groups(ds, spec, ("shock", "s2", "s3")) == [[0, 2], [1]]
+    res = _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
+    assert res[1].responses[0].nobs < res[0].responses[0].nobs
+
+
+def test_flat_shock_fails_alone_with_its_own_message():
+    ds = _multi_shock_panel(42).with_series("flat", np.zeros((6, 60)))
+    spec = LPSpec("price", "shock", horizons=(0, 1), lags=2)
+    res = _assert_batched_equals_per_shock(ds, spec, ("shock", "flat", "s2"))
+    assert [len(r.responses) for r in res] == [2, 0, 2]
+    assert res[1].failures[0].message == (
+        "RankDeficiencyError: design matrix is rank deficient: "
+        "'flat' has no variation after FE absorption")
+
+
+@pytest.mark.parametrize("fixed_effects", [("region", "time"), ()])
+def test_batched_lags0_with_and_without_fixed_effects(fixed_effects):
+    ds = _multi_shock_panel(43)
+    spec = LPSpec("price", "shock", horizons=(0, 3), lags=0,
+                  fixed_effects=fixed_effects)
+    _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
+
+
+@pytest.mark.parametrize("small_sample", [True, False])
+def test_batched_explicit_bandwidth(small_sample):
+    ds = _multi_shock_panel(44)
+    spec = LPSpec("price", "shock", horizons=(0, 2), lags=2,
+                  hac=HACSpec(5, small_sample))
+    _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
+
+
+def test_batched_sample_window_and_unknown_shock():
+    ds = _multi_shock_panel(45)
+    spec = LPSpec("price", "shock", horizons=(0, 1), lags=2,
+                  sample=("2005Q1", "2012Q4"))
+    res = _assert_batched_equals_per_shock(
+        ds, spec, ("shock", "nope", "s2", "s3"))
+    assert res[0].responses[0].nobs < estimate_irf(
+        ds, dataclasses.replace(spec, sample=None)).responses[0].nobs
+    assert res[1].failures[0].message.startswith(
+        "VariableLookupError: unknown variable 'nope'")
+
+
+def test_blank_bandwidth_keeps_small_sample_flag():
+    ds = _multi_shock_panel(46)
+    spec = LPSpec("price", "shock", horizons=(0, 3), lags=2,
+                  hac=HACSpec(None, small_sample=False))
+    (res,) = _assert_batched_equals_per_shock(ds, spec, ("shock",))
+    default = estimate_irf(ds, dataclasses.replace(spec, hac=None))
+    for a, b in zip(res.responses, default.responses):
+        assert a.estimate == b.estimate
+        assert a.se < b.se

@@ -23,7 +23,11 @@ from climpanel import (
     with_driscoll_kraay,
     within_transform,
 )
-from climpanel.regress import _STAR_CUTOFFS, design_from_matrices
+from climpanel.regress import (
+    _STAR_CUTOFFS,
+    design_from_matrices,
+    focal_driscoll_kraay,
+)
 from climpanel.simulate import fe_panel
 from climpanel.errors import (
     BandwidthError,
@@ -491,3 +495,38 @@ def test_vcov_se_consistency():
         HACSpec(2),
     )
     np.testing.assert_allclose(fit.se, np.sqrt(np.diag(fit.vcov)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("layout", ["random", "blocks"])
+def test_focal_driscoll_kraay_matches_each_own_regression(layout):
+    # three focal columns sharing two controls on a ragged two-way sample;
+    # each focal entry must equal the full regression of y on that column
+    # and the controls, with the double-loop Driscoll-Kraay as the SE oracle
+    rng = np.random.default_rng(50)
+    R, T, L = 7, 40, 3
+    mats = {n: rng.normal(size=(R, T)) for n in ("f1", "f2", "f3", "c1", "c2")}
+    mats["f2"] += 0.8 * mats["c1"]
+    y = mats["f1"] - 0.5 * mats["f3"] + mats["c2"] + rng.normal(size=(R, T))
+    if layout == "random":
+        y[rng.random((R, T)) < 0.3] = np.nan
+    else:
+        y[: R // 2, T // 2:] = np.nan
+        y[R // 2:, : T // 2] = np.nan
+    regions, time = [f"r{i}" for i in range(R)], grid(T)
+
+    def design(names):
+        return design_from_matrices(y, [(n, mats[n]) for n in names],
+                                    regions, time, ("region", "time"))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = focal_driscoll_kraay(design(("f1", "f2", "f3", "c1", "c2")), 3,
+                                   HACSpec(L))
+        for j, name in enumerate(("f1", "f2", "f3")):
+            fit = ols(design((name, "c1", "c2")))
+            V = dk_double_loop(fit.within_x, fit.resid_vec, fit.time_codes, L,
+                               scale=fit.nobs / fit.dof)
+            assert got.ok[j]
+            assert (got.nobs, got.dof) == (fit.nobs, fit.dof)
+            assert got.coef[j] == pytest.approx(fit.coef[0], rel=1e-12)
+            assert got.se[j] == pytest.approx(math.sqrt(V[0, 0]), rel=1e-10)
