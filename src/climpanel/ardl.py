@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .climate import anomaly_name
-from .dataset import PanelDataset, checked_log
+from .dataset import PanelDataset, checked_log, shift
 from .errors import ClimPanelError, UnitRootError
 from .regress import (
     Design,
@@ -109,22 +109,14 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
     scaled) anomaly series; burn-in NaN cells trim the sample listwise.
     """
     log_y = checked_log(ds, spec.outcome)
-    R, T = log_y.shape
-    dy = np.full((R, T), np.nan)
-    dy[:, 1:] = log_y[:, 1:] - log_y[:, :-1]
-    x_named = []
-    for lag in range(1, spec.p + 1):
-        mat = np.full((R, T), np.nan)
-        mat[:, lag:] = dy[:, :T - lag]
-        x_named.append((_dy_lag_name(spec.outcome, lag), mat))
+    dy = log_y - shift(log_y, 1)
+    x_named = [(_dy_lag_name(spec.outcome, lag), shift(dy, lag))
+               for lag in range(1, spec.p + 1)]
     for var in spec.block:
         level = ds.values(var)
-        dx = np.full((R, T), np.nan)
-        dx[:, 1:] = level[:, 1:] - level[:, :-1]
-        for lag in range(0, spec.p + 1):
-            mat = np.full((R, T), np.nan)
-            mat[:, lag:] = dx[:, :T - lag] if lag else dx
-            x_named.append((_dx_lag_name(var, lag), mat))
+        dx = level - shift(level, 1)
+        x_named += [(_dx_lag_name(var, lag), shift(dx, lag))
+                    for lag in range(0, spec.p + 1)]
     return design_from_matrices(
         dy, x_named, ds.regions, ds.time,
         fixed_effects=spec.fixed_effects, window=spec.sample,
@@ -255,27 +247,32 @@ def ardl_suite(
 
 
 def select_lag_bic(ds: PanelDataset, spec: ARDLSpec, candidates=range(1, 9)) -> int:
-    """Pick p by BIC over candidate lag orders (each on its own sample).
+    """Pick p by BIC over candidate lag orders.
 
+    Every candidate is fitted on the sample of the largest one (Ng & Perron
+    2005), so that the criteria compare fits of the same observations; on
+    that sample a candidate's design is the largest design restricted to
+    the candidate's columns.
     Not the pipeline default; the default lag order is fixed at one year of
     quarterly lags.
     """
-    best_p = None
-    best_bic = np.inf
-    last_error = None
+    candidates = sorted(candidates)
+    if not candidates:
+        raise ValueError("no candidate lag orders")
+    common = build_ardl_design(ds, replace(spec, p=candidates[-1]))
+    bics = {}
     for p in candidates:
+        names = build_ardl_design(ds, replace(spec, p=p)).names
+        cols = [common.names.index(name) for name in names]
         try:
-            fit = ols(build_ardl_design(ds, replace(spec, p=p)))
+            fit = ols(replace(common, X=common.X[:, cols], names=names))
         except ClimPanelError as exc:
-            last_error = exc
+            error = exc
             continue
         rss = float(fit.resid_vec @ fit.resid_vec)
         n = fit.nobs
         k = fit.rank + fit.absorbed
-        bic = n * np.log(rss / n) + k * np.log(n)
-        if bic < best_bic:
-            best_bic, best_p = bic, p
-    if best_p is None:
-        raise last_error if last_error is not None else ValueError(
-            "no candidate lag orders")
-    return best_p
+        bics[p] = n * np.log(rss / n) + k * np.log(n)
+    if not bics:
+        raise error
+    return min(bics, key=bics.get)

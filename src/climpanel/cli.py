@@ -16,14 +16,20 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .ardl import ardl_suite
-from .climate import NORM_MODES, attach_anomaly_features
+from .climate import (
+    NORM_MODES,
+    SEASONS,
+    anomaly_name,
+    attach_anomaly_features,
+    seasonal_name,
+)
 from .dataset import (
     PanelDataset,
     PanelSchema,
@@ -49,6 +55,28 @@ from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _require(ok, where: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where} {rule}")
+
+
+def _check_quarter(where: str, label: str | None) -> None:
+    if label is not None:
+        try:
+            QuarterIndex.parse(label)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+
+
+def _check_windows(where: str, ms: tuple[int, ...]) -> None:
+    _require(ms and min(ms) >= 1, where,
+             f"must list norm windows of at least 1 year, got {ms}")
+
+
+# Each section is a frozen dataclass: its fields are the section's keys,
+# their defaults the defaults, their annotations pick the value parser, and
+# __post_init__ rejects out-of-range values (also after a CLI override).
+
 @dataclass(frozen=True)
 class InputConfig:
     climate: str | None = None
@@ -62,6 +90,10 @@ class InputConfig:
     start: str | None = None
     end: str | None = None
 
+    def __post_init__(self):
+        _check_quarter("[input] start", self.start)
+        _check_quarter("[input] end", self.end)
+
 
 @dataclass(frozen=True)
 class AnomalyConfig:
@@ -70,20 +102,22 @@ class AnomalyConfig:
     seasonal: bool = True
     sign_conditioned: bool = True
 
-
-DEFAULT_LP_SHOCKS = (
-    "temperature_winter_cold_m{m}",
-    "temperature_spring_hot_m{m}",
-    "temperature_summer_hot_m{m}",
-    "precipitation_anom_m{m}_pos",
-    "precipitation_anom_m{m}_neg",
-)
+    def __post_init__(self):
+        _check_windows("[anomaly] m", self.m)
+        _require(self.mode in NORM_MODES, "[anomaly] mode",
+                 f"must be one of {NORM_MODES}")
 
 
 @dataclass(frozen=True)
 class LPConfig:
     outcomes: tuple[str, ...] = ()
-    shocks: tuple[str, ...] = DEFAULT_LP_SHOCKS
+    shocks: tuple[str, ...] = (
+        "temperature_winter_cold_m{m}",
+        "temperature_spring_hot_m{m}",
+        "temperature_summer_hot_m{m}",
+        "precipitation_anom_m{m}_pos",
+        "precipitation_anom_m{m}_neg",
+    )
     m: int = 30
     horizons: tuple[int, ...] = tuple(range(9))
     lags: int = 8
@@ -91,6 +125,28 @@ class LPConfig:
     bandwidth: int | None = None
     small_sample: bool = True
     fixed_effects: tuple[str, ...] = ("region", "time")
+
+    def __post_init__(self):
+        _require(self.shocks, "[lp] shocks", "must not be empty")
+        _check_windows("[lp] m", (self.m,))
+        _require(self.horizons and min(self.horizons) >= 0, "[lp] horizons",
+                 f"must list horizons >= 0, got {self.horizons}")
+        _require(self.lags >= 0, "[lp] lags", "must be >= 0")
+        _require(0.0 < self.level < 1.0, "[lp] level", "must be in (0, 1)")
+        _require(self.bandwidth is None or self.bandwidth >= 0,
+                 "[lp] bandwidth", "must be >= 0")
+        _require(set(self.fixed_effects) <= {"region", "time"}
+                 and len(set(self.fixed_effects)) == len(self.fixed_effects),
+                 "[lp] fixed_effects", "may name region and time, each once")
+        try:
+            self.shock_names()
+        except (KeyError, IndexError, ValueError):
+            raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
+                              "(only {m} is substituted)") from None
+
+    def shock_names(self) -> tuple[str, ...]:
+        """The shock series, with {m} replaced by the norm window."""
+        return tuple(pattern.format(m=self.m) for pattern in self.shocks)
 
 
 @dataclass(frozen=True)
@@ -102,6 +158,14 @@ class ARDLConfig:
     bandwidth: int | None = None
     small_sample: bool = True
 
+    def __post_init__(self):
+        _check_windows("[ardl] m", self.m)
+        _require(self.p >= 0, "[ardl] p", "must be >= 0")
+        _require(self.se in ("classical", "driscoll-kraay"), "[ardl] se",
+                 "must be classical or driscoll-kraay")
+        _require(self.bandwidth is None or self.bandwidth >= 0,
+                 "[ardl] bandwidth", "must be >= 0")
+
 
 @dataclass(frozen=True)
 class SimulateConfig:
@@ -111,10 +175,23 @@ class SimulateConfig:
     quarters: int = 252
     start: str = "1962Q1"
 
+    def __post_init__(self):
+        _require(self.kind in ("climate", "lp", "ardl"), "[simulate] kind",
+                 "must be climate, lp or ardl")
+        _require(self.seed >= 0, "[simulate] seed", "must be >= 0")
+        _require(self.regions >= 1, "[simulate] regions", "must be >= 1")
+        _require(self.quarters >= 1, "[simulate] quarters", "must be >= 1")
+        _check_quarter("[simulate] start", self.start)
+
 
 @dataclass(frozen=True)
 class StatsConfig:
     variables: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    dir: str = "out"
 
 
 @dataclass(frozen=True)
@@ -125,64 +202,80 @@ class RunConfig:
     ardl: ARDLConfig
     simulate: SimulateConfig
     stats: StatsConfig
-    out_dir: str = "out"
-    hash: str = ""
+    out_dir: str
+    hash: str
 
 
-def _parse_bool(text: str, where: str) -> bool:
+_SECTIONS = {
+    "input": InputConfig,
+    "anomaly": AnomalyConfig,
+    "lp": LPConfig,
+    "ardl": ARDLConfig,
+    "simulate": SimulateConfig,
+    "stats": StatsConfig,
+    "output": OutputConfig,
+}
+
+
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1"):
         return True
     if t in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{where}: expected true/false, got {text!r}")
-
-
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ConfigError(f"{where}: expected integer, got {text!r}") from None
-
-
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ConfigError(f"{where}: expected number, got {text!r}") from None
+    raise ValueError(f"expected true/false, got {text!r}")
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
-    return tuple(_parse_int(s, where) for s in _parse_list(text))
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _parse_list(text))
 
 
-def _parse_horizons(text: str, where: str) -> tuple[int, ...]:
+def _parse_horizons(text: str) -> tuple[int, ...]:
     text = text.strip()
     if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        a, b = _parse_int(lo, where), _parse_int(hi, where)
-        if b < a:
-            raise ConfigError(f"{where}: empty horizon range {text!r}")
-        return tuple(range(a, b + 1))
-    return _parse_int_list(text, where)
+        lo, hi = (int(s) for s in text.split("-", 1))
+        if hi < lo:
+            raise ValueError(f"empty horizon range {text!r}")
+        return tuple(range(lo, hi + 1))
+    return _parse_int_list(text)
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "input": {"climate", "prices", "region_col", "year_col", "quarter_col",
-              "missing", "temperature_var", "precipitation_var",
-              "start", "end"},
-    "anomaly": {"m", "mode", "seasonal", "sign_conditioned"},
-    "lp": {"outcomes", "shocks", "m", "horizons", "lags", "level",
-           "bandwidth", "small_sample", "fixed_effects"},
-    "ardl": {"outcomes", "m", "p", "se", "bandwidth", "small_sample"},
-    "simulate": {"kind", "seed", "regions", "quarters", "start"},
-    "stats": {"variables"},
-    "output": {"dir"},
+# field annotation (a string, as annotations are postponed) -> value parser
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "int | None": lambda text: int(text) if text.strip() else None,
+    "float": float,
+    "str": str,
+    "str | None": str,
+    "tuple[str, ...]": _parse_list,
+    "tuple[int, ...]": _parse_int_list,
 }
+
+
+def _parse(parse, text: str, where: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _parse_section(parser: configparser.ConfigParser, name: str, cls):
+    """The section's dataclass, every key given parsed by its field type."""
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, text in (parser[name] if parser.has_section(name) else {}).items():
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        # [lp] horizons also takes an a-b range
+        parse = (_parse_horizons if (name, key) == ("lp", "horizons")
+                 else _PARSERS[types[key]])
+        values[key] = _parse(parse, text, f"[{name}] {key}")
+    return cls(**values)
 
 
 def load_config(
@@ -205,136 +298,32 @@ def load_config(
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    sections = {name: _parse_section(parser, name, cls)
+                for name, cls in _SECTIONS.items()}
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    def where(section, key):
-        return f"[{section}] {key}"
-
-    inp = InputConfig(
-        climate=get("input", "climate"),
-        prices=get("input", "prices"),
-        region_col=get("input", "region_col", "region"),
-        year_col=get("input", "year_col", "year"),
-        quarter_col=get("input", "quarter_col", "quarter"),
-        missing=get("input", "missing", ""),
-        temperature_var=get("input", "temperature_var", "temperature"),
-        precipitation_var=get("input", "precipitation_var", "precipitation"),
-        start=get("input", "start"),
-        end=get("input", "end"),
-    )
-    for label, q in (("start", inp.start), ("end", inp.end)):
-        if q is not None:
-            try:
-                QuarterIndex.parse(q)
-            except ValueError as exc:
-                raise ConfigError(f"[input] {label}: {exc}") from None
-
-    mode = get("anomaly", "mode", "same-quarter")
-    if mode not in NORM_MODES:
-        raise ConfigError(f"[anomaly] mode must be one of {NORM_MODES}")
-    anom = AnomalyConfig(
-        m=_parse_int_list(get("anomaly", "m", "20,30,40"), where("anomaly", "m")),
-        mode=mode,
-        seasonal=_parse_bool(get("anomaly", "seasonal", "true"),
-                             where("anomaly", "seasonal")),
-        sign_conditioned=_parse_bool(
-            get("anomaly", "sign_conditioned", "true"),
-            where("anomaly", "sign_conditioned")),
-    )
-
-    lp_bw = get("lp", "bandwidth", "")
-    lp = LPConfig(
-        outcomes=_parse_list(get("lp", "outcomes", "")),
-        shocks=_parse_list(get("lp", "shocks", "")) or DEFAULT_LP_SHOCKS,
-        m=_parse_int(get("lp", "m", "30"), where("lp", "m")),
-        horizons=_parse_horizons(get("lp", "horizons", "0-8"),
-                                 where("lp", "horizons")),
-        lags=_parse_int(get("lp", "lags", "8"), where("lp", "lags")),
-        level=_parse_float(get("lp", "level", "0.90"), where("lp", "level")),
-        bandwidth=_parse_int(lp_bw, where("lp", "bandwidth")) if lp_bw.strip() else None,
-        small_sample=_parse_bool(get("lp", "small_sample", "true"),
-                                 where("lp", "small_sample")),
-        fixed_effects=_parse_list(get("lp", "fixed_effects", "region,time")),
-    )
-    if not 0.0 < lp.level < 1.0:
-        raise ConfigError("[lp] level must be in (0, 1)")
-    for dim in lp.fixed_effects:
-        if dim not in ("region", "time"):
-            raise ConfigError(f"[lp] fixed_effects: unknown dimension {dim!r}")
-
-    se = get("ardl", "se", "classical")
-    if se not in ("classical", "driscoll-kraay"):
-        raise ConfigError("[ardl] se must be classical or driscoll-kraay")
-    ardl_bw = get("ardl", "bandwidth", "")
-    ardl = ARDLConfig(
-        outcomes=_parse_list(get("ardl", "outcomes", "")),
-        m=_parse_int_list(get("ardl", "m", "20,30,40"), where("ardl", "m")),
-        p=_parse_int(get("ardl", "p", "4"), where("ardl", "p")),
-        se=se,
-        bandwidth=_parse_int(ardl_bw, where("ardl", "bandwidth")) if ardl_bw.strip() else None,
-        small_sample=_parse_bool(get("ardl", "small_sample", "true"),
-                                 where("ardl", "small_sample")),
-    )
-
-    kind = get("simulate", "kind", "climate")
-    if kind not in ("climate", "lp", "ardl"):
-        raise ConfigError("[simulate] kind must be climate, lp or ardl")
-    sim = SimulateConfig(
-        kind=kind,
-        seed=_parse_int(get("simulate", "seed", "20240101"),
-                        where("simulate", "seed")),
-        regions=_parse_int(get("simulate", "regions", "7"),
-                           where("simulate", "regions")),
-        quarters=_parse_int(get("simulate", "quarters", "252"),
-                            where("simulate", "quarters")),
-        start=get("simulate", "start", "1962Q1"),
-    )
-    stats_cfg = StatsConfig(variables=_parse_list(get("stats", "variables", "")))
-    out = get("output", "dir", "out")
-
-    if out_dir is not None:
-        out = out_dir
     if m_list is not None:
-        ms = _parse_int_list(m_list, "--m")
-        if not ms:
-            raise ConfigError("--m: empty list")
-        anom = AnomalyConfig(m=ms, mode=anom.mode, seasonal=anom.seasonal,
-                             sign_conditioned=anom.sign_conditioned)
-        ardl = ARDLConfig(outcomes=ardl.outcomes, m=ms, p=ardl.p, se=ardl.se,
-                          bandwidth=ardl.bandwidth,
-                          small_sample=ardl.small_sample)
-        lp = LPConfig(outcomes=lp.outcomes, shocks=lp.shocks, m=ms[0],
-                      horizons=lp.horizons, lags=lp.lags, level=lp.level,
-                      bandwidth=lp.bandwidth, small_sample=lp.small_sample,
-                      fixed_effects=lp.fixed_effects)
+        # replace re-validates; an empty list fails at [anomaly] m first
+        ms = _parse(_parse_int_list, m_list, "--m")
+        try:
+            sections["anomaly"] = replace(sections["anomaly"], m=ms)
+            sections["ardl"] = replace(sections["ardl"], m=ms)
+            sections["lp"] = replace(sections["lp"], m=ms[0])
+        except ConfigError as exc:
+            raise ConfigError(f"--m: {exc}") from None
     if seed is not None:
-        sim = SimulateConfig(kind=sim.kind, seed=seed, regions=sim.regions,
-                             quarters=sim.quarters, start=sim.start)
+        sections["simulate"] = replace(sections["simulate"], seed=seed)
+    output = sections.pop("output")
 
     # the output directory is deliberately left out of the hash: it changes
     # where files land, never what they contain
-    resolved = {
-        "input": dict(vars(inp)),
-        "anomaly": dict(vars(anom)),
-        "lp": dict(vars(lp)),
-        "ardl": dict(vars(ardl)),
-        "simulate": dict(vars(sim)),
-        "stats": dict(vars(stats_cfg)),
-    }
+    resolved = {name: vars(sec) for name, sec in sections.items()}
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
-    return RunConfig(input=inp, anomaly=anom, lp=lp, ardl=ardl, simulate=sim,
-                     stats=stats_cfg, out_dir=out, hash=digest)
+    return RunConfig(**sections, hash=digest,
+                     out_dir=output.dir if out_dir is None else out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +353,29 @@ def _write_csv(path: Path, comments, fieldnames, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _write_report(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_run_report(cfg: RunConfig, command: str, facts: dict, written,
+                      failures: dict | None = None) -> None:
+    """run_report_<command>.txt: one 'name: value' line per fact (after
+    the command, version and config hash), the files written, then each
+    nonempty failure list under its heading. A 'files' fact (the file
+    count) heads the file list in place of the bare 'files:' line."""
+    facts = {"command": command, "climpanel": __version__,
+             "config": cfg.hash, **facts}
+    lines = [f"{name}: {value}" for name, value in facts.items()]
+    if "files" not in facts:
+        lines.append("files:")
+    lines += [f"  {name}" for name in written]
+    for heading, items in (failures or {}).items():
+        if items:
+            lines += [f"{heading}:", *(f"  {item}" for item in items)]
+    path = Path(cfg.out_dir) / f"run_report_{command}.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _schema(cfg: RunConfig) -> PanelSchema:
@@ -405,12 +413,14 @@ def _load_merged(cfg: RunConfig) -> PanelDataset:
     return subset(merged, prices.variables + ds.variables)
 
 
+def _climate_vars(cfg: RunConfig):
+    """(climate variable, its seasonal polarities) pairs."""
+    return ((cfg.input.temperature_var, ("hot", "cold")),
+            (cfg.input.precipitation_var, ("wet", "dry")))
+
+
 def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool) -> PanelDataset:
-    pairs = (
-        (cfg.input.temperature_var, ("hot", "cold")),
-        (cfg.input.precipitation_var, ("wet", "dry")),
-    )
-    for var, polarities in pairs:
+    for var, polarities in _climate_vars(cfg):
         for m in ms:
             ds = attach_anomaly_features(
                 ds, var, m,
@@ -427,65 +437,29 @@ def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool) -> PanelDa
 # ---------------------------------------------------------------------------
 
 def _cmd_anomaly(cfg: RunConfig) -> None:
-    ds = _load_climate(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ds = _attach_all(cfg, _load_climate(cfg), cfg.anomaly.m,
+                     cfg.anomaly.seasonal)
+    out = _out_dir(cfg)
     written = []
-    pairs = (
-        (cfg.input.temperature_var, ("hot", "cold")),
-        (cfg.input.precipitation_var, ("wet", "dry")),
-    )
-    for var, polarities in pairs:
+    for var, polarities in _climate_vars(cfg):
         for m in cfg.anomaly.m:
-            aug = attach_anomaly_features(
-                ds, var, m,
-                mode=cfg.anomaly.mode,
-                polarities=polarities,
-                seasonal=cfg.anomaly.seasonal,
-                sign_conditioned=cfg.anomaly.sign_conditioned,
-            )
-            derived = [f"{var}_anom_m{m}", f"{var}_anom_m{m}_pos",
-                       f"{var}_anom_m{m}_neg"]
+            anom = anomaly_name(var, m)
+            derived = [anom, f"{anom}_pos", f"{anom}_neg"]
             if cfg.anomaly.seasonal:
-                derived += [name for name in aug.variables
-                            if name.endswith(f"_m{m}")
-                            and name.startswith(f"{var}_")
-                            and name not in derived
-                            and not name.startswith(f"{var}_anom")
-                            and not name.startswith(f"{var}_norm")]
-            path = out / f"anomaly_{var}_m{m}.csv"
-            write_panel(subset(aug, derived), path, _schema(cfg),
-                        header_comments=_header(cfg))
-            written.append(path.name)
-            audit = out / f"norms_audit_{var}_m{m}.csv"
-            write_panel(
-                subset(aug, [var, f"{var}_norm_m{m}", f"{var}_anom_m{m}"]),
-                audit, _schema(cfg), header_comments=_header(cfg),
-            )
-            written.append(audit.name)
-    report = [
-        "command: anomaly",
-        f"climpanel: {__version__}",
-        f"config: {cfg.hash}",
-        f"m: {','.join(str(m) for m in cfg.anomaly.m)}",
-        f"files: {len(written)}",
-        *(f"  {name}" for name in written),
-    ]
-    _write_report(out / "run_report_anomaly.txt", report)
+                derived += [seasonal_name(var, season, polarity, m)
+                            for season in SEASONS for polarity in polarities]
+            files = {f"anomaly_{var}_m{m}.csv": derived,
+                     f"norms_audit_{var}_m{m}.csv":
+                         [var, f"{var}_norm_m{m}", anom]}
+            for name, series in files.items():
+                write_panel(subset(ds, series), out / name, _schema(cfg),
+                            header_comments=_header(cfg))
+                written.append(name)
+    _write_run_report(cfg, "anomaly", {
+        "m": ",".join(str(m) for m in cfg.anomaly.m),
+        "files": len(written),
+    }, written)
     click.echo(f"anomaly: wrote {len(written)} files to {out}")
-
-
-def _resolve_shocks(cfg: RunConfig) -> tuple[str, ...]:
-    resolved = []
-    for pattern in cfg.lp.shocks:
-        try:
-            resolved.append(pattern.format(m=cfg.lp.m))
-        except (KeyError, IndexError, ValueError):
-            raise ConfigError(
-                f"[lp] shocks: bad placeholder in {pattern!r} "
-                "(only {m} is substituted)"
-            ) from None
-    return tuple(resolved)
 
 
 def _cmd_lp(cfg: RunConfig) -> None:
@@ -493,12 +467,11 @@ def _cmd_lp(cfg: RunConfig) -> None:
         raise ConfigError("[lp] outcomes: at least one outcome is required")
     ds = _load_merged(cfg)
     ds = _attach_all(cfg, ds, [cfg.lp.m], seasonal=True)
-    shocks = _resolve_shocks(cfg)
+    shocks = cfg.lp.shock_names()
     window = _window(cfg, ds)
     # a blank bandwidth (None) means max(rule, h) for each horizon
     hac = HACSpec(cfg.lp.bandwidth, cfg.lp.small_sample)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
 
     # every shock of an outcome is estimated in one call, which fits the
     # shocks sharing a sample together; files and reports stay shock-major
@@ -530,7 +503,8 @@ def _cmd_lp(cfg: RunConfig) -> None:
                 path, _header(cfg, units),
                 ["horizon", "estimate", "se", "lo", "hi", "nobs", "stars"],
                 [[r.horizon, r.estimate, r.se, r.band[0], r.band[1], r.nobs,
-                  _stars_of(r)] for r in res.responses],
+                  significance_stars(r.estimate, r.se)]
+                 for r in res.responses],
             )
             written.append(path.name)
     if not results:
@@ -551,29 +525,14 @@ def _cmd_lp(cfg: RunConfig) -> None:
         for res in results for f in res.failures
     ]
     n_cells = len(shocks) * len(cfg.lp.outcomes)
-    report = [
-        "command: lp",
-        f"climpanel: {__version__}",
-        f"config: {cfg.hash}",
-        f"cells: {n_cells} attempted, {len(results)} estimated, "
-        f"{len(cell_failures)} failed",
-        f"horizon failures: {len(horizon_failures)}",
-        "files:",
-        *(f"  {name}" for name in written),
-    ]
-    if cell_failures:
-        report.append("failed cells:")
-        report.extend(f"  {line}" for line in cell_failures)
-    if horizon_failures:
-        report.append("failed horizons:")
-        report.extend(f"  {line}" for line in horizon_failures)
-    _write_report(out / "run_report_lp.txt", report)
+    _write_run_report(cfg, "lp", {
+        "cells": f"{n_cells} attempted, {len(results)} estimated, "
+                 f"{len(cell_failures)} failed",
+        "horizon failures": len(horizon_failures),
+    }, written, {"failed cells": cell_failures,
+                 "failed horizons": horizon_failures})
     click.echo(f"lp: {len(results)}/{n_cells} cells estimated, "
                f"outputs in {out}")
-
-
-def _stars_of(r) -> str:
-    return significance_stars(r.estimate, r.se)
 
 
 def _longrun_label(variable: str, m: int) -> str:
@@ -617,14 +576,10 @@ def _cmd_ardl(cfg: RunConfig) -> None:
         cfg.input.temperature_var, cfg.input.precipitation_var,
         p=cfg.ardl.p, hac=hac, sample=window,
     )
+    failed = [f"{f.outcome}/m={f.m}: {f.message}" for f in suite.failures]
     if not suite.tables:
-        raise EstimationError(
-            "all ARDL cells failed: "
-            + " | ".join(f"{f.outcome}/m={f.m}: {f.message}"
-                         for f in suite.failures)
-        )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        raise EstimationError("all ARDL cells failed: " + " | ".join(failed))
+    out = _out_dir(cfg)
     written = []
     units = {"theta": "log change per unit of the block variable",
              "annualized": "theta * 2/(m+1)"}
@@ -664,20 +619,10 @@ def _cmd_ardl(cfg: RunConfig) -> None:
     )
     written.append(ann_path.name)
     n_cells = len(cfg.ardl.outcomes) * len(cfg.ardl.m)
-    report = [
-        "command: ardl",
-        f"climpanel: {__version__}",
-        f"config: {cfg.hash}",
-        f"cells: {n_cells} attempted, {len(suite.tables)} estimated, "
-        f"{len(suite.failures)} failed",
-        "files:",
-        *(f"  {name}" for name in written),
-    ]
-    if suite.failures:
-        report.append("failed cells:")
-        report.extend(f"  {f.outcome}/m={f.m}: {f.message}"
-                      for f in suite.failures)
-    _write_report(out / "run_report_ardl.txt", report)
+    _write_run_report(cfg, "ardl", {
+        "cells": f"{n_cells} attempted, {len(suite.tables)} estimated, "
+                 f"{len(failed)} failed",
+    }, written, {"failed cells": failed})
     click.echo(f"ardl: {len(suite.tables)}/{n_cells} cells estimated, "
                f"outputs in {out}")
 
@@ -697,9 +642,7 @@ def _cmd_stats(cfg: RunConfig) -> None:
         for s in summary_stats(ds, var):
             rows.append([var, s.region, s.min, s.q1, s.median, s.q3, s.max,
                          s.mean, s.sd])
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "summary_stats.csv"
+    path = _out_dir(cfg) / "summary_stats.csv"
     units = {v: ds.unit(v) or "unknown" for v in variables}
     _write_csv(
         path, _header(cfg, units),
@@ -707,71 +650,32 @@ def _cmd_stats(cfg: RunConfig) -> None:
          "sd"],
         rows,
     )
-    _write_report(out / "run_report_stats.txt", [
-        "command: stats",
-        f"climpanel: {__version__}",
-        f"config: {cfg.hash}",
-        f"variables: {len(variables)}",
-        "files:",
-        f"  {path.name}",
-    ])
+    _write_run_report(cfg, "stats", {"variables": len(variables)},
+                      [path.name])
     click.echo(f"stats: wrote {path}")
 
 
 def _cmd_simulate(cfg: RunConfig) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     sim = cfg.simulate
-    written = []
-    if sim.kind == "climate":
-        ds = climate_panel(sim.regions, sim.quarters, sim.start, sim.seed)
-        climate_path = out / "climate.csv"
-        write_panel(subset(ds, ["temperature", "precipitation"]),
-                    climate_path, header_comments=_header(cfg))
-        prices_path = out / "prices.csv"
-        write_panel(subset(ds, list(PRICE_COMPONENTS)), prices_path,
-                    header_comments=_header(cfg))
-        written += [climate_path.name, prices_path.name]
-    elif sim.kind == "lp":
-        ds = lp_panel(n_regions=sim.regions, n_quarters=sim.quarters,
-                      start=sim.start, seed=sim.seed)
-        path = out / "lp_panel.csv"
-        write_panel(ds, path, header_comments=_header(cfg))
-        written.append(path.name)
-    else:
-        ds = ardl_panel(n_regions=sim.regions, n_quarters=sim.quarters,
+    make = {"climate": climate_panel, "lp": lp_panel, "ardl": ardl_panel}
+    ds = make[sim.kind](n_regions=sim.regions, n_quarters=sim.quarters,
                         start=sim.start, seed=sim.seed)
-        path = out / "ardl_panel.csv"
-        write_panel(ds, path, header_comments=_header(cfg))
-        written.append(path.name)
-    _write_report(out / "run_report_simulate.txt", [
-        "command: simulate",
-        f"climpanel: {__version__}",
-        f"config: {cfg.hash}",
-        f"kind: {sim.kind}",
-        f"seed: {sim.seed}",
-        "files:",
-        *(f"  {name}" for name in written),
-    ])
-    click.echo(f"simulate: wrote {', '.join(written)} to {out}")
+    if sim.kind == "climate":
+        files = {"climate.csv": subset(ds, ["temperature", "precipitation"]),
+                 "prices.csv": subset(ds, list(PRICE_COMPONENTS))}
+    else:
+        files = {f"{sim.kind}_panel.csv": ds}
+    for name, panel in files.items():
+        write_panel(panel, out / name, header_comments=_header(cfg))
+    _write_run_report(cfg, "simulate", {"kind": sim.kind, "seed": sim.seed},
+                      files)
+    click.echo(f"simulate: wrote {', '.join(files)} to {out}")
 
 
 # ---------------------------------------------------------------------------
 # Click wiring
 # ---------------------------------------------------------------------------
-
-def _common_options(fn):
-    fn = click.option("--seed", type=int, default=None,
-                      help="Override [simulate] seed.")(fn)
-    fn = click.option("--m", "m_list", default=None,
-                      help="Override norm windows, e.g. 20,30,40 "
-                           "(lp uses the first entry).")(fn)
-    fn = click.option("--out", "out_dir", default=None,
-                      help="Override [output] dir.")(fn)
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(), help="INI config file.")(fn)
-    return fn
-
 
 @click.group()
 @click.version_option(__version__, prog_name="climpanel")
@@ -782,7 +686,15 @@ def cli():
 
 def _make_command(name, body, help_text):
     @cli.command(name=name, help=help_text)
-    @_common_options
+    @click.option("--config", "config_path", default=None,
+                  type=click.Path(), help="INI config file.")
+    @click.option("--out", "out_dir", default=None,
+                  help="Override [output] dir.")
+    @click.option("--m", "m_list", default=None,
+                  help="Override norm windows, e.g. 20,30,40 "
+                       "(lp uses the first entry).")
+    @click.option("--seed", type=int, default=None,
+                  help="Override [simulate] seed.")
     def _cmd(config_path, out_dir, m_list, seed):
         cfg = load_config(config_path, out_dir, m_list, seed)
         body(cfg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PanelDataset
+from .dataset import PanelDataset, shift
 from .errors import BurnInError, DegenerateWeightError
 
 NORM_MODES = ("same-quarter", "rolling")
@@ -98,20 +98,15 @@ def historical_norm(
     levels = np.asarray(levels, dtype=float)
     if levels.ndim == 1:
         levels = levels[None, :]
-    n_regions, T = levels.shape
-    out = np.full((n_regions, T), np.nan)
-    w = params.burn_in
-    if T <= w:
-        return out
     if mode == "same-quarter":
         offsets = [l * params.frequency for l in range(1, params.m + 1)]
     else:
-        offsets = list(range(1, w + 1))
-    acc = np.zeros((n_regions, T - w))
+        offsets = list(range(1, params.burn_in + 1))
+    # the longest offset is the burn-in, so cells before it come out NaN
+    acc = np.zeros(levels.shape)
     for off in offsets:
-        acc += levels[:, w - off:T - off]
-    out[:, w:] = acc / len(offsets)
-    return out
+        acc += shift(levels, off)
+    return acc / len(offsets)
 
 
 def anomaly(

@@ -88,12 +88,27 @@ class PanelSchema:
     units: dict[str, str] = field(default_factory=dict)
 
 
+def _frozen(arr) -> bool:
+    """True for a float array that nothing can write through: it and every
+    array along its .base chain are read-only, and the chain ends in an
+    array that owns its memory rather than in a foreign buffer."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == float):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 class PanelDataset:
     """Immutable balanced panel of named region-by-quarter series.
 
     Every series is a (n_regions, n_quarters) float matrix with NaN for
     missing cells. The time index is contiguous and strictly increasing.
-    All operations return new datasets; matrices are frozen read-only.
+    All operations return new datasets; matrices are frozen read-only. A
+    matrix that is already frozen all the way down is shared, not copied,
+    so appending series costs nothing per series already held.
     """
 
     __slots__ = ("regions", "time", "series", "units")
@@ -112,7 +127,7 @@ class PanelDataset:
                 raise GapError([("<all>", str(prev.next()))])
         frozen = {}
         for name, mat in series.items():
-            arr = np.array(mat, dtype=float)
+            arr = mat if _frozen(mat) else np.array(mat, dtype=float)
             if arr.shape != (len(regions), len(time)):
                 raise PanelIntegrityError(
                     f"series {name!r} has shape {arr.shape}, "
@@ -150,20 +165,6 @@ class PanelDataset:
 
     def unit(self, name: str) -> str:
         return self.units.get(name, "")
-
-    def region_index(self, region: str) -> int:
-        try:
-            return self.regions.index(region)
-        except ValueError:
-            raise VariableLookupError(f"unknown region {region!r}") from None
-
-    def time_position(self, q: QuarterIndex | str) -> int:
-        q = QuarterIndex.parse(q)
-        pos = q - self.time[0]
-        if pos < 0 or pos >= len(self.time):
-            raise VariableLookupError(f"quarter {q} outside panel range "
-                                      f"{self.time[0]}..{self.time[-1]}")
-        return pos
 
     def with_series(self, name: str, matrix, unit: str = "") -> PanelDataset:
         """Return a new dataset with one series appended (or replaced)."""
@@ -239,27 +240,31 @@ def checked_log(ds: PanelDataset, name: str) -> np.ndarray:
         return np.log(mat)
 
 
+def shift(mat: np.ndarray, k: int) -> np.ndarray:
+    """Lag a region-by-quarter matrix by k quarters: out[:, t] = mat[:, t - k],
+    NaN where t - k falls outside the panel. A negative k is a lead."""
+    T = mat.shape[1]
+    out = np.full(mat.shape, np.nan)
+    if abs(k) < T:
+        out[:, max(k, 0):T + min(k, 0)] = mat[:, max(-k, 0):T - max(k, 0)]
+    return out
+
+
 def transform(ds: PanelDataset, spec: TransformSpec) -> PanelDataset:
     """Append the derived series described by ``spec``.
 
     log-diff at t is log(x[t]) - log(x[t-1]); cumulative-log-growth(h) at t
     is log(x[t+h]) - log(x[t-1]). Cells without the needed leads/lags are NaN.
     """
-    T = ds.n_quarters
-    out = np.full((ds.n_regions, T), np.nan)
-    if spec.kind == "log":
-        out = checked_log(ds, spec.source)
-    elif spec.kind == "diff":
+    if spec.kind == "diff":
         mat = ds.values(spec.source)
-        out[:, 1:] = mat[:, 1:] - mat[:, :-1]
-    elif spec.kind == "log-diff":
-        lg = checked_log(ds, spec.source)
-        out[:, 1:] = lg[:, 1:] - lg[:, :-1]
-    else:  # cumulative-log-growth
-        lg = checked_log(ds, spec.source)
-        h = spec.horizon
-        if T - 1 - h >= 1:
-            out[:, 1:T - h] = lg[:, 1 + h:] - lg[:, :T - 1 - h]
+        out = mat - shift(mat, 1)
+    else:
+        out = checked_log(ds, spec.source)
+        if spec.kind == "log-diff":
+            out = out - shift(out, 1)
+        elif spec.kind == "cumulative-log-growth":
+            out = shift(out, -spec.horizon) - shift(out, 1)
     unit = ds.unit(spec.source)
     derived_unit = {
         "log": f"log({unit})" if unit else "log",

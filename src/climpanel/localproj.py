@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import PanelDataset, checked_log
+from .dataset import PanelDataset, checked_log, shift
 from .errors import ClimPanelError
 from .regress import (
     Design,
@@ -95,19 +95,12 @@ def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int,
     panel are dropped listwise.
     """
     log_p = checked_log(ds, spec.outcome)
-    R, T = log_p.shape
-    h = horizon
-    y = np.full((R, T), np.nan)
-    if T - 1 - h >= 1:
-        y[:, 1:T - h] = log_p[:, 1 + h:] - log_p[:, :T - 1 - h]
-    dlog = np.full((R, T), np.nan)
-    dlog[:, 1:] = log_p[:, 1:] - log_p[:, :-1]
+    y = shift(log_p, -horizon) - shift(log_p, 1)
+    dlog = log_p - shift(log_p, 1)
     shocks = (spec.shock,) if shocks is None else shocks
     x_named = [(shock, ds.values(shock)) for shock in shocks]
-    for n in range(1, spec.lags + 1):
-        lagged = np.full((R, T), np.nan)
-        lagged[:, n:] = dlog[:, :T - n]
-        x_named.append((f"dlog_{spec.outcome}_lag{n}", lagged))
+    x_named += [(f"dlog_{spec.outcome}_lag{n}", shift(dlog, n))
+                for n in range(1, spec.lags + 1)]
     return design_from_matrices(
         y, x_named, ds.regions, ds.time,
         fixed_effects=spec.fixed_effects, window=spec.sample,

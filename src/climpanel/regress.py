@@ -51,14 +51,10 @@ class HACSpec:
 
     bandwidth: int | None
     small_sample: bool = True
-    kernel: str = "bartlett"
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth < 0:
             raise ValueError("bandwidth must be >= 0")
-        if self.kernel != "bartlett":
-            raise ValueError(f"only the bartlett kernel is supported, "
-                             f"got {self.kernel!r}")
 
 
 def bartlett_weights(bandwidth: int) -> np.ndarray:
@@ -166,8 +162,7 @@ def design_from_matrices(
             f"no usable observations: all {R * T} rows dropped listwise"
         )
     region_codes = np.repeat(np.arange(R), T)[keep]
-    tc = np.array([_quarter_code(q) for q in time])
-    time_codes = np.tile(tc, R)[keep]
+    time_codes = np.tile(_quarter_code(time[0]) + np.arange(T), R)[keep]
     X = np.column_stack([c[keep] for c in cols])
     if add_constant is None:
         add_constant = not fixed_effects

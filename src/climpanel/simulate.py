@@ -1,9 +1,9 @@
 """Seeded synthetic panel generators.
 
 Backs the `simulate` CLI subcommand and the Monte Carlo checks: a demo
-climate/prices panel, an i.i.d.-shock price DGP for local projections, a
-lagged-adjustment DGP for the ARDL estimator, and a generic fixed-effects
-panel. All generators are deterministic given the seed.
+climate/prices panel, an i.i.d.-shock price DGP for local projections and
+a lagged-adjustment DGP for the ARDL estimator. All generators are
+deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -115,35 +115,6 @@ def ardl_panel(
         {"price": np.exp(log_p), "driver": x},
         {"price": "index", "driver": "unit"},
     )
-
-
-def fe_panel(
-    n_regions: int = 8,
-    n_quarters: int = 40,
-    betas=(1.5,),
-    region_sd: float = 1.0,
-    time_sd: float = 1.0,
-    noise_sd: float = 1.0,
-    x_sd: float = 1.0,
-    start="2000Q1",
-    seed: int = 0,
-) -> PanelDataset:
-    """Generic panel y = sum_k beta_k x_k + region effect + time effect + e.
-
-    Series: 'y', 'x1'..'xK'.
-    """
-    rng = np.random.default_rng(seed)
-    regions, time = _grid(n_regions, n_quarters, start)
-    R, T = len(regions), len(time)
-    xs = [rng.normal(0.0, x_sd, (R, T)) for _ in betas]
-    y = rng.normal(0.0, noise_sd, (R, T))
-    y += rng.normal(0.0, region_sd, (R, 1))
-    y += rng.normal(0.0, time_sd, (1, T))
-    for b, x in zip(betas, xs):
-        y += b * x
-    series = {"y": y}
-    series.update({f"x{i + 1}": x for i, x in enumerate(xs)})
-    return PanelDataset(regions, time, series, {})
 
 
 def climate_panel(

@@ -5,10 +5,14 @@ it shares no code path with the package: spreadsheet-style norm and anomaly
 recomputation, full dummy-variable least squares and residual projection,
 double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
 zero, and simulation-based truths for the local-projection and ARDL designs.
+fe_panel generates the generic fixed-effects panel the regression tests fit.
 """
 import math
 
 import numpy as np
+
+from climpanel.dataset import PanelDataset
+from climpanel.simulate import _grid
 
 
 def brute_norm(levels_row, m, frequency=4, mode="same-quarter"):
@@ -166,3 +170,32 @@ def quantile_type7(values, p):
     lo = math.floor(h)
     hi = min(lo + 1, n - 1)
     return v[lo] + (h - lo) * (v[hi] - v[lo])
+
+
+def fe_panel(
+    n_regions: int = 8,
+    n_quarters: int = 40,
+    betas=(1.5,),
+    region_sd: float = 1.0,
+    time_sd: float = 1.0,
+    noise_sd: float = 1.0,
+    x_sd: float = 1.0,
+    start="2000Q1",
+    seed: int = 0,
+) -> PanelDataset:
+    """Generic panel y = sum_k beta_k x_k + region effect + time effect + e.
+
+    Series: 'y', 'x1'..'xK'.
+    """
+    rng = np.random.default_rng(seed)
+    regions, time = _grid(n_regions, n_quarters, start)
+    R, T = len(regions), len(time)
+    xs = [rng.normal(0.0, x_sd, (R, T)) for _ in betas]
+    y = rng.normal(0.0, noise_sd, (R, T))
+    y += rng.normal(0.0, region_sd, (R, 1))
+    y += rng.normal(0.0, time_sd, (1, T))
+    for b, x in zip(betas, xs):
+        y += b * x
+    series = {"y": y}
+    series.update({f"x{i + 1}": x for i, x in enumerate(xs)})
+    return PanelDataset(regions, time, series, {})

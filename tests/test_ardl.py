@@ -250,3 +250,31 @@ def test_select_lag_bic_smoke():
     p = select_lag_bic(ds, ARDLSpec("price", block=("driver",), p=1, m=30),
                        candidates=range(1, 5))
     assert p in range(1, 5)
+
+
+def test_select_lag_bic_compares_candidates_on_one_sample():
+    # BIC is comparable across lag orders only on one set of observations:
+    # every p is fitted on the rows the largest candidate keeps (Ng & Perron
+    # 2005). Here each p on its own, longer sample would pick p = 6.
+    ds = ardl_panel(n_regions=3, n_quarters=24, seed=22)
+    p_max = 8
+    dy = np.diff(np.log(ds.values("price")), axis=1)
+    dx = np.diff(ds.values("driver"), axis=1)
+    R, S = dy.shape
+
+    def brute_bic(p):
+        rows, ys = [], []
+        for i in range(R):
+            for s in range(p_max, S):
+                rows.append([dy[i, s - l] for l in range(1, p + 1)]
+                            + [dx[i, s - l] for l in range(p + 1)]
+                            + [float(j == i) for j in range(R)])
+                ys.append(dy[i, s])
+        X, y = np.array(rows), np.array(ys)
+        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+        rss = float(np.sum((y - X @ coef) ** 2))
+        return len(y) * np.log(rss / len(y)) + X.shape[1] * np.log(len(y))
+
+    expected = min(range(1, p_max + 1), key=brute_bic)
+    spec = ARDLSpec("price", block=("driver",), p=1, m=30)
+    assert select_lag_bic(ds, spec, candidates=range(1, p_max + 1)) == expected

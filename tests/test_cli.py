@@ -1,4 +1,5 @@
 """End-to-end CLI runs: simulate -> anomaly -> lp -> ardl -> stats."""
+import configparser
 import math
 import os
 import subprocess
@@ -458,3 +459,42 @@ def test_benchmark_tracer_patches_current_modules():
         tracer.unpatch()
     for (mod, attr), fn in before.items():
         assert getattr(sys.modules[mod], attr) is fn
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("anomaly", "anomaly.m="),
+    ("anomaly", "anomaly.m=2,0"),
+    ("anomaly", "--m=0"),
+    ("ardl", "ardl.m="),
+    ("ardl", "ardl.m=0"),
+    ("ardl", "ardl.p=-1"),
+    ("ardl", "ardl.bandwidth=-1"),
+    ("lp", "lp.m=0"),
+    ("lp", "lp.horizons="),
+    ("lp", "lp.horizons=0,-1"),
+    ("lp", "lp.lags=-1"),
+    ("lp", "lp.bandwidth=-2"),
+    ("lp", "lp.shocks="),
+    ("lp", "lp.fixed_effects=region,region"),
+    ("simulate", "simulate.regions=0"),
+    ("simulate", "simulate.quarters=0"),
+    ("simulate", "simulate.start=1962Q5"),
+    ("simulate", "simulate.seed=-1"),
+])
+def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
+                                          command, setting):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG.format(data=workspace["data"],
+                                          out=tmp_path / "o"))
+    target, value = setting.split("=", 1)
+    args = []
+    if target.startswith("--"):
+        args = [target, value]
+    else:
+        section, key = target.split(".")
+        parser[section][key] = value
+    cfg = tmp_path / "cfg.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(cfg), *args]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")

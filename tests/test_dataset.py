@@ -19,6 +19,7 @@ from climpanel import (
     transform,
     write_panel,
 )
+from climpanel.dataset import shift
 from climpanel.errors import (
     EmptyPanelError,
     EmptySummaryError,
@@ -207,6 +208,17 @@ def test_cumulative_log_growth_h0_equals_logdiff():
         a.values("dlog_cpi"), b.values("cg0_cpi"))
 
 
+def test_shift_lags_and_leads_with_nan_outside_the_panel():
+    mat = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    nan = math.nan
+    np.testing.assert_array_equal(shift(mat, 0), mat)
+    np.testing.assert_array_equal(shift(mat, 1),
+                                  [[nan, 1.0, 2.0], [nan, 4.0, 5.0]])
+    np.testing.assert_array_equal(shift(mat, -2),
+                                  [[3.0, nan, nan], [6.0, nan, nan]])
+    assert np.isnan(shift(mat, 3)).all() and np.isnan(shift(mat, -3)).all()
+
+
 def test_log_rejects_nonpositive():
     time = quarter_range(QuarterIndex(2000, 1), QuarterIndex(2000, 2))
     ds = PanelDataset(["a"], time, {"x": [[100.0, -1.0]]})
@@ -307,6 +319,24 @@ def test_dataset_immutable():
         ds.regions = ("x",)
     with pytest.raises(ValueError):
         ds.values("cpi")[0, 0] = 1.0
+
+
+def test_frozen_arrays_are_shared_and_writeable_ones_copied():
+    ds = make_panel()
+    base = np.arange(ds.n_regions * ds.n_quarters, dtype=float).reshape(
+        ds.n_regions, ds.n_quarters)
+    readonly_view = base[:, :]
+    readonly_view.flags.writeable = False
+    out = ds.with_series("plain", base).with_series("view", readonly_view)
+    # series the dataset already holds are frozen, so they are shared
+    assert out.values("cpi") is ds.values("cpi")
+    assert np.shares_memory(subset(out, ["temp"]).values("temp"),
+                            ds.values("temp"))
+    # a writeable array, or a read-only view of one, is copied: mutating it
+    # afterwards leaves the dataset unchanged
+    base[:] = -1.0
+    assert out.values("plain")[0, 0] == 0.0
+    assert out.values("view")[0, 0] == 0.0
 
 
 def test_noncontiguous_time_rejected():

@@ -1,0 +1,163 @@
+"""Golden outputs: the README demo pipeline must reproduce its files byte
+for byte, and fixed configs must keep their resolved-config hashes.
+
+A change that alters numbers on purpose refreshes the stored hashes with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+from climpanel.cli import load_config, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_sha256.json"
+
+# The Quickstart config of README.md. Input paths are relative, because the
+# resolved-config hash (written into every output) includes them.
+DEMO_CONFIG = """\
+[input]
+climate = data/climate.csv
+prices = data/prices.csv
+
+[anomaly]
+m = 20,30,40
+
+[lp]
+outcomes = all_items,food,non_food,services,agriculture,energy
+m = 30
+
+[ardl]
+outcomes = all_items,food,non_food,services,agriculture,energy
+m = 20,30,40
+
+[output]
+dir = out
+
+[simulate]
+kind = climate
+seed = 20240101
+regions = 7
+quarters = 252
+start = 1962Q1
+"""
+
+DEMO_COMMANDS = (
+    ["simulate", "--config", "run.ini", "--out", "data"],
+    ["anomaly", "--config", "run.ini"],
+    ["lp", "--config", "run.ini"],
+    ["ardl", "--config", "run.ini"],
+    ["stats", "--config", "run.ini"],
+)
+
+# Every key of every section, each off its default.
+EVERY_KEY_CONFIG = """\
+[input]
+climate = in/climate.csv
+prices = in/prices.csv
+region_col = reg
+year_col = yr
+quarter_col = qtr
+missing = NA
+temperature_var = temp
+precipitation_var = rain
+start = 1990Q1
+end = 2010Q4
+
+[anomaly]
+m = 10, 25
+mode = rolling
+seasonal = false
+sign_conditioned = no
+
+[lp]
+outcomes = food, energy
+shocks = temp_anom_m{m}_pos,rain_anom_m{m}
+m = 25
+horizons = 1-4
+lags = 3
+level = 0.95
+bandwidth = 5
+small_sample = false
+fixed_effects = region
+
+[ardl]
+outcomes = food
+m = 10,25
+p = 2
+se = driscoll-kraay
+bandwidth = 3
+small_sample = 0
+
+[simulate]
+kind = lp
+seed = 11
+regions = 5
+quarters = 120
+start = 1980Q2
+
+[stats]
+variables = food,temp
+
+[output]
+dir = elsewhere
+"""
+
+CONFIG_HASHES = {
+    "defaults": "2661ed9b3059e6a1",
+    "every_key": "4b0bfde9b77df4d9",
+    "every_key --m 9,11 --seed 3": "de81e5a9bea27fbc",
+}
+
+
+def demo_hashes(root: Path) -> dict[str, str]:
+    """Run the demo pipeline in root; sha256 of every file it writes."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        Path("run.ini").write_text(DEMO_CONFIG, encoding="utf-8")
+        for argv in DEMO_COMMANDS:
+            assert main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return {
+        path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((root / "data").iterdir())
+        + sorted((root / "out").iterdir())
+    }
+
+
+def config_hashes(root: Path) -> dict[str, str]:
+    path = root / "every_key.ini"
+    path.write_text(EVERY_KEY_CONFIG, encoding="utf-8")
+    return {
+        "defaults": load_config(None).hash,
+        "every_key": load_config(str(path)).hash,
+        "every_key --m 9,11 --seed 3":
+            load_config(str(path), m_list="9,11", seed=3).hash,
+    }
+
+
+def test_demo_pipeline_outputs_match_golden_hashes(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = demo_hashes(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"outputs differ from the golden run: {changed}"
+
+
+def test_resolved_config_hashes_are_pinned(tmp_path):
+    assert config_hashes(tmp_path) == CONFIG_HASHES
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = demo_hashes(Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)

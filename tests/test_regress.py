@@ -28,7 +28,6 @@ from climpanel.regress import (
     design_from_matrices,
     focal_driscoll_kraay,
 )
-from climpanel.simulate import fe_panel
 from climpanel.errors import (
     BandwidthError,
     DegreesOfFreedomError,
@@ -39,6 +38,7 @@ from oracles import (
     dk_direct_sum_lag0,
     dk_double_loop,
     dummy_ols_slopes,
+    fe_panel,
     lsdv_residuals,
     newey_west_double_loop,
 )
