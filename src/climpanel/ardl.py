@@ -19,7 +19,7 @@ import numpy as np
 
 from .climate import anomaly_name
 from .dataset import PanelDataset, checked_log, shift
-from .errors import ClimPanelError, UnitRootError
+from .errors import ClimPanelError, SpecError, UnitRootError
 from .regress import (
     Design,
     HACSpec,
@@ -50,19 +50,19 @@ class ARDLSpec:
 
     def __post_init__(self):
         if self.p < 0:
-            raise ValueError("p must be >= 0")
+            raise SpecError("p must be >= 0")
         if not self.block:
-            raise ValueError("block must name at least one regressor")
+            raise SpecError("block must name at least one regressor")
         if len(set(self.block)) != len(self.block):
-            raise ValueError("block names must be unique")
+            raise SpecError("block names must be unique")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise SpecError("m must be >= 1")
 
 
 def annualize(theta: float, m: int) -> float:
     """Annualized long-run effect theta * 2 / (m + 1)."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise SpecError("m must be >= 1")
     return theta * 2.0 / (m + 1.0)
 
 

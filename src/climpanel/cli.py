@@ -11,10 +11,8 @@ failure in every cell.
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -38,6 +36,7 @@ from .dataset import (
     merge_panels,
     subset,
     summary_stats,
+    write_csv as _write_csv,
     write_panel,
 )
 from .errors import (
@@ -337,25 +336,13 @@ def _header(cfg: RunConfig, units: dict[str, str] | None = None) -> list[str]:
     return lines
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, comments, fieldnames, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                          f"{exc.strerror}") from None
     return out
 
 

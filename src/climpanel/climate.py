@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PanelDataset, shift
-from .errors import BurnInError, DegenerateWeightError
+from .errors import BurnInError, DegenerateWeightError, SpecError
 
 NORM_MODES = ("same-quarter", "rolling")
 
@@ -40,9 +40,9 @@ class NormParams:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise SpecError(f"m must be >= 1, got {self.m}")
         if self.frequency < 1:
-            raise ValueError(f"frequency must be >= 1, got {self.frequency}")
+            raise SpecError(f"frequency must be >= 1, got {self.frequency}")
 
     @property
     def scale(self) -> float:

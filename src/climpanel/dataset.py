@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,19 @@ from .errors import (
     GapError,
     PanelIntegrityError,
     SchemaError,
+    SpecError,
     TransformDomainError,
     VariableLookupError,
 )
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
+
+
+def _quarter_code(year: int, quarter: int) -> int:
+    """A quarter's position on one integer axis, year * 4 + quarter - 1."""
+    if quarter not in (1, 2, 3, 4):
+        raise ValueError(f"quarter must be in 1..4, got {quarter!r}")
+    return year * 4 + quarter - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -34,8 +42,7 @@ class QuarterIndex:
     quarter: int
 
     def __post_init__(self):
-        if self.quarter not in (1, 2, 3, 4):
-            raise ValueError(f"quarter must be in 1..4, got {self.quarter!r}")
+        _quarter_code(self.year, self.quarter)
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.quarter}"
@@ -73,19 +80,14 @@ def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex,
 
 @dataclass(frozen=True)
 class PanelSchema:
-    """Column mapping for panel CSV files.
-
-    ``values`` restricts which value columns are read (None = every column
-    that is not region/year/quarter). ``missing`` is the sentinel token that
-    marks an explicitly missing cell; the default is an empty cell.
-    """
+    """Column names for panel CSV files, and the token that marks an
+    explicitly missing cell (default: an empty cell). Every column that is
+    not region, year or quarter is a value column."""
 
     region: str = "region"
     year: str = "year"
     quarter: str = "quarter"
-    values: tuple[str, ...] | None = None
     missing: str = ""
-    units: dict[str, str] = field(default_factory=dict)
 
 
 def _frozen(arr) -> bool:
@@ -210,20 +212,14 @@ class TransformSpec:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+            raise SpecError(f"unknown transform kind {self.kind!r}")
         if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+            raise SpecError("horizon must be >= 0")
 
     def output_name(self) -> str:
-        if self.name:
-            return self.name
-        if self.kind == "log":
-            return f"log_{self.source}"
-        if self.kind == "diff":
-            return f"d_{self.source}"
-        if self.kind == "log-diff":
-            return f"dlog_{self.source}"
-        return f"cg{self.horizon}_{self.source}"
+        prefix = {"log": "log", "diff": "d", "log-diff": "dlog"}.get(
+            self.kind, f"cg{self.horizon}")
+        return self.name or f"{prefix}_{self.source}"
 
 
 def checked_log(ds: PanelDataset, name: str) -> np.ndarray:
@@ -340,115 +336,111 @@ def summary_stats(ds: PanelDataset, var: str) -> tuple[RegionSummary, ...]:
 _UNIT_COMMENT_RE = re.compile(r"^#\s*unit\s+(\S+)\s*=\s*(.*)$")
 
 
+def write_csv(path, comments, header, rows, missing: str = "") -> None:
+    """Write '# ' comment lines, a header row and the rows as CSV. NaN cells
+    become ``missing``; csv writes other floats as their shortest repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # v != v holds for NaN only
+        writer.writerows([missing if v != v else v for v in row] for row in rows)
+
+
 def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     """Load a balanced panel from CSV.
 
     Expects a header row with region, year and quarter columns plus one or
-    more value columns; '#'-prefixed lines are comments ('# unit var = u'
-    comments populate units). Identical duplicate rows are dropped;
-    conflicting duplicates raise PanelIntegrityError; a missing
+    more value columns, each named once; '#'-prefixed lines are comments
+    ('# unit var = u' comments populate units). Identical duplicate rows are
+    dropped; conflicting duplicates raise PanelIntegrityError; a missing
     (region, quarter) row raises GapError naming the holes.
     """
     schema = schema or PanelSchema()
-    units: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        data_lines = []
-        file_linenos = []
-        for file_lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                m = _UNIT_COMMENT_RE.match(line.strip())
-                if m:
-                    units[m.group(1)] = m.group(2).strip()
-                continue
-            if line.strip():
-                data_lines.append(line)
-                file_linenos.append(file_lineno)
-    if not data_lines:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    units = {m.group(1): m.group(2).strip()
+             for m in map(_UNIT_COMMENT_RE.match, lines) if m}
+    # (file line number, text) of each data line, header first
+    data = [(n, line) for n, line in enumerate(lines, start=1)
+            if line.strip() and not line.startswith("#")]
+    if not data:
         raise SchemaError(f"{path}: no data rows")
-    reader = csv.reader(data_lines)
+    reader = csv.reader(line for _, line in data)
     header = next(reader)
-    for col in (schema.region, schema.year, schema.quarter):
+    for col in header:
+        if header.count(col) > 1:
+            raise SchemaError(f"{path}: column {col!r} appears more than once")
+    keys = (schema.region, schema.year, schema.quarter)
+    for col in keys:
         if col not in header:
             raise SchemaError(f"{path}: missing required column {col!r}")
-    if schema.values is not None:
-        for col in schema.values:
-            if col not in header:
-                raise SchemaError(f"{path}: missing value column {col!r}")
-        value_cols = list(schema.values)
-    else:
-        keys = {schema.region, schema.year, schema.quarter}
-        value_cols = [c for c in header if c not in keys]
-    if not value_cols:
+    value_pos = [(c, j) for j, c in enumerate(header) if c not in keys]
+    if not value_pos:
         raise SchemaError(f"{path}: no value columns")
-    pos = {c: header.index(c) for c in header}
+    ir, iy, iq = (header.index(c) for c in keys)
 
-    cells: dict[tuple[str, QuarterIndex], list[float]] = {}
-    regions: list[str] = []
+    # cells are keyed by (region index, quarter code) and scattered onto
+    # the grid once every row has been read
+    regions: dict[str, int] = {}
+    cells: dict[tuple[int, int], list[float]] = {}
     for row in reader:
-        lineno = file_linenos[reader.line_num - 1]
-        if not row:
-            continue
+        lineno = data[reader.line_num - 1][0]
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: {len(row)} fields where the "
                               f"header has {len(header)}")
-        region = row[pos[schema.region]].strip()
+        region = row[ir].strip()
         try:
-            q = QuarterIndex(int(row[pos[schema.year]]),
-                             int(row[pos[schema.quarter]]))
+            code = _quarter_code(int(row[iy]), int(row[iq]))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: bad year/quarter: {exc}") from None
         vals = []
-        for col in value_cols:
-            text = row[pos[col]].strip()
+        for col, j in value_pos:
+            text = row[j].strip()
             if text == schema.missing:
                 vals.append(math.nan)
-            else:
-                try:
-                    val = float(text)
-                except ValueError:
-                    val = math.nan
-                if not math.isfinite(val):
-                    raise SchemaError(
-                        f"{path}:{lineno}: cannot parse {col}={text!r} as a "
-                        f"finite number"
-                    )
-                vals.append(val)
-        key = (region, q)
-        if key in cells:
-            old = cells[key]
-            for col, a, b in zip(value_cols, old, vals):
-                same = (a == b) or (math.isnan(a) and math.isnan(b))
-                if not same:
-                    raise PanelIntegrityError(
-                        f"{path}: conflicting duplicate for ({region}, {q}, "
-                        f"{col}): {a!r} vs {b!r}"
-                    )
-        else:
-            cells[key] = vals
-            if region not in regions:
-                regions.append(region)
+                continue
+            try:
+                val = float(text)
+            except ValueError:
+                val = math.nan
+            if not math.isfinite(val):
+                raise SchemaError(f"{path}:{lineno}: cannot parse {col}={text!r} "
+                                  "as a finite number")
+            vals.append(val)
+        # a new key stores vals itself, which then compares equal
+        old = cells.setdefault((regions.setdefault(region, len(regions)), code),
+                               vals)
+        for (col, _), a, b in zip(value_pos, old, vals):
+            if not (a == b or (a != a and b != b)):
+                raise PanelIntegrityError(
+                    f"{path}: conflicting duplicate for ({region}, "
+                    f"{QuarterIndex(code // 4, code % 4 + 1)}, {col}): {a!r} vs {b!r}"
+                )
+    if not cells:
+        raise SchemaError(f"{path}: no data rows")
 
-    quarters = sorted({q for _, q in cells})
-    time = quarter_range(quarters[0], quarters[-1])
-    gaps = [(r, str(q)) for r in regions for q in time if (r, q) not in cells]
+    ri, codes = np.array(list(cells)).T
+    lo = int(codes.min())
+    seen = np.zeros((len(regions), codes.max() - lo + 1), dtype=bool)
+    seen[ri, codes - lo] = True
+    time = tuple(QuarterIndex(c // 4, c % 4 + 1)
+                 for c in range(lo, lo + seen.shape[1]))
+    names = tuple(regions)
+    gaps = [(names[i], str(time[t])) for i, t in np.argwhere(~seen)]
     if gaps:
         raise GapError(gaps)
-
-    series = {
-        col: np.array(
-            [[cells[(r, q)][j] for q in time] for r in regions], dtype=float
-        )
-        for j, col in enumerate(value_cols)
-    }
-    units.update(schema.units)
+    grid = np.full((len(value_pos), *seen.shape), math.nan)
+    grid[:, ri, codes - lo] = np.array(list(cells.values())).T
+    grid.flags.writeable = False   # each series is a read-only view, shared
+    series = {col: mat for (col, _), mat in zip(value_pos, grid)}
     units = {k: v for k, v in units.items() if k in series}
-    return PanelDataset(regions, time, series, units)
-
-
-def _format_value(x: float, missing: str) -> str:
-    if math.isnan(x):
-        return missing
-    return repr(x)
+    return PanelDataset(names, time, series, units)
 
 
 def write_panel(
@@ -464,21 +456,13 @@ def write_panel(
     """
     schema = schema or PanelSchema()
     names = ds.variables
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
-        for name in names:
-            if ds.unit(name):
-                fh.write(f"# unit {name} = {ds.unit(name)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema.region, schema.year, schema.quarter, *names])
-        for i, region in enumerate(ds.regions):
-            for t, q in enumerate(ds.time):
-                writer.writerow(
-                    [region, q.year, q.quarter]
-                    + [_format_value(float(ds.series[n][i, t]), schema.missing)
-                       for n in names]
-                )
+    units = [f"unit {n} = {ds.unit(n)}" for n in names if ds.unit(n)]
+    cells = np.stack([ds.series[n] for n in names], axis=-1)
+    keys = [(r, q.year, q.quarter) for r in ds.regions for q in ds.time]
+    write_csv(path, [*header_comments, *units],
+              [schema.region, schema.year, schema.quarter, *names],
+              ([*k, *v] for k, v in zip(keys, cells.reshape(len(keys), -1).tolist())),
+              schema.missing)
 
 
 def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:

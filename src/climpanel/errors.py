@@ -14,6 +14,10 @@ class ConfigError(ClimPanelError):
     """Invalid or unknown configuration keys / values."""
 
 
+class SpecError(ConfigError, ValueError):
+    """A library spec or argument is out of range; also a ValueError."""
+
+
 class DataValidationError(ClimPanelError):
     """Input data violates a structural contract."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import PanelDataset, checked_log, shift
-from .errors import ClimPanelError
+from .errors import ClimPanelError, SpecError
 from .regress import (
     Design,
     HACSpec,
@@ -52,11 +52,11 @@ class LPSpec:
 
     def __post_init__(self):
         if any(h < 0 for h in self.horizons):
-            raise ValueError("horizons must be nonnegative")
+            raise SpecError("horizons must be nonnegative")
         if self.lags < 0:
-            raise ValueError("lags must be >= 0")
+            raise SpecError("lags must be >= 0")
         if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
+            raise SpecError("level must be in (0, 1)")
 
 
 @dataclass(frozen=True)

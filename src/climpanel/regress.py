@@ -26,6 +26,7 @@ from .errors import (
     DegreesOfFreedomError,
     RankDeficiencyError,
     SampleError,
+    SpecError,
 )
 
 FIXED_EFFECT_DIMS = ("region", "time")
@@ -54,7 +55,7 @@ class HACSpec:
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth < 0:
-            raise ValueError("bandwidth must be >= 0")
+            raise SpecError("bandwidth must be >= 0")
 
 
 def bartlett_weights(bandwidth: int) -> np.ndarray:

@@ -498,3 +498,46 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
         parser.write(fh)
     assert main([command, "--config", str(cfg), *args]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory", "not-utf8",
+                                    "header-only", "repeated-column"])
+def test_unreadable_or_malformed_input_exit_2(workspace, tmp_path, capsys,
+                                              damage):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "prices.csv").write_bytes(
+        (workspace["data"] / "prices.csv").read_bytes())
+    lines = (workspace["data"] / "climate.csv").read_text(
+        encoding="utf-8").splitlines()
+    head = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    climate = data / "climate.csv"
+    if damage == "directory":
+        climate.mkdir()
+    elif damage == "not-utf8":
+        climate.write_bytes("\n".join(lines).encode() + b"\nR01,2100,1,\xff,1\n")
+    elif damage == "header-only":
+        climate.write_text("\n".join(lines[:head + 1]) + "\n", encoding="utf-8")
+    elif damage == "repeated-column":
+        # region,year,quarter,temperature,temperature: the second column
+        # must not be dropped in silence
+        cols = lines[head].split(",")
+        lines[head] = ",".join(cols[:-1] + cols[-2:-1])
+        climate.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=data, out=tmp_path / "o"),
+                   encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {climate}: ")
+    assert "Traceback" not in err
+
+
+def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code = main(["stats", "--config", str(workspace["config"]),
+                 "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"

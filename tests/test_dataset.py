@@ -21,6 +21,7 @@ from climpanel import (
 )
 from climpanel.dataset import shift
 from climpanel.errors import (
+    DataValidationError,
     EmptyPanelError,
     EmptySummaryError,
     GapError,
@@ -382,3 +383,99 @@ def test_write_read_roundtrip_values(tmp_path_factory, values):
     write_panel(ds, path)
     back = load_panel(path)
     np.testing.assert_array_equal(back.values("x"), ds.values("x"))
+
+
+# ---------------------------------------------------------------------------
+# load_panel / write_panel properties
+# ---------------------------------------------------------------------------
+
+_COLUMN = st.sampled_from(["region", "year", "quarter", "cpi", "food", "x"])
+_CELL = st.one_of(
+    st.sampled_from(["", " ", "1.5", "-2", "1e3", "0", "nan", "inf", "-inf",
+                     "abc", "NA", "9", "x y"]),
+    st.integers(1990, 2010).map(str),
+    st.integers(-1, 5).map(str),
+)
+
+
+@st.composite
+def _panel_text(draw):
+    """CSV text near the schema: random headers (repeats included), rows
+    of the right or wrong width, duplicates and holes, comments, blanks."""
+    header = draw(st.one_of(
+        st.just(["region", "year", "quarter", "cpi", "food"]),
+        st.lists(_COLUMN, max_size=6),
+    ))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "cells", "blank",
+                                     "comment"]))
+        if kind == "row":
+            lines.append(",".join([
+                draw(st.sampled_from(["a", "b", " c"])),
+                str(draw(st.integers(1990, 2010))),
+                str(draw(st.integers(1, 4))),
+                *[draw(_CELL) for _ in header[3:]],
+            ]))
+        elif kind == "cells":
+            lines.append(",".join(draw(st.lists(_CELL, max_size=7))))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        else:
+            lines.append(draw(st.sampled_from(["# note", "# unit cpi = idx"])))
+    if draw(st.booleans()):
+        lines = lines + lines[1:3]   # duplicated rows
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_panel_text())
+def test_load_panel_returns_a_panel_or_a_validation_error(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("prop") / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        ds = load_panel(path)
+    except DataValidationError:
+        return
+    assert isinstance(ds, PanelDataset)
+    header = next(l for l in text.splitlines() if l.strip()
+                  and not l.startswith("#")).split(",")
+    # every value column of the header becomes exactly one series
+    assert len(ds.variables) == len(header) - 3
+
+
+_NAME = st.text("abcdefghXYZ019", min_size=1, max_size=4)
+
+
+@st.composite
+def _panel(draw):
+    regions = draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(_NAME.filter(lambda n: n not in
+                                       ("region", "year", "quarter")),
+                          min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 10))
+    start = QuarterIndex(draw(st.integers(1990, 2010)), draw(st.integers(1, 4)))
+    cell = st.floats(allow_infinity=False, allow_nan=True)
+    series = {name: np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                           min_size=len(regions),
+                                           max_size=len(regions))))
+              for name in names}
+    units = {name: draw(st.sampled_from(["", "index", "log change", "a=b"]))
+             for name in names}
+    return PanelDataset(regions, quarter_range(start, start.offset(n - 1)),
+                        series, {k: u for k, u in units.items() if u})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=_panel())
+def test_write_load_round_trip_bitwise_with_sentinel(ds, tmp_path_factory):
+    path = tmp_path_factory.mktemp("rt") / "panel.csv"
+    schema = PanelSchema(missing="NA")
+    write_panel(ds, path, schema)
+    back = load_panel(path, schema)
+    assert back.regions == ds.regions and back.time == ds.time
+    assert back.units == ds.units and back.variables == ds.variables
+    for name in ds.variables:
+        a, b = ds.values(name), back.values(name)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
