@@ -32,6 +32,7 @@ from .dataset import (
     PanelDataset,
     PanelSchema,
     QuarterIndex,
+    comment_lines,
     load_panel,
     merge_panels,
     subset,
@@ -589,12 +590,10 @@ def _cmd_ardl(cfg: RunConfig) -> None:
         if not tables:
             continue
         path = out / f"longrun_{outcome}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            for c in _header(cfg, units):
-                fh.write(f"# {c}\n")
-            fh.write("# standard errors in parentheses; "
-                     "*** 1%, ** 5%, * 10%\n")
-            fh.write(_longrun_text(outcome, tables))
+        notes = [*_header(cfg, units),
+                 "standard errors in parentheses; *** 1%, ** 5%, * 10%"]
+        path.write_text(comment_lines(notes) + _longrun_text(outcome, tables),
+                        encoding="utf-8")
         written.append(path.name)
     ann_path = out / "annualized_summary.csv"
     _write_csv(

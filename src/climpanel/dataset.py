@@ -7,6 +7,7 @@ incomplete rows listwise and never reindex.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -336,15 +337,34 @@ def summary_stats(ds: PanelDataset, var: str) -> tuple[RegionSummary, ...]:
 _UNIT_COMMENT_RE = re.compile(r"^#\s*unit\s+(\S+)\s*=\s*(.*)$")
 
 
+def comment_lines(comments) -> str:
+    """The '# ' lines that head every output file, one per comment."""
+    return "".join(f"# {c}\n" for c in comments)
+
+
 def write_csv(path, comments, header, rows, missing: str = "") -> None:
     """Write '# ' comment lines, a header row and the rows as CSV. NaN cells
     become ``missing``; csv writes other floats as their shortest repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(comment_lines(comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         # v != v holds for NaN only
         writer.writerows([missing if v != v else v for v in row] for row in rows)
+
+
+def _holes(names, ri, codes, lo, hi):
+    """Yield (region, quarter label) for each quarter in lo..hi that a
+    region has no row for: regions in order, quarters ascending."""
+    order = np.lexsort((codes, ri))
+    ri, codes = ri[order], codes[order]
+    starts = np.searchsorted(ri, np.arange(len(names) + 1))
+    for i, name in enumerate(names):
+        bounds = np.concatenate([[lo - 1], codes[starts[i]:starts[i + 1]],
+                                 [hi + 1]])
+        for j in np.flatnonzero(np.diff(bounds) > 1):
+            for c in range(int(bounds[j]) + 1, int(bounds[j + 1])):
+                yield name, str(QuarterIndex(c // 4, c % 4 + 1))
 
 
 def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
@@ -354,7 +374,8 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     more value columns, each named once; '#'-prefixed lines are comments
     ('# unit var = u' comments populate units). Identical duplicate rows are
     dropped; conflicting duplicates raise PanelIntegrityError; a missing
-    (region, quarter) row raises GapError naming the holes.
+    (region, quarter) row raises GapError naming the holes (the first
+    max(rows read, 1000) of them) and counting them all.
     """
     schema = schema or PanelSchema()
     try:
@@ -426,16 +447,18 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
         raise SchemaError(f"{path}: no data rows")
 
     ri, codes = np.array(list(cells)).T
-    lo = int(codes.min())
-    seen = np.zeros((len(regions), codes.max() - lo + 1), dtype=bool)
-    seen[ri, codes - lo] = True
-    time = tuple(QuarterIndex(c // 4, c % 4 + 1)
-                 for c in range(lo, lo + seen.shape[1]))
+    lo, hi = int(codes.min()), int(codes.max())
     names = tuple(regions)
-    gaps = [(names[i], str(time[t])) for i, t in np.argwhere(~seen)]
-    if gaps:
-        raise GapError(gaps)
-    grid = np.full((len(value_pos), *seen.shape), math.nan)
+    # each (region, quarter) key is stored once, so the grid is full iff it
+    # has as many cells as keys
+    n_gaps = len(names) * (hi - lo + 1) - len(cells)
+    if n_gaps:
+        # list at most max(rows read, 1000) holes: one mistyped far-off
+        # year must not cost a grid of every quarter up to it
+        raise GapError(itertools.islice(_holes(names, ri, codes, lo, hi),
+                                        max(len(cells), 1000)), n_gaps)
+    time = tuple(QuarterIndex(c // 4, c % 4 + 1) for c in range(lo, hi + 1))
+    grid = np.full((len(value_pos), len(names), len(time)), math.nan)
     grid[:, ri, codes - lo] = np.array(list(cells.values())).T
     grid.flags.writeable = False   # each series is a read-only view, shared
     series = {col: mat for (col, _), mat in zip(value_pos, grid)}

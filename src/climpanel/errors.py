@@ -31,12 +31,16 @@ class PanelIntegrityError(DataValidationError):
 
 
 class GapError(DataValidationError):
-    """The quarterly index is not contiguous for some region."""
+    """The quarterly index is not contiguous for some region.
 
-    def __init__(self, gaps):
+    gaps holds the missing (region, quarter) cells; when count is given,
+    only the first of its count gaps."""
+
+    def __init__(self, gaps, count=None):
         self.gaps = tuple(gaps)
+        self.count = len(self.gaps) if count is None else count
         shown = ", ".join(f"({r}, {q})" for r, q in self.gaps[:8])
-        more = "" if len(self.gaps) <= 8 else f" and {len(self.gaps) - 8} more"
+        more = "" if self.count <= 8 else f" and {self.count - 8} more"
         super().__init__(f"missing quarters: {shown}{more}")
 
 

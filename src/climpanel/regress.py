@@ -9,18 +9,21 @@ cross-sectionally summed moment vectors h_t = sum_i x_it e_it.
 focal_driscoll_kraay does the same for several focal columns that share
 one outcome and one set of controls, absorbing and factoring them once.
 
-scipy is imported inside the functions that use it, so importing the
-package (and every command that fits nothing) does not pay for it.
+Everything runs on numpy and the standard library: the QR is
+np.linalg.qr, its rank comes from a column-pivoting pass over the small
+triangle it returns, and normal quantiles from statistics.NormalDist.
+Only confidence_band(use_t=True) needs scipy.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import PanelDataset, QuarterIndex
+from .dataset import PanelDataset, QuarterIndex, _quarter_code
 from .errors import (
     BandwidthError,
     DegreesOfFreedomError,
@@ -31,16 +34,19 @@ from .errors import (
 
 FIXED_EFFECT_DIMS = ("region", "time")
 
+_RANK_TOL = 1e-10
+# LAPACK dgeqp3 recomputes a downdated column norm once cancellation has
+# left fewer than half the digits: sqrt of the unit roundoff
+_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps / 2.0)
+
 # Two-sided normal critical values for 1% / 5% / 10% significance stars:
 # scipy.special.ndtri at 0.995, 0.975 and 0.95, written out so that
-# formatting stars needs no scipy import.
+# formatting stars computes no quantile.
 _STAR_CUTOFFS = (
     (2.5758293035489004, "***"),
     (1.959963984540054, "**"),
     (1.6448536269514722, "*"),
 )
-
-_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,6 @@ class Design:
         return self.y.shape[0]
 
 
-def _quarter_code(q: QuarterIndex) -> int:
-    return q.year * 4 + (q.quarter - 1)
-
-
 def window_slice(time, window) -> slice:
     """Columns of a quarter axis inside a (start, end) window; None keeps all."""
     if window is None:
@@ -163,7 +165,8 @@ def design_from_matrices(
             f"no usable observations: all {R * T} rows dropped listwise"
         )
     region_codes = np.repeat(np.arange(R), T)[keep]
-    time_codes = np.tile(_quarter_code(time[0]) + np.arange(T), R)[keep]
+    t0 = _quarter_code(time[0].year, time[0].quarter)
+    time_codes = np.tile(t0 + np.arange(T), R)[keep]
     X = np.column_stack([c[keep] for c in cols])
     if add_constant is None:
         add_constant = not fixed_effects
@@ -318,21 +321,92 @@ class FitResult:
         return float(self.se[self.names.index(name)])
 
 
-def _describe_rank_deficiency(R, piv, rank, names, col_norms):
-    from scipy import linalg
+def _pivoted_triangle(R: np.ndarray, norms: np.ndarray):
+    """Column-pivoted Householder pass over the small triangle R of A = Q R
+    (Businger & Golub 1965; Golub & Van Loan, Alg. 5.4.1).
 
+    Gives R[:, piv] = Q1 Rp, so that A[:, piv] = (Q Q1) Rp exactly: the
+    pivoted QR of A without touching its n rows again. Pivots follow LAPACK
+    dgeqp3: the column of largest remaining norm, the first on ties,
+    starting from norms (A's column norms) and downdated after each step.
+    Returns Rp and piv.
+    """
+    m, k = R.shape   # m = min(n, k)
+    Rp = R.copy()
+    piv = list(range(k))
+    # k is small, so the pivot bookkeeping is plain Python floats
+    norms = norms.tolist()
+    ref = norms[:]   # each norm when it was last computed in full
+    for i in range(m):
+        p = max(range(i, k), key=norms.__getitem__)
+        if p != i:
+            for seq in (piv, norms, ref):
+                seq[i], seq[p] = seq[p], seq[i]
+            Rp[:, [i, p]] = Rp[:, [p, i]]
+        x = Rp[i:, i]
+        size = math.sqrt(float(x @ x))
+        if size != 0.0:
+            # reflector I - tau v v' with v[0] = 1 maps x onto beta e_1
+            beta = -math.copysign(size, x[0])
+            v = x / (x[0] - beta)
+            v[0] = 1.0
+            rest = Rp[i:, i + 1:]
+            rest -= np.outer(v, ((beta - x[0]) / beta) * (v @ rest))
+            Rp[i, i] = beta
+            Rp[i + 1:, i] = 0.0
+        for j, r in enumerate(Rp[i, i + 1:].tolist(), start=i + 1):
+            if norms[j] == 0.0:
+                continue
+            left = max(1.0 - (abs(r) / norms[j]) ** 2, 0.0)
+            if left * (norms[j] / ref[j]) ** 2 <= _NORM_RECOMPUTE:
+                col = Rp[i + 1:, j]
+                norms[j] = ref[j] = math.sqrt(float(col @ col))
+            else:
+                norms[j] *= math.sqrt(left)
+    return Rp, piv
+
+
+def _factor(A: np.ndarray, B: np.ndarray):
+    """QR of A (n x k) in numpy, with Q'B for the columns B (n x m) that
+    ride along, and the rank of A under the pivoted-QR rule.
+
+    np.linalg.qr (LAPACK dgeqrf) factors [A | B]: its leading block is
+    A = Q R and its top-right block Q'B; Q itself is never formed.
+    _pivoted_triangle turns R into the pivoted triangle Rp, and the rank
+    is the count of |Rp_jj| above _RANK_TOL times the largest, |Rp_11|.
+    Returns R, Q'B, A's column norms, Rp, its pivot order and the rank.
+    """
+    k = A.shape[1]
+    full = np.linalg.qr(np.column_stack([A, B]), mode="r")
+    R, QtB = full[:k, :k], full[:k, k:]
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+    Rp, piv = _pivoted_triangle(R, norms)
+    diag = np.abs(np.diag(Rp))
+    rank = int((diag > _RANK_TOL * diag[0]).sum()) if diag.size else 0
+    return R, QtB, norms, Rp, piv, rank
+
+
+def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve R X = B for upper-triangular R (B a vector or a matrix)."""
+    X = np.array(B, dtype=float)
+    for i in range(R.shape[0] - 1, -1, -1):
+        X[i] = (X[i] - R[i, i + 1:] @ X[i + 1:]) / R[i, i]
+    return X
+
+
+def _describe_rank_deficiency(Rp, piv, rank, names, norms):
     offenders = []
     lines = []
-    norm_scale = col_norms.max() if col_norms.size else 0.0
+    norm_scale = norms.max()
     for pos in range(rank, len(piv)):
         name = names[piv[pos]]
         offenders.append(name)
-        if col_norms[piv[pos]] <= _RANK_TOL * max(norm_scale, 1.0):
+        if norms[piv[pos]] <= _RANK_TOL * max(norm_scale, 1.0):
             lines.append(f"{name!r} has no variation after FE absorption")
             continue
         partners = []
         if rank > 0:
-            c = linalg.solve_triangular(R[:rank, :rank], R[:rank, pos])
+            c = _back_substitute(Rp[:rank, :rank], Rp[:rank, pos])
             big = np.abs(c) > 1e-8 * max(1.0, float(np.abs(c).max()))
             partners = [names[piv[i]] for i in np.nonzero(big)[0]]
         offenders.extend(p for p in partners if p not in offenders)
@@ -346,33 +420,22 @@ def ols(design: Design, recover_fe: bool = False) -> FitResult:
     Raises RankDeficiencyError naming the collinear or degenerate columns
     instead of silently dropping them; dof = nobs - rank - absorbed FE count.
     """
-    from scipy import linalg
-
     d = design if design.demeaned else within_transform(design)
     n, k = d.X.shape
     if n == 0:
         raise SampleError("empty design")
-    Q, R, piv = linalg.qr(d.X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    dmax = diag[0] if diag.size else 0.0
-    rank = int((diag > _RANK_TOL * dmax).sum()) if dmax > 0 else 0
+    R, qty, norms, Rp, piv, rank = _factor(d.X, d.y)
     if rank < k:
-        col_norms = np.linalg.norm(d.X, axis=0)
         offenders, lines = _describe_rank_deficiency(
-            R, piv, rank, d.names, col_norms)
+            Rp, piv, rank, d.names, norms)
         raise RankDeficiencyError(
             "design matrix is rank deficient: " + "; ".join(lines),
             columns=offenders,
         )
-    z = linalg.solve_triangular(R, Q.T @ d.y)
-    coef = np.empty(k)
-    coef[piv] = z
+    coef = _back_substitute(R, qty[:, 0])
     resid = d.y - d.X @ coef
-
-    rinv = linalg.solve_triangular(R, np.eye(k))
-    m = rinv @ rinv.T
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = m
+    rinv = _back_substitute(R, np.eye(k))
+    xtx_inv = rinv @ rinv.T
 
     dof = n - rank - d.absorbed
     if dof <= 0:
@@ -384,7 +447,7 @@ def ols(design: Design, recover_fe: bool = False) -> FitResult:
     vcov = sigma2 * xtx_inv
     se = np.sqrt(np.diag(vcov))
 
-    t0 = _quarter_code(d.time[0])
+    t0 = _quarter_code(d.time[0].year, d.time[0].quarter)
     resid_mat = np.full((len(d.regions), len(d.time)), np.nan)
     resid_mat[d.region_codes, d.time_codes - t0] = resid
 
@@ -521,9 +584,9 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     """Fit each of the first n_focal columns of design.X in its own
     regression on y and the remaining columns (the controls), in one pass.
 
-    The design is absorbed once and the controls are factored once by
-    pivoted QR; y and the focal columns are partialled on them in one
-    product. By Frisch-Waugh-Lovell, with s~ a partialled focal column and
+    The design is absorbed once and the controls are factored once by QR;
+    y and the focal columns are partialled on them in one least-squares
+    solve. By Frisch-Waugh-Lovell, with s~ a partialled focal column and
     y~ the partialled outcome, the slope is s~'y~ / s~'s~ with residual
     e = y~ - slope * s~, and the Driscoll-Kraay variance is that column's
     element of the full sandwich: the Bartlett sum over
@@ -533,8 +596,6 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     check: rank-deficient controls, dof <= 0, or a partialled focal column
     within the rank tolerance; refit those with ols to get its error.
     """
-    from scipy import linalg
-
     d = within_transform(design)
     n = d.nobs
     n_controls = d.X.shape[1] - n_focal
@@ -542,11 +603,12 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     scale = np.linalg.norm(Z[:, 1:], axis=0)
     controls_ok = True
     if n_controls:
-        Q, R, _ = linalg.qr(d.X[:, n_focal:], mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        controls_ok = bool(diag[0] > 0 and (diag > _RANK_TOL * diag[0]).all())
-        scale = np.maximum(scale, diag[0])
-        Z -= Q @ (Q.T @ Z)
+        controls = d.X[:, n_focal:]
+        R, QtZ, norms, _, _, rank = _factor(controls, Z)
+        controls_ok = rank == n_controls
+        scale = np.maximum(scale, norms.max())
+        if controls_ok:
+            Z -= controls @ _back_substitute(R, QtZ)
     dof = n - 1 - n_controls - d.absorbed
     y, s = Z[:, 0], Z[:, 1:]
     ss = np.einsum("ij,ij->j", s, s)
@@ -571,14 +633,22 @@ def confidence_band(
     """Symmetric per-coefficient bands coef +/- q * se.
 
     Normal quantiles by default (use_t switches to Student t with the fit's
-    dof). level = 0 degenerates to [coef, coef].
+    dof, which needs scipy; without it use_t raises SpecError). level = 0
+    degenerates to [coef, coef].
     """
-    from scipy.special import ndtri, stdtrit
-
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level}")
     p = (1.0 + level) / 2.0
-    q = float(stdtrit(fit.dof, p)) if use_t else float(ndtri(p))
+    if not use_t:
+        q = NormalDist().inv_cdf(p)
+    else:
+        try:
+            from scipy.special import stdtrit
+        except ImportError:
+            raise SpecError("use_t=True needs scipy for the Student t "
+                            "quantile; install scipy or use normal "
+                            "quantiles") from None
+        q = float(stdtrit(fit.dof, p))
     return fit.coef - q * fit.se, fit.coef + q * fit.se
 
 

@@ -1,5 +1,6 @@
 """Panel container, CSV round trips, transforms and summaries."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ def test_load_panel_gap_error_names_cell(tmp_path):
     with pytest.raises(GapError) as err:
         load_panel(path)
     assert ("b", "2003Q2") in err.value.gaps
+
+
+def test_load_panel_far_off_year_raises_without_the_grid(tmp_path):
+    # a mistyped 7-digit year puts about 4 million quarters between the
+    # rows; the error counts them instead of listing each one
+    path = tmp_path / "panel.csv"
+    write_csv(path, ["a,2000,1,1.0", "a,2000,2,2.0", "a,1000000,1,3.0"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GapError) as err:
+            load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    n_gaps = (1000000 - 2000) * 4 + 1 - 3
+    assert err.value.count == n_gaps
+    assert err.value.gaps[:2] == (("a", "2000Q3"), ("a", "2000Q4"))
+    assert str(err.value) == (
+        "missing quarters: " + ", ".join(f"(a, {q})" for q in (
+            "2000Q3", "2000Q4", "2001Q1", "2001Q2", "2001Q3", "2001Q4",
+            "2002Q1", "2002Q2")) + f" and {n_gaps - 8} more")
 
 
 def test_load_panel_dedups_identical_rows(tmp_path):

@@ -7,6 +7,7 @@ A change that alters numbers on purpose refreshes the stored hashes with
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -146,6 +147,55 @@ def test_demo_pipeline_outputs_match_golden_hashes(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"outputs differ from the golden run: {changed}"
+
+
+# Runs the demo pipeline in a fresh interpreter in which every scipy import
+# fails, then prints the output hashes, the scipy modules loaded and what
+# confidence_band(use_t=True) raised.
+WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+from pathlib import Path
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+from climpanel import QuarterIndex, confidence_band, ols, quarter_range
+from climpanel.regress import design_from_matrices
+from test_golden import demo_hashes
+
+hashes = demo_hashes(Path(sys.argv[1]))
+rng = np.random.default_rng(0)
+time = quarter_range(QuarterIndex(2000, 1), QuarterIndex(2004, 4))
+fit = ols(design_from_matrices(rng.normal(size=(1, 20)),
+                               [("x", rng.normal(size=(1, 20)))],
+                               ["a"], time))
+try:
+    confidence_band(fit, 0.9, use_t=True)
+    use_t = None
+except Exception as exc:
+    use_t = type(exc).__name__
+print(json.dumps({"hashes": hashes, "use_t": use_t,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_demo_pipeline_runs_without_scipy(tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], env=env,
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["scipy"] == []
+    assert got["use_t"] == "SpecError"
+    assert got["hashes"] == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_resolved_config_hashes_are_pinned(tmp_path):

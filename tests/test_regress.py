@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, special, stats
 
 from climpanel import (
     HACSpec,
@@ -24,7 +24,9 @@ from climpanel import (
     within_transform,
 )
 from climpanel.regress import (
+    _RANK_TOL,
     _STAR_CUTOFFS,
+    _factor,
     design_from_matrices,
     focal_driscoll_kraay,
 )
@@ -427,6 +429,70 @@ def test_dk_psd_on_random_panels():
         np.testing.assert_allclose(V, V.T, atol=1e-14)
         eig = np.linalg.eigvalsh(V)
         assert eig.min() >= -1e-10 * np.trace(V)
+
+
+def _kernel_design(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, k))
+    if kind == "scaled":
+        X[:, 1] *= 1e-3
+        X[:, k - 1] *= 1e3
+        X += 5.0
+    elif kind == "zero":
+        X[:, 2] = 0.0
+    elif kind == "duplicate":
+        X[:, 3] = X[:, 0]
+    elif kind == "collinear":
+        X[:, 4] = X[:, 0] - 2.0 * X[:, 2]
+        X[:, 1] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("n,k", [(7000, 8), (7000, 13), (1700, 20), (21, 20),
+                                 (12, 12)])
+@pytest.mark.parametrize("kind", ["random", "scaled", "zero", "duplicate",
+                                  "collinear"])
+def test_pivoted_qr_matches_lapack_dgeqp3(kind, n, k):
+    # the numpy kernel against LAPACK's column-pivoted QR: same pivot order,
+    # same rank, |diag R| equal to 1e-13 relative over the leading rank
+    # (the entries past it are rounding noise in both)
+    X = _kernel_design(kind, n, k, seed=n + k)
+    y = np.random.default_rng(n * k).normal(size=(n, 1))
+    R, qty, _, Rp, piv, rank = _factor(X, y)
+    _, R_ref, piv_ref = linalg.qr(X, mode="economic", pivoting=True)
+    d_ref = np.abs(np.diag(R_ref))
+    assert rank == int((d_ref > _RANK_TOL * d_ref[0]).sum())
+    assert rank == {"random": k, "scaled": k, "zero": k - 1,
+                    "duplicate": k - 1, "collinear": k - 2}[kind]
+    np.testing.assert_array_equal(piv, piv_ref)
+    np.testing.assert_allclose(np.abs(np.diag(Rp))[:rank], d_ref[:rank],
+                               rtol=1e-13, atol=0.0)
+    assert np.abs(np.diag(Rp))[rank:].max(initial=0.0) <= _RANK_TOL * d_ref[0]
+    np.testing.assert_array_equal(np.tril(Rp, -1), 0.0)
+    # R'R = X'X and R'(Q'y) = X'y, so Q R = X with the same Q for y
+    gram = np.abs(X).max() ** 2 * n
+    np.testing.assert_allclose(R.T @ R, X.T @ X, atol=1e-13 * gram)
+    np.testing.assert_allclose(R.T @ qty, X.T @ y,
+                               atol=1e-13 * gram / np.abs(X).max())
+
+
+def test_normal_band_multiplier_matches_scipy_ndtri():
+    # confidence_band takes its normal quantile from the standard library;
+    # it agrees with scipy's ndtri to within 1e-15 relative at every level
+    ds = fe_panel(n_regions=4, n_quarters=20, seed=19)
+    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
+                                              fixed_effects=("region",))))
+    unit = dataclasses.replace(fit, coef=np.zeros(1), se=np.ones(1))
+    rng = np.random.default_rng(60)
+    levels = np.concatenate([
+        [0.9, 0.95, 0.99],
+        np.linspace(0.0, 1.0, 1001)[:-1],
+        rng.random(1000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 15.0, 500),    # far upper tail
+    ])
+    got = np.array([confidence_band(unit, float(v))[1][0] for v in levels])
+    np.testing.assert_allclose(got, special.ndtri((1.0 + levels) / 2.0),
+                               rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
