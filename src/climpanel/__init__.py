@@ -17,8 +17,6 @@ from .ardl import (
 from .climate import (
     AnomalySeries,
     NormParams,
-    SeasonalShock,
-    SignedAnomalyPair,
     anomaly,
     attach_anomaly_features,
     historical_norm,
@@ -31,13 +29,11 @@ from .dataset import (
     PanelSchema,
     QuarterIndex,
     RegionSummary,
-    TransformSpec,
     load_panel,
     merge_panels,
     quarter_range,
     subset,
     summary_stats,
-    transform,
     write_panel,
 )
 from .localproj import (
@@ -53,13 +49,10 @@ from .regress import (
     Design,
     FitResult,
     HACSpec,
-    RegressionSpec,
-    build_design,
     confidence_band,
     default_bandwidth,
     ols,
     significance_stars,
-    vcov_classical,
     vcov_driscoll_kraay,
     with_driscoll_kraay,
     within_transform,
@@ -68,16 +61,14 @@ from .regress import (
 __all__ = [
     "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
     "ardl_suite", "build_ardl_design", "estimate_ardl", "select_lag_bic",
-    "AnomalySeries", "NormParams", "SeasonalShock", "SignedAnomalyPair",
-    "anomaly", "attach_anomaly_features", "historical_norm", "seasonal_shock",
-    "sign_split", "weighted_aggregate",
+    "AnomalySeries", "NormParams", "anomaly", "attach_anomaly_features",
+    "historical_norm", "seasonal_shock", "sign_split", "weighted_aggregate",
     "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",
-    "TransformSpec", "load_panel", "merge_panels", "quarter_range", "subset",
-    "summary_stats", "transform", "write_panel",
+    "load_panel", "merge_panels", "quarter_range", "subset", "summary_stats",
+    "write_panel",
     "ImpulseResponse", "IRFRow", "LPResult", "LPSpec", "build_lp_design",
     "estimate_irf", "irf_table",
-    "Design", "FitResult", "HACSpec", "RegressionSpec", "build_design",
-    "confidence_band", "default_bandwidth", "ols", "significance_stars",
-    "vcov_classical", "vcov_driscoll_kraay", "with_driscoll_kraay",
+    "Design", "FitResult", "HACSpec", "confidence_band", "default_bandwidth",
+    "ols", "significance_stars", "vcov_driscoll_kraay", "with_driscoll_kraay",
     "within_transform",
 ]

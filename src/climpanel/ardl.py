@@ -94,11 +94,8 @@ class ARDLResult:
     table: LongRunTable
 
 
-def _dy_lag_name(outcome: str, lag: int) -> str:
-    return f"d_{outcome}_lag{lag}"
-
-
-def _dx_lag_name(var: str, lag: int) -> str:
+def _lag_name(var: str, lag: int) -> str:
+    """Column name of the first difference of var at lag (dy and dx alike)."""
     return f"d_{var}_lag{lag}"
 
 
@@ -110,12 +107,12 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
     """
     log_y = checked_log(ds, spec.outcome)
     dy = log_y - shift(log_y, 1)
-    x_named = [(_dy_lag_name(spec.outcome, lag), shift(dy, lag))
+    x_named = [(_lag_name(spec.outcome, lag), shift(dy, lag))
                for lag in range(1, spec.p + 1)]
     for var in spec.block:
         level = ds.values(var)
         dx = level - shift(level, 1)
-        x_named += [(_dx_lag_name(var, lag), shift(dx, lag))
+        x_named += [(_lag_name(var, lag), shift(dx, lag))
                     for lag in range(0, spec.p + 1)]
     return design_from_matrices(
         dy, x_named, ds.regions, ds.time,
@@ -140,7 +137,7 @@ def long_run_from_coefficients(
     """
     coef = np.asarray(coef, dtype=float)
     vcov = np.asarray(vcov, dtype=float)
-    phi_idx = [names.index(_dy_lag_name(outcome, lag))
+    phi_idx = [names.index(_lag_name(outcome, lag))
                for lag in range(1, p + 1)]
     phi = 1.0 - float(coef[phi_idx].sum()) if phi_idx else 1.0
     if abs(phi) < _PHI_FLOOR:
@@ -155,7 +152,7 @@ def long_run_from_coefficients(
         phi_se = 0.0
     effects = []
     for var in block:
-        beta_idx = [names.index(_dx_lag_name(var, lag))
+        beta_idx = [names.index(_lag_name(var, lag))
                     for lag in range(0, p + 1)]
         theta = float(coef[beta_idx].sum()) / phi
         grad = np.zeros(len(coef))
@@ -258,7 +255,7 @@ def select_lag_bic(ds: PanelDataset, spec: ARDLSpec, candidates=range(1, 9)) -> 
     """
     candidates = sorted(candidates)
     if not candidates:
-        raise ValueError("no candidate lag orders")
+        raise SpecError("no candidate lag orders")
     common = build_ardl_design(ds, replace(spec, p=candidates[-1]))
     bics = {}
     for p in candidates:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -322,8 +323,16 @@ def load_config(
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
+    # paths in the file are relative to the file, hashed as written above;
+    # --out is relative to the working directory
+    base = os.path.dirname(path or "")
+    inp = sections["input"]
+    sections["input"] = replace(
+        inp, **{key: os.path.join(base, getattr(inp, key))
+                for key in ("climate", "prices") if getattr(inp, key)})
     return RunConfig(**sections, hash=digest,
-                     out_dir=output.dir if out_dir is None else out_dir)
+                     out_dir=os.path.join(base, output.dir)
+                     if out_dir is None else out_dir)
 
 
 # ---------------------------------------------------------------------------

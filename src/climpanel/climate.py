@@ -8,7 +8,7 @@ where norm[t] is the trailing m-year moving average of x, using only
 observations strictly before t. By default the norm for quarter q of year y
 averages quarter q of the preceding m years (same-quarter norm), so the
 anomaly reads as a deviation from the historical average for that time of
-year; a calendar-blind trailing mean over the last m*frequency quarters is
+year; a calendar-blind trailing mean over the last 4*m quarters is
 available as an alternative.
 """
 from __future__ import annotations
@@ -33,16 +33,13 @@ POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
 
 @dataclass(frozen=True)
 class NormParams:
-    """Moving-average window: m years at ``frequency`` observations/year."""
+    """Moving-average window of m years of quarterly observations."""
 
     m: int
-    frequency: int = 4
 
     def __post_init__(self):
         if self.m < 1:
             raise SpecError(f"m must be >= 1, got {self.m}")
-        if self.frequency < 1:
-            raise SpecError(f"frequency must be >= 1, got {self.frequency}")
 
     @property
     def scale(self) -> float:
@@ -51,7 +48,7 @@ class NormParams:
     @property
     def burn_in(self) -> int:
         """Observations required before the first defined norm."""
-        return self.m * self.frequency
+        return 4 * self.m
 
 
 @dataclass(frozen=True)
@@ -65,41 +62,24 @@ class AnomalySeries:
     mode: str = "same-quarter"
 
 
-@dataclass(frozen=True)
-class SignedAnomalyPair:
-    """Elementwise positive/negative split; positive + negative == anomaly."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-
-
-@dataclass(frozen=True)
-class SeasonalShock:
-    """Anomaly restricted to one season and one polarity, zero elsewhere."""
-
-    season: str
-    polarity: str
-    values: np.ndarray
-
-
 def historical_norm(
     levels: np.ndarray, params: NormParams, mode: str = "same-quarter"
 ) -> np.ndarray:
     """Trailing m-year moving average, NaN where history is insufficient.
 
-    same-quarter: norm[:, t] averages levels[:, t - l*frequency], l = 1..m.
-    rolling: norm[:, t] averages the previous m*frequency observations.
+    same-quarter: norm[:, t] averages levels[:, t - 4*l], l = 1..m.
+    rolling: norm[:, t] averages the previous 4*m observations.
 
     The window ends strictly before t, so norm[:, t] never depends on
     levels[:, s] with s >= t.
     """
     if mode not in NORM_MODES:
-        raise ValueError(f"mode must be one of {NORM_MODES}, got {mode!r}")
+        raise SpecError(f"mode must be one of {NORM_MODES}, got {mode!r}")
     levels = np.asarray(levels, dtype=float)
     if levels.ndim == 1:
         levels = levels[None, :]
     if mode == "same-quarter":
-        offsets = [l * params.frequency for l in range(1, params.m + 1)]
+        offsets = [4 * l for l in range(1, params.m + 1)]
     else:
         offsets = list(range(1, params.burn_in + 1))
     # the longest offset is the burn-in, so cells before it come out NaN
@@ -125,13 +105,10 @@ def anomaly(
                          norm=norm, mode=mode)
 
 
-def sign_split(a: AnomalySeries | np.ndarray) -> SignedAnomalyPair:
-    """Split into max(x, 0) and min(x, 0); NaN cells stay NaN on both sides."""
-    values = a.values if isinstance(a, AnomalySeries) else np.asarray(a, float)
-    return SignedAnomalyPair(
-        positive=np.maximum(values, 0.0),
-        negative=np.minimum(values, 0.0),
-    )
+def sign_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max(x, 0), min(x, 0)), so positive + negative == values; NaN cells
+    stay NaN on both sides."""
+    return np.maximum(values, 0.0), np.minimum(values, 0.0)
 
 
 def seasonal_shock(
@@ -139,9 +116,8 @@ def seasonal_shock(
     time,
     season: str,
     polarity: str,
-    season_map: dict[int, str] | None = None,
     sign_conditioned: bool = True,
-) -> SeasonalShock:
+) -> np.ndarray:
     """Anomaly restricted to one season's quarters, one polarity.
 
     With sign_conditioned (default) only the matching-signed part survives
@@ -150,13 +126,12 @@ def seasonal_shock(
     season are zero; undefined anomaly cells stay NaN.
     """
     if season not in SEASONS:
-        raise ValueError(f"season must be one of {SEASONS}, got {season!r}")
+        raise SpecError(f"season must be one of {SEASONS}, got {season!r}")
     if polarity not in POLARITY_SIGN:
-        raise ValueError(f"polarity must be one of {sorted(POLARITY_SIGN)}, "
-                         f"got {polarity!r}")
-    season_map = season_map or SEASON_OF_QUARTER
+        raise SpecError(f"polarity must be one of {sorted(POLARITY_SIGN)}, "
+                        f"got {polarity!r}")
     in_season = np.array(
-        [season_map[q.quarter] == season for q in time], dtype=bool
+        [SEASON_OF_QUARTER[q.quarter] == season for q in time], dtype=bool
     )
     if sign_conditioned:
         part = (np.maximum(a.values, 0.0) if POLARITY_SIGN[polarity] > 0
@@ -165,7 +140,7 @@ def seasonal_shock(
         part = a.values
     values = np.where(in_season[None, :], part, 0.0)
     values[np.isnan(a.values)] = np.nan
-    return SeasonalShock(season=season, polarity=polarity, values=values)
+    return values
 
 
 def weighted_aggregate(
@@ -181,11 +156,11 @@ def weighted_aggregate(
     weights = np.asarray(weights, dtype=float)
     groups = [str(g) for g in groups]
     if values.ndim != 2 or len(groups) != values.shape[0]:
-        raise ValueError("values must be (units, quarters) matching groups")
+        raise SpecError("values must be (units, quarters) matching groups")
     if weights.shape != (values.shape[0],):
-        raise ValueError("one weight per unit row required")
+        raise SpecError("one weight per unit row required")
     if (weights < 0).any():
-        raise ValueError("weights must be nonnegative")
+        raise SpecError("weights must be nonnegative")
     if regions is None:
         seen = []
         for g in groups:
@@ -222,7 +197,6 @@ def attach_anomaly_features(
     polarities: tuple[str, str] = ("hot", "cold"),
     seasonal: bool = True,
     sign_conditioned: bool = True,
-    frequency: int = 4,
 ) -> PanelDataset:
     """Compute and append the derived climate series for one variable.
 
@@ -231,8 +205,7 @@ def attach_anomaly_features(
     seasons. Raises BurnInError when the panel is too short for any cell to
     have m years of history.
     """
-    params = NormParams(m=m, frequency=frequency)
-    a = anomaly(ds.values(var), params, variable=var, mode=mode)
+    a = anomaly(ds.values(var), NormParams(m), variable=var, mode=mode)
     if not np.isfinite(a.values).any():
         raise BurnInError(
             f"{var!r}: no quarter has the {m} years of history needed for "
@@ -242,9 +215,9 @@ def attach_anomaly_features(
     base = anomaly_name(var, m)
     out = ds.with_series(f"{var}_norm_m{m}", a.norm, unit)
     out = out.with_series(base, a.values, unit)
-    pair = sign_split(a)
-    out = out.with_series(f"{base}_pos", pair.positive, unit)
-    out = out.with_series(f"{base}_neg", pair.negative, unit)
+    positive, negative = sign_split(a.values)
+    out = out.with_series(f"{base}_pos", positive, unit)
+    out = out.with_series(f"{base}_neg", negative, unit)
     if seasonal:
         for season in SEASONS:
             for polarity in polarities:
@@ -253,6 +226,6 @@ def attach_anomaly_features(
                     sign_conditioned=sign_conditioned,
                 )
                 out = out.with_series(
-                    seasonal_name(var, season, polarity, m), shock.values, unit
+                    seasonal_name(var, season, polarity, m), shock, unit
                 )
     return out

@@ -1,4 +1,5 @@
-"""Balanced regional quarterly panels: ingestion, validation, transforms.
+"""Balanced regional quarterly panels: ingestion, validation, log and lag
+arithmetic, summaries.
 
 A panel is a set of named region-by-quarter matrices sharing one region list
 and one contiguous quarterly index. Missing cells are NaN; estimators drop
@@ -75,7 +76,7 @@ def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex,
     """Inclusive contiguous range of quarters."""
     n = end - start
     if n < 0:
-        raise ValueError(f"empty quarter range {start}..{end}")
+        raise SpecError(f"empty quarter range {start}..{end}")
     return tuple(start.offset(i) for i in range(n + 1))
 
 
@@ -195,34 +196,6 @@ class PanelDataset:
                 f"{self.time[0]}..{self.time[-1]})")
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """One derived-series definition.
-
-    kind is one of 'log', 'diff', 'log-diff', 'cumulative-log-growth';
-    the last one takes a lead ``horizon`` h and produces
-    log(x[t+h]) - log(x[t-1]).
-    """
-
-    kind: str
-    source: str
-    horizon: int = 0
-    name: str | None = None
-
-    _KINDS = ("log", "diff", "log-diff", "cumulative-log-growth")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise SpecError(f"unknown transform kind {self.kind!r}")
-        if self.horizon < 0:
-            raise SpecError("horizon must be >= 0")
-
-    def output_name(self) -> str:
-        prefix = {"log": "log", "diff": "d", "log-diff": "dlog"}.get(
-            self.kind, f"cg{self.horizon}")
-        return self.name or f"{prefix}_{self.source}"
-
-
 def checked_log(ds: PanelDataset, name: str) -> np.ndarray:
     """Elementwise log of a series, rejecting non-positive cells."""
     mat = ds.values(name)
@@ -245,31 +218,6 @@ def shift(mat: np.ndarray, k: int) -> np.ndarray:
     if abs(k) < T:
         out[:, max(k, 0):T + min(k, 0)] = mat[:, max(-k, 0):T - max(k, 0)]
     return out
-
-
-def transform(ds: PanelDataset, spec: TransformSpec) -> PanelDataset:
-    """Append the derived series described by ``spec``.
-
-    log-diff at t is log(x[t]) - log(x[t-1]); cumulative-log-growth(h) at t
-    is log(x[t+h]) - log(x[t-1]). Cells without the needed leads/lags are NaN.
-    """
-    if spec.kind == "diff":
-        mat = ds.values(spec.source)
-        out = mat - shift(mat, 1)
-    else:
-        out = checked_log(ds, spec.source)
-        if spec.kind == "log-diff":
-            out = out - shift(out, 1)
-        elif spec.kind == "cumulative-log-growth":
-            out = shift(out, -spec.horizon) - shift(out, 1)
-    unit = ds.unit(spec.source)
-    derived_unit = {
-        "log": f"log({unit})" if unit else "log",
-        "diff": unit,
-        "log-diff": "log change",
-        "cumulative-log-growth": "cumulative log change",
-    }[spec.kind]
-    return ds.with_series(spec.output_name(), out, derived_unit)
 
 
 def subset(

@@ -23,7 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import PanelDataset, QuarterIndex, _quarter_code
+from .dataset import QuarterIndex, _quarter_code
 from .errors import (
     BandwidthError,
     DegreesOfFreedomError,
@@ -31,8 +31,6 @@ from .errors import (
     SampleError,
     SpecError,
 )
-
-FIXED_EFFECT_DIMS = ("region", "time")
 
 _RANK_TOL = 1e-10
 # LAPACK dgeqp3 recomputes a downdated column norm once cancellation has
@@ -75,42 +73,17 @@ def default_bandwidth(n_periods: int) -> int:
 
 
 @dataclass(frozen=True)
-class RegressionSpec:
-    """One fixed-effects regression: outcome, regressors, FE dims, window."""
-
-    outcome: str
-    regressors: tuple[str, ...]
-    fixed_effects: tuple[str, ...] = ()
-    sample: tuple[QuarterIndex | str, QuarterIndex | str] | None = None
-    add_constant: bool | None = None
-
-    def __post_init__(self):
-        if not self.regressors:
-            raise ValueError("at least one regressor is required")
-        if len(set(self.regressors)) != len(self.regressors):
-            raise ValueError("regressor names must be unique")
-        bad = [d for d in self.fixed_effects if d not in FIXED_EFFECT_DIMS]
-        if bad:
-            raise ValueError(f"unknown fixed-effect dims {bad}; "
-                             f"allowed: {FIXED_EFFECT_DIMS}")
-
-
-@dataclass(frozen=True)
 class Design:
     """Stacked regression sample (region-major, time within region)."""
 
     y: np.ndarray
     X: np.ndarray
     names: tuple[str, ...]
-    region_codes: np.ndarray   # row index into regions
+    region_codes: np.ndarray   # position in design_from_matrices' regions
     time_codes: np.ndarray     # absolute quarter number (year*4 + quarter-1)
-    regions: tuple[str, ...]
-    time: tuple[QuarterIndex, ...]
     fixed_effects: tuple[str, ...] = ()
     demeaned: bool = False
     absorbed: int = 0
-    orig_y: np.ndarray | None = None
-    orig_X: np.ndarray | None = None
 
     @property
     def nobs(self) -> int:
@@ -145,7 +118,6 @@ def design_from_matrices(
     the outcome or a regressor are dropped. When no fixed effects are
     declared a constant column is appended (override with add_constant).
     """
-    regions = tuple(regions)
     time = tuple(time)
     if window is not None:
         sl = window_slice(time, window)
@@ -176,18 +148,7 @@ def design_from_matrices(
     return Design(
         y=y[keep], X=X, names=tuple(names),
         region_codes=region_codes, time_codes=time_codes,
-        regions=regions, time=time, fixed_effects=tuple(fixed_effects),
-    )
-
-
-def build_design(ds: PanelDataset, spec: RegressionSpec) -> Design:
-    """Design for a RegressionSpec over named panel series."""
-    y_mat = ds.values(spec.outcome)
-    x_named = [(name, ds.values(name)) for name in spec.regressors]
-    return design_from_matrices(
-        y_mat, x_named, ds.regions, ds.time,
-        fixed_effects=spec.fixed_effects, window=spec.sample,
-        add_constant=spec.add_constant,
+        fixed_effects=tuple(fixed_effects),
     )
 
 
@@ -202,7 +163,7 @@ def _demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
     return Z - (_group_sums(Z, codes, n_groups) / counts[:, None])[codes]
 
 
-def within_transform(design: Design, drop_singletons: bool = True) -> Design:
+def within_transform(design: Design) -> Design:
     """Absorb declared fixed effects by demeaning.
 
     One-way absorption subtracts group means. Two-way absorption is the
@@ -219,37 +180,33 @@ def within_transform(design: Design, drop_singletons: bool = True) -> Design:
         return design
     dims = design.fixed_effects
     if not dims:
-        return replace(design, demeaned=True, absorbed=0,
-                       orig_y=design.y, orig_X=design.X)
+        return replace(design, demeaned=True, absorbed=0)
 
     code_arrays = {"region": design.region_codes, "time": design.time_codes}
     keep = np.ones(design.nobs, dtype=bool)
     dropped = 0
-    if drop_singletons:
-        changed = True
-        while changed:
-            changed = False
-            for dim in dims:
-                codes = code_arrays[dim][keep]
-                vals, counts = np.unique(codes, return_counts=True)
-                singles = vals[counts == 1]
-                if singles.size:
-                    hit = keep & np.isin(code_arrays[dim], singles)
-                    keep &= ~hit
-                    dropped += int(hit.sum())
-                    changed = True
-        if dropped:
-            warnings.warn(
-                f"dropped {dropped} observation(s) in singleton "
-                f"fixed-effect group(s); they have no within variation",
-                stacklevel=2,
-            )
+    changed = True
+    while changed:
+        changed = False
+        for dim in dims:
+            codes = code_arrays[dim][keep]
+            vals, counts = np.unique(codes, return_counts=True)
+            singles = vals[counts == 1]
+            if singles.size:
+                hit = keep & np.isin(code_arrays[dim], singles)
+                keep &= ~hit
+                dropped += int(hit.sum())
+                changed = True
+    if dropped:
+        warnings.warn(
+            f"dropped {dropped} observation(s) in singleton "
+            f"fixed-effect group(s); they have no within variation",
+            stacklevel=2,
+        )
     if not keep.any():
         raise SampleError("no observations remain after dropping singleton "
                           "fixed-effect groups")
 
-    y = design.y[keep]
-    X = design.X[keep]
     region_codes = design.region_codes[keep]
     time_codes = design.time_codes[keep]
 
@@ -261,7 +218,7 @@ def within_transform(design: Design, drop_singletons: bool = True) -> Design:
         recoded[dim] = codes
         group_counts[dim] = len(vals)
 
-    Z = np.column_stack([y, X])
+    Z = np.column_stack([design.y[keep], design.X[keep]])
     if len(dims) == 1:
         Z = _demean(Z, recoded[dims[0]], group_counts[dims[0]])
         absorbed = group_counts[dims[0]]
@@ -280,9 +237,7 @@ def within_transform(design: Design, drop_singletons: bool = True) -> Design:
     return Design(
         y=Z[:, 0], X=Z[:, 1:], names=design.names,
         region_codes=region_codes, time_codes=time_codes,
-        regions=design.regions, time=design.time,
         fixed_effects=dims, demeaned=True, absorbed=absorbed,
-        orig_y=y, orig_X=X,
     )
 
 
@@ -290,9 +245,8 @@ def within_transform(design: Design, drop_singletons: bool = True) -> Design:
 class FitResult:
     """One estimated fixed-effects regression.
 
-    residuals is a (regions, quarters) matrix on the design grid, NaN
-    outside the estimation sample. within_x / resid_vec / xtx_inv retain the
-    demeaned internals needed by the covariance estimators.
+    within_x / resid_vec / time_codes / xtx_inv retain the demeaned
+    internals needed by the covariance estimators.
     """
 
     names: tuple[str, ...]
@@ -303,15 +257,10 @@ class FitResult:
     dof: int
     rank: int
     absorbed: int
-    residuals: np.ndarray
-    fe_estimates: dict | None
     vcov_kind: str
     within_x: np.ndarray
     resid_vec: np.ndarray
-    region_codes: np.ndarray
     time_codes: np.ndarray
-    regions: tuple[str, ...]
-    time: tuple[QuarterIndex, ...]
     xtx_inv: np.ndarray
 
     def coef_for(self, name: str) -> float:
@@ -414,7 +363,7 @@ def _describe_rank_deficiency(Rp, piv, rank, names, norms):
     return offenders, lines
 
 
-def ols(design: Design, recover_fe: bool = False) -> FitResult:
+def ols(design: Design) -> FitResult:
     """Least squares on the (within-transformed) design via pivoted QR.
 
     Raises RankDeficiencyError naming the collinear or degenerate columns
@@ -446,67 +395,12 @@ def ols(design: Design, recover_fe: bool = False) -> FitResult:
     sigma2 = float(resid @ resid) / dof
     vcov = sigma2 * xtx_inv
     se = np.sqrt(np.diag(vcov))
-
-    t0 = _quarter_code(d.time[0].year, d.time[0].quarter)
-    resid_mat = np.full((len(d.regions), len(d.time)), np.nan)
-    resid_mat[d.region_codes, d.time_codes - t0] = resid
-
-    fe = _recover_fixed_effects(d, coef) if recover_fe else None
-
     return FitResult(
         names=d.names, coef=coef, vcov=vcov, se=se,
         nobs=n, dof=dof, rank=rank, absorbed=d.absorbed,
-        residuals=resid_mat, fe_estimates=fe, vcov_kind="classical",
-        within_x=d.X, resid_vec=resid,
-        region_codes=d.region_codes, time_codes=d.time_codes,
-        regions=d.regions, time=d.time, xtx_inv=xtx_inv,
+        vcov_kind="classical", within_x=d.X, resid_vec=resid,
+        time_codes=d.time_codes, xtx_inv=xtx_inv,
     )
-
-
-def _recover_fixed_effects(d: Design, coef: np.ndarray) -> dict:
-    """Least-squares FE intercepts from the pre-demeaning data.
-
-    Time effects are normalized to zero in the first sample period when both
-    dimensions are present.
-    """
-    if not d.fixed_effects:
-        return {}
-    e0 = d.orig_y - d.orig_X @ coef
-    out: dict[str, dict] = {}
-    if d.fixed_effects == ("time",) or d.fixed_effects == ("region",):
-        dim = d.fixed_effects[0]
-        raw = d.region_codes if dim == "region" else d.time_codes
-        vals = np.unique(raw)
-        labels = _fe_labels(d, dim, vals)
-        means = [float(e0[raw == v].mean()) for v in vals]
-        out[dim] = dict(zip(labels, means))
-        return out
-    rvals, rcodes = np.unique(d.region_codes, return_inverse=True)
-    tvals, tcodes = np.unique(d.time_codes, return_inverse=True)
-    G, T = len(rvals), len(tvals)
-    D = np.zeros((d.orig_y.shape[0], G + T - 1))
-    D[np.arange(len(rcodes)), rcodes] = 1.0
-    nz = tcodes > 0
-    D[np.nonzero(nz)[0], G + tcodes[nz] - 1] = 1.0
-    sol, *_ = np.linalg.lstsq(D, e0, rcond=None)
-    out["region"] = dict(zip(_fe_labels(d, "region", rvals), sol[:G]))
-    tvals_fx = np.concatenate([[0.0], sol[G:]])
-    out["time"] = dict(zip(_fe_labels(d, "time", tvals), tvals_fx))
-    return out
-
-
-def _fe_labels(d: Design, dim: str, vals) -> list:
-    if dim == "region":
-        return [d.regions[v] for v in vals]
-    return [str(QuarterIndex(v // 4, v % 4 + 1)) for v in vals]
-
-
-def vcov_classical(fit: FitResult) -> np.ndarray:
-    """sigma^2 (X'X)^-1 with sigma^2 = RSS / dof."""
-    if fit.dof <= 0:
-        raise DegreesOfFreedomError(f"dof={fit.dof}")
-    sigma2 = float(fit.resid_vec @ fit.resid_vec) / fit.dof
-    return sigma2 * fit.xtx_inv
 
 
 def _dk_meat(scores: np.ndarray, time_codes: np.ndarray,
@@ -637,7 +531,7 @@ def confidence_band(
     degenerates to [coef, coef].
     """
     if not 0.0 <= level < 1.0:
-        raise ValueError(f"level must be in [0, 1), got {level}")
+        raise SpecError(f"level must be in [0, 1), got {level}")
     p = (1.0 + level) / 2.0
     if not use_t:
         q = NormalDist().inv_cdf(p)

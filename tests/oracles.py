@@ -4,14 +4,18 @@ Everything here is deliberately written as plain loops and lstsq calls so
 it shares no code path with the package: spreadsheet-style norm and anomaly
 recomputation, full dummy-variable least squares and residual projection,
 double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
-zero, and simulation-based truths for the local-projection and ARDL designs.
-fe_panel generates the generic fixed-effects panel the regression tests fit.
+zero, classical covariance, and simulation-based truths for the
+local-projection and ARDL designs. fe_panel generates the generic
+fixed-effects panel the regression tests fit, and panel_design the design
+of named series they pass to ols.
 """
 import math
 
 import numpy as np
 
 from climpanel.dataset import PanelDataset
+from climpanel.errors import DegreesOfFreedomError
+from climpanel.regress import design_from_matrices
 from climpanel.simulate import _grid
 
 
@@ -76,6 +80,15 @@ def lsdv_residuals(Z, region_codes, time_codes, fixed_effects):
     ])
     coef, _, rank, _ = np.linalg.lstsq(D, Z, rcond=None)
     return Z - D @ coef, int(rank)
+
+
+def vcov_classical(fit):
+    """sigma^2 (X'X)^-1 with sigma^2 = RSS / dof, from a fit's residuals and
+    its (X'X)^-1."""
+    if fit.dof <= 0:
+        raise DegreesOfFreedomError(f"dof={fit.dof}")
+    sigma2 = float(fit.resid_vec @ fit.resid_vec) / fit.dof
+    return sigma2 * fit.xtx_inv
 
 
 def newey_west_double_loop(X, resid, bandwidth, small_sample=True):
@@ -199,3 +212,14 @@ def fe_panel(
     series = {"y": y}
     series.update({f"x{i + 1}": x for i, x in enumerate(xs)})
     return PanelDataset(regions, time, series, {})
+
+
+def panel_design(ds, outcome, regressors, fixed_effects=(),
+                 add_constant=None):
+    """Design of ds's named outcome on its named regressors over the whole
+    panel (a constant column when there are no fixed effects, unless
+    add_constant says otherwise)."""
+    return design_from_matrices(
+        ds.values(outcome), [(name, ds.values(name)) for name in regressors],
+        ds.regions, ds.time, fixed_effects=fixed_effects,
+        add_constant=add_constant)

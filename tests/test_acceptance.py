@@ -18,11 +18,9 @@ from climpanel import (
     LPSpec,
     NormParams,
     PanelSchema,
-    RegressionSpec,
     anomaly,
     annualize,
     attach_anomaly_features,
-    build_design,
     estimate_ardl,
     estimate_irf,
     load_panel,
@@ -42,6 +40,7 @@ from oracles import (
     fe_panel,
     lp_true_cumulative_response,
     newey_west_double_loop,
+    panel_design,
 )
 
 Z90 = float(stats.norm.ppf(0.95))
@@ -68,8 +67,8 @@ def test_anomaly_engine_bruteforce_1e12():
     assert defined.sum() == T - m * 4
     err_norm = np.nanmax(np.abs(a.norm[0] - np.asarray(exp_norm)))
     err_vals = np.nanmax(np.abs(a.values[0] - np.asarray(exp_vals)))
-    pair = sign_split(a)
-    recomposed = pair.positive + pair.negative
+    positive, negative = sign_split(a.values)
+    recomposed = positive + negative
     exact = np.array_equal(recomposed[0][defined], a.values[0][defined])
     elapsed = time.perf_counter() - t0
     ok = err_norm <= 1e-12 and err_vals <= 1e-12 and exact and elapsed < 1.0
@@ -100,8 +99,7 @@ def test_lsdv_equivalence_200_panels():
         fe = [("region",), ("time",), ("region", "time")][rep % 3]
         ds = fe_panel(n_regions=R, n_quarters=T, betas=(1.2, -0.4),
                       seed=int(rng.integers(0, 2**31)))
-        design = build_design(ds, RegressionSpec("y", ("x1", "x2"),
-                                                 fixed_effects=fe))
+        design = panel_design(ds, "y", ("x1", "x2"), fixed_effects=fe)
         fit = ols(design)
         oracle = dummy_ols_slopes(design.y, design.X, design.region_codes,
                                   design.time_codes, fe)

@@ -1,6 +1,9 @@
 """The package's public surface: its exported names and its error types."""
+import re
 import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import climpanel
@@ -9,8 +12,14 @@ from climpanel import (
     HACSpec,
     LPSpec,
     NormParams,
-    TransformSpec,
+    QuarterIndex,
     annualize,
+    confidence_band,
+    historical_norm,
+    quarter_range,
+    seasonal_shock,
+    select_lag_bic,
+    weighted_aggregate,
 )
 from climpanel.errors import ClimPanelError, ConfigError
 
@@ -25,6 +34,13 @@ def test_star_import_binds_exactly_all():
                 if isinstance(obj, types.ModuleType)]
 
 
+def test_every_public_name_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert [name for name in climpanel.__all__
+            if not re.search(rf"\b{name}\b", readme)] == []
+
+
 @pytest.mark.parametrize("make", [
     lambda: LPSpec("cpi", "shock", lags=-1),
     lambda: LPSpec("cpi", "shock", level=1.0),
@@ -32,10 +48,19 @@ def test_star_import_binds_exactly_all():
     lambda: ARDLSpec("cpi", ()),
     lambda: HACSpec(-1),
     lambda: NormParams(0),
-    lambda: TransformSpec("cube", "cpi"),
     lambda: annualize(0.5, 0),
+    lambda: historical_norm(np.zeros((1, 8)), NormParams(1), mode="monthly"),
+    lambda: seasonal_shock(None, (), "monsoon", "hot"),
+    lambda: seasonal_shock(None, (), "summer", "humid"),
+    lambda: weighted_aggregate(np.ones(3), [1.0], ["a"]),
+    lambda: weighted_aggregate(np.ones((2, 3)), [-1.0, 2.0], ["a", "a"]),
+    lambda: confidence_band(None, 1.0),
+    lambda: select_lag_bic(None, ARDLSpec("cpi", ("x",)), candidates=()),
+    lambda: quarter_range(QuarterIndex(2001, 1), QuarterIndex(2000, 4)),
 ], ids=["lp-lags", "lp-level", "ardl-p", "ardl-block", "hac-bandwidth",
-        "norm-m", "transform-kind", "annualize-m"])
+        "norm-m", "annualize-m", "norm-mode", "season", "polarity",
+        "aggregate-shape", "aggregate-weights", "band-level",
+        "bic-candidates", "quarter-range"])
 def test_spec_errors_are_typed(make):
     with pytest.raises(ClimPanelError) as info:
         make()

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import climpanel
 from climpanel import (
@@ -541,3 +544,97 @@ def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _project(root, climate, prices):
+    """root/run.ini naming root/data/{climate,prices}.csv relatively."""
+    (root / "data").mkdir(parents=True)
+    (root / "data" / "climate.csv").write_text(climate, encoding="utf-8")
+    (root / "data" / "prices.csv").write_text(prices, encoding="utf-8")
+    (root / "run.ini").write_text(BASE_CONFIG.format(data="data", out="out"),
+                                  encoding="utf-8")
+    return root / "run.ini"
+
+
+def test_config_paths_resolve_against_the_config_file(workspace, tmp_path,
+                                                      monkeypatch):
+    # [input] paths and [output] dir are relative to the config file, --out
+    # to the working directory; the config hash keeps the paths as written
+    texts = [(workspace["data"] / name).read_text(encoding="utf-8")
+             for name in ("climate.csv", "prices.csv")]
+    _project(tmp_path / "proj", *texts)
+    sub = tmp_path / "proj" / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(sub)
+    assert main(["stats", "--config", "../run.ini"]) == 0
+    assert main(["stats", "--config", "../run.ini", "--out", "here"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--config", "proj/run.ini", "--out", "cwd"]) == 0
+    got = {(path / "summary_stats.csv").read_bytes()
+           for path in (tmp_path / "proj" / "out", sub / "here",
+                        tmp_path / "cwd")}
+    assert len(got) == 1
+
+
+def _pipeline_outputs(climate, prices):
+    """{file name: bytes} of anomaly, lp, ardl and stats on the two texts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _project(Path(tmp), climate, prices)
+        for cmd in ("anomaly", "lp", "ardl", "stats"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        return {p.name: p.read_bytes() for p in (Path(tmp) / "out").iterdir()}
+
+
+def _split(text):
+    """(comment and header lines, data rows) of a panel CSV."""
+    lines = text.splitlines(keepends=True)
+    head = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    return lines[:head + 1], lines[head + 1:]
+
+
+def _region(row):
+    return row.split(",", 1)[0]
+
+
+def _shuffle_keeping_region_order(rows, rnd):
+    """rows in random order, the regions still first appearing in their
+    original order: shuffle, then refill the slots of the i-th region to
+    appear with the (shuffled) rows of the i-th original region; every
+    region has as many rows, the panel being balanced."""
+    shuffled = rnd.sample(rows, len(rows))
+    pools = {region: [r for r in shuffled if _region(r) == region]
+             for region in dict.fromkeys(map(_region, rows))}
+    slots = dict(zip(dict.fromkeys(map(_region, shuffled)), pools))
+    return [pools[slots[_region(r)]].pop() for r in shuffled]
+
+
+def _repeat_some(rows, rnd):
+    """rows with a few of them repeated later in the file."""
+    rows = list(rows)
+    for _ in range(rnd.randint(1, 4)):
+        i = rnd.randrange(len(rows))
+        rows.insert(rnd.randint(i + 1, len(rows)), rows[i])
+    return rows
+
+
+@pytest.fixture(scope="module")
+def ordered_outputs(workspace):
+    texts = [(workspace["data"] / name).read_text(encoding="utf-8")
+             for name in ("climate.csv", "prices.csv")]
+    return texts, _pipeline_outputs(*texts)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(rnd=st.randoms(use_true_random=False))
+def test_row_order_and_repeated_rows_change_no_output(ordered_outputs, rnd):
+    # price rows in any order, climate rows in any order that keeps the
+    # order in which the regions first appear (it fixes the region order)
+    (climate, prices), want = ordered_outputs
+    head, rows = _split(climate)
+    climate = "".join(head + _repeat_some(
+        _shuffle_keeping_region_order(rows, rnd), rnd))
+    head, rows = _split(prices)
+    prices = "".join(head + _repeat_some(rnd.sample(rows, len(rows)), rnd))
+    got = _pipeline_outputs(climate, prices)
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []

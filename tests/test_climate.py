@@ -146,25 +146,25 @@ def test_norm_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_sign_split_example():
-    pair = sign_split(np.array([[-1.0, 0.0, 2.0]]))
-    np.testing.assert_array_equal(pair.positive, [[0.0, 0.0, 2.0]])
-    np.testing.assert_array_equal(pair.negative, [[-1.0, 0.0, 0.0]])
+    positive, negative = sign_split(np.array([[-1.0, 0.0, 2.0]]))
+    np.testing.assert_array_equal(positive, [[0.0, 0.0, 2.0]])
+    np.testing.assert_array_equal(negative, [[-1.0, 0.0, 0.0]])
 
 
 def test_sign_split_all_positive():
-    pair = sign_split(np.array([[1.0, 2.0, 3.0]]))
-    assert np.all(pair.negative == 0.0)
+    _, negative = sign_split(np.array([[1.0, 2.0, 3.0]]))
+    assert np.all(negative == 0.0)
 
 
 @settings(max_examples=200)
 @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
                   elements=st.floats(allow_nan=True, width=64)))
 def test_sign_split_partition_identity(values):
-    pair = sign_split(values)
-    np.testing.assert_array_equal(pair.positive + pair.negative, values)
+    positive, negative = sign_split(values)
+    np.testing.assert_array_equal(positive + negative, values)
     finite = np.isfinite(values)
-    assert np.all(pair.positive[finite] >= 0.0)
-    assert np.all(pair.negative[finite] <= 0.0)
+    assert np.all(positive[finite] >= 0.0)
+    assert np.all(negative[finite] <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +182,22 @@ def test_hot_summer_on_negative_series_is_zero():
     vals = np.where(np.isfinite(a.values), -np.abs(a.values) - 0.5, np.nan)
     forced = type(a)(variable="", params=a.params, values=vals, norm=a.norm)
     shock = seasonal_shock(forced, time, "summer", "hot")
-    defined = np.isfinite(shock.values)
-    assert np.all(shock.values[defined] == 0.0)
+    defined = np.isfinite(shock)
+    assert np.all(shock[defined] == 0.0)
 
 
 def test_cold_winter_only_q1():
     a, time = _small_anomaly(seed=5)
     shock = seasonal_shock(a, time, "winter", "cold")
     for t, q in enumerate(time):
-        col = shock.values[:, t]
+        col = shock[:, t]
         finite = np.isfinite(col)
         if q.quarter != 1:
             assert np.all(col[finite] == 0.0)
         assert np.all(col[finite] <= 0.0)
     # some winter cell should be active for this draw
     winter_cols = [t for t, q in enumerate(time) if q.quarter == 1]
-    assert np.nansum(np.abs(shock.values[:, winter_cols])) > 0
+    assert np.nansum(np.abs(shock[:, winter_cols])) > 0
 
 
 def test_season_partition_recovers_anomaly():
@@ -206,7 +206,7 @@ def test_season_partition_recovers_anomaly():
     for season in ("winter", "spring", "summer", "autumn"):
         for polarity in ("hot", "cold"):
             total += np.nan_to_num(
-                seasonal_shock(a, time, season, polarity).values)
+                seasonal_shock(a, time, season, polarity))
     defined = np.isfinite(a.values)
     np.testing.assert_array_equal(total[defined], a.values[defined])
 
@@ -215,7 +215,7 @@ def test_seasonal_interaction_form():
     a, time = _small_anomaly(seed=13)
     raw = seasonal_shock(a, time, "spring", "hot", sign_conditioned=False)
     for t, q in enumerate(time):
-        col = raw.values[:, t]
+        col = raw[:, t]
         finite = np.isfinite(col)
         if q.quarter == 2:
             np.testing.assert_array_equal(col[finite], a.values[:, t][finite])

@@ -1,4 +1,4 @@
-"""Panel container, CSV round trips, transforms and summaries."""
+"""Panel container, CSV round trips, log changes and summaries."""
 import math
 import tracemalloc
 
@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from climpanel import (
+    LPSpec,
     PanelDataset,
     PanelSchema,
     QuarterIndex,
-    TransformSpec,
+    build_lp_design,
     load_panel,
     merge_panels,
     quarter_range,
     subset,
     summary_stats,
-    transform,
     write_panel,
 )
-from climpanel.dataset import shift
+from climpanel.dataset import checked_log, shift
 from climpanel.errors import (
     DataValidationError,
     EmptyPanelError,
@@ -202,15 +202,19 @@ def test_round_trip_bitwise(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# transform
+# log changes, built from checked_log and shift as the LP and ARDL designs
+# build them
 # ---------------------------------------------------------------------------
+
+def log_change(ds, name):
+    log = checked_log(ds, name)
+    return log - shift(log, 1)
+
 
 def test_logdiff_constant_is_zero():
     ds = make_panel()
     const = np.full((ds.n_regions, ds.n_quarters), 100.0)
-    ds = ds.with_series("flat", const)
-    out = transform(ds, TransformSpec("log-diff", "flat"))
-    vals = out.values("dlog_flat")
+    vals = log_change(ds.with_series("flat", const), "flat")
     assert np.all(vals[:, 1:] == 0.0)
     assert np.all(np.isnan(vals[:, 0]))
 
@@ -218,18 +222,23 @@ def test_logdiff_constant_is_zero():
 def test_logdiff_hand_value():
     time = quarter_range(QuarterIndex(2000, 1), QuarterIndex(2000, 2))
     ds = PanelDataset(["a"], time, {"x": [[100.0, 102.0]]})
-    out = transform(ds, TransformSpec("log-diff", "x"))
-    got = out.values("dlog_x")[0, 1]
+    got = log_change(ds, "x")[0, 1]
     assert got == pytest.approx(math.log(1.02), rel=1e-12)
     assert abs(got - 0.019803) < 1e-6
 
 
 def test_cumulative_log_growth_h0_equals_logdiff():
+    # at horizon 0 the LP outcome log(P[t]) - log(P[t-1]) is the log change
+    # whose first lag is a control, so each row's outcome is the lag of the
+    # region's next row
     ds = make_panel(seed=5)
-    a = transform(ds, TransformSpec("log-diff", "cpi"))
-    b = transform(ds, TransformSpec("cumulative-log-growth", "cpi", horizon=0))
-    np.testing.assert_array_equal(
-        a.values("dlog_cpi"), b.values("cg0_cpi"))
+    spec = LPSpec("cpi", "temp", lags=1, fixed_effects=())
+    design = build_lp_design(ds, spec, 0)
+    np.testing.assert_array_equal(design.y,
+                                  log_change(ds, "cpi")[:, 2:].ravel())
+    lag = design.X[:, design.names.index("dlog_cpi_lag1")]
+    same = design.region_codes[1:] == design.region_codes[:-1]
+    np.testing.assert_array_equal(design.y[:-1][same], lag[1:][same])
 
 
 def test_shift_lags_and_leads_with_nan_outside_the_panel():
@@ -247,13 +256,12 @@ def test_log_rejects_nonpositive():
     time = quarter_range(QuarterIndex(2000, 1), QuarterIndex(2000, 2))
     ds = PanelDataset(["a"], time, {"x": [[100.0, -1.0]]})
     with pytest.raises(TransformDomainError, match="2000Q2"):
-        transform(ds, TransformSpec("log", "x"))
+        checked_log(ds, "x")
 
 
 def test_logdiff_telescopes_to_1e12():
     ds = make_panel(seed=9, n_quarters=40)
-    out = transform(ds, TransformSpec("log-diff", "cpi"))
-    dl = out.values("dlog_cpi")
+    dl = log_change(ds, "cpi")
     lg = np.log(ds.values("cpi"))
     a, b = 5, 31
     total = dl[:, a:b + 1].sum(axis=1)

@@ -109,7 +109,8 @@ def test_zero_variance_shock_raises_rank_error():
 def test_failing_horizon_reported_others_returned():
     ds = lp_panel(n_regions=3, n_quarters=16, seed=9)
     spec = LPSpec("price", "shock", horizons=tuple(range(13)), lags=2)
-    res = estimate_irf(ds, spec)
+    with pytest.warns(UserWarning, match="singleton"):
+        res = estimate_irf(ds, spec)
     assert res.responses  # early horizons estimable
     assert res.failures   # impossible ones recorded
     failed = {f.horizon for f in res.failures}

@@ -11,14 +11,11 @@ from climpanel import (
     HACSpec,
     PanelDataset,
     QuarterIndex,
-    RegressionSpec,
-    build_design,
     confidence_band,
     default_bandwidth,
     ols,
     quarter_range,
     significance_stars,
-    vcov_classical,
     vcov_driscoll_kraay,
     with_driscoll_kraay,
     within_transform,
@@ -43,6 +40,8 @@ from oracles import (
     fe_panel,
     lsdv_residuals,
     newey_west_double_loop,
+    panel_design,
+    vcov_classical,
 )
 
 
@@ -71,20 +70,10 @@ def test_region_constant_regressor_demeans_to_zero():
     ds = fe_panel(n_regions=4, n_quarters=10, seed=1)
     per_region = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 10))
     ds = ds.with_series("rc", per_region)
-    design = build_design(ds, RegressionSpec("y", ("x1", "rc"),
-                                             fixed_effects=("region",)))
+    design = panel_design(ds, "y", ("x1", "rc"), fixed_effects=("region",))
     within = within_transform(design)
     rc_col = within.X[:, within.names.index("rc")]
     assert np.all(rc_col == 0.0)
-
-
-def test_one_region_time_fe_demeans_to_zero():
-    rng = np.random.default_rng(2)
-    design = simple_design(rng.normal(size=12), rng.normal(size=12),
-                           fixed_effects=("time",))
-    within = within_transform(design, drop_singletons=False)
-    assert np.all(within.y == 0.0)
-    assert np.all(within.X == 0.0)
 
 
 def test_singleton_groups_dropped_with_warning():
@@ -98,14 +87,22 @@ def test_singleton_groups_dropped_with_warning():
 
 def test_two_way_demeaning_zero_means():
     ds = fe_panel(n_regions=6, n_quarters=14, seed=4)
-    design = build_design(ds, RegressionSpec("y", ("x1",),
-                                             fixed_effects=("region", "time")))
+    design = panel_design(ds, "y", ("x1",), fixed_effects=("region", "time"))
     within = within_transform(design)
     Z = np.column_stack([within.y, within.X])
     for codes in (within.region_codes, within.time_codes):
         for val in np.unique(codes):
             means = Z[codes == val].mean(axis=0)
             assert np.abs(means).max() < 1e-12
+
+
+def _kept_rows(design, within):
+    """[y | X] of design's rows that within_transform kept, found by their
+    (region, quarter) codes."""
+    def keys(d):
+        return d.region_codes * (1 << 20) + d.time_codes
+    return np.column_stack([design.y, design.X])[
+        np.isin(keys(design), keys(within))]
 
 
 def _ragged_design(rng, R, T, layout, fixed_effects=("region", "time")):
@@ -146,7 +143,7 @@ def test_within_transform_matches_lsdv_projection(layout, fixed_effects):
                 within = within_transform(design)
             except SampleError:
                 continue
-        Z = np.column_stack([within.orig_y, within.orig_X])
+        Z = _kept_rows(design, within)
         want, rank = lsdv_residuals(Z, within.region_codes,
                                     within.time_codes, fixed_effects)
         got = np.column_stack([within.y, within.X])
@@ -166,7 +163,7 @@ def test_within_transform_singleton_drop_matches_lsdv_projection():
     with pytest.warns(UserWarning, match="dropped 2 observation"):
         within = within_transform(design)
     assert within.nobs == design.nobs - 2
-    Z = np.column_stack([within.orig_y, within.orig_X])
+    Z = _kept_rows(design, within)
     want, rank = lsdv_residuals(Z, within.region_codes, within.time_codes,
                                 ("region", "time"))
     got = np.column_stack([within.y, within.X])
@@ -239,8 +236,8 @@ def test_slope_recovery_monte_carlo():
     for seed in range(reps):
         ds = fe_panel(n_regions=7, n_quarters=100, betas=(1.5,),
                       region_sd=0.5, time_sd=0.5, seed=seed)
-        fit = ols(build_design(ds, RegressionSpec(
-            "y", ("x1",), fixed_effects=("region", "time"))))
+        fit = ols(panel_design(ds, "y", ("x1",),
+                               fixed_effects=("region", "time")))
         estimates.append(fit.coef_for("x1"))
     mean = float(np.mean(estimates))
     mc_se = float(np.std(estimates, ddof=1) / math.sqrt(reps))
@@ -249,8 +246,8 @@ def test_slope_recovery_monte_carlo():
 
 def test_residuals_orthogonal_to_design():
     ds = fe_panel(n_regions=5, n_quarters=30, betas=(1.0, -2.0), seed=7)
-    fit = ols(build_design(ds, RegressionSpec(
-        "y", ("x1", "x2"), fixed_effects=("region", "time"))))
+    fit = ols(panel_design(ds, "y", ("x1", "x2"),
+                           fixed_effects=("region", "time")))
     cross = fit.within_x.T @ fit.resid_vec
     scale = np.linalg.norm(fit.within_x, axis=0) * np.linalg.norm(fit.resid_vec)
     assert np.all(np.abs(cross) / scale < 1e-8)
@@ -264,8 +261,7 @@ def test_lsdv_equivalence_sample():
         fe = [("region",), ("time",), ("region", "time")][rep % 3]
         ds = fe_panel(n_regions=R, n_quarters=T, betas=(1.2, -0.4),
                       seed=1000 + rep)
-        design = build_design(ds, RegressionSpec("y", ("x1", "x2"),
-                                                 fixed_effects=fe))
+        design = panel_design(ds, "y", ("x1", "x2"), fixed_effects=fe)
         fit = ols(design)
         oracle = dummy_ols_slopes(design.y, design.X, design.region_codes,
                                   design.time_codes, fe)
@@ -275,37 +271,23 @@ def test_lsdv_equivalence_sample():
 def test_frisch_waugh_partialling():
     ds = fe_panel(n_regions=6, n_quarters=25, betas=(0.8, -1.1), seed=9)
     fe = ("region", "time")
-    full = ols(build_design(ds, RegressionSpec("y", ("x1", "x2"),
-                                               fixed_effects=fe)))
-    resid_y = ols(build_design(ds, RegressionSpec("y", ("x2",),
-                                                  fixed_effects=fe))).residuals
-    resid_x1 = ols(build_design(ds, RegressionSpec("x1", ("x2",),
-                                                   fixed_effects=fe))).residuals
+    full = ols(panel_design(ds, "y", ("x1", "x2"), fixed_effects=fe))
+
+    def residual_grid(outcome):
+        # the panel is balanced, so the fit keeps every design row
+        design = panel_design(ds, outcome, ("x2",), fixed_effects=fe)
+        grid = np.full((ds.n_regions, ds.n_quarters), np.nan)
+        grid[design.region_codes,
+             design.time_codes - design.time_codes.min()] = \
+            ols(design).resid_vec
+        return grid
+
+    resid_y = residual_grid("y")
+    resid_x1 = residual_grid("x1")
     partial = ols(design_from_matrices(
         resid_y, [("x1", resid_x1)], ds.regions, ds.time,
         add_constant=False))
     assert partial.coef[0] == pytest.approx(full.coef_for("x1"), abs=1e-10)
-
-
-def test_fe_estimates_reproduce_fit():
-    ds = fe_panel(n_regions=4, n_quarters=12, betas=(1.0,), seed=10)
-    design = build_design(ds, RegressionSpec("y", ("x1",),
-                                             fixed_effects=("region", "time")))
-    fit = ols(design, recover_fe=True)
-    assert set(fit.fe_estimates) == {"region", "time"}
-    assert len(fit.fe_estimates["region"]) == 4
-    # fitted = X b + alpha_r + theta_t reproduces y up to the residual
-    within = within_transform(design)
-    alphas = fit.fe_estimates["region"]
-    thetas = fit.fe_estimates["time"]
-    t0 = QuarterIndex(2000, 1)
-    for row in range(within.nobs):
-        r = within.regions[within.region_codes[row]]
-        q = str(t0.offset(int(within.time_codes[row]) - (t0.year * 4)))
-        pred = within.orig_X[row] @ fit.coef + alphas[r] + thetas[q]
-        resid = fit.residuals[within.region_codes[row],
-                              within.time_codes[row] - t0.year * 4]
-        assert within.orig_y[row] - pred == pytest.approx(resid, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +355,7 @@ def test_dk_lag0_constant_residuals_proportional_to_classical():
 
 def test_dk_lag0_equals_direct_sum():
     ds = fe_panel(n_regions=5, n_quarters=20, betas=(0.9,), seed=16)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     raw = vcov_driscoll_kraay(fit, HACSpec(0, small_sample=False))
     want = dk_direct_sum_lag0(fit.within_x, fit.resid_vec, fit.time_codes)
     np.testing.assert_allclose(raw, want, rtol=1e-10)
@@ -408,8 +389,7 @@ def test_dk_dense_grid_matches_double_loop_with_missing_periods():
 
 def test_dk_bandwidth_error():
     ds = fe_panel(n_regions=3, n_quarters=10, seed=17)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     with pytest.raises(BandwidthError):
         vcov_driscoll_kraay(fit, HACSpec(10))
 
@@ -423,8 +403,7 @@ def test_dk_psd_on_random_panels():
         ds = fe_panel(n_regions=R, n_quarters=T, betas=(1.0, 0.3),
                       seed=5000 + rep)
         fe = [(), ("region",), ("region", "time")][rep % 3]
-        fit = ols(build_design(ds, RegressionSpec("y", ("x1", "x2"),
-                                                  fixed_effects=fe)))
+        fit = ols(panel_design(ds, "y", ("x1", "x2"), fixed_effects=fe))
         V = vcov_driscoll_kraay(fit, HACSpec(L))
         np.testing.assert_allclose(V, V.T, atol=1e-14)
         eig = np.linalg.eigvalsh(V)
@@ -480,8 +459,7 @@ def test_normal_band_multiplier_matches_scipy_ndtri():
     # confidence_band takes its normal quantile from the standard library;
     # it agrees with scipy's ndtri to within 1e-15 relative at every level
     ds = fe_panel(n_regions=4, n_quarters=20, seed=19)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     unit = dataclasses.replace(fit, coef=np.zeros(1), se=np.ones(1))
     rng = np.random.default_rng(60)
     levels = np.concatenate([
@@ -501,8 +479,7 @@ def test_normal_band_multiplier_matches_scipy_ndtri():
 
 def test_confidence_band_multiplier():
     ds = fe_panel(n_regions=4, n_quarters=20, seed=19)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     lo, hi = confidence_band(fit, 0.90)
     mult = (hi[0] - fit.coef[0]) / fit.se[0]
     assert abs(mult - 1.6449) < 5e-5
@@ -510,8 +487,7 @@ def test_confidence_band_multiplier():
 
 def test_confidence_band_degenerate_cases():
     ds = fe_panel(n_regions=4, n_quarters=20, seed=20)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     zero_se = dataclasses.replace(fit, se=np.zeros_like(fit.se))
     lo, hi = confidence_band(zero_se, 0.90)
     np.testing.assert_array_equal(lo, fit.coef)
@@ -525,8 +501,7 @@ def test_confidence_band_degenerate_cases():
 
 def test_confidence_band_t_flag():
     ds = fe_panel(n_regions=4, n_quarters=20, seed=21)
-    fit = ols(build_design(ds, RegressionSpec("y", ("x1",),
-                                              fixed_effects=("region",))))
+    fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
     lo_t, _ = confidence_band(fit, 0.90, use_t=True)
     mult = (fit.coef[0] - lo_t[0]) / fit.se[0]
     assert mult == pytest.approx(stats.t.ppf(0.95, fit.dof), rel=1e-12)
@@ -556,8 +531,8 @@ def test_significance_stars_convention():
 def test_vcov_se_consistency():
     ds = fe_panel(n_regions=5, n_quarters=16, betas=(1.0, 2.0), seed=22)
     fit = with_driscoll_kraay(
-        ols(build_design(ds, RegressionSpec("y", ("x1", "x2"),
-                                            fixed_effects=("region",)))),
+        ols(panel_design(ds, "y", ("x1", "x2"),
+                         fixed_effects=("region",))),
         HACSpec(2),
     )
     np.testing.assert_allclose(fit.se, np.sqrt(np.diag(fit.vcov)), rtol=1e-14)
