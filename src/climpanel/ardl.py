@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .climate import anomaly_name
-from .dataset import PanelDataset, checked_log, shift
+from .dataset import PanelDataset, QuarterIndex, checked_log, shift
 from .errors import ClimPanelError, SpecError, UnitRootError
 from .regress import (
     Design,
@@ -57,6 +57,8 @@ class ARDLSpec:
             raise SpecError("block names must be unique")
         if self.m < 1:
             raise SpecError("m must be >= 1")
+        for label in self.sample or ():
+            QuarterIndex.parse(label)   # raises SpecError
 
 
 def annualize(theta: float, m: int) -> float:

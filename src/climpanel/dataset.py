@@ -12,6 +12,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 def _quarter_code(year: int, quarter: int) -> int:
     """A quarter's position on one integer axis, year * 4 + quarter - 1."""
     if quarter not in (1, 2, 3, 4):
-        raise ValueError(f"quarter must be in 1..4, got {quarter!r}")
+        raise SpecError(f"quarter must be in 1..4, got {quarter!r}")
     return year * 4 + quarter - 1
 
 
@@ -56,7 +57,7 @@ class QuarterIndex:
             return text
         m = _QUARTER_RE.match(str(text).strip().upper())
         if m is None:
-            raise ValueError(f"cannot parse quarter label {text!r} (want e.g. 2002Q1)")
+            raise SpecError(f"cannot parse quarter label {text!r} (want e.g. 2002Q1)")
         return cls(int(m.group(1)), int(m.group(2)))
 
     def offset(self, n: int) -> QuarterIndex:
@@ -290,15 +291,18 @@ def comment_lines(comments) -> str:
     return "".join(f"# {c}\n" for c in comments)
 
 
+def _cells(row, missing: str) -> list:
+    """Output cells: NaN of any payload is ``missing``, a float its shortest repr."""
+    return [missing if v != v else repr(v) if isinstance(v, float) else v for v in row]
+
+
 def write_csv(path, comments, header, rows, missing: str = "") -> None:
-    """Write '# ' comment lines, a header row and the rows as CSV. NaN cells
-    become ``missing``; csv writes other floats as their shortest repr."""
+    """Write '# ' comment lines, a header row and the rows, cells by _cells."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comment_lines(comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        # v != v holds for NaN only
-        writer.writerows([missing if v != v else v for v in row] for row in rows)
+        writer.writerows(_cells(row, missing) for row in rows)
 
 
 def _holes(names, ri, codes, lo, hi):
@@ -422,18 +426,29 @@ def write_panel(
 ) -> None:
     """Write a panel as CSV, rows ordered by region then time.
 
-    Floats are written with shortest round-trip repr so load_panel(write(ds))
-    reproduces values bitwise. Units are carried in '# unit' comments.
+    Cells follow write_csv's rule, so load_panel(write(ds)) is bitwise and
+    keeps -0.0; units go in '# unit' comments. The bytes are csv.writer's,
+    but a region's distinct values are formatted once and a row is one join.
     """
     schema = schema or PanelSchema()
     names = ds.variables
     units = [f"unit {n} = {ds.unit(n)}" for n in names if ds.unit(n)]
     cells = np.stack([ds.series[n] for n in names], axis=-1)
-    keys = [(r, q.year, q.quarter) for r in ds.regions for q in ds.time]
-    write_csv(path, [*header_comments, *units],
-              [schema.region, schema.year, schema.quarter, *names],
-              ([*k, *v] for k, v in zip(keys, cells.reshape(len(keys), -1).tolist())),
-              schema.missing)
+    quoted = []   # csv.writer quotes the header, then "missing," and each "region,"
+    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="").writerows(
+        [[schema.region, schema.year, schema.quarter, *names],
+         *([f, ""] for f in (schema.missing, *ds.regions))])
+    header, missing, *heads = quoted
+    stamps = [f"{q.year},{q.quarter}," for q in ds.time]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(comment_lines([*header_comments, *units]) + header + "\n")
+        for head, block in zip(heads, cells):   # one region's texts at a time
+            # unique bit patterns: a float unique would merge -0.0 into 0.0
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array(_cells(bits.view(float).tolist(), missing[:-1]),
+                            dtype=object)[inverse.reshape(block.shape)]
+            fh.writelines(f"{head}{s}{','.join(r)}\n"
+                          for s, r in zip(stamps, text.tolist()))
 
 
 def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:

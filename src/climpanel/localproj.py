@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import PanelDataset, checked_log, shift
+from .dataset import PanelDataset, QuarterIndex, checked_log, shift
 from .errors import ClimPanelError, SpecError
 from .regress import (
     Design,
@@ -57,6 +57,8 @@ class LPSpec:
             raise SpecError("lags must be >= 0")
         if not 0.0 < self.level < 1.0:
             raise SpecError("level must be in (0, 1)")
+        for label in self.sample or ():
+            QuarterIndex.parse(label)   # raises SpecError
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
 zero, classical covariance, and simulation-based truths for the
 local-projection and ARDL designs. fe_panel generates the generic
 fixed-effects panel the regression tests fit, and panel_design the design
-of named series they pass to ols.
+of named series they pass to ols. write_panel_csv is the reference panel
+writer: csv.writer fed one Python float per cell.
 """
+import csv
 import math
 
 import numpy as np
 
-from climpanel.dataset import PanelDataset
+from climpanel.dataset import PanelDataset, PanelSchema
 from climpanel.errors import DegreesOfFreedomError
 from climpanel.regress import design_from_matrices
 from climpanel.simulate import _grid
@@ -223,3 +225,21 @@ def panel_design(ds, outcome, regressors, fixed_effects=(),
         ds.values(outcome), [(name, ds.values(name)) for name in regressors],
         ds.regions, ds.time, fixed_effects=fixed_effects,
         add_constant=add_constant)
+
+
+def write_panel_csv(ds, path, schema=None, header_comments=()):
+    """Reference panel writer: every row goes through csv.writer with one
+    Python float per cell, which csv writes as its repr; NaN cells are the
+    schema's missing token. dataset.write_panel must write these bytes."""
+    schema = schema or PanelSchema()
+    names = ds.variables
+    units = [f"unit {n} = {ds.unit(n)}" for n in names if ds.unit(n)]
+    cells = np.stack([ds.series[n] for n in names], axis=-1)
+    keys = [(r, q.year, q.quarter) for r in ds.regions for q in ds.time]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {c}\n" for c in [*header_comments, *units])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([schema.region, schema.year, schema.quarter, *names])
+        writer.writerows(
+            [*k, *(schema.missing if v != v else v for v in vals)]
+            for k, vals in zip(keys, cells.reshape(len(keys), -1).tolist()))

@@ -14,7 +14,9 @@ from climpanel import (
     NormParams,
     QuarterIndex,
     annualize,
+    ardl_suite,
     confidence_band,
+    estimate_irf,
     historical_norm,
     quarter_range,
     seasonal_shock,
@@ -57,10 +59,19 @@ def test_every_public_name_is_in_the_readme():
     lambda: confidence_band(None, 1.0),
     lambda: select_lag_bic(None, ARDLSpec("cpi", ("x",)), candidates=()),
     lambda: quarter_range(QuarterIndex(2001, 1), QuarterIndex(2000, 4)),
+    lambda: QuarterIndex(2000, 5),
+    lambda: QuarterIndex.parse("2002-03"),
+    lambda: LPSpec("cpi", "shock", sample=("2002Q1", "2010-04")),
+    lambda: ARDLSpec("cpi", ("x",), sample=("2002-03", "2010Q4")),
+    lambda: estimate_irf(None, LPSpec("cpi", "shock",
+                                      sample=("2002-03", "2010Q4"))),
+    lambda: ardl_suite(None, ["cpi"], [2], "temperature", "precipitation",
+                       sample=("2002-03", "2010Q4")),
 ], ids=["lp-lags", "lp-level", "ardl-p", "ardl-block", "hac-bandwidth",
         "norm-m", "annualize-m", "norm-mode", "season", "polarity",
         "aggregate-shape", "aggregate-weights", "band-level",
-        "bic-candidates", "quarter-range"])
+        "bic-candidates", "quarter-range", "quarter-number", "quarter-label",
+        "lp-sample", "ardl-sample", "irf-sample", "suite-sample"])
 def test_spec_errors_are_typed(make):
     with pytest.raises(ClimPanelError) as info:
         make()
@@ -68,3 +79,14 @@ def test_spec_errors_are_typed(make):
     # the CLI's exit-code mapping
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, ConfigError)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuarterIndex(2000, 5), "quarter must be in 1..4, got 5"),
+    (lambda: LPSpec("cpi", "shock", sample=("2002-03", "2010Q4")),
+     "cannot parse quarter label '2002-03' (want e.g. 2002Q1)"),
+])
+def test_quarter_errors_keep_their_messages(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message

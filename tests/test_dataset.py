@@ -31,7 +31,7 @@ from climpanel.errors import (
     TransformDomainError,
     VariableLookupError,
 )
-from oracles import quantile_type7
+from oracles import quantile_type7, write_panel_csv
 
 
 def make_panel(n_regions=3, n_quarters=12, seed=0, start=QuarterIndex(2000, 1)):
@@ -510,3 +510,55 @@ def test_write_load_round_trip_bitwise_with_sentinel(ds, tmp_path_factory):
         a, b = ds.values(name), back.values(name)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# write_panel against the csv.writer reference
+# ---------------------------------------------------------------------------
+
+def test_write_panel_keeps_the_sign_of_zero(tmp_path):
+    ds = PanelDataset(["a"], quarter_range(QuarterIndex(2000, 1),
+                                           QuarterIndex(2000, 3)),
+                      {"x": [[0.0, -0.0, 1.5]]})
+    write_panel(ds, tmp_path / "x.csv")
+    rows = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0.0", "-0.0", "1.5"]
+
+
+_PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0001, -1], dtype=np.int64).view(float)
+# signed zeros, subnormal and largest magnitudes, the values at repr's switch
+# to exponent notation, and NaN with other signs and payloads
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 1e16, 9999999999999998.0,
+                         1e-4, 9.9e-05, math.nan, -math.nan,
+                         *_PAYLOAD_NAN.tolist()])
+_QUOTED = st.one_of(st.sampled_from(["b,c", 'say "hi"', " lead"]),
+                    st.text('ab ,"', min_size=1, max_size=3))
+
+
+@st.composite
+def _edge_panel(draw):
+    regions = draw(st.lists(_QUOTED, min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(_QUOTED, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(2, 6))
+    cell = st.one_of(_EDGE, st.floats())
+    series = {name: np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                           min_size=len(regions),
+                                           max_size=len(regions))))
+              for name in names}
+    series[names[0]][0, :2] = [0.0, -0.0]
+    start = QuarterIndex(draw(st.integers(1990, 2010)), draw(st.integers(1, 4)))
+    units = {names[0]: draw(st.sampled_from(["index", "a,b"]))}
+    return PanelDataset(regions, quarter_range(start, start.offset(n - 1)),
+                        series, units)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=_edge_panel(), missing=st.sampled_from(["", "NA", "N,A", '"']))
+def test_write_panel_writes_the_reference_bytes(ds, missing, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bytes")
+    schema = PanelSchema(missing=missing)
+    comments = ("climpanel test", "config sha256 0123")
+    write_panel(ds, tmp / "panel.csv", schema, header_comments=comments)
+    write_panel_csv(ds, tmp / "reference.csv", schema, header_comments=comments)
+    assert (tmp / "panel.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
