@@ -1,74 +1,51 @@
 """climpanel: regional climate norms, anomalies, panel local projections,
-and panel ARDL long-run effects for quarterly price data."""
+and panel ARDL long-run effects for quarterly price data.
+
+Importing the package loads no submodule (and so no numpy): each public
+name is imported from its submodule on first use (PEP 562). This lets the
+command-line entry point set OpenBLAS's thread count before numpy loads.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-from .ardl import (
-    ARDLResult,
-    ARDLSpec,
-    LongRunEffect,
-    LongRunTable,
-    annualize,
-    ardl_suite,
-    build_ardl_design,
-    estimate_ardl,
-    select_lag_bic,
-)
-from .climate import (
-    AnomalySeries,
-    NormParams,
-    anomaly,
-    attach_anomaly_features,
-    historical_norm,
-    seasonal_shock,
-    sign_split,
-    weighted_aggregate,
-)
-from .dataset import (
-    PanelDataset,
-    PanelSchema,
-    QuarterIndex,
-    RegionSummary,
-    load_panel,
-    merge_panels,
-    quarter_range,
-    subset,
-    summary_stats,
-    write_panel,
-)
-from .localproj import (
-    ImpulseResponse,
-    IRFRow,
-    LPResult,
-    LPSpec,
-    build_lp_design,
-    estimate_irf,
-    irf_table,
-)
-from .regress import (
-    Design,
-    FitResult,
-    HACSpec,
-    confidence_band,
-    default_bandwidth,
-    ols,
-    significance_stars,
-    vcov_driscoll_kraay,
-    with_driscoll_kraay,
-    within_transform,
-)
+# public name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys((
+        "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
+        "ardl_suite", "build_ardl_design", "estimate_ardl", "select_lag_bic",
+    ), "ardl"),
+    **dict.fromkeys((
+        "AnomalySeries", "NormParams", "anomaly", "attach_anomaly_features",
+        "historical_norm", "seasonal_shock", "sign_split", "weighted_aggregate",
+    ), "climate"),
+    **dict.fromkeys((
+        "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",
+        "load_panel", "merge_panels", "quarter_range", "subset",
+        "summary_stats", "write_panel",
+    ), "dataset"),
+    **dict.fromkeys((
+        "ImpulseResponse", "IRFRow", "LPResult", "LPSpec", "build_lp_design",
+        "estimate_irf", "irf_table",
+    ), "localproj"),
+    **dict.fromkeys((
+        "Design", "FitResult", "HACSpec", "confidence_band",
+        "default_bandwidth", "ols", "significance_stars",
+        "vcov_driscoll_kraay", "with_driscoll_kraay", "within_transform",
+    ), "regress"),
+}
 
-__all__ = [
-    "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
-    "ardl_suite", "build_ardl_design", "estimate_ardl", "select_lag_bic",
-    "AnomalySeries", "NormParams", "anomaly", "attach_anomaly_features",
-    "historical_norm", "seasonal_shock", "sign_split", "weighted_aggregate",
-    "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",
-    "load_panel", "merge_panels", "quarter_range", "subset", "summary_stats",
-    "write_panel",
-    "ImpulseResponse", "IRFRow", "LPResult", "LPSpec", "build_lp_design",
-    "estimate_irf", "irf_table",
-    "Design", "FitResult", "HACSpec", "confidence_band", "default_bandwidth",
-    "ols", "significance_stars", "vcov_driscoll_kraay", "with_driscoll_kraay",
-    "within_transform",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

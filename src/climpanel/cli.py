@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import json
 import os
-import sys
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -74,6 +74,12 @@ def _check_windows(where: str, ms: tuple[int, ...]) -> None:
              f"must list norm windows of at least 1 year, got {ms}")
 
 
+def _check_path(where: str, path: str | None) -> None:
+    # the OS takes no NUL in a file name; open() would raise a bare ValueError
+    _require(path is None or "\0" not in path, where,
+             "must not contain a NUL byte")
+
+
 # Each section is a frozen dataclass: its fields are the section's keys,
 # their defaults the defaults, their annotations pick the value parser, and
 # __post_init__ rejects out-of-range values (also after a CLI override).
@@ -92,6 +98,8 @@ class InputConfig:
     end: str | None = None
 
     def __post_init__(self):
+        _check_path("[input] climate", self.climate)
+        _check_path("[input] prices", self.prices)
         _check_quarter("[input] start", self.start)
         _check_quarter("[input] end", self.end)
 
@@ -194,6 +202,9 @@ class StatsConfig:
 class OutputConfig:
     dir: str = "out"
 
+    def __post_init__(self):
+        _check_path("[output] dir", self.dir)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -235,10 +246,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in _parse_list(text))
 
 
+_HORIZON_RANGE = re.compile(r"(\d+)\s*-\s*(\d+)")
+
+
 def _parse_horizons(text: str) -> tuple[int, ...]:
+    """An a-b range of nonnegative ints, else a list (so -2 is a list)."""
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = (int(s) for s in text.split("-", 1))
+    match = _HORIZON_RANGE.fullmatch(text)
+    if match:
+        lo, hi = (int(s) for s in match.groups())
         if hi < lo:
             raise ValueError(f"empty horizon range {text!r}")
         return tuple(range(lo, hi + 1))
@@ -294,7 +310,7 @@ def load_config(
     if path is not None:
         try:
             read = parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
@@ -313,6 +329,7 @@ def load_config(
             sections["lp"] = replace(sections["lp"], m=ms[0])
         except ConfigError as exc:
             raise ConfigError(f"--m: {exc}") from None
+    _check_path("--out", out_dir)
     if seed is not None:
         sections["simulate"] = replace(sections["simulate"], seed=seed)
     output = sections.pop("output")
@@ -717,6 +734,15 @@ simulate_cmd = _make_command(
     "ARDL DGP).")
 
 
+# error class -> (stderr prefix, exit code); the first match wins
+_EXITS = (
+    (ConfigError, "config error", 1),
+    (DataValidationError, "data error", 2),
+    (EstimationError, "estimation error", 3),
+    (ClimPanelError, "error", 1),
+)
+
+
 def main(argv=None) -> int:
     """Entry point mapping toolkit errors to exit codes."""
     try:
@@ -726,20 +752,11 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return 1
-    except DataValidationError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return 2
-    except EstimationError as exc:
-        click.echo(f"estimation error: {exc}", err=True)
-        return 3
     except ClimPanelError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+        prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
+                            if isinstance(exc, kind))
+        # one stderr line per failure, also for a multi-line message such
+        # as configparser's
+        click.echo(f"{prefix}: " + " ".join(str(exc).splitlines()), err=True)
+        return code
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

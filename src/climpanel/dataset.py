@@ -92,6 +92,12 @@ class PanelSchema:
     quarter: str = "quarter"
     missing: str = ""
 
+    def __post_init__(self):
+        keys = (self.region, self.year, self.quarter)
+        if len(set(keys)) != 3:
+            raise SpecError("region, year and quarter must name three "
+                            f"different columns, got {keys}")
+
 
 def _frozen(arr) -> bool:
     """True for a float array that nothing can write through: it and every

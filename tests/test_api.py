@@ -12,6 +12,7 @@ from climpanel import (
     HACSpec,
     LPSpec,
     NormParams,
+    PanelSchema,
     QuarterIndex,
     annualize,
     ardl_suite,
@@ -67,11 +68,14 @@ def test_every_public_name_is_in_the_readme():
                                       sample=("2002-03", "2010Q4"))),
     lambda: ardl_suite(None, ["cpi"], [2], "temperature", "precipitation",
                        sample=("2002-03", "2010Q4")),
+    lambda: PanelSchema(year="quarter"),
+    lambda: PanelSchema(region="year"),
 ], ids=["lp-lags", "lp-level", "ardl-p", "ardl-block", "hac-bandwidth",
         "norm-m", "annualize-m", "norm-mode", "season", "polarity",
         "aggregate-shape", "aggregate-weights", "band-level",
         "bic-candidates", "quarter-range", "quarter-number", "quarter-label",
-        "lp-sample", "ardl-sample", "irf-sample", "suite-sample"])
+        "lp-sample", "ardl-sample", "irf-sample", "suite-sample",
+        "schema-year", "schema-region"])
 def test_spec_errors_are_typed(make):
     with pytest.raises(ClimPanelError) as info:
         make()

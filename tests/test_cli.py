@@ -1,10 +1,15 @@
 """End-to-end CLI runs: simulate -> anomaly -> lp -> ardl -> stats."""
 import configparser
+import contextlib
+import importlib
+import io
+import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,16 +359,24 @@ def test_ardl_driscoll_kraay_default_bandwidth_uses_sample_periods(tmp_path):
     assert rule != run("bandwidth = 4", "panel_rule")
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _python(*args, threads=None):
+    """stdout of a child `python *args` that imports climpanel from this
+    tree, with OPENBLAS_NUM_THREADS unset or set to threads."""
     src = str(Path(climpanel.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, climpanel.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    out = _python("-c", "import sys, climpanel.cli; "
+                        "print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
@@ -427,16 +440,68 @@ def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(climpanel.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, climpanel.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = _python("-c", "import sys, climpanel.cli; print(sorted(m for m "
+                        "in sys.modules if m.startswith('scipy')))")
+    assert out.strip() == "[]"
+
+
+# Imports the package, touches an unknown name and lists it; prints what
+# happened and whether numpy got loaded along the way
+LAZY_PACKAGE = """
+import json, sys, climpanel
+facts = {"numpy on import": "numpy" in sys.modules}
+try:
+    climpanel.no_such_name
+except AttributeError as exc:
+    facts["unknown name"] = str(exc)
+facts["public names not in dir"] = sorted(
+    set(climpanel.__all__) - set(dir(climpanel)))
+facts["numpy after dir"] = "numpy" in sys.modules
+print(json.dumps(facts))
+"""
+
+
+def test_package_import_is_lazy():
+    assert json.loads(_python("-c", LAZY_PACKAGE)) == {
+        "numpy on import": False,
+        "unknown name": "module 'climpanel' has no attribute 'no_such_name'",
+        "public names not in dir": [],
+        "numpy after dir": False,
+    }
+
+
+# Runs `climpanel --version` the way `python -m climpanel` does, then
+# prints the OpenBLAS thread setting the run saw and whether it had to
+# load numpy after the package import
+MODULE_RUN = """
+import os, runpy, sys
+import climpanel
+before = "numpy" in sys.modules
+sys.argv = ["climpanel", "--version"]
+try:
+    runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
+      "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
+def test_entry_point_runs_openblas_on_one_thread_by_default(threads, seen):
+    lines = _python("-c", MODULE_RUN, threads=threads).splitlines()
+    assert lines[0] == f"climpanel, version {climpanel.__version__}"
+    assert lines[-1] == f"{seen} False True"
+
+
+def test_climpanel_script_is_the_module_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]["climpanel"]
+    module, _, name = target.partition(":")
+    assert (getattr(importlib.import_module(module), name)
+            is importlib.import_module("climpanel.__main__").main)
 
 
 def test_benchmark_tracer_patches_current_modules():
@@ -464,6 +529,14 @@ def test_benchmark_tracer_patches_current_modules():
         assert getattr(sys.modules[mod], attr) is fn
 
 
+# a negative horizon is a list, never the a-b range form
+_OUT_OF_RANGE_MESSAGES = {
+    "lp.horizons=-2": "[lp] horizons must list horizons >= 0, got (-2,)",
+    "lp.horizons=-1-3": "[lp] horizons: invalid literal for int() with "
+                        "base 10: '-1-3'",
+}
+
+
 @pytest.mark.parametrize("command, setting", [
     ("anomaly", "anomaly.m="),
     ("anomaly", "anomaly.m=2,0"),
@@ -475,6 +548,8 @@ def test_benchmark_tracer_patches_current_modules():
     ("lp", "lp.m=0"),
     ("lp", "lp.horizons="),
     ("lp", "lp.horizons=0,-1"),
+    ("lp", "lp.horizons=-2"),
+    ("lp", "lp.horizons=-1-3"),
     ("lp", "lp.lags=-1"),
     ("lp", "lp.bandwidth=-2"),
     ("lp", "lp.shocks="),
@@ -483,6 +558,9 @@ def test_benchmark_tracer_patches_current_modules():
     ("simulate", "simulate.quarters=0"),
     ("simulate", "simulate.start=1962Q5"),
     ("simulate", "simulate.seed=-1"),
+    ("stats", "input.climate=data\0climate.csv"),
+    ("stats", "output.dir=o\0ut"),
+    ("stats", "--out=o\0ut"),
 ])
 def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
                                           command, setting):
@@ -500,7 +578,25 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
     with open(cfg, "w", encoding="utf-8") as fh:
         parser.write(fh)
     assert main([command, "--config", str(cfg), *args]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert _OUT_OF_RANGE_MESSAGES.get(setting, "") in err
+
+
+@pytest.mark.parametrize("key, column", [("year_col", "quarter"),
+                                         ("region_col", "year")])
+def test_repeated_key_column_exit_1(workspace, tmp_path, capsys, key,
+                                    column):
+    # a key column named twice must not be read as a value column
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=workspace["data"],
+                                      out=tmp_path / "o")
+                   .replace("[input]\n", f"[input]\n{key} = {column}\n"),
+                   encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: region, year and quarter must name three different "
+        "columns")
 
 
 @pytest.mark.parametrize("damage", ["missing", "directory", "not-utf8",
@@ -638,3 +734,92 @@ def test_row_order_and_repeated_rows_change_no_output(ordered_outputs, rnd):
     got = _pipeline_outputs(climate, prices)
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
+
+
+
+# Tokens a mutated config value or a damaged input cell takes: nothing,
+# out-of-range and malformed numbers, placeholders, labels, key names
+_TOKENS = ("", "-1", "0", "1", "2", "9", "-2", "0-2", "-1-3", "2,0", "1.5",
+           "nan", "inf", "x", "true", "{m}", "{q}", "1962Q5", "1990Q3",
+           "2040Q1", "region", "year", "quarter", "food", "temperature",
+           "a,b", "\"", "[lp]", "%(x)s", "é")
+_INSERTS = (b"\xff", b"\x00", b"\r", b"\n", b",,")
+_PREFIXES = {1: ("config error: ", "error: "), 2: ("data error: ",),
+             3: ("estimation error: ",)}
+
+
+def _insert(raw, draw):
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.sampled_from(_INSERTS)) + raw[at:]
+
+
+def _mutate_config(text, draw):
+    """config bytes with one line's value replaced, the line dropped or
+    repeated, an unknown key added, or a stray byte inserted."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["value", "drop", "repeat", "key", "byte"]))
+    if how == "value" and "=" in lines[i]:
+        lines[i] = lines[i].split("=", 1)[0] + "= " + draw(
+            st.sampled_from(_TOKENS))
+    elif how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif how == "key":
+        lines.insert(i, draw(st.sampled_from(_TOKENS)) + " = 1")
+    raw = ("\n".join(lines) + "\n").encode()
+    return _insert(raw, draw) if how == "byte" else raw
+
+
+def _damage_input(raw, draw):
+    """panel CSV bytes cut short, emptied, with one cell replaced, a stray
+    byte inserted or the year column renamed."""
+    how = draw(st.sampled_from(["cut", "empty", "cell", "byte", "header"]))
+    if how == "cut":
+        return raw[:draw(st.integers(0, len(raw)))]
+    if how == "empty":
+        return b""
+    if how == "byte":
+        return _insert(raw, draw)
+    if how == "header":
+        return raw.replace(b",year,", b"," + draw(st.sampled_from(
+            [b"region", b"quarter", b"", b"Year"])) + b",", 1)
+    rows = raw.split(b"\n")
+    r = draw(st.integers(0, len(rows) - 1))
+    cells = rows[r].split(b",")
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(
+        st.sampled_from(_TOKENS)).encode()
+    rows[r] = b",".join(cells)
+    return b"\n".join(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_failure_is_one_typed_line(workspace, data):
+    # a mutated config or one damaged input: the command succeeds, or
+    # prints one typed error line (never a traceback) and exits 1, 2 or 3
+    command = data.draw(st.sampled_from(["anomaly", "lp", "ardl", "stats"]))
+    inputs = {name: (workspace["data"] / name).read_bytes()
+              for name in ("climate.csv", "prices.csv")}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = BASE_CONFIG.format(data=root, out=root / "out")
+        if data.draw(st.booleans()):
+            config = _mutate_config(config, data.draw)
+        else:
+            config = config.encode()
+            name = data.draw(st.sampled_from(sorted(inputs)))
+            inputs[name] = _damage_input(inputs[name], data.draw)
+        for name, raw in {**inputs, "run.ini": config}.items():
+            (root / name).write_bytes(raw)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(root / "run.ini")])
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(_PREFIXES[code]), lines

@@ -112,14 +112,15 @@ CONFIG_HASHES = {
 }
 
 
-def demo_hashes(root: Path) -> dict[str, str]:
-    """Run the demo pipeline in root; sha256 of every file it writes."""
+def demo_hashes(root: Path, run=main) -> dict[str, str]:
+    """Run the demo pipeline in root, each command by run(argv) -> exit
+    code; sha256 of every file it writes."""
     cwd = os.getcwd()
     os.chdir(root)
     try:
         Path("run.ini").write_text(DEMO_CONFIG, encoding="utf-8")
         for argv in DEMO_COMMANDS:
-            assert main(argv) == 0, argv
+            assert run(argv) == 0, argv
     finally:
         os.chdir(cwd)
     return {
@@ -147,6 +148,22 @@ def test_demo_pipeline_outputs_match_golden_hashes(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"outputs differ from the golden run: {changed}"
+
+
+def test_demo_pipeline_through_the_entry_point(tmp_path):
+    # `python -m climpanel` children, OpenBLAS on the entry point's one
+    # thread; the in-process test above runs on the environment's setting
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "climpanel", *argv],
+                              env=env, capture_output=True).returncode
+
+    got = demo_hashes(tmp_path, run)
+    assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 # Runs the demo pipeline in a fresh interpreter in which every scipy import
