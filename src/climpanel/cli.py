@@ -10,15 +10,15 @@ failure in every cell.
 """
 from __future__ import annotations
 
+import argparse
 import configparser
 import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .ardl import ardl_suite
@@ -102,6 +102,11 @@ class InputConfig:
         _check_path("[input] prices", self.prices)
         _check_quarter("[input] start", self.start)
         _check_quarter("[input] end", self.end)
+        _require(None in (self.start, self.end)
+                 or QuarterIndex.parse(self.start)
+                 <= QuarterIndex.parse(self.end),
+                 "[input] start", f"must not be after [input] end, got "
+                 f"{self.start} > {self.end}")
 
 
 @dataclass(frozen=True)
@@ -144,14 +149,14 @@ class LPConfig:
         _require(0.0 < self.level < 1.0, "[lp] level", "must be in (0, 1)")
         _require(self.bandwidth is None or self.bandwidth >= 0,
                  "[lp] bandwidth", "must be >= 0")
-        _require(set(self.fixed_effects) <= {"region", "time"}
-                 and len(set(self.fixed_effects)) == len(self.fixed_effects),
-                 "[lp] fixed_effects", "may name region and time, each once")
+        _require(set(self.fixed_effects) <= {"region", "time"},
+                 "[lp] fixed_effects", "may name region and time")
         try:
-            self.shock_names()
+            names = self.shock_names()
         except (KeyError, IndexError, ValueError):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
+        _parse(_each_once, names, f"[lp] shocks (with {{m}} = {self.m})")
 
     def shock_names(self) -> tuple[str, ...]:
         """The shock series, with {m} replaced by the norm window."""
@@ -238,12 +243,21 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+def _each_once(items: tuple) -> tuple:
+    """items, unless one is listed twice: every list names each entry once."""
+    repeated = [x for i, x in enumerate(items) if x in items[:i]]
+    if repeated:
+        raise ValueError(f"lists {repeated[0]!r} twice")
+    return items
+
+
 def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    return _each_once(tuple(s.strip() for s in text.split(",") if s.strip()))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in _parse_list(text))
+    # compared as ints, so 30 and 030 are one entry
+    return _each_once(tuple(int(s) for s in text.split(",") if s.strip()))
 
 
 _HORIZON_RANGE = re.compile(r"(\d+)\s*-\s*(\d+)")
@@ -473,7 +487,7 @@ def _cmd_anomaly(cfg: RunConfig) -> None:
         "m": ",".join(str(m) for m in cfg.anomaly.m),
         "files": len(written),
     }, written)
-    click.echo(f"anomaly: wrote {len(written)} files to {out}")
+    print(f"anomaly: wrote {len(written)} files to {out}")
 
 
 def _cmd_lp(cfg: RunConfig) -> None:
@@ -545,8 +559,8 @@ def _cmd_lp(cfg: RunConfig) -> None:
         "horizon failures": len(horizon_failures),
     }, written, {"failed cells": cell_failures,
                  "failed horizons": horizon_failures})
-    click.echo(f"lp: {len(results)}/{n_cells} cells estimated, "
-               f"outputs in {out}")
+    print(f"lp: {len(results)}/{n_cells} cells estimated, "
+          f"outputs in {out}")
 
 
 def _longrun_label(variable: str, m: int) -> str:
@@ -635,8 +649,8 @@ def _cmd_ardl(cfg: RunConfig) -> None:
         "cells": f"{n_cells} attempted, {len(suite.tables)} estimated, "
                  f"{len(failed)} failed",
     }, written, {"failed cells": failed})
-    click.echo(f"ardl: {len(suite.tables)}/{n_cells} cells estimated, "
-               f"outputs in {out}")
+    print(f"ardl: {len(suite.tables)}/{n_cells} cells estimated, "
+          f"outputs in {out}")
 
 
 def _cmd_stats(cfg: RunConfig) -> None:
@@ -664,7 +678,7 @@ def _cmd_stats(cfg: RunConfig) -> None:
     )
     _write_run_report(cfg, "stats", {"variables": len(variables)},
                       [path.name])
-    click.echo(f"stats: wrote {path}")
+    print(f"stats: wrote {path}")
 
 
 def _cmd_simulate(cfg: RunConfig) -> None:
@@ -682,56 +696,61 @@ def _cmd_simulate(cfg: RunConfig) -> None:
         write_panel(panel, out / name, header_comments=_header(cfg))
     _write_run_report(cfg, "simulate", {"kind": sim.kind, "seed": sim.seed},
                       files)
-    click.echo(f"simulate: wrote {', '.join(files)} to {out}")
+    print(f"simulate: wrote {', '.join(files)} to {out}")
 
 
 # ---------------------------------------------------------------------------
-# Click wiring
+# Command line
 # ---------------------------------------------------------------------------
 
-@click.group()
-@click.version_option(__version__, prog_name="climpanel")
-def cli():
-    """Climate norms and anomalies, LP impulse responses, and ARDL long-run
-    effects for regional quarterly panels."""
+# subcommand -> (body, help text)
+_COMMANDS = {
+    "anomaly": (_cmd_anomaly,
+                "Compute norms, anomalies, sign splits and seasonal shocks; "
+                "write the series plus a norms audit file."),
+    "ardl": (_cmd_ardl,
+             "Estimate ARDL long-run effects per outcome and norm window, "
+             "with annualized summaries."),
+    "lp": (_cmd_lp,
+           "Estimate cumulative impulse responses of each outcome to each "
+           "configured shock."),
+    "simulate": (_cmd_simulate,
+                 "Generate seeded synthetic panels (demo climate/prices, LP "
+                 "DGP, ARDL DGP)."),
+    "stats": (_cmd_stats,
+              "Per-region summary statistics for panel variables."),
+}
 
 
-def _make_command(name, body, help_text):
-    @cli.command(name=name, help=help_text)
-    @click.option("--config", "config_path", default=None,
-                  type=click.Path(), help="INI config file.")
-    @click.option("--out", "out_dir", default=None,
-                  help="Override [output] dir.")
-    @click.option("--m", "m_list", default=None,
-                  help="Override norm windows, e.g. 20,30,40 "
-                       "(lp uses the first entry).")
-    @click.option("--seed", type=int, default=None,
-                  help="Override [simulate] seed.")
-    def _cmd(config_path, out_dir, m_list, seed):
-        cfg = load_config(config_path, out_dir, m_list, seed)
-        body(cfg)
-    return _cmd
-
-
-anomaly_cmd = _make_command(
-    "anomaly", _cmd_anomaly,
-    "Compute norms, anomalies, sign splits and seasonal shocks; write the "
-    "series plus a norms audit file.")
-lp_cmd = _make_command(
-    "lp", _cmd_lp,
-    "Estimate cumulative impulse responses of each outcome to each "
-    "configured shock.")
-ardl_cmd = _make_command(
-    "ardl", _cmd_ardl,
-    "Estimate ARDL long-run effects per outcome and norm window, with "
-    "annualized summaries.")
-stats_cmd = _make_command(
-    "stats", _cmd_stats,
-    "Per-region summary statistics for panel variables.")
-simulate_cmd = _make_command(
-    "simulate", _cmd_simulate,
-    "Generate seeded synthetic panels (demo climate/prices, LP DGP, "
-    "ARDL DGP).")
+def _parser() -> argparse.ArgumentParser:
+    # --help but no -h, and no abbreviated options: --conf is a usage
+    # error, not --config
+    flags = {"add_help": False, "allow_abbrev": False}
+    help_flag = {"action": "help", "help": "Show this message and exit."}
+    parser = argparse.ArgumentParser(
+        prog="climpanel", **flags,
+        description="Climate norms and anomalies, LP impulse responses, and "
+                    "ARDL long-run effects for regional quarterly panels.")
+    parser.add_argument("--version", action="version",
+                        version=f"climpanel, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", **help_flag)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text,
+                                      description=help_text, **flags)
+        command.add_argument("--config", metavar="PATH",
+                             help="INI config file.")
+        command.add_argument("--out", metavar="DIR",
+                             help="Override [output] dir.")
+        command.add_argument("--m", metavar="LIST",
+                             help="Override norm windows, e.g. 20,30,40 "
+                                  "(lp uses the first entry).")
+        command.add_argument("--seed", type=int, metavar="N",
+                             help="Override [simulate] seed.")
+        command.add_argument("--help", **help_flag)
+    return parser
 
 
 # error class -> (stderr prefix, exit code); the first match wins
@@ -746,17 +765,20 @@ _EXITS = (
 def main(argv=None) -> int:
     """Entry point mapping toolkit errors to exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help and --version exit 0; argparse exits 2 on a usage error,
+        # which is 1 here like every other usage/config error
+        return 1 if exc.code else 0
+    body, _ = _COMMANDS[args.command]
+    try:
+        body(load_config(args.config, args.out, args.m, args.seed))
     except ClimPanelError as exc:
         prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
                             if isinstance(exc, kind))
         # one stderr line per failure, also for a multi-line message such
         # as configparser's
-        click.echo(f"{prefix}: " + " ".join(str(exc).splitlines()), err=True)
+        print(f"{prefix}: " + " ".join(str(exc).splitlines()),
+              file=sys.stderr)
         return code
     return 0

@@ -37,6 +37,11 @@ def _quarter_code(year: int, quarter: int) -> int:
     return year * 4 + quarter - 1
 
 
+def _quarter_at(code: int) -> QuarterIndex:
+    """The quarter at a position on that axis: _quarter_code's inverse."""
+    return QuarterIndex(code // 4, code % 4 + 1)
+
+
 @dataclass(frozen=True, order=True)
 class QuarterIndex:
     """A calendar quarter, ordered lexicographically on (year, quarter)."""
@@ -62,15 +67,15 @@ class QuarterIndex:
 
     def offset(self, n: int) -> QuarterIndex:
         """The quarter n steps ahead (negative n steps back)."""
-        pos = self.year * 4 + (self.quarter - 1) + n
-        return QuarterIndex(pos // 4, pos % 4 + 1)
+        return _quarter_at(_quarter_code(self.year, self.quarter) + n)
 
     def next(self) -> QuarterIndex:
         return self.offset(1)
 
     def __sub__(self, other: QuarterIndex) -> int:
         """Signed distance in quarters."""
-        return (self.year - other.year) * 4 + (self.quarter - other.quarter)
+        return (_quarter_code(self.year, self.quarter)
+                - _quarter_code(other.year, other.quarter))
 
 
 def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex, ...]:
@@ -322,7 +327,7 @@ def _holes(names, ri, codes, lo, hi):
                                  [hi + 1]])
         for j in np.flatnonzero(np.diff(bounds) > 1):
             for c in range(int(bounds[j]) + 1, int(bounds[j + 1])):
-                yield name, str(QuarterIndex(c // 4, c % 4 + 1))
+                yield name, str(_quarter_at(c))
 
 
 def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
@@ -399,7 +404,7 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
             if not (a == b or (a != a and b != b)):
                 raise PanelIntegrityError(
                     f"{path}: conflicting duplicate for ({region}, "
-                    f"{QuarterIndex(code // 4, code % 4 + 1)}, {col}): {a!r} vs {b!r}"
+                    f"{_quarter_at(code)}, {col}): {a!r} vs {b!r}"
                 )
     if not cells:
         raise SchemaError(f"{path}: no data rows")
@@ -415,7 +420,7 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
         # year must not cost a grid of every quarter up to it
         raise GapError(itertools.islice(_holes(names, ri, codes, lo, hi),
                                         max(len(cells), 1000)), n_gaps)
-    time = tuple(QuarterIndex(c // 4, c % 4 + 1) for c in range(lo, hi + 1))
+    time = tuple(map(_quarter_at, range(lo, hi + 1)))
     grid = np.full((len(value_pos), len(names), len(time)), math.nan)
     grid[:, ri, codes - lo] = np.array(list(cells.values())).T
     grid.flags.writeable = False   # each series is a read-only view, shared

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -440,8 +441,9 @@ def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor click: the command line is parsed by argparse
     out = _python("-c", "import sys, climpanel.cli; print(sorted(m for m "
-                        "in sys.modules if m.startswith('scipy')))")
+                        "in sys.modules if m.startswith(('scipy', 'click'))))")
     assert out.strip() == "[]"
 
 
@@ -497,11 +499,13 @@ def test_entry_point_runs_openblas_on_one_thread_by_default(threads, seen):
 def test_climpanel_script_is_the_module_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
-        "project"]["scripts"]["climpanel"]
-    module, _, name = target.partition(":")
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    module, _, name = project["scripts"]["climpanel"].partition(":")
     assert (getattr(importlib.import_module(module), name)
             is importlib.import_module("climpanel.__main__").main)
+    # numpy is the one runtime dependency
+    assert [re.match(r"[\w.-]+", dep).group()
+            for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_benchmark_tracer_patches_current_modules():
@@ -534,6 +538,13 @@ _OUT_OF_RANGE_MESSAGES = {
     "lp.horizons=-2": "[lp] horizons must list horizons >= 0, got (-2,)",
     "lp.horizons=-1-3": "[lp] horizons: invalid literal for int() with "
                         "base 10: '-1-3'",
+    "anomaly.m=3,03": "[anomaly] m: lists 3 twice",
+    "--m=3,3": "--m: lists 3 twice",
+    "lp.horizons=0,0": "[lp] horizons: lists 0 twice",
+    "stats.variables=food,all_items,food": "[stats] variables: lists 'food' "
+                                           "twice",
+    "lp.shocks=temperature_anom_m{m},temperature_anom_m2":
+        "[lp] shocks (with {m} = 2): lists 'temperature_anom_m2' twice",
 }
 
 
@@ -554,6 +565,15 @@ _OUT_OF_RANGE_MESSAGES = {
     ("lp", "lp.bandwidth=-2"),
     ("lp", "lp.shocks="),
     ("lp", "lp.fixed_effects=region,region"),
+    # every list names each entry once
+    ("anomaly", "anomaly.m=3,03"),
+    ("anomaly", "--m=3,3"),
+    ("ardl", "ardl.m=2,2"),
+    ("ardl", "ardl.outcomes=food,food"),
+    ("lp", "lp.outcomes=food,food"),
+    ("lp", "lp.horizons=0,0"),
+    ("lp", "lp.shocks=temperature_anom_m{m},temperature_anom_m2"),
+    ("stats", "stats.variables=food,all_items,food"),
     ("simulate", "simulate.regions=0"),
     ("simulate", "simulate.quarters=0"),
     ("simulate", "simulate.start=1962Q5"),
@@ -573,6 +593,8 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
         args = [target, value]
     else:
         section, key = target.split(".")
+        if not parser.has_section(section):
+            parser.add_section(section)
         parser[section][key] = value
     cfg = tmp_path / "cfg.ini"
     with open(cfg, "w", encoding="utf-8") as fh:
@@ -581,6 +603,48 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert _OUT_OF_RANGE_MESSAGES.get(setting, "") in err
+
+
+@pytest.mark.parametrize("command", ["lp", "ardl", "stats"])
+def test_reversed_input_window_exit_1(workspace, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=workspace["data"],
+                                      out=tmp_path / "o")
+                   .replace("[input]\n",
+                            "[input]\nstart = 2000Q1\nend = 1995Q4\n"),
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [input] start must not be after [input] end, got "
+        "2000Q1 > 1995Q4\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--bogus"], ["-h"], ["lp", "-h"], ["lp", "--seed", "x"],
+    ["lp", "--config"], ["lp", "--c", "x"], ["lp", "--conf", "x"],
+    ["lp", "extra"], ["lp", "--config", "x", "--config"],
+])
+def test_malformed_command_line_exit_1(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: climpanel")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: climpanel [--version] [--help] COMMAND"),
+    (["lp", "--help"], "usage: climpanel lp [--config PATH] [--out DIR] "
+                       "[--m LIST] [--seed N] [--help]"),
+    (["stats", "--config", "x", "--help"], "usage: climpanel stats "),
+    (["--version"], f"climpanel, version {climpanel.__version__}\n"),
+])
+def test_help_and_version_exit_0_on_stdout(argv, usage, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage)
+    assert err == ""
 
 
 @pytest.mark.parametrize("key, column", [("year_col", "quarter"),

@@ -166,19 +166,21 @@ def test_demo_pipeline_through_the_entry_point(tmp_path):
     assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-# Runs the demo pipeline in a fresh interpreter in which every scipy import
-# fails, then prints the output hashes, the scipy modules loaded and what
-# confidence_band(use_t=True) raised.
+# Runs the demo pipeline in a fresh interpreter in which every scipy and
+# click import fails, then prints the output hashes, the scipy and click
+# modules loaded and what confidence_band(use_t=True) raised.
 WITHOUT_SCIPY = """
 import importlib.abc, json, sys
 from pathlib import Path
 
-class BlockScipy(importlib.abc.MetaPathFinder):
+BLOCKED = ("scipy", "click")
+
+class Block(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
+        if name.partition(".")[0] in BLOCKED:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 import numpy as np
 from climpanel import QuarterIndex, confidence_band, ols, quarter_range
 from climpanel.regress import design_from_matrices
@@ -195,9 +197,9 @@ try:
     use_t = None
 except Exception as exc:
     use_t = type(exc).__name__
-print(json.dumps({"hashes": hashes, "use_t": use_t,
-                  "scipy": sorted(m for m in sys.modules
-                                  if m.partition(".")[0] == "scipy")}))
+print(json.dumps({"hashes": hashes, "use_t": use_t, **{
+    top: sorted(m for m in sys.modules if m.partition(".")[0] == top)
+    for top in BLOCKED}}))
 """
 
 
@@ -211,6 +213,7 @@ def test_demo_pipeline_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["scipy"] == []
+    assert got["click"] == []
     assert got["use_t"] == "SpecError"
     assert got["hashes"] == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
