@@ -82,7 +82,8 @@ def _check_path(where: str, path: str | None) -> None:
 
 # Each section is a frozen dataclass: its fields are the section's keys,
 # their defaults the defaults, their annotations pick the value parser, and
-# __post_init__ rejects out-of-range values (also after a CLI override).
+# __post_init__ rejects out-of-range values. A section is built once, after
+# the CLI overrides are applied, so an override can replace a bad file value.
 
 @dataclass(frozen=True)
 class InputConfig:
@@ -295,8 +296,9 @@ def _parse(parse, text: str, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_section(parser: configparser.ConfigParser, name: str, cls):
-    """The section's dataclass, every key given parsed by its field type."""
+def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
+    """The section's keys as given, each parsed by its field type but not
+    yet checked against its range."""
     types = {f.name: f.type for f in fields(cls)}
     values = {}
     for key, text in (parser[name] if parser.has_section(name) else {}).items():
@@ -306,7 +308,7 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls):
         parse = (_parse_horizons if (name, key) == ("lp", "horizons")
                  else _PARSERS[types[key]])
         values[key] = _parse(parse, text, f"[{name}] {key}")
-    return cls(**values)
+    return values
 
 
 def load_config(
@@ -331,21 +333,18 @@ def load_config(
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-    sections = {name: _parse_section(parser, name, cls)
-                for name, cls in _SECTIONS.items()}
-
+    raw = {name: _parse_section(parser, name, cls)
+           for name, cls in _SECTIONS.items()}
     if m_list is not None:
-        # replace re-validates; an empty list fails at [anomaly] m first
         ms = _parse(_parse_int_list, m_list, "--m")
-        try:
-            sections["anomaly"] = replace(sections["anomaly"], m=ms)
-            sections["ardl"] = replace(sections["ardl"], m=ms)
-            sections["lp"] = replace(sections["lp"], m=ms[0])
-        except ConfigError as exc:
-            raise ConfigError(f"--m: {exc}") from None
+        # a bad list is named by the first section it lands in, [anomaly]
+        _check_windows("--m: [anomaly] m", ms)
+        raw["anomaly"]["m"] = raw["ardl"]["m"] = ms
+        raw["lp"]["m"] = ms[0]
     _check_path("--out", out_dir)
     if seed is not None:
-        sections["simulate"] = replace(sections["simulate"], seed=seed)
+        raw["simulate"]["seed"] = seed
+    sections = {name: cls(**raw[name]) for name, cls in _SECTIONS.items()}
     output = sections.pop("output")
 
     # the output directory is deliberately left out of the hash: it changes

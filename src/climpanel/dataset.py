@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -138,9 +139,12 @@ class PanelDataset:
             raise EmptyPanelError("panel has no quarters")
         if len(set(regions)) != len(regions):
             raise PanelIntegrityError("region names must be unique")
-        for prev, cur in zip(time, time[1:]):
-            if cur - prev != 1:
-                raise GapError([("<all>", str(prev.next()))])
+        # contiguous: the quarters' codes count up one at a time
+        codes = [q.year * 4 + q.quarter for q in time]
+        if codes != list(range(codes[0], codes[0] + len(codes))):
+            i = next(i for i in range(1, len(codes))
+                     if codes[i] - codes[i - 1] != 1)
+            raise GapError([("<all>", str(time[i - 1].next()))])
         frozen = {}
         for name, mat in series.items():
             arr = mat if _frozen(mat) else np.array(mat, dtype=float)
@@ -339,6 +343,10 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     dropped; conflicting duplicates raise PanelIntegrityError; a missing
     (region, quarter) row raises GapError naming the holes (the first
     max(rows read, 1000) of them) and counting them all.
+
+    A plain file is parsed column-wise by _plain_panel; any other file, and
+    every file that fails a check, is read row by row by _row_panel, the
+    one place that raises. Both give the same panel for a plain file.
     """
     schema = schema or PanelSchema()
     try:
@@ -348,6 +356,102 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
         raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    ds = _plain_panel(lines, schema)
+    return ds if ds is not None else _row_panel(path, lines, schema)
+
+
+# what str.strip removes from a cell: the ASCII characters, and a pattern
+# for text that is not all ASCII
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_PADDING_RE = re.compile(r"[^\S\n]")
+
+
+def _plain_panel(lines, schema: PanelSchema) -> PanelDataset | None:
+    """The panel of a plain file, parsed by one np.loadtxt call; None for
+    any other file.
+
+    A file is plain when comment and blank lines come only above the
+    header; the header and data lines hold no quote, carriage return, NUL
+    or whitespace other than their line ends, so no cell needs stripping;
+    the header names each column once, the key columns among them; there
+    is a data row and each is as wide as the header; loadtxt reads every
+    year and quarter as an integer and every value cell as a finite number
+    or the missing token (a token holding a comma or newline is not plain);
+    quarters are in 1..4; and each (region, quarter) of a hole-free grid
+    has exactly one row. On such a file _row_panel raises nothing and reads
+    the same numbers, which float() and loadtxt parse alike.
+    """
+    head = 0
+    while head < len(lines) and (lines[head].startswith("#")
+                                 or not lines[head].strip()):
+        head += 1
+    text = "".join(lines[head:])   # the header line, then the data lines
+    missing = schema.missing
+    if (not text or '"' in text or "\r" in text or "\0" in text
+            or "\n#" in text or "\n\n" in text
+            or (any(c in text for c in _PADDING) if text.isascii()
+                else _PADDING_RE.search(text))
+            or "," in missing or "\n" in missing):
+        return None
+    header = lines[head].rstrip("\n").split(",")
+    keys = (schema.region, schema.year, schema.quarter)
+    if len(set(header)) != len(header) or not set(keys) < set(header):
+        return None
+    # each cell that is the missing token becomes a nan literal other than
+    # the token; the first pattern runs twice, since a match takes the
+    # comma that opens the next cell
+    nan = "NaN" if missing == "nan" else "nan"
+    body, n_missing = "\n" + text[len(lines[head]):] + "\n", 0
+    for a, b in ((",", ","), (",", ","), (",", "\n"), ("\n", ",")):
+        n = body.count(a + missing + b)
+        if n:
+            n_missing += n
+            body = body.replace(a + missing + b, a + nan + b)
+    kinds = {schema.region: object, schema.year: np.int64,
+             schema.quarter: np.int64}
+    try:
+        with warnings.catch_warnings():
+            # older numpy warns, then truncates, on a year such as 1962.0
+            warnings.simplefilter("error")
+            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                              ndmin=1, dtype=[(f"c{j}", kinds.get(col, float))
+                                              for j, col in enumerate(header)])
+    except (ValueError, Warning):   # a bad cell or row width; no rows
+        return None
+    region, year, quarter = (rows[f"c{header.index(c)}"] for c in keys)
+    region = region.tolist()
+    names = tuple(dict.fromkeys(region))
+    value_pos = [(c, j) for j, c in enumerate(header) if c not in keys]
+    values = np.stack([rows[f"c{j}"] for _, j in value_pos])
+    # a token in a region cell leaves a region named nan; a nan or inf
+    # literal leaves more non-finite cells than tokens
+    if (nan in names or n_missing != np.count_nonzero(~np.isfinite(values))
+            or not ((quarter >= 1) & (quarter <= 4)).all()
+            or year.min() < -2**60 or year.max() > 2**60):   # codes fit int64
+        return None
+    codes = year * 4 + quarter - 1
+    lo, hi = int(codes.min()), int(codes.max())
+    if len(rows) != len(names) * (hi - lo + 1):
+        return None
+    index = {name: i for i, name in enumerate(names)}
+    ri = np.fromiter(map(index.__getitem__, region), np.intp, len(rows))
+    seen = np.zeros((len(names), hi - lo + 1), dtype=bool)
+    seen[ri, codes - lo] = True
+    if not seen.all():   # one row per cell: a repeated key leaves a hole
+        return None
+    grid = np.empty((len(value_pos), len(names), hi - lo + 1))
+    grid[:, ri, codes - lo] = values
+    grid.flags.writeable = False   # each series is a read-only view, shared
+    series = {col: mat for (col, _), mat in zip(value_pos, grid)}
+    units = {m.group(1): m.group(2).strip()
+             for m in map(_UNIT_COMMENT_RE.match, lines[:head]) if m}
+    return PanelDataset(names, tuple(map(_quarter_at, range(lo, hi + 1))),
+                        series, {k: v for k, v in units.items() if k in series})
+
+
+def _row_panel(path, lines, schema: PanelSchema) -> PanelDataset:
+    """load_panel's row loop: checks each row in file order and raises the
+    first error with its path:line."""
     units = {m.group(1): m.group(2).strip()
              for m in map(_UNIT_COMMENT_RE.match, lines) if m}
     # (file line number, text) of each data line, header first

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -534,6 +533,9 @@ def confidence_band(
         raise SpecError(f"level must be in [0, 1), got {level}")
     p = (1.0 + level) / 2.0
     if not use_t:
+        # imported here: statistics loads decimal and fractions, which no
+        # other command needs
+        from statistics import NormalDist
         q = NormalDist().inv_cdf(p)
     else:
         try:

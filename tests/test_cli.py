@@ -285,6 +285,37 @@ def test_m_override(workspace, tmp_path):
     assert not (out / "anomaly_temperature_m2.csv").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value, m", [
+    ("anomaly", "anomaly", "m", "0", "5"),
+    # a_m2 twice with the file's [lp] m = 2; --m 20 makes a_m20 and a_m2
+    ("stats", "lp", "shocks", "a_m{m},a_m2", "20"),
+])
+def test_m_override_replaces_a_bad_file_value(workspace, tmp_path, capsys,
+                                              command, section, key, value, m):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG.format(data=workspace["data"],
+                                          out=tmp_path / "o"))
+    parser[section][key] = value
+    cfg = tmp_path / "cfg.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
+    assert main([command, "--config", str(cfg), "--m", m]) == 0
+
+
+@pytest.mark.parametrize("file_m", ["2,3", "0"])
+def test_bad_m_override_keeps_its_message(workspace, tmp_path, capsys, file_m):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+                   .replace("[anomaly]\nm = 2,3", f"[anomaly]\nm = {file_m}"),
+                   encoding="utf-8")
+    assert main(["anomaly", "--config", str(cfg), "--m", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --m: [anomaly] m must list norm windows of at least 1 "
+        "year, got (0,)\n")
+
+
 def test_simulate_lp_and_ardl_kinds(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
@@ -438,6 +469,15 @@ def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
     for name in names:
         assert ((tmp_path / "same" / name).read_bytes()
                 == (tmp_path / "permuted" / name).read_bytes()), name
+
+
+def test_cli_import_loads_no_statistics():
+    # statistics pulls in decimal and fractions; only a confidence band
+    # needs it, and imports it when it runs
+    out = _python("-c", "import sys, climpanel.cli; print([m for m in "
+                        "('statistics', 'decimal', 'fractions') "
+                        "if m in sys.modules])")
+    assert out.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():

@@ -20,7 +20,7 @@ from climpanel import (
     summary_stats,
     write_panel,
 )
-from climpanel.dataset import checked_log, shift
+from climpanel.dataset import _plain_panel, _row_panel, checked_log, shift
 from climpanel.errors import (
     DataValidationError,
     EmptyPanelError,
@@ -562,3 +562,174 @@ def test_write_panel_writes_the_reference_bytes(ds, missing, tmp_path_factory):
     write_panel(ds, tmp / "panel.csv", schema, header_comments=comments)
     write_panel_csv(ds, tmp / "reference.csv", schema, header_comments=comments)
     assert (tmp / "panel.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the column reader against the row loop
+# ---------------------------------------------------------------------------
+
+def _both_readers(path, schema=None):
+    """(load_panel's result, the row loop's alone): each a panel, or the
+    class and message of what it raised."""
+    schema = schema or PanelSchema()
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    outcomes = []
+    for load in (lambda: load_panel(path, schema),
+                 lambda: _row_panel(path, lines, schema)):
+        try:
+            outcomes.append(load())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _assert_same_outcome(fast, loop):
+    if not isinstance(loop, PanelDataset):
+        assert fast == loop
+        return
+    assert isinstance(fast, PanelDataset), fast
+    assert fast.regions == loop.regions and fast.time == loop.time
+    assert fast.units == loop.units and fast.variables == loop.variables
+    for name in loop.variables:
+        # bytes, so NaN positions, NaN bits and the sign of zero all count
+        assert fast.values(name).tobytes() == loop.values(name).tobytes()
+
+
+# cells the two parsers might read differently, or that the loop rejects
+_TOKEN = st.sampled_from(["1.5", "-0.0", "0", "1e3", ".5", "5.", "+2", "", "NA",
+                          "nan", "inf", "-Infinity", "1e400", "1e-400", "1_000",
+                          "0x10", "abc", "\u0661", " 1", "1.5\xa0", '"1.5"'])
+
+
+@st.composite
+def _grid_text(draw):
+    """A full region x quarter grid written as CSV, then perhaps shuffled,
+    with a row dropped or repeated, a year or quarter damaged, or a comment
+    or blank line put in."""
+    regions = draw(st.lists(st.sampled_from(["a", "b", "MX01", "nan", "é"]),
+                            min_size=1, max_size=3, unique=True))
+    start = draw(st.integers(1990, 2010)) * 4 + draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    cols = draw(st.sampled_from([["region", "year", "quarter", "cpi"],
+                                 ["cpi", "quarter", "region", "food", "year"]]))
+    lines = []
+    for region in regions:
+        for code in range(start, start + n):
+            cell = {"region": region, "year": str(code // 4),
+                    "quarter": str(code % 4 + 1)}
+            lines.append(",".join(cell.get(c) or draw(_TOKEN) for c in cols))
+    lines = draw(st.permutations(lines))
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "year",
+                                 "quarter", "comment", "blank"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit in ("year", "quarter"):
+        j = cols.index(edit)
+        cells = lines[i].split(",")
+        cells[j] = draw(st.sampled_from(["1962.0", "1e3", "5", "0", "-1", "x",
+                                         "+2001", "0002", ""]))
+        lines[i] = ",".join(cells)
+    elif edit in ("comment", "blank"):
+        lines.insert(i, "# note" if edit == "comment" else "")
+    head = draw(st.sampled_from(["", "# unit cpi = index\n", "\n# c\n"]))
+    return head + "\n".join([",".join(cols), *lines]) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_panel_agrees_with_the_row_loop(data, tmp_path_factory):
+    """load_panel gives the row loop's panel bit for bit, or raises what it
+    raises, on near-schema text, on full grids of edge cells and on
+    write_panel's own files."""
+    schema = PanelSchema(missing=data.draw(st.sampled_from(["", "NA", "nan"])))
+    path = tmp_path_factory.mktemp("diff") / "panel.csv"
+    source = data.draw(st.sampled_from(["text", "grid", "written"]))
+    if source == "written":
+        write_panel(data.draw(_panel()), path, schema)
+    else:
+        text = data.draw(_panel_text() if source == "text" else _grid_text())
+        path.write_text(text, encoding="utf-8")
+    _assert_same_outcome(*_both_readers(path, schema))
+
+
+def test_plain_files_take_the_column_reader(tmp_path):
+    ds = make_panel(n_regions=4, n_quarters=9, seed=3)
+    mat = np.array(ds.values("cpi"))
+    mat[1, 2:4] = np.nan
+    mat[0, 0] = -0.0
+    ds = ds.with_series("cpi", mat, "index")
+    for missing in ("", "NA", "nan"):
+        path = tmp_path / f"plain{missing}.csv"
+        schema = PanelSchema(missing=missing)
+        write_panel(ds, path, schema, header_comments=["made by a test"])
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        fast = _plain_panel(lines, schema)
+        assert fast is not None, missing
+        _assert_same_outcome(fast, _row_panel(path, lines, schema))
+        assert fast.equals(ds)
+
+
+_ROWS = ["a,2000,1,1.5", "a,2000,2,2.5", "b,2000,1,3.5", "b,2000,2,4.5"]
+
+
+def _rows_with(i, row):
+    return "\n".join(["region,year,quarter,cpi", *_ROWS[:i], row, *_ROWS[i + 1:]])
+
+
+# one file per form the column reader hands to the row loop; None where the
+# loop reads a panel, else the loop's message
+@pytest.mark.parametrize("text, missing, message", [
+    pytest.param(_rows_with(1, 'a,2000,2,"2.5"'), "", None, id="quoted"),
+    pytest.param(_rows_with(1, "a,2000,2, 2.5"), "", None, id="padded"),
+    pytest.param("\r\n".join(["region,year,quarter,cpi", *_ROWS]) + "\r\n",
+                 "", None, id="crlf"),
+    pytest.param(_rows_with(1, "a,2000,2,1_000"), "", None, id="underscore"),
+    pytest.param(_rows_with(1, "a,2000,2,infinity"), "",
+                 "panel.csv:3: cannot parse cpi='infinity' as a finite number",
+                 id="infinity"),
+    pytest.param(_rows_with(2, "b,2000,1,nan"), "",
+                 "panel.csv:4: cannot parse cpi='nan' as a finite number",
+                 id="nan"),
+    pytest.param(_rows_with(3, "b,2000,2,1e400"), "",
+                 "panel.csv:5: cannot parse cpi='1e400' as a finite number",
+                 id="overflow"),
+    pytest.param(_rows_with(1, "a,2000.0,2,2.5"), "",
+                 "panel.csv:3: bad year/quarter: invalid literal for int() "
+                 "with base 10: '2000.0'", id="float-year"),
+    pytest.param(_rows_with(1, "a,2000,5,2.5"), "",
+                 "panel.csv:3: bad year/quarter: quarter must be in 1..4, "
+                 "got 5", id="quarter-5"),
+    pytest.param(_rows_with(1, "a,2000,2"), "",
+                 "panel.csv:3: 3 fields where the header has 4", id="short"),
+    pytest.param(_rows_with(1, "a,2000,2,2.5\na,2000,2,2.5"), "", None,
+                 id="duplicate"),
+    pytest.param(_rows_with(1, "a,2000,2,2.5\na,2000,2,2.6"), "",
+                 "panel.csv: conflicting duplicate for (a, 2000Q2, cpi): 2.5 "
+                 "vs 2.6", id="conflict"),
+    pytest.param(_rows_with(1, "a,2000,3,2.5"), "",
+                 "missing quarters: (a, 2000Q2), (b, 2000Q3)", id="hole"),
+    pytest.param("# unit cpi = index\nregion,year,quarter,cpi\n", "",
+                 "panel.csv: no data rows", id="header-only"),
+    pytest.param(_rows_with(1, "a,2000,2, NA"), "NA", None, id="padded-token"),
+    pytest.param(_rows_with(1, 'a,2000,2,"N,A"'), "N,A", None,
+                 id="token-with-comma"),
+])
+def test_files_that_are_not_plain_go_to_the_row_loop(tmp_path, text, missing,
+                                                     message):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = PanelSchema(missing=missing)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert _plain_panel(fh.readlines(), schema) is None
+    fast, loop = _both_readers(path, schema)
+    _assert_same_outcome(fast, loop)
+    if message is None:
+        assert isinstance(loop, PanelDataset)
+    else:
+        assert loop[1].endswith(message)
