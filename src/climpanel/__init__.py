@@ -16,8 +16,8 @@ _HOMES = {
         "ardl_suite", "build_ardl_design", "estimate_ardl", "select_lag_bic",
     ), "ardl"),
     **dict.fromkeys((
-        "AnomalySeries", "NormParams", "anomaly", "attach_anomaly_features",
-        "historical_norm", "seasonal_shock", "sign_split", "weighted_aggregate",
+        "anomaly", "attach_anomaly_features", "historical_norm",
+        "seasonal_shock", "sign_split", "weighted_aggregate",
     ), "climate"),
     **dict.fromkeys((
         "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",

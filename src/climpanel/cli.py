@@ -126,13 +126,7 @@ class AnomalyConfig:
 @dataclass(frozen=True)
 class LPConfig:
     outcomes: tuple[str, ...] = ()
-    shocks: tuple[str, ...] = (
-        "temperature_winter_cold_m{m}",
-        "temperature_spring_hot_m{m}",
-        "temperature_summer_hot_m{m}",
-        "precipitation_anom_m{m}_pos",
-        "precipitation_anom_m{m}_neg",
-    )
+    shocks: tuple[str, ...] = ()   # load_config fills in _default_shocks
     m: int = 30
     horizons: tuple[int, ...] = tuple(range(9))
     lags: int = 8
@@ -233,6 +227,19 @@ _SECTIONS = {
     "stats": StatsConfig,
     "output": OutputConfig,
 }
+
+
+def _default_shocks(inp: dict) -> tuple[str, ...]:
+    """[lp] shocks when the file gives none, from the climate column names
+    in the [input] values inp, with {m} left in."""
+    t, p = (inp.get(key, getattr(InputConfig, key))
+            .replace("{", "{{").replace("}", "}}")   # braces are literal
+            for key in ("temperature_var", "precipitation_var"))
+    anom = anomaly_name(p, "{m}")
+    return (seasonal_name(t, "winter", "cold", "{m}"),
+            seasonal_name(t, "spring", "hot", "{m}"),
+            seasonal_name(t, "summer", "hot", "{m}"),
+            f"{anom}_pos", f"{anom}_neg")
 
 
 def _parse_bool(text: str) -> bool:
@@ -344,6 +351,7 @@ def load_config(
     _check_path("--out", out_dir)
     if seed is not None:
         raw["simulate"]["seed"] = seed
+    raw["lp"].setdefault("shocks", _default_shocks(raw["input"]))
     sections = {name: cls(**raw[name]) for name, cls in _SECTIONS.items()}
     output = sections.pop("output")
 

@@ -13,8 +13,6 @@ available as an alternative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import PanelDataset, shift
@@ -22,48 +20,15 @@ from .errors import BurnInError, DegenerateWeightError, SpecError
 
 NORM_MODES = ("same-quarter", "rolling")
 
+# Northern-hemisphere seasons of quarters 1..4.
 SEASONS = ("winter", "spring", "summer", "autumn")
-
-# Northern-hemisphere quarter-to-season map.
-SEASON_OF_QUARTER = {1: "winter", 2: "spring", 3: "summer", 4: "autumn"}
 
 # hot/wet keep the positive part of the anomaly, cold/dry the negative part.
 POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Moving-average window of m years of quarterly observations."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise SpecError(f"m must be >= 1, got {self.m}")
-
-    @property
-    def scale(self) -> float:
-        return 2.0 / (self.m + 1)
-
-    @property
-    def burn_in(self) -> int:
-        """Observations required before the first defined norm."""
-        return 4 * self.m
-
-
-@dataclass(frozen=True)
-class AnomalySeries:
-    """Anomaly values plus the norm they were measured against."""
-
-    variable: str
-    params: NormParams
-    values: np.ndarray  # (regions, quarters), scaled deviations
-    norm: np.ndarray    # (regions, quarters), trailing moving average
-    mode: str = "same-quarter"
-
-
 def historical_norm(
-    levels: np.ndarray, params: NormParams, mode: str = "same-quarter"
+    levels: np.ndarray, m: int, mode: str = "same-quarter"
 ) -> np.ndarray:
     """Trailing m-year moving average, NaN where history is insufficient.
 
@@ -73,15 +38,13 @@ def historical_norm(
     The window ends strictly before t, so norm[:, t] never depends on
     levels[:, s] with s >= t.
     """
+    if m < 1:
+        raise SpecError(f"m must be >= 1, got {m}")
     if mode not in NORM_MODES:
         raise SpecError(f"mode must be one of {NORM_MODES}, got {mode!r}")
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim == 1:
-        levels = levels[None, :]
-    if mode == "same-quarter":
-        offsets = [4 * l for l in range(1, params.m + 1)]
-    else:
-        offsets = list(range(1, params.burn_in + 1))
+    levels = np.atleast_2d(np.asarray(levels, dtype=float))
+    step = 4 if mode == "same-quarter" else 1
+    offsets = range(step, 4 * m + 1, step)
     # the longest offset is the burn-in, so cells before it come out NaN
     acc = np.zeros(levels.shape)
     for off in offsets:
@@ -90,19 +53,12 @@ def historical_norm(
 
 
 def anomaly(
-    levels: np.ndarray,
-    params: NormParams,
-    variable: str = "",
-    mode: str = "same-quarter",
-) -> AnomalySeries:
-    """Scaled deviation from the trailing norm: (2/(m+1)) * (level - norm)."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim == 1:
-        levels = levels[None, :]
-    norm = historical_norm(levels, params, mode)
-    values = params.scale * (levels - norm)
-    return AnomalySeries(variable=variable, params=params, values=values,
-                         norm=norm, mode=mode)
+    levels: np.ndarray, m: int, mode: str = "same-quarter"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, norm): the scaled deviation (2/(m+1)) * (level - norm) from
+    the trailing norm, and that norm, both (regions, quarters)."""
+    norm = historical_norm(levels, m, mode)
+    return 2.0 / (m + 1) * (np.asarray(levels, dtype=float) - norm), norm
 
 
 def sign_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +68,7 @@ def sign_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def seasonal_shock(
-    a: AnomalySeries,
+    values: np.ndarray,
     time,
     season: str,
     polarity: str,
@@ -131,16 +87,16 @@ def seasonal_shock(
         raise SpecError(f"polarity must be one of {sorted(POLARITY_SIGN)}, "
                         f"got {polarity!r}")
     in_season = np.array(
-        [SEASON_OF_QUARTER[q.quarter] == season for q in time], dtype=bool
+        [SEASONS[q.quarter - 1] == season for q in time], dtype=bool
     )
     if sign_conditioned:
-        part = (np.maximum(a.values, 0.0) if POLARITY_SIGN[polarity] > 0
-                else np.minimum(a.values, 0.0))
+        part = (np.maximum(values, 0.0) if POLARITY_SIGN[polarity] > 0
+                else np.minimum(values, 0.0))
     else:
-        part = a.values
-    values = np.where(in_season[None, :], part, 0.0)
-    values[np.isnan(a.values)] = np.nan
-    return values
+        part = values
+    out = np.where(in_season[None, :], part, 0.0)
+    out[np.isnan(values)] = np.nan
+    return out
 
 
 def weighted_aggregate(
@@ -205,27 +161,23 @@ def attach_anomaly_features(
     seasons. Raises BurnInError when the panel is too short for any cell to
     have m years of history.
     """
-    a = anomaly(ds.values(var), NormParams(m), variable=var, mode=mode)
-    if not np.isfinite(a.values).any():
+    values, norm = anomaly(ds.values(var), m, mode)
+    if not np.isfinite(values).any():
         raise BurnInError(
             f"{var!r}: no quarter has the {m} years of history needed for "
             f"m={m} norms (panel spans {ds.time[0]}..{ds.time[-1]})"
         )
-    unit = ds.unit(var)
     base = anomaly_name(var, m)
-    out = ds.with_series(f"{var}_norm_m{m}", a.norm, unit)
-    out = out.with_series(base, a.values, unit)
-    positive, negative = sign_split(a.values)
-    out = out.with_series(f"{base}_pos", positive, unit)
-    out = out.with_series(f"{base}_neg", negative, unit)
+    positive, negative = sign_split(values)
+    new = {f"{var}_norm_m{m}": norm, base: values,
+           f"{base}_pos": positive, f"{base}_neg": negative}
     if seasonal:
         for season in SEASONS:
             for polarity in polarities:
-                shock = seasonal_shock(
-                    a, ds.time, season, polarity,
+                new[seasonal_name(var, season, polarity, m)] = seasonal_shock(
+                    values, ds.time, season, polarity,
                     sign_conditioned=sign_conditioned,
                 )
-                out = out.with_series(
-                    seasonal_name(var, season, polarity, m), shock, unit
-                )
-    return out
+    unit = ds.unit(var)
+    units = {**ds.units, **dict.fromkeys(new, unit)} if unit else ds.units
+    return PanelDataset(ds.regions, ds.time, {**ds.series, **new}, units)

@@ -70,9 +70,6 @@ class QuarterIndex:
         """The quarter n steps ahead (negative n steps back)."""
         return _quarter_at(_quarter_code(self.year, self.quarter) + n)
 
-    def next(self) -> QuarterIndex:
-        return self.offset(1)
-
     def __sub__(self, other: QuarterIndex) -> int:
         """Signed distance in quarters."""
         return (_quarter_code(self.year, self.quarter)
@@ -144,7 +141,7 @@ class PanelDataset:
         if codes != list(range(codes[0], codes[0] + len(codes))):
             i = next(i for i in range(1, len(codes))
                      if codes[i] - codes[i - 1] != 1)
-            raise GapError([("<all>", str(time[i - 1].next()))])
+            raise GapError([("<all>", str(time[i - 1].offset(1)))])
         frozen = {}
         for name, mat in series.items():
             arr = mat if _frozen(mat) else np.array(mat, dtype=float)
@@ -311,13 +308,13 @@ def _cells(row, missing: str) -> list:
     return [missing if v != v else repr(v) if isinstance(v, float) else v for v in row]
 
 
-def write_csv(path, comments, header, rows, missing: str = "") -> None:
+def write_csv(path, comments, header, rows) -> None:
     """Write '# ' comment lines, a header row and the rows, cells by _cells."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comment_lines(comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(_cells(row, missing) for row in rows)
+        writer.writerows(_cells(row, "") for row in rows)
 
 
 def _holes(names, ri, codes, lo, hi):
@@ -439,21 +436,13 @@ def _plain_panel(lines, schema: PanelSchema) -> PanelDataset | None:
     seen[ri, codes - lo] = True
     if not seen.all():   # one row per cell: a repeated key leaves a hole
         return None
-    grid = np.empty((len(value_pos), len(names), hi - lo + 1))
-    grid[:, ri, codes - lo] = values
-    grid.flags.writeable = False   # each series is a read-only view, shared
-    series = {col: mat for (col, _), mat in zip(value_pos, grid)}
-    units = {m.group(1): m.group(2).strip()
-             for m in map(_UNIT_COMMENT_RE.match, lines[:head]) if m}
-    return PanelDataset(names, tuple(map(_quarter_at, range(lo, hi + 1))),
-                        series, {k: v for k, v in units.items() if k in series})
+    return _grid_panel(names, ri, codes, lo, hi, value_pos, values,
+                       lines[:head])
 
 
 def _row_panel(path, lines, schema: PanelSchema) -> PanelDataset:
     """load_panel's row loop: checks each row in file order and raises the
     first error with its path:line."""
-    units = {m.group(1): m.group(2).strip()
-             for m in map(_UNIT_COMMENT_RE.match, lines) if m}
     # (file line number, text) of each data line, header first
     data = [(n, line) for n, line in enumerate(lines, start=1)
             if line.strip() and not line.startswith("#")]
@@ -524,13 +513,22 @@ def _row_panel(path, lines, schema: PanelSchema) -> PanelDataset:
         # year must not cost a grid of every quarter up to it
         raise GapError(itertools.islice(_holes(names, ri, codes, lo, hi),
                                         max(len(cells), 1000)), n_gaps)
-    time = tuple(map(_quarter_at, range(lo, hi + 1)))
-    grid = np.full((len(value_pos), len(names), len(time)), math.nan)
-    grid[:, ri, codes - lo] = np.array(list(cells.values())).T
+    return _grid_panel(names, ri, codes, lo, hi, value_pos,
+                       np.array(list(cells.values())).T, lines)
+
+
+def _grid_panel(names, ri, codes, lo, hi, value_pos, values, lines):
+    """The panel whose value column k holds values[k, j] at region ri[j] and
+    quarter code codes[j], on the full grid of names by quarters lo..hi;
+    units come from the '# unit' comments among lines, in their order."""
+    grid = np.empty((len(value_pos), len(names), hi - lo + 1))
+    grid[:, ri, codes - lo] = values
     grid.flags.writeable = False   # each series is a read-only view, shared
     series = {col: mat for (col, _), mat in zip(value_pos, grid)}
-    units = {k: v for k, v in units.items() if k in series}
-    return PanelDataset(names, time, series, units)
+    units = {m.group(1): m.group(2).strip()
+             for m in map(_UNIT_COMMENT_RE.match, lines) if m}
+    return PanelDataset(names, tuple(map(_quarter_at, range(lo, hi + 1))),
+                        series, {k: v for k, v in units.items() if k in series})
 
 
 def write_panel(

@@ -82,7 +82,6 @@ class LPResult:
 
     shock: str
     outcome: str
-    level: float
     responses: tuple[ImpulseResponse, ...]
     failures: tuple[HorizonFailure, ...] = field(default=())
 
@@ -203,7 +202,7 @@ def estimate_irf(ds: PanelDataset, spec: LPSpec, shocks=None):
         if shocks is None and not responses and errors:
             raise errors[0][1]
         results.append(LPResult(
-            shock=name, outcome=spec.outcome, level=spec.level,
+            shock=name, outcome=spec.outcome,
             responses=tuple(responses),
             failures=tuple(HorizonFailure(h, f"{type(e).__name__}: {e}")
                            for h, e in errors),
@@ -226,8 +225,6 @@ def irf_table(results) -> tuple[IRFRow, ...]:
 
     Stars follow the two-sided normal 1/5/10 percent convention.
     """
-    if isinstance(results, LPResult):
-        results = [results]
     rows = []
     for res in results:
         for r in res.responses:

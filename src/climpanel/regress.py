@@ -12,7 +12,6 @@ one outcome and one set of controls, absorbing and factoring them once.
 Everything runs on numpy and the standard library: the QR is
 np.linalg.qr, its rank comes from a column-pivoting pass over the small
 triangle it returns, and normal quantiles from statistics.NormalDist.
-Only confidence_band(use_t=True) needs scipy.
 """
 from __future__ import annotations
 
@@ -256,17 +255,10 @@ class FitResult:
     dof: int
     rank: int
     absorbed: int
-    vcov_kind: str
     within_x: np.ndarray
     resid_vec: np.ndarray
     time_codes: np.ndarray
     xtx_inv: np.ndarray
-
-    def coef_for(self, name: str) -> float:
-        return float(self.coef[self.names.index(name)])
-
-    def se_for(self, name: str) -> float:
-        return float(self.se[self.names.index(name)])
 
 
 def _pivoted_triangle(R: np.ndarray, norms: np.ndarray):
@@ -397,7 +389,7 @@ def ols(design: Design) -> FitResult:
     return FitResult(
         names=d.names, coef=coef, vcov=vcov, se=se,
         nobs=n, dof=dof, rank=rank, absorbed=d.absorbed,
-        vcov_kind="classical", within_x=d.X, resid_vec=resid,
+        within_x=d.X, resid_vec=resid,
         time_codes=d.time_codes, xtx_inv=xtx_inv,
     )
 
@@ -455,8 +447,7 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
 def with_driscoll_kraay(fit: FitResult, hac: HACSpec) -> FitResult:
     """Return the fit with Driscoll-Kraay vcov and standard errors."""
     V = vcov_driscoll_kraay(fit, hac)
-    return replace(fit, vcov=V, se=np.sqrt(np.diag(V)),
-                   vcov_kind="driscoll-kraay")
+    return replace(fit, vcov=V, se=np.sqrt(np.diag(V)))
 
 
 @dataclass(frozen=True)
@@ -521,30 +512,16 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
 
 
 def confidence_band(
-    fit: FitResult, level: float, use_t: bool = False
+    fit: FitResult, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-coefficient bands coef +/- q * se.
-
-    Normal quantiles by default (use_t switches to Student t with the fit's
-    dof, which needs scipy; without it use_t raises SpecError). level = 0
-    degenerates to [coef, coef].
-    """
+    """Symmetric per-coefficient bands coef +/- q * se, q the normal
+    quantile; level = 0 degenerates to [coef, coef]."""
     if not 0.0 <= level < 1.0:
         raise SpecError(f"level must be in [0, 1), got {level}")
-    p = (1.0 + level) / 2.0
-    if not use_t:
-        # imported here: statistics loads decimal and fractions, which no
-        # other command needs
-        from statistics import NormalDist
-        q = NormalDist().inv_cdf(p)
-    else:
-        try:
-            from scipy.special import stdtrit
-        except ImportError:
-            raise SpecError("use_t=True needs scipy for the Student t "
-                            "quantile; install scipy or use normal "
-                            "quantiles") from None
-        q = float(stdtrit(fit.dof, p))
+    # imported here: statistics loads decimal and fractions, which no other
+    # command needs
+    from statistics import NormalDist
+    q = NormalDist().inv_cdf((1.0 + level) / 2.0)
     return fit.coef - q * fit.se, fit.coef + q * fit.se
 
 

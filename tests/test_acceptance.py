@@ -16,7 +16,6 @@ from climpanel import (
     ARDLSpec,
     HACSpec,
     LPSpec,
-    NormParams,
     PanelSchema,
     anomaly,
     annualize,
@@ -61,15 +60,15 @@ def test_anomaly_engine_bruteforce_1e12():
              + 0.01 * t
              + np.sin(0.7 * t) * 1.3)
     m = 30
-    a = anomaly(level[None, :], NormParams(m=m))
+    values, norm = anomaly(level[None, :], m)
     exp_vals, exp_norm = brute_anomaly(list(level), m)
-    defined = np.isfinite(a.values[0])
+    defined = np.isfinite(values[0])
     assert defined.sum() == T - m * 4
-    err_norm = np.nanmax(np.abs(a.norm[0] - np.asarray(exp_norm)))
-    err_vals = np.nanmax(np.abs(a.values[0] - np.asarray(exp_vals)))
-    positive, negative = sign_split(a.values)
+    err_norm = np.nanmax(np.abs(norm[0] - np.asarray(exp_norm)))
+    err_vals = np.nanmax(np.abs(values[0] - np.asarray(exp_vals)))
+    positive, negative = sign_split(values)
     recomposed = positive + negative
-    exact = np.array_equal(recomposed[0][defined], a.values[0][defined])
+    exact = np.array_equal(recomposed[0][defined], values[0][defined])
     elapsed = time.perf_counter() - t0
     ok = err_norm <= 1e-12 and err_vals <= 1e-12 and exact and elapsed < 1.0
     _verdict("anomaly-engine", ok,

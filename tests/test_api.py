@@ -11,7 +11,6 @@ from climpanel import (
     ARDLSpec,
     HACSpec,
     LPSpec,
-    NormParams,
     PanelSchema,
     QuarterIndex,
     annualize,
@@ -50,9 +49,9 @@ def test_every_public_name_is_in_the_readme():
     lambda: ARDLSpec("cpi", ("x",), p=-1),
     lambda: ARDLSpec("cpi", ()),
     lambda: HACSpec(-1),
-    lambda: NormParams(0),
+    lambda: historical_norm(np.zeros((1, 8)), 0),
     lambda: annualize(0.5, 0),
-    lambda: historical_norm(np.zeros((1, 8)), NormParams(1), mode="monthly"),
+    lambda: historical_norm(np.zeros((1, 8)), 1, mode="monthly"),
     lambda: seasonal_shock(None, (), "monsoon", "hot"),
     lambda: seasonal_shock(None, (), "summer", "humid"),
     lambda: weighted_aggregate(np.ones(3), [1.0], ["a"]),

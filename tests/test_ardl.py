@@ -6,6 +6,7 @@ import pytest
 
 from climpanel import (
     ARDLSpec,
+    HACSpec,
     PanelDataset,
     annualize,
     ardl_suite,
@@ -15,6 +16,7 @@ from climpanel import (
     quarter_range,
     QuarterIndex,
     select_lag_bic,
+    with_driscoll_kraay,
 )
 from climpanel.ardl import default_block, long_run_from_coefficients
 from climpanel.errors import RankDeficiencyError, UnitRootError
@@ -103,6 +105,31 @@ def test_theta_recovery_against_steady_state_oracle():
     mean = float(np.mean(thetas))
     mc_se = float(np.std(thetas, ddof=1) / math.sqrt(reps))
     assert abs(mean - truth) < 3 * mc_se
+
+
+def test_long_run_test_size():
+    # theta = 0 (beta = 0, phi = 0.5, p = 1) on 32 regions x 88 quarters:
+    # the two-sided 5% test of theta, ** or *** in the table, should reject
+    # 5% of the time. Classical delta-method errors hold that; Driscoll-Kraay
+    # errors over-reject mildly at this T (Driscoll & Kraay 1998), so they
+    # get a ceiling. Seeds 0..699 reject 6.0% and 7.7% (Monte Carlo SE
+    # about 0.9 pp).
+    reps = 700
+    spec = ARDLSpec("price", block=("driver",), p=1, m=30)
+    rejected = {"classical": 0, "driscoll-kraay": 0}
+    for seed in range(reps):
+        ds = ardl_panel(n_regions=32, n_quarters=88, phi=(0.5,), beta=(0.0,),
+                        seed=seed)
+        fit = estimate_ardl(ds, spec).fit
+        for kind, f in (("classical", fit),
+                        ("driscoll-kraay",
+                         with_driscoll_kraay(fit, HACSpec(None)))):
+            effect, = long_run_from_coefficients(
+                f.coef, f.vcov, f.names, spec.outcome, spec.block, spec.p,
+                spec.m, f.nobs).effects
+            rejected[kind] += len(effect.stars) >= 2
+    assert abs(rejected["classical"] / reps - 0.05) <= 0.02
+    assert rejected["driscoll-kraay"] / reps <= 0.09
 
 
 def test_phi_zero_dgp_theta_close_to_beta_sum():

@@ -252,6 +252,53 @@ def test_lp_all_cells_failing_exit_3(workspace, tmp_path):
     assert main(["lp", "--config", str(cfg)]) == 3
 
 
+def test_lp_default_shocks_follow_renamed_climate_columns(workspace,
+                                                          tmp_path):
+    # the default [lp] shocks are built from [input] temperature_var and
+    # precipitation_var, as ardl's block is, so renaming the climate
+    # columns renames the shock files and changes no number
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "climate.csv").write_text(
+        (workspace["data"] / "climate.csv").read_text(encoding="utf-8")
+        .replace("temperature", "temp").replace("precipitation", "rain"),
+        encoding="utf-8")
+    (data / "prices.csv").write_bytes(
+        (workspace["data"] / "prices.csv").read_bytes())
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=data, out=tmp_path / "o").replace(
+            "[input]\n",
+            "[input]\ntemperature_var = temp\nprecipitation_var = rain\n"),
+        encoding="utf-8")
+    assert main(["lp", "--config", str(cfg)]) == 0
+    assert main(["lp", "--config", str(workspace["config"]),
+                 "--out", str(tmp_path / "default")]) == 0
+    shocks = {"temp_winter_cold_m2": "temperature_winter_cold_m2",
+              "temp_spring_hot_m2": "temperature_spring_hot_m2",
+              "temp_summer_hot_m2": "temperature_summer_hot_m2",
+              "rain_anom_m2_pos": "precipitation_anom_m2_pos",
+              "rain_anom_m2_neg": "precipitation_anom_m2_neg"}
+    assert len(list((tmp_path / "o").glob("irf_*__*.csv"))) == 10
+    for shock, default in shocks.items():
+        for outcome in ("all_items", "food"):
+            got, want = (
+                [l for l in _read_lines(root / f"irf_{name}__{outcome}.csv")
+                 if not l.startswith("#")]
+                for root, name in ((tmp_path / "o", shock),
+                                   (tmp_path / "default", default)))
+            assert got == want
+
+
+def test_default_shocks_keep_braces_in_column_names(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[input]\ntemperature_var = t{m}\nprecipitation_var = r{x}\n",
+                   encoding="utf-8")
+    assert load_config(str(cfg)).lp.shock_names() == (
+        "t{m}_winter_cold_m30", "t{m}_spring_hot_m30", "t{m}_summer_hot_m30",
+        "r{x}_anom_m30_pos", "r{x}_anom_m30_neg")
+
+
 def test_stats_command(workspace, tmp_path):
     out = tmp_path / "stats_out"
     code = main(["stats", "--config", str(workspace["config"]),
@@ -434,8 +481,8 @@ def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
         bandwidth = max(default_bandwidth(len(np.unique(design.time_codes))), h)
         fit = with_driscoll_kraay(ols(design), HACSpec(bandwidth, False))
         assert row[1] == base[1]
-        assert float(row[2]) == pytest.approx(fit.se_for(spec.shock),
-                                              rel=1e-12)
+        se = fit.se[fit.names.index(spec.shock)]
+        assert float(row[2]) == pytest.approx(se, rel=1e-12)
         assert float(row[2]) < float(base[2])
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from climpanel import (
-    NormParams,
     PanelDataset,
     QuarterIndex,
     anomaly,
@@ -33,7 +32,7 @@ def quarters(n, start=QuarterIndex(1990, 1)):
 
 def test_norm_constant_series():
     levels = np.full((2, 40), 7.5)
-    norm = historical_norm(levels, NormParams(m=3))
+    norm = historical_norm(levels, 3)
     assert np.all(np.isnan(norm[:, :12]))
     assert np.all(norm[:, 12:] == 7.5)
 
@@ -43,13 +42,13 @@ def test_norm_m2_hand_value():
     levels = np.zeros((1, 12))
     levels[0, 1] = 10.0
     levels[0, 5] = 14.0
-    norm = historical_norm(levels, NormParams(m=2))
+    norm = historical_norm(levels, 2)
     assert norm[0, 9] == 12.0
 
 
 def test_norm_m1_is_last_year_same_quarter():
     levels = np.arange(24.0)[None, :]
-    norm = historical_norm(levels, NormParams(m=1))
+    norm = historical_norm(levels, 1)
     np.testing.assert_array_equal(norm[0, 4:], levels[0, :-4])
     assert np.all(np.isnan(norm[0, :4]))
 
@@ -59,12 +58,11 @@ def test_norm_m1_is_last_year_same_quarter():
 def test_norm_and_anomaly_match_bruteforce(m, mode):
     rng = np.random.default_rng(100 + m)
     levels = rng.normal(15.0, 4.0, (2, 50))
-    params = NormParams(m=m)
-    a = anomaly(levels, params, mode=mode)
+    values, norm = anomaly(levels, m, mode=mode)
     for i in range(2):
         exp_vals, exp_norm = brute_anomaly(list(levels[i]), m, mode=mode)
-        np.testing.assert_allclose(a.norm[i], exp_norm, atol=1e-12)
-        np.testing.assert_allclose(a.values[i], exp_vals, atol=1e-12)
+        np.testing.assert_allclose(norm[i], exp_norm, atol=1e-12)
+        np.testing.assert_allclose(values[i], exp_vals, atol=1e-12)
 
 
 def test_norm_trailing_causality():
@@ -73,8 +71,8 @@ def test_norm_trailing_causality():
     bumped = levels.copy()
     t0 = 30
     bumped[0, t0:] += 100.0
-    a = historical_norm(levels, NormParams(m=4))
-    b = historical_norm(bumped, NormParams(m=4))
+    a = historical_norm(levels, 4)
+    b = historical_norm(bumped, 4)
     np.testing.assert_array_equal(a[0, :t0 + 1], b[0, :t0 + 1])
 
 
@@ -84,19 +82,18 @@ def test_norm_trailing_causality():
 
 def test_anomaly_constant_is_zero():
     levels = np.full((1, 30), 3.25)
-    a = anomaly(levels, NormParams(m=2))
-    defined = np.isfinite(a.values)
+    values, _ = anomaly(levels, 2)
+    defined = np.isfinite(values)
     assert defined.any()
-    assert np.all(a.values[defined] == 0.0)
+    assert np.all(values[defined] == 0.0)
 
 
 def test_anomaly_m1_scale_is_one():
-    assert NormParams(m=1).scale == 1.0
     rng = np.random.default_rng(3)
     levels = rng.normal(size=(1, 20))
-    a = anomaly(levels, NormParams(m=1))
+    values, _ = anomaly(levels, 1)
     np.testing.assert_allclose(
-        a.values[0, 4:], levels[0, 4:] - levels[0, :-4], atol=1e-15)
+        values[0, 4:], levels[0, 4:] - levels[0, :-4], atol=1e-15)
 
 
 def test_anomaly_m30_unit_gap():
@@ -105,8 +102,8 @@ def test_anomaly_m30_unit_gap():
     levels = np.full((1, T), 20.0)
     t0 = 121
     levels[0, t0] = 21.0
-    a = anomaly(levels, NormParams(m=30))
-    got = a.values[0, t0]
+    values, _ = anomaly(levels, 30)
+    got = values[0, t0]
     assert got == pytest.approx(2.0 / 31.0, rel=1e-15)
     assert abs(got - 0.064516) < 1e-6
 
@@ -114,9 +111,8 @@ def test_anomaly_m30_unit_gap():
 def test_anomaly_linearity_in_scaling_and_shift():
     rng = np.random.default_rng(11)
     levels = rng.normal(10.0, 2.0, (2, 40))
-    params = NormParams(m=3)
-    base = anomaly(levels, params).values
-    scaled = anomaly(2.5 * levels + 4.0, params).values
+    base, _ = anomaly(levels, 3)
+    scaled, _ = anomaly(2.5 * levels + 4.0, 3)
     defined = np.isfinite(base)
     np.testing.assert_allclose(scaled[defined], 2.5 * base[defined],
                                rtol=1e-12, atol=1e-12)
@@ -130,15 +126,14 @@ def test_anomaly_window_scale_identity_on_impulse():
     levels = np.full((1, T), 5.0)
     t0 = 40
     levels[0, t0] = 8.0
-    a = anomaly(levels, NormParams(m=m)).values[0, t0]
-    b = anomaly(levels, NormParams(m=m2)).values[0, t0]
+    a = anomaly(levels, m)[0][0, t0]
+    b = anomaly(levels, m2)[0][0, t0]
     assert a / b == pytest.approx((m2 + 1) / (m + 1), rel=1e-14)
 
 
 def test_norm_params_validation():
-    with pytest.raises(ValueError):
-        NormParams(m=0)
-    assert NormParams(m=30).scale == 2.0 / 31.0
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        anomaly(np.zeros((1, 8)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +169,12 @@ def test_sign_split_partition_identity(values):
 def _small_anomaly(seed=0, T=24):
     rng = np.random.default_rng(seed)
     levels = rng.normal(0.0, 1.0, (2, T))
-    return anomaly(levels, NormParams(m=1)), quarters(T)
+    return anomaly(levels, 1)[0], quarters(T)
 
 
 def test_hot_summer_on_negative_series_is_zero():
     a, time = _small_anomaly()
-    vals = np.where(np.isfinite(a.values), -np.abs(a.values) - 0.5, np.nan)
-    forced = type(a)(variable="", params=a.params, values=vals, norm=a.norm)
+    forced = np.where(np.isfinite(a), -np.abs(a) - 0.5, np.nan)
     shock = seasonal_shock(forced, time, "summer", "hot")
     defined = np.isfinite(shock)
     assert np.all(shock[defined] == 0.0)
@@ -202,13 +196,13 @@ def test_cold_winter_only_q1():
 
 def test_season_partition_recovers_anomaly():
     a, time = _small_anomaly(seed=9)
-    total = np.zeros_like(a.values)
+    total = np.zeros_like(a)
     for season in ("winter", "spring", "summer", "autumn"):
         for polarity in ("hot", "cold"):
             total += np.nan_to_num(
                 seasonal_shock(a, time, season, polarity))
-    defined = np.isfinite(a.values)
-    np.testing.assert_array_equal(total[defined], a.values[defined])
+    defined = np.isfinite(a)
+    np.testing.assert_array_equal(total[defined], a[defined])
 
 
 def test_seasonal_interaction_form():
@@ -218,7 +212,7 @@ def test_seasonal_interaction_form():
         col = raw[:, t]
         finite = np.isfinite(col)
         if q.quarter == 2:
-            np.testing.assert_array_equal(col[finite], a.values[:, t][finite])
+            np.testing.assert_array_equal(col[finite], a[:, t][finite])
         else:
             assert np.all(col[finite] == 0.0)
 

@@ -55,7 +55,7 @@ def write_csv(path, rows, header="region,year,quarter,cpi"):
 
 def test_quarter_ordering_and_successor():
     assert QuarterIndex(2003, 4) < QuarterIndex(2004, 1)
-    assert QuarterIndex(2003, 4).next() == QuarterIndex(2004, 1)
+    assert QuarterIndex(2003, 4).offset(1) == QuarterIndex(2004, 1)
     assert QuarterIndex(2004, 1) - QuarterIndex(2003, 4) == 1
     assert QuarterIndex.parse("2002Q3") == QuarterIndex(2002, 3)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_load_panel_dimensions(tmp_path):
         q = QuarterIndex(2002, 1)
         for _ in range(92):
             rows.append(f"reg{r},{q.year},{q.quarter},{100 + r}")
-            q = q.next()
+            q = q.offset(1)
     path = tmp_path / "panel.csv"
     write_csv(path, rows)
     ds = load_panel(path)
@@ -104,7 +104,7 @@ def test_load_panel_gap_error_names_cell(tmp_path):
         for _ in range(8):
             if not (r == "b" and q == QuarterIndex(2003, 2)):
                 rows.append(f"{r},{q.year},{q.quarter},1.0")
-            q = q.next()
+            q = q.offset(1)
     path = tmp_path / "panel.csv"
     write_csv(path, rows)
     with pytest.raises(GapError) as err:

@@ -4,6 +4,7 @@ for byte, and fixed configs must keep their resolved-config hashes.
 A change that alters numbers on purpose refreshes the stored hashes with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
+import ast
 import hashlib
 import json
 import os
@@ -167,8 +168,8 @@ def test_demo_pipeline_through_the_entry_point(tmp_path):
 
 
 # Runs the demo pipeline in a fresh interpreter in which every scipy and
-# click import fails, then prints the output hashes, the scipy and click
-# modules loaded and what confidence_band(use_t=True) raised.
+# click import fails, then prints the output hashes and the scipy and click
+# modules loaded.
 WITHOUT_SCIPY = """
 import importlib.abc, json, sys
 from pathlib import Path
@@ -181,23 +182,10 @@ class Block(importlib.abc.MetaPathFinder):
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
 sys.meta_path.insert(0, Block())
-import numpy as np
-from climpanel import QuarterIndex, confidence_band, ols, quarter_range
-from climpanel.regress import design_from_matrices
 from test_golden import demo_hashes
 
 hashes = demo_hashes(Path(sys.argv[1]))
-rng = np.random.default_rng(0)
-time = quarter_range(QuarterIndex(2000, 1), QuarterIndex(2004, 4))
-fit = ols(design_from_matrices(rng.normal(size=(1, 20)),
-                               [("x", rng.normal(size=(1, 20)))],
-                               ["a"], time))
-try:
-    confidence_band(fit, 0.9, use_t=True)
-    use_t = None
-except Exception as exc:
-    use_t = type(exc).__name__
-print(json.dumps({"hashes": hashes, "use_t": use_t, **{
+print(json.dumps({"hashes": hashes, **{
     top: sorted(m for m in sys.modules if m.partition(".")[0] == top)
     for top in BLOCKED}}))
 """
@@ -214,8 +202,25 @@ def test_demo_pipeline_runs_without_scipy(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["scipy"] == []
     assert got["click"] == []
-    assert got["use_t"] == "SpecError"
     assert got["hashes"] == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_source_imports_no_scipy():
+    # every import statement in the package, at any depth, so that an
+    # import inside a function, which the run above may never reach, counts
+    src = Path(__file__).resolve().parents[1] / "src" / "climpanel"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in tops
+                      if name.partition(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_resolved_config_hashes_are_pinned(tmp_path):

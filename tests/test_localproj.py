@@ -147,13 +147,13 @@ def test_recovery_against_simulated_truth():
 
 def test_irf_table_stars_and_ordering():
     res = LPResult(
-        shock="s", outcome="o", level=0.9,
+        shock="s", outcome="o",
         responses=(
             ImpulseResponse(1, 0.258, 0.1, (0.0, 0.5), 50),
             ImpulseResponse(0, 0.012, 0.1046, (-0.2, 0.2), 50),
         ),
     )
-    rows = irf_table(res)
+    rows = irf_table([res])
     assert [r.horizon for r in rows] == [0, 1]
     assert rows[0].stars == ""      # |z| = 0.1147
     assert rows[1].stars == "***"   # z = 2.58, boundary inclusive
@@ -162,7 +162,7 @@ def test_irf_table_stars_and_ordering():
 
 def test_irf_table_multi_result_ordering():
     def mk(shock, outcome):
-        return LPResult(shock=shock, outcome=outcome, level=0.9,
+        return LPResult(shock=shock, outcome=outcome,
                         responses=(ImpulseResponse(0, 0.0, 1.0, (-1, 1), 9),))
     rows = irf_table([mk("b", "y"), mk("a", "z"), mk("a", "y")])
     assert [(r.shock, r.outcome) for r in rows] == [
