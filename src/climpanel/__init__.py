@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys((
         "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
-        "ardl_suite", "build_ardl_design", "estimate_ardl", "select_lag_bic",
+        "build_ardl_design", "estimate_ardl", "select_lag_bic",
     ), "ardl"),
     **dict.fromkeys((
         "anomaly", "attach_anomaly_features", "historical_norm",
@@ -25,8 +25,8 @@ _HOMES = {
         "summary_stats", "write_panel",
     ), "dataset"),
     **dict.fromkeys((
-        "ImpulseResponse", "IRFRow", "LPResult", "LPSpec", "build_lp_design",
-        "estimate_irf", "irf_table",
+        "ImpulseResponse", "LPResult", "LPSpec", "build_lp_design",
+        "estimate_irf",
     ), "localproj"),
     **dict.fromkeys((
         "Design", "FitResult", "HACSpec", "confidence_band",

@@ -9,7 +9,8 @@ anomaly regressors, with region fixed effects:
 The long-run effect of block variable k is theta_k = (sum_l beta_lk) / phi
 with phi = 1 - sum_l phi_l; its standard error comes from the delta method
 on the joint coefficient covariance. The annualized reading of theta under
-an m-year norm is theta * 2 / (m + 1).
+an m-year norm is theta * 2 / (m + 1). estimate_ardl fits one (outcome, m)
+cell; the ardl command runs the grid of cells.
 """
 from __future__ import annotations
 
@@ -196,53 +197,6 @@ def default_block(temperature_var: str, precipitation_var: str, m: int) -> tuple
     t = anomaly_name(temperature_var, m)
     p = anomaly_name(precipitation_var, m)
     return (f"{t}_pos", f"{t}_neg", f"{p}_pos", f"{p}_neg")
-
-
-@dataclass(frozen=True)
-class SuiteFailure:
-    outcome: str
-    m: int
-    message: str
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    tables: tuple[LongRunTable, ...]
-    failures: tuple[SuiteFailure, ...]
-
-
-def ardl_suite(
-    ds: PanelDataset,
-    outcomes,
-    ms,
-    temperature_var: str,
-    precipitation_var: str,
-    p: int = 4,
-    hac: HACSpec | None = None,
-    sample=None,
-) -> SuiteResult:
-    """One long-run table per (outcome, m), anomalies precomputed upstream.
-
-    Cells are ordered outcome-by-outcome with m ascending; a failing cell is
-    recorded and the remainder completed.
-    """
-    tables = []
-    failures = []
-    for outcome in outcomes:
-        for m in sorted(ms):
-            spec = ARDLSpec(
-                outcome=outcome,
-                block=default_block(temperature_var, precipitation_var, m),
-                p=p, m=m, hac=hac, sample=sample,
-            )
-            try:
-                tables.append(estimate_ardl(ds, spec).table)
-            except ClimPanelError as exc:
-                failures.append(SuiteFailure(
-                    outcome=outcome, m=m,
-                    message=f"{type(exc).__name__}: {exc}",
-                ))
-    return SuiteResult(tables=tuple(tables), failures=tuple(failures))
 
 
 def select_lag_bic(ds: PanelDataset, spec: ARDLSpec, candidates=range(1, 9)) -> int:

@@ -20,8 +20,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import __version__
-from .ardl import ardl_suite
+from . import __version__, ardl
 from .climate import (
     NORM_MODES,
     SEASONS,
@@ -47,7 +46,7 @@ from .errors import (
     DataValidationError,
     EstimationError,
 )
-from .localproj import LPSpec, estimate_irf, irf_table
+from .localproj import LPSpec, estimate_irf
 from .regress import HACSpec, significance_stars
 from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
 
@@ -448,6 +447,13 @@ def _load_merged(cfg: RunConfig) -> PanelDataset:
     return subset(merged, prices.variables + ds.variables)
 
 
+def _all_failed(kind: str, failures: list[str]) -> EstimationError:
+    """The error for a run in which every cell failed: their count and the
+    first cell's message, which alone can name every series of the panel."""
+    return EstimationError(f"all {len(failures)} {kind} cells failed; "
+                           f"the first: {failures[0]}")
+
+
 def _climate_vars(cfg: RunConfig):
     """(climate variable, its seasonal polarities) pairs."""
     return ((cfg.input.temperature_var, ("hot", "cold")),
@@ -513,60 +519,59 @@ def _cmd_lp(cfg: RunConfig) -> None:
     by_cell = {}
     for outcome in cfg.lp.outcomes:
         spec = LPSpec(
-            outcome=outcome, shock=shocks[0], horizons=cfg.lp.horizons,
+            outcome=outcome, shocks=shocks, horizons=cfg.lp.horizons,
             lags=cfg.lp.lags, fixed_effects=cfg.lp.fixed_effects,
             hac=hac, level=cfg.lp.level, sample=window,
         )
-        for res in estimate_irf(ds, spec, shocks=shocks):
+        for res in estimate_irf(ds, spec):
             by_cell[(res.shock, outcome)] = res
-    results = []
     cell_failures = []
-    written = []
+    horizon_failures = []
+    written = []   # one file per estimated cell, then irf_table.csv
+    table = []   # irf_table.csv rows
     units = {"horizon": "quarters",
              "estimate": "log change of outcome per unit shock",
              "se": "same as estimate", "lo": "band lower", "hi": "band upper"}
     for shock in shocks:
         for outcome in cfg.lp.outcomes:
             res = by_cell[(shock, outcome)]
-            if not res.responses and res.failures:
-                cell_failures.append(f"shock={shock} outcome={outcome}: "
-                                     f"{res.failures[0].message}")
+            cell = f"shock={shock} outcome={outcome}"
+            if not res.responses:
+                cell_failures.append(f"{cell}: {res.failures[0].message}")
                 continue
-            results.append(res)
+            horizon_failures += [f"{cell} h={f.horizon}: {f.message}"
+                                 for f in res.failures]
+            rows = [[r.horizon, r.estimate, r.se, r.band[0], r.band[1], r.nobs,
+                     significance_stars(r.estimate, r.se)]
+                    for r in res.responses]
             path = out / f"irf_{shock}__{outcome}.csv"
             _write_csv(
                 path, _header(cfg, units),
                 ["horizon", "estimate", "se", "lo", "hi", "nobs", "stars"],
-                [[r.horizon, r.estimate, r.se, r.band[0], r.band[1], r.nobs,
-                  significance_stars(r.estimate, r.se)]
-                 for r in res.responses],
+                rows,
             )
             written.append(path.name)
-    if not results:
-        raise EstimationError(
-            "all LP cells failed: " + " | ".join(cell_failures)
-        )
-    rows = irf_table(results)
+            table += [[shock, outcome, h, est, se, stars]
+                      for h, est, se, _, _, _, stars in rows]
+    if not written:
+        raise _all_failed("LP", cell_failures)
+    estimated = len(written)
+    # the combined table is keyed (shock, outcome, horizon)
+    table.sort(key=lambda row: row[:3])
     table_path = out / "irf_table.csv"
     _write_csv(
         table_path, _header(cfg, units),
-        ["shock", "outcome", "horizon", "estimate", "se", "stars"],
-        [[r.shock, r.outcome, r.horizon, r.estimate, r.se, r.stars]
-         for r in rows],
+        ["shock", "outcome", "horizon", "estimate", "se", "stars"], table,
     )
     written.append(table_path.name)
-    horizon_failures = [
-        f"shock={res.shock} outcome={res.outcome} h={f.horizon}: {f.message}"
-        for res in results for f in res.failures
-    ]
     n_cells = len(shocks) * len(cfg.lp.outcomes)
     _write_run_report(cfg, "lp", {
-        "cells": f"{n_cells} attempted, {len(results)} estimated, "
+        "cells": f"{n_cells} attempted, {estimated} estimated, "
                  f"{len(cell_failures)} failed",
         "horizon failures": len(horizon_failures),
     }, written, {"failed cells": cell_failures,
                  "failed horizons": horizon_failures})
-    print(f"lp: {len(results)}/{n_cells} cells estimated, "
+    print(f"lp: {estimated}/{n_cells} cells estimated, "
           f"outputs in {out}")
 
 
@@ -575,7 +580,7 @@ def _longrun_label(variable: str, m: int) -> str:
 
 
 def _longrun_text(outcome: str, tables) -> str:
-    tables = sorted(tables, key=lambda t: t.m)
+    """The outcome's long-run tables, m ascending, side by side."""
     width = 16
     head = f"Long-run effects: {outcome}"
     cols = "".join(f"{f'{t.m} yr MA':>{width}}" for t in tables)
@@ -606,40 +611,46 @@ def _cmd_ardl(cfg: RunConfig) -> None:
     window = _window(cfg, ds)
     hac = (HACSpec(cfg.ardl.bandwidth, cfg.ardl.small_sample)
            if cfg.ardl.se == "driscoll-kraay" else None)
-    suite = ardl_suite(
-        ds, cfg.ardl.outcomes, cfg.ardl.m,
-        cfg.input.temperature_var, cfg.input.precipitation_var,
-        p=cfg.ardl.p, hac=hac, sample=window,
-    )
-    failed = [f"{f.outcome}/m={f.m}: {f.message}" for f in suite.failures]
-    if not suite.tables:
-        raise EstimationError("all ARDL cells failed: " + " | ".join(failed))
+    # one long-run table per (outcome, m) cell, m ascending within each
+    # outcome; a failing cell is recorded and the rest still estimated
+    tables = []
+    failed = []
+    for outcome in cfg.ardl.outcomes:
+        for m in sorted(cfg.ardl.m):
+            spec = ardl.ARDLSpec(
+                outcome=outcome,
+                block=ardl.default_block(cfg.input.temperature_var,
+                                         cfg.input.precipitation_var, m),
+                p=cfg.ardl.p, m=m, hac=hac, sample=window,
+            )
+            try:
+                tables.append(ardl.estimate_ardl(ds, spec).table)
+            except ClimPanelError as exc:
+                failed.append(f"{outcome}/m={m}: {type(exc).__name__}: {exc}")
+    if not tables:
+        raise _all_failed("ARDL", failed)
     out = _out_dir(cfg)
     written = []
     units = {"theta": "log change per unit of the block variable",
              "annualized": "theta * 2/(m+1)"}
-    rows = []
-    for t in suite.tables:
-        for e in t.effects:
-            rows.append([t.outcome, t.m, _longrun_label(e.variable, t.m),
-                         e.theta, e.se, e.stars, e.annualized,
-                         t.phi, t.phi_se, t.phi_stars, t.nobs])
     table_path = out / "longrun_table.csv"
     _write_csv(
         table_path, _header(cfg, units),
         ["outcome", "m", "variable", "theta", "se", "stars", "annualized",
          "phi", "phi_se", "phi_stars", "nobs"],
-        rows,
+        [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta, e.se,
+          e.stars, e.annualized, t.phi, t.phi_se, t.phi_stars, t.nobs]
+         for t in tables for e in t.effects],
     )
     written.append(table_path.name)
     for outcome in cfg.ardl.outcomes:
-        tables = [t for t in suite.tables if t.outcome == outcome]
-        if not tables:
+        own = [t for t in tables if t.outcome == outcome]
+        if not own:
             continue
         path = out / f"longrun_{outcome}.txt"
         notes = [*_header(cfg, units),
                  "standard errors in parentheses; *** 1%, ** 5%, * 10%"]
-        path.write_text(comment_lines(notes) + _longrun_text(outcome, tables),
+        path.write_text(comment_lines(notes) + _longrun_text(outcome, own),
                         encoding="utf-8")
         written.append(path.name)
     ann_path = out / "annualized_summary.csv"
@@ -648,15 +659,15 @@ def _cmd_ardl(cfg: RunConfig) -> None:
         ["outcome", "m", "variable", "theta", "annualized", "annualized_4dp"],
         [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta,
           e.annualized, f"{e.annualized:.4f}"]
-         for t in suite.tables for e in t.effects],
+         for t in tables for e in t.effects],
     )
     written.append(ann_path.name)
     n_cells = len(cfg.ardl.outcomes) * len(cfg.ardl.m)
     _write_run_report(cfg, "ardl", {
-        "cells": f"{n_cells} attempted, {len(suite.tables)} estimated, "
+        "cells": f"{n_cells} attempted, {len(tables)} estimated, "
                  f"{len(failed)} failed",
     }, written, {"failed cells": failed})
-    print(f"ardl: {len(suite.tables)}/{n_cells} cells estimated, "
+    print(f"ardl: {len(tables)}/{n_cells} cells estimated, "
           f"outputs in {out}")
 
 

@@ -7,7 +7,7 @@ impulse response. Horizons are estimated by separate regressions, each with
 Driscoll-Kraay standard errors whose default bandwidth grows with h to
 cover the moving-average overlap the cumulative outcome induces.
 
-Shocks estimated together (estimate_irf's shocks argument) that share a
+A spec names one outcome and one or more shocks. Shocks that share a
 sample at a horizon are fitted in one exact Frisch-Waugh-Lovell pass: the
 outcome and the lag controls are absorbed and factored once for all of
 them, and each shock's slope and standard error equal those of its own
@@ -15,7 +15,7 @@ regression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .regress import (
     design_from_matrices,
     focal_driscoll_kraay,
     ols,
-    significance_stars,
     window_slice,
     with_driscoll_kraay,
 )
@@ -39,10 +38,10 @@ DEFAULT_HORIZONS = tuple(range(9))
 
 @dataclass(frozen=True)
 class LPSpec:
-    """Local-projection settings for one (outcome, shock) pair."""
+    """Local-projection settings for one outcome and its shocks."""
 
     outcome: str
-    shock: str
+    shocks: tuple[str, ...]
     horizons: tuple[int, ...] = DEFAULT_HORIZONS
     lags: int = 8
     fixed_effects: tuple[str, ...] = ("region", "time")
@@ -51,6 +50,11 @@ class LPSpec:
     sample: tuple | None = None
 
     def __post_init__(self):
+        # a bare string would otherwise run once per character
+        if isinstance(self.shocks, str) or not self.shocks:
+            raise SpecError("shocks must be a nonempty tuple of names")
+        if len(set(self.shocks)) != len(self.shocks):
+            raise SpecError("shock names must be unique")
         if any(h < 0 for h in self.horizons):
             raise SpecError("horizons must be nonnegative")
         if self.lags < 0:
@@ -83,23 +87,20 @@ class LPResult:
     shock: str
     outcome: str
     responses: tuple[ImpulseResponse, ...]
-    failures: tuple[HorizonFailure, ...] = field(default=())
+    failures: tuple[HorizonFailure, ...] = ()
 
 
-def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int,
-                    shocks=None) -> Design:
+def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:
     """Design for one horizon.
 
-    Outcome: log(P[t+h]) - log(P[t-1]). Regressors: the shocks at t
-    (spec.shock unless shocks is given), then lags 1..spec.lags of the
-    one-quarter log change of P. Rows needing leads or lags outside the
-    panel are dropped listwise.
+    Outcome: log(P[t+h]) - log(P[t-1]). Regressors: spec.shocks at t, then
+    lags 1..spec.lags of the one-quarter log change of P. Rows needing
+    leads or lags outside the panel are dropped listwise.
     """
     log_p = checked_log(ds, spec.outcome)
     y = shift(log_p, -horizon) - shift(log_p, 1)
     dlog = log_p - shift(log_p, 1)
-    shocks = (spec.shock,) if shocks is None else shocks
-    x_named = [(shock, ds.values(shock)) for shock in shocks]
+    x_named = [(shock, ds.values(shock)) for shock in spec.shocks]
     x_named += [(f"dlog_{spec.outcome}_lag{n}", shift(dlog, n))
                 for n in range(1, spec.lags + 1)]
     return design_from_matrices(
@@ -116,8 +117,8 @@ def _horizon_hac(spec: LPSpec, design: Design, horizon: int) -> HACSpec:
     return replace(hac, bandwidth=max(default_bandwidth(n_periods), horizon))
 
 
-def _sample_groups(ds: PanelDataset, spec: LPSpec, shocks) -> list[list[int]]:
-    """Positions in shocks grouped by the shock's finite cells inside the
+def _sample_groups(ds: PanelDataset, spec: LPSpec) -> list[list[int]]:
+    """Positions in spec.shocks grouped by the shock's finite cells inside the
     sample window, which with the shared outcome and lags fix the
     listwise-deleted sample. A shock that cannot be read forms its own
     group, so reading it fails for it alone."""
@@ -126,7 +127,7 @@ def _sample_groups(ds: PanelDataset, spec: LPSpec, shocks) -> list[list[int]]:
     except (ClimPanelError, ValueError):
         cols = slice(None)  # every design build fails alike
     groups: dict = {}
-    for i, shock in enumerate(shocks):
+    for i, shock in enumerate(spec.shocks):
         try:
             key = np.isfinite(ds.values(shock)[:, cols]).tobytes()
         except ClimPanelError:
@@ -146,25 +147,25 @@ def _response(fit, level: float, j: int, horizon: int) -> ImpulseResponse:
 def _fit_alone(ds: PanelDataset, spec: LPSpec, shock: str, horizon: int):
     """One shock's own regression; raises the error ols or the covariance
     gives for it."""
-    design = build_lp_design(ds, spec, horizon, (shock,))
+    design = build_lp_design(ds, replace(spec, shocks=(shock,)), horizon)
     fit = ols(design)
     fit = with_driscoll_kraay(fit, _horizon_hac(spec, design, horizon))
     return _response(fit, spec.level, fit.names.index(shock), horizon)
 
 
-def _fit_group(ds: PanelDataset, spec: LPSpec, shocks, horizon: int) -> list:
-    """An ImpulseResponse or the ClimPanelError for each shock of a group
-    sharing one sample. A shock the batched fit cannot take, or every shock
-    when the batched fit fails, is refitted alone, so its error is the one
-    its own regression gives."""
+def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
+    """An ImpulseResponse or the ClimPanelError for each shock of spec,
+    whose shocks share one sample. A shock the batched fit cannot take, or
+    every shock when the batched fit fails, is refitted alone, so its error
+    is the one its own regression gives."""
     try:
-        design = build_lp_design(ds, spec, horizon, shocks)
-        fit = focal_driscoll_kraay(design, len(shocks),
+        design = build_lp_design(ds, spec, horizon)
+        fit = focal_driscoll_kraay(design, len(spec.shocks),
                                    _horizon_hac(spec, design, horizon))
     except ClimPanelError:
         fit = None
     out = []
-    for j, shock in enumerate(shocks):
+    for j, shock in enumerate(spec.shocks):
         if fit is not None and fit.ok[j]:
             out.append(_response(fit, spec.level, j, horizon))
             continue
@@ -175,63 +176,30 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, shocks, horizon: int) -> list:
     return out
 
 
-def estimate_irf(ds: PanelDataset, spec: LPSpec, shocks=None):
-    """Estimate the impulse response at every requested horizon.
+def estimate_irf(ds: PanelDataset, spec: LPSpec) -> tuple[LPResult, ...]:
+    """Estimate the impulse response of every shock of spec at every
+    requested horizon: one LPResult per shock, in order. Results equal
+    those of one call per shock up to rounding.
 
     Horizons are independent regressions; a failing horizon is recorded in
-    LPResult.failures while the others are still returned. Only when every
-    horizon fails is the first error re-raised.
-
-    With shocks (a sequence of series names) every shock is estimated in
-    place of spec.shock and a tuple of one LPResult per shock is returned,
-    in order; a shock whose every horizon failed has only failures, nothing
-    is raised. Results equal those of one call per shock up to rounding.
+    LPResult.failures while the others are still returned, and a shock
+    whose every horizon failed has only failures. Nothing is raised.
     """
-    names = (spec.shock,) if shocks is None else tuple(shocks)
-    groups = _sample_groups(ds, spec, names)
-    outcomes = [[] for _ in names]   # (horizon, response or error) per shock
+    groups = [(group, replace(spec, shocks=tuple(spec.shocks[i]
+                                                 for i in group)))
+              for group in _sample_groups(ds, spec)]
+    outcomes = [[] for _ in spec.shocks]   # (horizon, response or error)
     for h in spec.horizons:
-        for group in groups:
-            fitted = _fit_group(ds, spec, [names[i] for i in group], h)
-            for i, out in zip(group, fitted):
+        for group, group_spec in groups:
+            for i, out in zip(group, _fit_group(ds, group_spec, h)):
                 outcomes[i].append((h, out))
-    results = []
-    for name, pairs in zip(names, outcomes):
-        responses = [r for _, r in pairs if isinstance(r, ImpulseResponse)]
-        errors = [(h, e) for h, e in pairs if isinstance(e, ClimPanelError)]
-        if shocks is None and not responses and errors:
-            raise errors[0][1]
-        results.append(LPResult(
+    return tuple(
+        LPResult(
             shock=name, outcome=spec.outcome,
-            responses=tuple(responses),
+            responses=tuple(r for _, r in pairs
+                            if isinstance(r, ImpulseResponse)),
             failures=tuple(HorizonFailure(h, f"{type(e).__name__}: {e}")
-                           for h, e in errors),
-        ))
-    return tuple(results) if shocks is not None else results[0]
-
-
-@dataclass(frozen=True)
-class IRFRow:
-    shock: str
-    outcome: str
-    horizon: int
-    estimate: float
-    se: float
-    stars: str
-
-
-def irf_table(results) -> tuple[IRFRow, ...]:
-    """Flatten LP results into rows keyed (shock, outcome, horizon).
-
-    Stars follow the two-sided normal 1/5/10 percent convention.
-    """
-    rows = []
-    for res in results:
-        for r in res.responses:
-            rows.append(IRFRow(
-                shock=res.shock, outcome=res.outcome, horizon=r.horizon,
-                estimate=r.estimate, se=r.se,
-                stars=significance_stars(r.estimate, r.se),
-            ))
-    rows.sort(key=lambda r: (r.shock, r.outcome, r.horizon))
-    return tuple(rows)
+                           for h, e in pairs
+                           if isinstance(e, ClimPanelError)),
+        )
+        for name, pairs in zip(spec.shocks, outcomes))

@@ -179,6 +179,9 @@ def within_transform(design: Design) -> Design:
     dims = design.fixed_effects
     if not dims:
         return replace(design, demeaned=True, absorbed=0)
+    if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
+        raise SpecError("fixed_effects may name region and time, each once, "
+                        f"got {dims}")
 
     code_arrays = {"region": design.region_codes, "time": design.time_codes}
     keep = np.ones(design.nobs, dtype=bool)

@@ -155,7 +155,7 @@ def test_lp_recovery_and_coverage():
     h0 = []
     for seed in range(reps):
         ds = lp_panel(beta=beta, seed=1_000_000 + seed)
-        res = estimate_irf(ds, LPSpec("price", "shock"))
+        (res,) = estimate_irf(ds, LPSpec("price", ("shock",)))
         for r in res.responses:
             cover[r.horizon] += (r.band[0] <= truth[r.horizon] <= r.band[1])
             if r.horizon == 0:
@@ -211,8 +211,8 @@ def test_null_effect_size_calibration():
     rejections = 0
     for seed in range(reps):
         ds = lp_panel(beta=0.0, seed=3_000_000 + seed)
-        r = estimate_irf(ds, LPSpec("price", "shock",
-                                    horizons=(0,))).responses[0]
+        (res,) = estimate_irf(ds, LPSpec("price", ("shock",), horizons=(0,)))
+        r = res.responses[0]
         rejections += not (r.band[0] <= 0.0 <= r.band[1])
     rate = rejections / reps
     elapsed = time.perf_counter() - t0

@@ -14,7 +14,6 @@ from climpanel import (
     PanelSchema,
     QuarterIndex,
     annualize,
-    ardl_suite,
     confidence_band,
     estimate_irf,
     historical_norm,
@@ -23,6 +22,7 @@ from climpanel import (
     select_lag_bic,
     weighted_aggregate,
 )
+from climpanel.ardl import default_block
 from climpanel.errors import ClimPanelError, ConfigError
 
 
@@ -44,8 +44,8 @@ def test_every_public_name_is_in_the_readme():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: LPSpec("cpi", "shock", lags=-1),
-    lambda: LPSpec("cpi", "shock", level=1.0),
+    lambda: LPSpec("cpi", ("shock",), lags=-1),
+    lambda: LPSpec("cpi", ("shock",), level=1.0),
     lambda: ARDLSpec("cpi", ("x",), p=-1),
     lambda: ARDLSpec("cpi", ()),
     lambda: HACSpec(-1),
@@ -61,12 +61,17 @@ def test_every_public_name_is_in_the_readme():
     lambda: quarter_range(QuarterIndex(2001, 1), QuarterIndex(2000, 4)),
     lambda: QuarterIndex(2000, 5),
     lambda: QuarterIndex.parse("2002-03"),
-    lambda: LPSpec("cpi", "shock", sample=("2002Q1", "2010-04")),
+    lambda: LPSpec("cpi", ("shock",), sample=("2002Q1", "2010-04")),
     lambda: ARDLSpec("cpi", ("x",), sample=("2002-03", "2010Q4")),
-    lambda: estimate_irf(None, LPSpec("cpi", "shock",
+    lambda: estimate_irf(None, LPSpec("cpi", ("shock",),
                                       sample=("2002-03", "2010Q4"))),
-    lambda: ardl_suite(None, ["cpi"], [2], "temperature", "precipitation",
-                       sample=("2002-03", "2010Q4")),
+    # an ARDL grid cell as the ardl command builds it
+    lambda: ARDLSpec("cpi", default_block("temperature", "precipitation", 2),
+                     m=2, sample=("2002-03", "2010Q4")),
+    lambda: LPSpec("cpi", ()),
+    lambda: LPSpec("cpi", ("shock", "other", "shock")),
+    # a bare string would run once per character
+    lambda: LPSpec("cpi", "shock"),
     lambda: PanelSchema(year="quarter"),
     lambda: PanelSchema(region="year"),
 ], ids=["lp-lags", "lp-level", "ardl-p", "ardl-block", "hac-bandwidth",
@@ -74,6 +79,7 @@ def test_every_public_name_is_in_the_readme():
         "aggregate-shape", "aggregate-weights", "band-level",
         "bic-candidates", "quarter-range", "quarter-number", "quarter-label",
         "lp-sample", "ardl-sample", "irf-sample", "suite-sample",
+        "lp-shocks-empty", "lp-shocks-repeated", "lp-shocks-string",
         "schema-year", "schema-region"])
 def test_spec_errors_are_typed(make):
     with pytest.raises(ClimPanelError) as info:
@@ -86,7 +92,7 @@ def test_spec_errors_are_typed(make):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: QuarterIndex(2000, 5), "quarter must be in 1..4, got 5"),
-    (lambda: LPSpec("cpi", "shock", sample=("2002-03", "2010Q4")),
+    (lambda: LPSpec("cpi", ("shock",), sample=("2002-03", "2010Q4")),
      "cannot parse quarter label '2002-03' (want e.g. 2002Q1)"),
 ])
 def test_quarter_errors_keep_their_messages(make, message):

@@ -1,4 +1,4 @@
-"""ARDL design, long-run effects, delta-method errors, suite orchestration."""
+"""ARDL design, long-run effects, delta-method errors, lag selection."""
 import math
 
 import numpy as np
@@ -9,8 +9,6 @@ from climpanel import (
     HACSpec,
     PanelDataset,
     annualize,
-    ardl_suite,
-    attach_anomaly_features,
     build_ardl_design,
     estimate_ardl,
     quarter_range,
@@ -18,9 +16,9 @@ from climpanel import (
     select_lag_bic,
     with_driscoll_kraay,
 )
-from climpanel.ardl import default_block, long_run_from_coefficients
-from climpanel.errors import RankDeficiencyError, UnitRootError
-from climpanel.simulate import ardl_panel, climate_panel
+from climpanel.ardl import long_run_from_coefficients
+from climpanel.errors import RankDeficiencyError, SpecError, UnitRootError
+from climpanel.simulate import ardl_panel
 from oracles import ardl_steady_state
 
 
@@ -82,6 +80,12 @@ def test_constant_anomalies_rank_error():
                       {"price": price, "flat": np.full((1, T), 2.0)})
     with pytest.raises(RankDeficiencyError):
         estimate_ardl(ds, ARDLSpec("price", block=("flat",), p=1, m=30))
+
+
+def test_unknown_fixed_effect_is_a_spec_error():
+    spec = ARDLSpec("price", ("driver",), p=1, fixed_effects=("county",))
+    with pytest.raises(SpecError, match="may name region and time"):
+        estimate_ardl(ardl_panel(seed=1), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -198,78 +202,6 @@ def test_annualize_values():
     assert annualize(0.42, 1) == 0.42
     with pytest.raises(ValueError):
         annualize(1.0, 0)
-
-
-# ---------------------------------------------------------------------------
-# suite
-# ---------------------------------------------------------------------------
-
-def _suite_panel():
-    ds = climate_panel(n_regions=4, n_quarters=70, start="1990Q1", seed=12)
-    for var, pol in (("temperature", ("hot", "cold")),
-                     ("precipitation", ("wet", "dry"))):
-        for m in (2, 3):
-            ds = attach_anomaly_features(ds, var, m, polarities=pol,
-                                         seasonal=False)
-    return ds
-
-
-def test_suite_single_cell():
-    ds = _suite_panel()
-    out = ardl_suite(ds, ["all_items"], [2], "temperature", "precipitation",
-                     p=1)
-    assert len(out.tables) == 1
-    assert out.tables[0].outcome == "all_items"
-    assert out.tables[0].m == 2
-    assert [e.variable for e in out.tables[0].effects] == list(
-        default_block("temperature", "precipitation", 2))
-
-
-def test_suite_grid_ordering_and_block_order():
-    ds = _suite_panel()
-    out = ardl_suite(ds, ["food", "all_items"], [3, 2],
-                     "temperature", "precipitation", p=1)
-    assert [(t.outcome, t.m) for t in out.tables] == [
-        ("food", 2), ("food", 3), ("all_items", 2), ("all_items", 3)]
-    for t in out.tables:
-        labels = [e.variable for e in t.effects]
-        assert labels == list(default_block("temperature", "precipitation",
-                                            t.m))
-
-
-def test_suite_empty_outcomes():
-    ds = _suite_panel()
-    out = ardl_suite(ds, [], [2], "temperature", "precipitation")
-    assert out.tables == ()
-    assert out.failures == ()
-
-
-def test_suite_records_cell_failures():
-    ds = _suite_panel()
-    out = ardl_suite(ds, ["all_items"], [2, 7], "temperature",
-                     "precipitation", p=1)
-    assert len(out.tables) == 1
-    assert len(out.failures) == 1
-    assert out.failures[0].m == 7  # anomalies for m=7 were never attached
-
-
-def test_suite_six_outcomes_three_windows():
-    ds = climate_panel(n_regions=3, n_quarters=50, start="1990Q1", seed=18)
-    for var, pol in (("temperature", ("hot", "cold")),
-                     ("precipitation", ("wet", "dry"))):
-        for m in (1, 2, 3):
-            ds = attach_anomaly_features(ds, var, m, polarities=pol,
-                                         seasonal=False)
-    outcomes = ["all_items", "food", "non_food", "services", "agriculture",
-                "energy"]
-    out = ardl_suite(ds, outcomes, [1, 2, 3], "temperature", "precipitation",
-                     p=1)
-    assert len(out.tables) == 18
-    assert not out.failures
-    assert [(t.outcome, t.m) for t in out.tables] == [
-        (o, m) for o in outcomes for m in (1, 2, 3)]
-    for t in out.tables:
-        assert len(t.effects) == 4
 
 
 def test_select_lag_bic_smoke():

@@ -252,6 +252,98 @@ def test_lp_all_cells_failing_exit_3(workspace, tmp_path):
     assert main(["lp", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("command, setting, value", [
+    ("lp", "lags = 2", "lags = 2\nshocks = nope_a_m{m},nope_b_m{m}"),
+    ("ardl", "outcomes = all_items,food\nm = 2,3",
+     "outcomes = nope,missing\nm = 2,3"),
+], ids=["lp", "ardl"])
+def test_all_cells_failing_is_one_short_stderr_line(workspace, tmp_path,
+                                                     capsys, command,
+                                                     setting, value):
+    # each cell's message lists every series of the panel, so the line
+    # gives their count and the first message only
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+        .replace(setting, value), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 1500
+    assert err.startswith(f"estimation error: all 4 {command.upper()} cells "
+                          "failed; the first: ")
+    assert "VariableLookupError: unknown variable 'nope" in err
+
+
+def _table_rows(path):
+    return [line.split(",") for line in _read_lines(path)
+            if not line.startswith("#")][1:]
+
+
+def test_irf_table_rows_are_sorted_copies_of_the_cell_files(workspace,
+                                                            tmp_path):
+    # shocks and outcomes are configured out of alphabetical order and the
+    # horizons out of numeric order; the combined table is sorted by
+    # (shock, outcome, horizon) and repeats each cell file's numbers
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+        .replace("outcomes = all_items,food\nm = 2\nhorizons = 0-2",
+                 "outcomes = food,all_items\nm = 2\nhorizons = 2,0,1\n"
+                 "shocks = temperature_spring_hot_m{m},"
+                 "precipitation_anom_m{m}_pos"), encoding="utf-8")
+    assert main(["lp", "--config", str(cfg)]) == 0
+    out = tmp_path / "o"
+    want = sorted(
+        ([shock, outcome, row[0], row[1], row[2], row[6]]
+         for shock in ("temperature_spring_hot_m2",
+                       "precipitation_anom_m2_pos")
+         for outcome in ("food", "all_items")
+         for row in _table_rows(out / f"irf_{shock}__{outcome}.csv")),
+        key=lambda row: (row[0], row[1], int(row[2])))
+    assert len(want) == 12
+    assert _table_rows(out / "irf_table.csv") == want
+    assert any(row[5] for row in want)   # some stars to compare
+
+
+def test_ardl_cells_follow_configured_outcomes_with_m_ascending(workspace,
+                                                               tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+        .replace("outcomes = all_items,food\nm = 2,3",
+                 "outcomes = food,all_items\nm = 3,2"), encoding="utf-8")
+    assert main(["ardl", "--config", str(cfg)]) == 0
+    block = ["temperature_pos", "temperature_neg", "precipitation_pos",
+             "precipitation_neg"]
+    want = [[outcome, m, variable] for outcome in ("food", "all_items")
+            for m in ("2", "3") for variable in block]
+    for name in ("longrun_table.csv", "annualized_summary.csv"):
+        assert [row[:3] for row in _table_rows(tmp_path / "o" / name)] \
+            == want, name
+
+
+def test_ardl_unknown_outcome_is_a_failed_cell(workspace, tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        BASE_CONFIG.format(data=workspace["data"], out=tmp_path / "o")
+        .replace("outcomes = all_items,food\nm = 2,3",
+                 "outcomes = all_items,nope,food\nm = 2,3"), encoding="utf-8")
+    assert main(["ardl", "--config", str(cfg)]) == 0
+    out = tmp_path / "o"
+    report = (out / "run_report_ardl.txt").read_text(encoding="utf-8")
+    assert "cells: 6 attempted, 4 estimated, 2 failed\n" in report
+    failed = report.split("failed cells:\n")[1].splitlines()
+    assert [line.split(":")[0] for line in failed] == [
+        "  nope/m=2", "  nope/m=3"]
+    assert all(": VariableLookupError: unknown variable 'nope'" in line
+               for line in failed)
+    assert sorted(p.name for p in out.glob("longrun_*.txt")) == [
+        "longrun_all_items.txt", "longrun_food.txt"]
+    assert {row[0] for row in _table_rows(out / "longrun_table.csv")} == {
+        "all_items", "food"}
+
+
 def test_lp_default_shocks_follow_renamed_climate_columns(workspace,
                                                           tmp_path):
     # the default [lp] shocks are built from [input] temperature_var and
@@ -474,14 +566,14 @@ def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
             if not l.startswith("#")][1:]
     default = [l.split(",") for l in _read_lines(tmp_path / "default" / name)
                if not l.startswith("#")][1:]
-    spec = LPSpec("food", "temperature_spring_hot_m2", lags=2)
+    spec = LPSpec("food", ("temperature_spring_hot_m2",), lags=2)
     for row, base in zip(rows, default):
         h = int(row[0])
         design = build_lp_design(ds, spec, h)
         bandwidth = max(default_bandwidth(len(np.unique(design.time_codes))), h)
         fit = with_driscoll_kraay(ols(design), HACSpec(bandwidth, False))
         assert row[1] == base[1]
-        se = fit.se[fit.names.index(spec.shock)]
+        se = fit.se[fit.names.index(spec.shocks[0])]
         assert float(row[2]) == pytest.approx(se, rel=1e-12)
         assert float(row[2]) < float(base[2])
 
@@ -595,15 +687,20 @@ def test_climpanel_script_is_the_module_entry_point():
             for dep in project["dependencies"]] == ["numpy"]
 
 
-def test_benchmark_tracer_patches_current_modules():
-    # the benchmark's --trace 1 wraps layer functions by attribute name;
-    # a rename in the program must fail here, not only in the benchmark
+def _benchmark_tracing():
     root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(root))
     try:
-        from climbench.tracing import Tracer, install
+        return importlib.import_module("climbench.tracing")
     finally:
         sys.path.remove(str(root))
+
+
+def test_benchmark_tracer_patches_current_modules():
+    # the benchmark's --trace 1 wraps layer functions by attribute name;
+    # a rename in the program must fail here, not only in the benchmark
+    tracing = _benchmark_tracing()
+    Tracer, install = tracing.Tracer, tracing.install
     from climpanel import cli, localproj, regress
     before = {(m.__name__, a): getattr(m, a) for m, a in (
         (cli, "estimate_irf"), (localproj, "build_lp_design"),
@@ -618,6 +715,25 @@ def test_benchmark_tracer_patches_current_modules():
         tracer.unpatch()
     for (mod, attr), fn in before.items():
         assert getattr(sys.modules[mod], attr) is fn
+
+
+def test_benchmark_tracer_sees_every_layer_it_wraps(workspace, tmp_path):
+    # a patched name that the program no longer calls through records no
+    # span; the benchmark's per-layer metrics would then read zero
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        for command in ("lp", "ardl"):
+            assert main([command, "--config", str(workspace["config"]),
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.unpatch()
+    names = {span.name for span in tracer.spans}
+    assert [name for name in (
+        "localproj.estimate_irf", "localproj.design", "ardl.estimate_ardl",
+        "ardl.design", "regress.ols", "regress.absorb", "cli.write_csv")
+        if name not in names] == []
 
 
 # a negative horizon is a list, never the a-b range form

@@ -232,7 +232,7 @@ def test_cumulative_log_growth_h0_equals_logdiff():
     # whose first lag is a control, so each row's outcome is the lag of the
     # region's next row
     ds = make_panel(seed=5)
-    spec = LPSpec("cpi", "temp", lags=1, fixed_effects=())
+    spec = LPSpec("cpi", ("temp",), lags=1, fixed_effects=())
     design = build_lp_design(ds, spec, 0)
     np.testing.assert_array_equal(design.y,
                                   log_change(ds, "cpi")[:, 2:].ravel())

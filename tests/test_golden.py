@@ -227,6 +227,64 @@ def test_resolved_config_hashes_are_pinned(tmp_path):
     assert config_hashes(tmp_path) == CONFIG_HASHES
 
 
+# A small panel on which one [lp] shock and one [ardl] outcome do not
+# exist and the LP horizon 40 is too long for its bandwidth: the demo run
+# has no failure, so these pin the bytes of the failure bookkeeping and of
+# the combined IRF table's (shock, outcome, horizon) order.
+PARTIAL_FAILURE_CONFIG = """\
+[input]
+climate = data/climate.csv
+prices = data/prices.csv
+
+[anomaly]
+m = 2,3
+
+[lp]
+outcomes = food,all_items
+shocks = temperature_spring_hot_m{m},nope_m{m},precipitation_anom_m{m}_pos
+m = 2
+horizons = 0,1,2,40
+lags = 2
+
+[ardl]
+outcomes = food,nope,all_items
+m = 3,2
+p = 1
+
+[simulate]
+kind = climate
+seed = 77
+regions = 4
+quarters = 64
+start = 1990Q1
+"""
+
+PARTIAL_FAILURE_HASHES = {
+    "irf_table.csv":
+        "5a286ce30f300c27d029cd0a8ecea142843f0205d636a50e148d5d110ca0d4f8",
+    "run_report_lp.txt":
+        "4aeb0e43f3f1ddbcd5bb9faa1635023c7b32b53064011495e23e9ee387ff2c7e",
+    "run_report_ardl.txt":
+        "4a6b092602e2487a8e2796c40aba38ff139decfa671f2b44cbcede3bc73902eb",
+}
+
+
+def test_partial_failure_bookkeeping_matches_pinned_hashes(tmp_path):
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        Path("run.ini").write_text(PARTIAL_FAILURE_CONFIG, encoding="utf-8")
+        for argv in (["simulate", "--config", "run.ini", "--out", "data"],
+                     ["lp", "--config", "run.ini"],
+                     ["ardl", "--config", "run.ini"]):
+            assert main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+            .hexdigest() for name in PARTIAL_FAILURE_HASHES} \
+        == PARTIAL_FAILURE_HASHES
+
+
 if __name__ == "__main__":
     import tempfile
 

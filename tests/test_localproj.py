@@ -1,4 +1,4 @@
-"""Local projections: design construction, IRF estimation, tables."""
+"""Local projections: design construction and IRF estimation."""
 import dataclasses
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from climpanel import (
     HACSpec,
     ImpulseResponse,
-    LPResult,
     LPSpec,
     PanelDataset,
     QuarterIndex,
@@ -16,12 +15,11 @@ from climpanel import (
     confidence_band,
     default_bandwidth,
     estimate_irf,
-    irf_table,
     ols,
     quarter_range,
     with_driscoll_kraay,
 )
-from climpanel.errors import ClimPanelError, RankDeficiencyError
+from climpanel.errors import ClimPanelError
 from climpanel.localproj import _sample_groups
 from climpanel.simulate import lp_panel
 from oracles import lp_true_cumulative_response
@@ -29,7 +27,7 @@ from oracles import lp_true_cumulative_response
 
 def test_h0_outcome_is_one_quarter_log_change():
     ds = lp_panel(n_regions=2, n_quarters=20, seed=1)
-    spec = LPSpec(outcome="price", shock="shock", lags=0)
+    spec = LPSpec(outcome="price", shocks=("shock",), lags=0)
     design = build_lp_design(ds, spec, horizon=0)
     log_p = np.log(ds.values("price"))
     # row order is region-major, time within region; t runs 1..T-1
@@ -46,14 +44,14 @@ def test_constant_growth_outcome_column():
     ds = PanelDataset(["a"], time, {
         "price": price[None, :], "shock": rng.normal(size=(1, T))})
     for h in (0, 2, 5):
-        design = build_lp_design(ds, LPSpec("price", "shock", lags=0), h)
+        design = build_lp_design(ds, LPSpec("price", ("shock",), lags=0), h)
         np.testing.assert_allclose(
             design.y, (h + 1) * math.log(1 + g), rtol=1e-12)
 
 
 def test_lags0_no_fe_is_bivariate():
     ds = lp_panel(n_regions=3, n_quarters=25, seed=3)
-    spec = LPSpec("price", "shock", lags=0, fixed_effects=())
+    spec = LPSpec("price", ("shock",), lags=0, fixed_effects=())
     design = build_lp_design(ds, spec, horizon=0)
     assert design.names == ("shock", "const")
     assert design.X.shape[1] == 2
@@ -61,8 +59,8 @@ def test_lags0_no_fe_is_bivariate():
 
 def test_h0_equivalence_with_direct_regression():
     ds = lp_panel(seed=4)
-    spec = LPSpec("price", "shock", horizons=(0,), lags=4)
-    res = estimate_irf(ds, spec)
+    spec = LPSpec("price", ("shock",), horizons=(0,), lags=4)
+    (res,) = estimate_irf(ds, spec)
     direct = ols(build_lp_design(ds, spec, 0))
     i = direct.names.index("shock")
     assert res.responses[0].estimate == pytest.approx(direct.coef[i],
@@ -71,7 +69,7 @@ def test_h0_equivalence_with_direct_regression():
 
 def test_sample_monotone_in_horizon():
     ds = lp_panel(seed=5)
-    res = estimate_irf(ds, LPSpec("price", "shock"))
+    (res,) = estimate_irf(ds, LPSpec("price", ("shock",)))
     nobs = [r.nobs for r in res.responses]
     assert all(a >= b for a, b in zip(nobs, nobs[1:]))
     assert [r.horizon for r in res.responses] == list(range(9))
@@ -80,9 +78,9 @@ def test_sample_monotone_in_horizon():
 def test_shift_invariance_of_price_level():
     ds = lp_panel(n_regions=4, n_quarters=50, seed=6)
     scaled = ds.with_series("price", 7.0 * np.asarray(ds.values("price")))
-    spec = LPSpec("price", "shock", horizons=(0, 2, 4), lags=4)
-    a = estimate_irf(ds, spec)
-    b = estimate_irf(scaled, spec)
+    spec = LPSpec("price", ("shock",), horizons=(0, 2, 4), lags=4)
+    (a,) = estimate_irf(ds, spec)
+    (b,) = estimate_irf(scaled, spec)
     for ra, rb in zip(a.responses, b.responses):
         assert ra.estimate == pytest.approx(rb.estimate, rel=1e-9)
         assert ra.se == pytest.approx(rb.se, rel=1e-9)
@@ -92,9 +90,9 @@ def test_shock_scaling_covariance():
     ds = lp_panel(n_regions=4, n_quarters=50, seed=7)
     c = 4.0
     scaled = ds.with_series("shock", c * np.asarray(ds.values("shock")))
-    spec = LPSpec("price", "shock", horizons=(0, 3), lags=4)
-    a = estimate_irf(ds, spec)
-    b = estimate_irf(scaled, spec)
+    spec = LPSpec("price", ("shock",), horizons=(0, 3), lags=4)
+    (a,) = estimate_irf(ds, spec)
+    (b,) = estimate_irf(scaled, spec)
     for ra, rb in zip(a.responses, b.responses):
         assert rb.estimate == pytest.approx(ra.estimate / c, rel=1e-12)
 
@@ -102,15 +100,29 @@ def test_shock_scaling_covariance():
 def test_zero_variance_shock_raises_rank_error():
     ds = lp_panel(n_regions=3, n_quarters=30, seed=8)
     ds = ds.with_series("flat", np.zeros((3, 30)))
-    with pytest.raises(RankDeficiencyError):
-        estimate_irf(ds, LPSpec("price", "flat", horizons=(0, 1), lags=2))
+    (res,) = estimate_irf(ds, LPSpec("price", ("flat",), horizons=(0, 1),
+                                     lags=2))
+    assert not res.responses
+    assert [f.horizon for f in res.failures] == [0, 1]
+    assert all(f.message.startswith("RankDeficiencyError: ")
+               for f in res.failures)
+
+
+def test_unknown_fixed_effect_is_a_recorded_spec_error():
+    spec = LPSpec("price", ("shock",), horizons=(0, 1),
+                  fixed_effects=("county",))
+    (res,) = estimate_irf(lp_panel(seed=1), spec)
+    assert not res.responses
+    assert [f.message for f in res.failures] == 2 * [
+        "SpecError: fixed_effects may name region and time, each once, "
+        "got ('county',)"]
 
 
 def test_failing_horizon_reported_others_returned():
     ds = lp_panel(n_regions=3, n_quarters=16, seed=9)
-    spec = LPSpec("price", "shock", horizons=tuple(range(13)), lags=2)
+    spec = LPSpec("price", ("shock",), horizons=tuple(range(13)), lags=2)
     with pytest.warns(UserWarning, match="singleton"):
-        res = estimate_irf(ds, spec)
+        (res,) = estimate_irf(ds, spec)
     assert res.responses  # early horizons estimable
     assert res.failures   # impossible ones recorded
     failed = {f.horizon for f in res.failures}
@@ -120,7 +132,7 @@ def test_failing_horizon_reported_others_returned():
 
 def test_band_contains_estimate():
     ds = lp_panel(seed=10)
-    res = estimate_irf(ds, LPSpec("price", "shock", horizons=(0, 1, 2)))
+    (res,) = estimate_irf(ds, LPSpec("price", ("shock",), horizons=(0, 1, 2)))
     for r in res.responses:
         assert r.band[0] <= r.estimate <= r.band[1]
 
@@ -136,37 +148,13 @@ def test_recovery_against_simulated_truth():
     est = {0: [], 4: []}
     for seed in range(reps):
         ds = lp_panel(beta=beta, seed=300 + seed)
-        res = estimate_irf(ds, LPSpec("price", "shock", horizons=(0, 4)))
+        (res,) = estimate_irf(ds, LPSpec("price", ("shock",), horizons=(0, 4)))
         for r in res.responses:
             est[r.horizon].append(r.estimate)
     for h, values in est.items():
         mean = float(np.mean(values))
         mc_se = float(np.std(values, ddof=1) / math.sqrt(reps))
         assert abs(mean - beta) < 3 * mc_se, f"h={h}"
-
-
-def test_irf_table_stars_and_ordering():
-    res = LPResult(
-        shock="s", outcome="o",
-        responses=(
-            ImpulseResponse(1, 0.258, 0.1, (0.0, 0.5), 50),
-            ImpulseResponse(0, 0.012, 0.1046, (-0.2, 0.2), 50),
-        ),
-    )
-    rows = irf_table([res])
-    assert [r.horizon for r in rows] == [0, 1]
-    assert rows[0].stars == ""      # |z| = 0.1147
-    assert rows[1].stars == "***"   # z = 2.58, boundary inclusive
-    assert irf_table([]) == ()
-
-
-def test_irf_table_multi_result_ordering():
-    def mk(shock, outcome):
-        return LPResult(shock=shock, outcome=outcome,
-                        responses=(ImpulseResponse(0, 0.0, 1.0, (-1, 1), 9),))
-    rows = irf_table([mk("b", "y"), mk("a", "z"), mk("a", "y")])
-    assert [(r.shock, r.outcome) for r in rows] == [
-        ("a", "y"), ("a", "z"), ("b", "y")]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +164,7 @@ def test_irf_table_multi_result_ordering():
 def _per_shock(ds, spec, shock):
     """One regression per horizon with ols and with_driscoll_kraay: the
     ImpulseResponse, or the failure message, keyed by horizon."""
-    one = dataclasses.replace(spec, shock=shock)
+    one = dataclasses.replace(spec, shocks=(shock,))
     out = {}
     for h in spec.horizons:
         try:
@@ -198,7 +186,7 @@ def _per_shock(ds, spec, shock):
 
 
 def _assert_batched_equals_per_shock(ds, spec, shocks):
-    results = estimate_irf(ds, spec, shocks=shocks)
+    results = estimate_irf(ds, dataclasses.replace(spec, shocks=shocks))
     assert [r.shock for r in results] == list(shocks)
     for res in results:
         want = _per_shock(ds, spec, res.shock)
@@ -229,8 +217,9 @@ def _multi_shock_panel(seed, n_regions=6, n_quarters=60):
 
 def test_batched_shocks_sharing_one_sample():
     ds = _multi_shock_panel(40)
-    spec = LPSpec("price", "shock", horizons=(0, 1, 4), lags=3)
-    assert _sample_groups(ds, spec, ("shock", "s2", "s3")) == [[0, 1, 2]]
+    spec = LPSpec("price", ("shock",), horizons=(0, 1, 4), lags=3)
+    assert _sample_groups(ds, dataclasses.replace(
+        spec, shocks=("shock", "s2", "s3"))) == [[0, 1, 2]]
     _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
 
 
@@ -239,15 +228,16 @@ def test_shock_with_extra_blanks_is_its_own_group():
     s2 = np.array(ds.values("s2"))
     s2[np.random.default_rng(1).random(s2.shape) < 0.1] = np.nan
     ds = ds.with_series("s2", s2)
-    spec = LPSpec("price", "shock", horizons=(0, 2), lags=2)
-    assert _sample_groups(ds, spec, ("shock", "s2", "s3")) == [[0, 2], [1]]
+    spec = LPSpec("price", ("shock",), horizons=(0, 2), lags=2)
+    assert _sample_groups(ds, dataclasses.replace(
+        spec, shocks=("shock", "s2", "s3"))) == [[0, 2], [1]]
     res = _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
     assert res[1].responses[0].nobs < res[0].responses[0].nobs
 
 
 def test_flat_shock_fails_alone_with_its_own_message():
     ds = _multi_shock_panel(42).with_series("flat", np.zeros((6, 60)))
-    spec = LPSpec("price", "shock", horizons=(0, 1), lags=2)
+    spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=2)
     res = _assert_batched_equals_per_shock(ds, spec, ("shock", "flat", "s2"))
     assert [len(r.responses) for r in res] == [2, 0, 2]
     assert res[1].failures[0].message == (
@@ -258,7 +248,7 @@ def test_flat_shock_fails_alone_with_its_own_message():
 @pytest.mark.parametrize("fixed_effects", [("region", "time"), ()])
 def test_batched_lags0_with_and_without_fixed_effects(fixed_effects):
     ds = _multi_shock_panel(43)
-    spec = LPSpec("price", "shock", horizons=(0, 3), lags=0,
+    spec = LPSpec("price", ("shock",), horizons=(0, 3), lags=0,
                   fixed_effects=fixed_effects)
     _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
 
@@ -266,29 +256,29 @@ def test_batched_lags0_with_and_without_fixed_effects(fixed_effects):
 @pytest.mark.parametrize("small_sample", [True, False])
 def test_batched_explicit_bandwidth(small_sample):
     ds = _multi_shock_panel(44)
-    spec = LPSpec("price", "shock", horizons=(0, 2), lags=2,
+    spec = LPSpec("price", ("shock",), horizons=(0, 2), lags=2,
                   hac=HACSpec(5, small_sample))
     _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
 
 
 def test_batched_sample_window_and_unknown_shock():
     ds = _multi_shock_panel(45)
-    spec = LPSpec("price", "shock", horizons=(0, 1), lags=2,
+    spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=2,
                   sample=("2005Q1", "2012Q4"))
     res = _assert_batched_equals_per_shock(
         ds, spec, ("shock", "nope", "s2", "s3"))
     assert res[0].responses[0].nobs < estimate_irf(
-        ds, dataclasses.replace(spec, sample=None)).responses[0].nobs
+        ds, dataclasses.replace(spec, sample=None))[0].responses[0].nobs
     assert res[1].failures[0].message.startswith(
         "VariableLookupError: unknown variable 'nope'")
 
 
 def test_blank_bandwidth_keeps_small_sample_flag():
     ds = _multi_shock_panel(46)
-    spec = LPSpec("price", "shock", horizons=(0, 3), lags=2,
+    spec = LPSpec("price", ("shock",), horizons=(0, 3), lags=2,
                   hac=HACSpec(None, small_sample=False))
     (res,) = _assert_batched_equals_per_shock(ds, spec, ("shock",))
-    default = estimate_irf(ds, dataclasses.replace(spec, hac=None))
+    (default,) = estimate_irf(ds, dataclasses.replace(spec, hac=None))
     for a, b in zip(res.responses, default.responses):
         assert a.estimate == b.estimate
         assert a.se < b.se

@@ -8,6 +8,7 @@ import pytest
 from scipy import linalg, special
 
 from climpanel import (
+    Design,
     HACSpec,
     PanelDataset,
     QuarterIndex,
@@ -32,6 +33,7 @@ from climpanel.errors import (
     DegreesOfFreedomError,
     RankDeficiencyError,
     SampleError,
+    SpecError,
 )
 from oracles import (
     dk_direct_sum_lag0,
@@ -169,6 +171,21 @@ def test_within_transform_singleton_drop_matches_lsdv_projection():
     got = np.column_stack([within.y, within.X])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(Z).max()
     assert within.absorbed == rank
+
+
+@pytest.mark.parametrize("fixed_effects", [
+    ("county",), ("region", "county"), ("time", "time")])
+def test_within_transform_rejects_unknown_fixed_effects(fixed_effects):
+    rng = np.random.default_rng(33)
+    design = Design(
+        y=rng.normal(size=6), X=rng.normal(size=(6, 1)), names=("x",),
+        region_codes=np.repeat([0, 1], 3), time_codes=np.tile([0, 1, 2], 2),
+        fixed_effects=fixed_effects)
+    with pytest.raises(SpecError, match="may name region and time, each "
+                                        "once"):
+        within_transform(design)
+    with pytest.raises(SpecError):
+        ols(design)
 
 
 def test_absorbed_count_on_disconnected_sample():
