@@ -16,17 +16,20 @@ regression.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
+from . import regress  # within_transform is looked up per call, as ols does
 from .dataset import PanelDataset, QuarterIndex, checked_log, shift
 from .errors import ClimPanelError, SpecError
 from .regress import (
     Design,
     HACSpec,
+    _block_design,
+    _regressor_block,
     confidence_band,
     default_bandwidth,
-    design_from_matrices,
     focal_driscoll_kraay,
     ols,
     window_slice,
@@ -90,6 +93,19 @@ class LPResult:
     failures: tuple[HorizonFailure, ...] = ()
 
 
+@lru_cache(maxsize=1)
+def _regressors(ds: PanelDataset, outcome: str, shocks, lags: int, sample):
+    """log P, log P[t-1] and the regressor block of an outcome, which its
+    horizons share read-only; datasets are immutable, so the last are kept."""
+    log_p = checked_log(ds, outcome)
+    lag1 = shift(log_p, 1)
+    dlog = log_p - lag1
+    x_named = [(shock, ds.values(shock)) for shock in shocks]
+    x_named += [(f"dlog_{outcome}_lag{n}", shift(dlog, n))
+                for n in range(1, lags + 1)]
+    return log_p, lag1, _regressor_block(x_named, ds.time, sample)
+
+
 def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:
     """Design for one horizon.
 
@@ -97,14 +113,11 @@ def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:
     lags 1..spec.lags of the one-quarter log change of P. Rows needing
     leads or lags outside the panel are dropped listwise.
     """
-    log_p = checked_log(ds, spec.outcome)
-    y = shift(log_p, -horizon) - shift(log_p, 1)
-    dlog = log_p - shift(log_p, 1)
-    x_named = [(shock, ds.values(shock)) for shock in spec.shocks]
-    x_named += [(f"dlog_{spec.outcome}_lag{n}", shift(dlog, n))
-                for n in range(1, spec.lags + 1)]
-    return design_from_matrices(
-        y, x_named, ds.regions, ds.time,
+    log_p, lag1, block = _regressors(  # tuples hash, as the cache needs
+        ds, spec.outcome, tuple(spec.shocks), spec.lags,
+        spec.sample and tuple(spec.sample))
+    return _block_design(
+        shift(log_p, -horizon) - lag1, block, ds.regions, ds.time,
         fixed_effects=spec.fixed_effects, window=spec.sample,
     )
 
@@ -113,7 +126,9 @@ def _horizon_hac(spec: LPSpec, design: Design, horizon: int) -> HACSpec:
     hac = spec.hac or HACSpec(None)
     if hac.bandwidth is not None:
         return hac
-    n_periods = len(np.unique(design.time_codes))
+    # T: the periods of the absorbed design, left after the singleton drop
+    periods = design.time_codes - design.time_codes.min()
+    n_periods = np.count_nonzero(np.bincount(periods))
     return replace(hac, bandwidth=max(default_bandwidth(n_periods), horizon))
 
 
@@ -147,7 +162,8 @@ def _response(fit, level: float, j: int, horizon: int) -> ImpulseResponse:
 def _fit_alone(ds: PanelDataset, spec: LPSpec, shock: str, horizon: int):
     """One shock's own regression; raises the error ols or the covariance
     gives for it."""
-    design = build_lp_design(ds, replace(spec, shocks=(shock,)), horizon)
+    design = regress.within_transform(
+        build_lp_design(ds, replace(spec, shocks=(shock,)), horizon))
     fit = ols(design)
     fit = with_driscoll_kraay(fit, _horizon_hac(spec, design, horizon))
     return _response(fit, spec.level, fit.names.index(shock), horizon)
@@ -159,7 +175,7 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
     every shock when the batched fit fails, is refitted alone, so its error
     is the one its own regression gives."""
     try:
-        design = build_lp_design(ds, spec, horizon)
+        design = regress.within_transform(build_lp_design(ds, spec, horizon))
         fit = focal_driscoll_kraay(design, len(spec.shocks),
                                    _horizon_hac(spec, design, horizon))
     except ClimPanelError:

@@ -1,11 +1,13 @@
 """Fixed-effects least squares with classical and Driscoll-Kraay covariance.
 
 The estimation path is: assemble a listwise-deleted design from panel
-series, absorb region/time fixed effects by demeaning (two-way by
-one exact projection), solve by rank-revealing pivoted QR, then attach
-either the classical covariance sigma^2 (X'X)^-1 or the Driscoll-Kraay HAC
-covariance built from Bartlett-weighted autocovariances of the
-cross-sectionally summed moment vectors h_t = sum_i x_it e_it.
+series, absorb region/time fixed effects by demeaning (two-way by one
+exact projection) in place on one C-ordered [y | X] block, each group sum
+one np.bincount over its cells in row order, solve by rank-revealing
+pivoted QR, then attach either the classical covariance sigma^2 (X'X)^-1
+or the Driscoll-Kraay HAC covariance built from Bartlett-weighted
+autocovariances of the cross-sectionally summed moment vectors
+h_t = sum_i x_it e_it.
 focal_driscoll_kraay does the same for several focal columns that share
 one outcome and one set of controls, absorbing and factoring them once.
 
@@ -116,49 +118,53 @@ def design_from_matrices(
     the outcome or a regressor are dropped. When no fixed effects are
     declared a constant column is appended (override with add_constant).
     """
-    time = tuple(time)
-    if window is not None:
-        sl = window_slice(time, window)
-        time = time[sl]
-        y_mat = y_mat[:, sl]
-        x_named = [(name, mat[:, sl]) for name, mat in x_named]
-    R, T = len(regions), len(time)
-    y = np.asarray(y_mat, dtype=float).reshape(R * T)
-    cols = [np.asarray(mat, dtype=float).reshape(R * T) for _, mat in x_named]
-    names = [name for name, _ in x_named]
-    keep = np.isfinite(y)
-    for col in cols:
-        keep &= np.isfinite(col)
-    n = int(keep.sum())
-    if n == 0:
-        raise SampleError(
-            f"no usable observations: all {R * T} rows dropped listwise"
-        )
-    region_codes = np.repeat(np.arange(R), T)[keep]
-    t0 = _quarter_code(time[0].year, time[0].quarter)
-    time_codes = np.tile(t0 + np.arange(T), R)[keep]
-    X = np.column_stack([c[keep] for c in cols])
+    return _block_design(y_mat, _regressor_block(x_named, time, window),
+                         regions, time, fixed_effects, window, add_constant)
+
+
+def _regressor_block(x_named, time, window):
+    """Names, cells inside the window as one C-ordered (cells x k) block
+    (region-major, quarter within region) and its rows without a NaN."""
+    sl = window_slice(time, window)
+    block = np.stack([np.asarray(mat, float)[:, sl] for _, mat in x_named],
+                     axis=-1).reshape(-1, len(x_named))
+    return (tuple(name for name, _ in x_named), block,
+            np.isfinite(block).all(axis=1))
+
+
+def _block_design(y_mat, regressors, regions, time, fixed_effects=(),
+                  window=None, add_constant=None) -> Design:
+    """design_from_matrices for regressors given as a _regressor_block."""
+    names, block, finite = regressors
+    sl = window_slice(time, window)
+    time = tuple(time)[sl]
+    y = np.asarray(y_mat, float)[:, sl].reshape(len(regions) * len(time))
+    rows = np.flatnonzero(np.isfinite(y) & finite)
+    if not rows.size:
+        raise SampleError(f"no usable observations: all {y.size} rows "
+                          "dropped listwise")
+    region_codes, period = np.divmod(rows, len(time))
     if add_constant is None:
         add_constant = not fixed_effects
+    X = block[rows]
     if add_constant:
-        X = np.column_stack([X, np.ones(n)])
-        names = names + ["const"]
+        X = np.column_stack([X, np.ones(rows.size)])
+        names += ("const",)
     return Design(
-        y=y[keep], X=X, names=tuple(names),
-        region_codes=region_codes, time_codes=time_codes,
+        y=y[rows], X=X, names=names,
+        region_codes=region_codes,
+        time_codes=_quarter_code(time[0].year, time[0].quarter) + period,
         fixed_effects=tuple(fixed_effects),
     )
 
 
 def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group column sums of Z, one np.bincount per column."""
-    return np.column_stack([np.bincount(codes, weights=col, minlength=n_groups)
-                            for col in Z.T])
-
-
-def _demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    counts = np.bincount(codes, minlength=n_groups)
-    return Z - (_group_sums(Z, codes, n_groups) / counts[:, None])[codes]
+    """Per-group column sums of the n x m block Z, C-ordered: one bincount
+    over Z's cells in memory order, so each group adds its rows in order."""
+    m = Z.shape[1]
+    cells = (codes * m)[:, None] + np.arange(m)
+    return np.bincount(cells.ravel(), weights=Z.ravel(),
+                       minlength=n_groups * m).reshape(n_groups, m)
 
 
 def within_transform(design: Design) -> Design:
@@ -172,7 +178,8 @@ def within_transform(design: Design) -> Design:
     The absorbed count is G_b + rank(C), which is right also when the
     region-period graph splits into disconnected blocks. Groups with a
     single observation carry no within variation and are dropped with a
-    warning.
+    warning. Groups are counted by np.bincount on offset codes, with no
+    sort; y and X are absorbed in place as one C-ordered block.
     """
     if design.demeaned:
         return design
@@ -182,19 +189,21 @@ def within_transform(design: Design) -> Design:
     if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
         raise SpecError("fixed_effects may name region and time, each once, "
                         f"got {dims}")
+    if not design.nobs:
+        raise SampleError("no observations to absorb")
 
-    code_arrays = {"region": design.region_codes, "time": design.time_codes}
+    raw = {"region": design.region_codes, "time": design.time_codes}
+    codes = {dim: raw[dim] - raw[dim].min() for dim in dims}
     keep = np.ones(design.nobs, dtype=bool)
+    counts = {}   # kept rows per offset code
     dropped = 0
     changed = True
     while changed:
         changed = False
         for dim in dims:
-            codes = code_arrays[dim][keep]
-            vals, counts = np.unique(codes, return_counts=True)
-            singles = vals[counts == 1]
-            if singles.size:
-                hit = keep & np.isin(code_arrays[dim], singles)
+            counts[dim] = np.bincount(codes[dim], weights=keep)
+            hit = keep & (counts[dim] == 1)[codes[dim]]
+            if hit.any():
                 keep &= ~hit
                 dropped += int(hit.sum())
                 changed = True
@@ -208,36 +217,41 @@ def within_transform(design: Design) -> Design:
         raise SampleError("no observations remain after dropping singleton "
                           "fixed-effect groups")
 
-    region_codes = design.region_codes[keep]
-    time_codes = design.time_codes[keep]
-
-    recoded = {}
-    group_counts = {}
+    rows = keep if dropped else slice(None)
+    # each dimension's groups renumbered 0..G-1 in code order, with sizes
+    groups = {}
     for dim in dims:
-        raw = region_codes if dim == "region" else time_codes
-        vals, codes = np.unique(raw, return_inverse=True)
-        recoded[dim] = codes
-        group_counts[dim] = len(vals)
+        present = counts[dim] > 0
+        groups[dim] = ((np.cumsum(present) - 1)[codes[dim][rows]],
+                       counts[dim][present])
 
-    Z = np.column_stack([design.y[keep], design.X[keep]])
+    def demean(Z, dim):
+        grp, size = groups[dim]
+        Z -= (_group_sums(Z, grp, len(size)) / size[:, None])[grp]
+
+    Z = np.concatenate([design.y[rows, None], design.X[rows]], axis=1,
+                       dtype=float)
     if len(dims) == 1:
-        Z = _demean(Z, recoded[dims[0]], group_counts[dims[0]])
-        absorbed = group_counts[dims[0]]
+        demean(Z, dims[0])
+        absorbed = len(groups[dims[0]][1])
     else:
-        a, b = sorted(dims, key=group_counts.get)
-        ca, cb = recoded[a], recoded[b]
-        ga, gb = group_counts[a], group_counts[b]
-        Z = _demean(Z, cb, gb)
+        a, b = sorted(dims, key=lambda dim: len(groups[dim][1]))
+        (ca, na), (cb, nb) = groups[a], groups[b]
+        ga, gb = len(na), len(nb)
+        demean(Z, b)
         N = np.bincount(ca * gb + cb, minlength=ga * gb).reshape(ga, gb)
         C = np.diag(N.sum(axis=1)) - (N / N.sum(axis=0)) @ N.T
         alpha, _, rank_c, _ = np.linalg.lstsq(
             C, _group_sums(Z, ca, ga), rcond=_RANK_TOL)
-        Z -= _demean(alpha[ca], cb, gb)
+        shift = alpha[ca]
+        demean(shift, b)
+        Z -= shift
         absorbed = gb + int(rank_c)
 
     return Design(
         y=Z[:, 0], X=Z[:, 1:], names=design.names,
-        region_codes=region_codes, time_codes=time_codes,
+        region_codes=design.region_codes[rows],
+        time_codes=design.time_codes[rows],
         fixed_effects=dims, demeaned=True, absorbed=absorbed,
     )
 
@@ -405,16 +419,16 @@ def _dk_meat(scores: np.ndarray, time_codes: np.ndarray,
     S = sum_l w_l (Gamma_l + Gamma_l') (Gamma_0 once) and T, the number of
     periods present. A bandwidth of None takes default_bandwidth(T).
     """
-    tvals = np.unique(time_codes)
-    T = len(tvals)
+    period = time_codes - time_codes.min()
+    present = np.bincount(period)
+    T = int(np.count_nonzero(present))
     L = default_bandwidth(T) if bandwidth is None else bandwidth
     if L >= T:
         raise BandwidthError(f"bandwidth {L} must be < {T} time periods")
     # scores summed onto the dense quarter grid from the first sample period
     # to the last; absent periods are zero rows, so each lag is one product
     # of shifted slices, while T stays the number of periods present
-    H = _group_sums(scores, time_codes - tvals[0],
-                    int(tvals[-1] - tvals[0]) + 1)
+    H = _group_sums(scores, period, len(present))
     w = bartlett_weights(L)
     S = w[0] * (H.T @ H) / T
     for lag in range(1, L + 1):
@@ -483,7 +497,7 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     check: rank-deficient controls, dof <= 0, or a partialled focal column
     within the rank tolerance; refit those with ols to get its error.
     """
-    d = within_transform(design)
+    d = design if design.demeaned else within_transform(design)
     n = d.nobs
     n_controls = d.X.shape[1] - n_focal
     Z = np.column_stack([d.y, d.X[:, :n_focal]])

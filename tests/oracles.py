@@ -8,16 +8,35 @@ zero, classical covariance, and simulation-based truths for the
 local-projection and ARDL designs. fe_panel generates the generic
 fixed-effects panel the regression tests fit, and panel_design the design
 of named series they pass to ols. write_panel_csv is the reference panel
-writer: csv.writer fed one Python float per cell.
+writer: csv.writer fed one Python float per cell. within_transform and
+focal_driscoll_kraay at the end are not independent: they are the
+package's earlier absorption, kept as bit-for-bit references.
 """
 import csv
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from climpanel.dataset import PanelDataset, PanelSchema
-from climpanel.errors import DegreesOfFreedomError
-from climpanel.regress import design_from_matrices
+from climpanel.errors import (
+    BandwidthError,
+    DegreesOfFreedomError,
+    SampleError,
+    SpecError,
+)
+from climpanel.regress import (
+    _RANK_TOL,
+    Design,
+    FocalFit,
+    HACSpec,
+    _back_substitute,
+    _factor,
+    bartlett_weights,
+    default_bandwidth,
+    design_from_matrices,
+)
 from climpanel.simulate import _grid
 
 
@@ -243,3 +262,175 @@ def write_panel_csv(ds, path, schema=None, header_comments=()):
         writer.writerows(
             [*k, *(schema.missing if v != v else v for v in vals)]
             for k, vals in zip(keys, cells.reshape(len(keys), -1).tolist()))
+
+
+# Reference copies of regress.within_transform and
+# regress.focal_driscoll_kraay (with the helpers they call) as they were
+# before absorption summed groups in one pass: one np.bincount per column,
+# np.unique for singleton detection and recoding. The package must give
+# the same bits, so the differential tests compare with np.array_equal.
+
+def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per-group column sums of Z, one np.bincount per column."""
+    return np.column_stack([np.bincount(codes, weights=col, minlength=n_groups)
+                            for col in Z.T])
+
+
+def _demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    counts = np.bincount(codes, minlength=n_groups)
+    return Z - (_group_sums(Z, codes, n_groups) / counts[:, None])[codes]
+
+
+def within_transform(design: Design) -> Design:
+    """Absorb declared fixed effects by demeaning.
+
+    One-way absorption subtracts group means. Two-way absorption is the
+    exact projection off both sets of dummies, in one pass: with a the
+    dimension with fewer groups and b the other, subtract the b means, then
+    solve C alpha = D_a' Z_b for C = diag(n_a) - N diag(1/n_b) N' (N the
+    a-by-b count cross-tab) and subtract alpha[a] net of its own b means.
+    The absorbed count is G_b + rank(C), which is right also when the
+    region-period graph splits into disconnected blocks. Groups with a
+    single observation carry no within variation and are dropped with a
+    warning.
+    """
+    if design.demeaned:
+        return design
+    dims = design.fixed_effects
+    if not dims:
+        return replace(design, demeaned=True, absorbed=0)
+    if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
+        raise SpecError("fixed_effects may name region and time, each once, "
+                        f"got {dims}")
+
+    code_arrays = {"region": design.region_codes, "time": design.time_codes}
+    keep = np.ones(design.nobs, dtype=bool)
+    dropped = 0
+    changed = True
+    while changed:
+        changed = False
+        for dim in dims:
+            codes = code_arrays[dim][keep]
+            vals, counts = np.unique(codes, return_counts=True)
+            singles = vals[counts == 1]
+            if singles.size:
+                hit = keep & np.isin(code_arrays[dim], singles)
+                keep &= ~hit
+                dropped += int(hit.sum())
+                changed = True
+    if dropped:
+        warnings.warn(
+            f"dropped {dropped} observation(s) in singleton "
+            f"fixed-effect group(s); they have no within variation",
+            stacklevel=2,
+        )
+    if not keep.any():
+        raise SampleError("no observations remain after dropping singleton "
+                          "fixed-effect groups")
+
+    region_codes = design.region_codes[keep]
+    time_codes = design.time_codes[keep]
+
+    recoded = {}
+    group_counts = {}
+    for dim in dims:
+        raw = region_codes if dim == "region" else time_codes
+        vals, codes = np.unique(raw, return_inverse=True)
+        recoded[dim] = codes
+        group_counts[dim] = len(vals)
+
+    Z = np.column_stack([design.y[keep], design.X[keep]])
+    if len(dims) == 1:
+        Z = _demean(Z, recoded[dims[0]], group_counts[dims[0]])
+        absorbed = group_counts[dims[0]]
+    else:
+        a, b = sorted(dims, key=group_counts.get)
+        ca, cb = recoded[a], recoded[b]
+        ga, gb = group_counts[a], group_counts[b]
+        Z = _demean(Z, cb, gb)
+        N = np.bincount(ca * gb + cb, minlength=ga * gb).reshape(ga, gb)
+        C = np.diag(N.sum(axis=1)) - (N / N.sum(axis=0)) @ N.T
+        alpha, _, rank_c, _ = np.linalg.lstsq(
+            C, _group_sums(Z, ca, ga), rcond=_RANK_TOL)
+        Z -= _demean(alpha[ca], cb, gb)
+        absorbed = gb + int(rank_c)
+
+    return Design(
+        y=Z[:, 0], X=Z[:, 1:], names=design.names,
+        region_codes=region_codes, time_codes=time_codes,
+        fixed_effects=dims, demeaned=True, absorbed=absorbed,
+    )
+
+
+def _dk_meat(scores: np.ndarray, time_codes: np.ndarray,
+             bandwidth: int | None) -> tuple[np.ndarray, int]:
+    """Bartlett-weighted autocovariance sum of the period score totals.
+
+    h_t = sum_i scores_it; Gamma_l = (1/T) sum_t h_t h_{t-l}'; returns
+    S = sum_l w_l (Gamma_l + Gamma_l') (Gamma_0 once) and T, the number of
+    periods present. A bandwidth of None takes default_bandwidth(T).
+    """
+    tvals = np.unique(time_codes)
+    T = len(tvals)
+    L = default_bandwidth(T) if bandwidth is None else bandwidth
+    if L >= T:
+        raise BandwidthError(f"bandwidth {L} must be < {T} time periods")
+    # scores summed onto the dense quarter grid from the first sample period
+    # to the last; absent periods are zero rows, so each lag is one product
+    # of shifted slices, while T stays the number of periods present
+    H = _group_sums(scores, time_codes - tvals[0],
+                    int(tvals[-1] - tvals[0]) + 1)
+    w = bartlett_weights(L)
+    S = w[0] * (H.T @ H) / T
+    for lag in range(1, L + 1):
+        gamma = (H[lag:].T @ H[:-lag]) / T
+        S += w[lag] * (gamma + gamma.T)
+    return S, T
+
+
+def focal_driscoll_kraay(design: Design, n_focal: int,
+                         hac: HACSpec) -> FocalFit:
+    """Fit each of the first n_focal columns of design.X in its own
+    regression on y and the remaining columns (the controls), in one pass.
+
+    The design is absorbed once and the controls are factored once by QR;
+    y and the focal columns are partialled on them in one least-squares
+    solve. By Frisch-Waugh-Lovell, with s~ a partialled focal column and
+    y~ the partialled outcome, the slope is s~'y~ / s~'s~ with residual
+    e = y~ - slope * s~, and the Driscoll-Kraay variance is that column's
+    element of the full sandwich: the Bartlett sum over
+    g_t = sum_i s~_it e_it (times nobs/dof when hac.small_sample) over
+    (s~'s~)^2, dof = nobs - 1 - n_controls - absorbed as in ols. ok[j] is
+    False where ols on column j's own design would fail its rank or dof
+    check: rank-deficient controls, dof <= 0, or a partialled focal column
+    within the rank tolerance; refit those with ols to get its error.
+    """
+    d = within_transform(design)
+    n = d.nobs
+    n_controls = d.X.shape[1] - n_focal
+    Z = np.column_stack([d.y, d.X[:, :n_focal]])
+    scale = np.linalg.norm(Z[:, 1:], axis=0)
+    controls_ok = True
+    if n_controls:
+        controls = d.X[:, n_focal:]
+        R, QtZ, norms, _, _, rank = _factor(controls, Z)
+        controls_ok = rank == n_controls
+        scale = np.maximum(scale, norms.max())
+        if controls_ok:
+            Z -= controls @ _back_substitute(R, QtZ)
+    dof = n - 1 - n_controls - d.absorbed
+    y, s = Z[:, 0], Z[:, 1:]
+    ss = np.einsum("ij,ij->j", s, s)
+    ok = (np.sqrt(ss) > _RANK_TOL * scale) & controls_ok & (dof > 0)
+    coef = np.full(n_focal, np.nan)
+    se = np.full(n_focal, np.nan)
+    if ok.any():
+        s = s[:, ok]
+        coef[ok] = (s.T @ y) / ss[ok]
+        S, T = _dk_meat(s * (y[:, None] - s * coef[ok]), d.time_codes,
+                        hac.bandwidth)
+        meat = T * np.diag(S)
+        if hac.small_sample:
+            meat = meat * (n / dof)
+        se[ok] = np.sqrt(meat) / ss[ok]
+    return FocalFit(coef=coef, se=se, ok=ok, nobs=n, dof=dof)

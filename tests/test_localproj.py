@@ -22,7 +22,7 @@ from climpanel import (
 from climpanel.errors import ClimPanelError
 from climpanel.localproj import _sample_groups
 from climpanel.simulate import lp_panel
-from oracles import lp_true_cumulative_response
+from oracles import dk_double_loop, lp_true_cumulative_response
 
 
 def test_h0_outcome_is_one_quarter_log_change():
@@ -116,6 +116,39 @@ def test_unknown_fixed_effect_is_a_recorded_spec_error():
     assert [f.message for f in res.failures] == 2 * [
         "SpecError: fixed_effects may name region and time, each once, "
         "got ('county',)"]
+
+
+def test_default_bandwidth_counts_periods_left_after_singleton_drop():
+    # 4 regions x 103 quarters with lags=2 leave 100 periods at h = 0; in
+    # one quarter only region 0 has the shock, so that period is a
+    # singleton, dropped, and the rule sees T = 99: L = 3, not 4
+    ds = lp_panel(n_regions=4, n_quarters=103, seed=12)
+    shock = ds.values("shock").copy()
+    shock[1:, 50] = np.nan
+    ds = PanelDataset(ds.regions, ds.time,
+                      {"price": ds.values("price"), "shock": shock})
+    spec = LPSpec("price", ("shock",), horizons=(0,), lags=2)
+    design = build_lp_design(ds, spec, 0)
+    assert len(np.unique(design.time_codes)) == 100
+    with pytest.warns(UserWarning, match="dropped 1 observation"):
+        (res,) = estimate_irf(ds, spec)
+        fit = ols(design)
+    assert len(np.unique(fit.time_codes)) == 99
+    assert (default_bandwidth(99), default_bandwidth(100)) == (3, 4)
+    V = dk_double_loop(fit.within_x, fit.resid_vec, fit.time_codes, 3,
+                       scale=fit.nobs / fit.dof)
+    assert res.responses[0].se == pytest.approx(math.sqrt(V[0, 0]),
+                                                rel=1e-10)
+
+
+def test_lists_of_shocks_and_sample_estimate_as_tuples():
+    # the horizons' shared regressors are cached under a hashable key
+    ds = lp_panel(seed=1)
+    want = estimate_irf(ds, LPSpec("price", ("shock",), horizons=(0, 1),
+                                   sample=("2001Q1", "2010Q4")))
+    got = estimate_irf(ds, LPSpec("price", ["shock"], horizons=(0, 1),
+                                  sample=["2001Q1", "2010Q4"]))
+    assert got == want and got[0].responses
 
 
 def test_failing_horizon_reported_others_returned():

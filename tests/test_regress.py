@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg, special
 
 from climpanel import (
@@ -35,6 +37,7 @@ from climpanel.errors import (
     SampleError,
     SpecError,
 )
+import oracles
 from oracles import (
     dk_direct_sum_lag0,
     dk_double_loop,
@@ -204,6 +207,75 @@ def test_absorbed_count_on_disconnected_sample():
     assert rank == 22
     assert fit.absorbed == 22
     assert fit.dof == 40 - 1 - 22
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the BandwidthError or SampleError it raised as (type
+    name, message), and the text of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except (BandwidthError, SampleError) as exc:
+            out = (type(exc).__name__, str(exc))
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "gaps", "blocks"]),
+       fixed_effects=st.sampled_from([("region", "time"), ("time", "region"),
+                                      ("region",), ("time",)]),
+       n_focal=st.sampled_from([1, 2]),
+       bandwidth=st.sampled_from([None, 0, 3]))
+def test_absorption_and_focal_fit_keep_the_reference_bits(
+        seed, layout, fixed_effects, n_focal, bandwidth):
+    # the reference copies in oracles are the absorption before it summed
+    # groups in one pass; every bit must survive. n_focal=2 leaves no
+    # controls, as an LP with lags=0 does
+    rng = np.random.default_rng(seed)
+    R, T = int(rng.integers(2, 9)), int(rng.integers(6, 30))
+    design = _ragged_design(rng, R, T, layout, fixed_effects)
+    got, got_warn = _outcome(within_transform, design)
+    want, want_warn = _outcome(oracles.within_transform, design)
+    assert got_warn == want_warn
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for field in ("y", "X", "region_codes", "time_codes"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.absorbed, got.names, got.fixed_effects, got.demeaned) == (
+        want.absorbed, want.names, want.fixed_effects, want.demeaned)
+    hac = HACSpec(bandwidth)
+    want_fit, want_warn = _outcome(oracles.focal_driscoll_kraay, design,
+                                   n_focal, hac)
+    for d in (design, got):
+        got_fit, got_warn = _outcome(focal_driscoll_kraay, d, n_focal, hac)
+        assert got_warn == (want_warn if d is design else [])
+        if isinstance(want_fit, tuple):
+            assert got_fit == want_fit
+            continue
+        for field in ("coef", "se", "ok"):
+            assert np.array_equal(getattr(got_fit, field),
+                                  getattr(want_fit, field), equal_nan=True)
+        assert (got_fit.nobs, got_fit.dof) == (want_fit.nobs, want_fit.dof)
+
+
+@pytest.mark.parametrize("fixed_effects", [("region", "time"), ("region",),
+                                           ("time",)])
+def test_absorbed_y_and_x_are_views_of_one_c_ordered_block(fixed_effects):
+    # the QR, einsum and matmul kernels downstream see this layout; an
+    # F-ordered X moves the last bits of every estimate
+    d = within_transform(_ragged_design(np.random.default_rng(34), 6, 20,
+                                        "gaps", fixed_effects))
+    block = d.y.base
+    assert block is d.X.base
+    assert block.flags.c_contiguous
+    assert block.shape == (d.nobs, d.X.shape[1] + 1)
+    assert np.shares_memory(block[:, 0], d.y) and d.y.strides == (
+        block.strides[0],)
+    assert d.X.strides == block.strides
+    assert np.array_equal(block, np.column_stack([d.y, d.X]))
 
 
 # ---------------------------------------------------------------------------
