@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys((
         "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
-        "build_ardl_design", "estimate_ardl", "select_lag_bic",
+        "build_ardl_design", "estimate_ardl",
     ), "ardl"),
     **dict.fromkeys((
         "anomaly", "attach_anomaly_features", "historical_norm",
-        "seasonal_shock", "sign_split", "weighted_aggregate",
+        "seasonal_shock", "sign_split",
     ), "climate"),
     **dict.fromkeys((
         "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",

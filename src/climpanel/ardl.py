@@ -14,17 +14,19 @@ cell; the ardl command runs the grid of cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .climate import anomaly_name
-from .dataset import PanelDataset, QuarterIndex, checked_log, shift
-from .errors import ClimPanelError, SpecError, UnitRootError
+from .climate import derived_names
+from .dataset import PanelDataset, checked_log, shift
+from .errors import SpecError, UnitRootError
 from .regress import (
     Design,
     HACSpec,
-    design_from_matrices,
+    _block_design,
+    _regressor_block,
+    check_window,
     ols,
     significance_stars,
     with_driscoll_kraay,
@@ -58,8 +60,7 @@ class ARDLSpec:
             raise SpecError("block names must be unique")
         if self.m < 1:
             raise SpecError("m must be >= 1")
-        for label in self.sample or ():
-            QuarterIndex.parse(label)   # raises SpecError
+        check_window(self.sample)
 
 
 def annualize(theta: float, m: int) -> float:
@@ -117,8 +118,9 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
         dx = level - shift(level, 1)
         x_named += [(_lag_name(var, lag), shift(dx, lag))
                     for lag in range(0, spec.p + 1)]
-    return design_from_matrices(
-        dy, x_named, ds.regions, ds.time,
+    return _block_design(
+        dy, _regressor_block(x_named, ds.time, spec.sample),
+        ds.regions, ds.time,
         fixed_effects=spec.fixed_effects, window=spec.sample,
     )
 
@@ -194,38 +196,6 @@ def estimate_ardl(ds: PanelDataset, spec: ARDLSpec) -> ARDLResult:
 
 def default_block(temperature_var: str, precipitation_var: str, m: int) -> tuple[str, ...]:
     """Signed-anomaly block in fixed order: T+, T-, P+, P-."""
-    t = anomaly_name(temperature_var, m)
-    p = anomaly_name(precipitation_var, m)
-    return (f"{t}_pos", f"{t}_neg", f"{p}_pos", f"{p}_neg")
+    return (derived_names(temperature_var, m, seasonal=False)[2:]
+            + derived_names(precipitation_var, m, seasonal=False)[2:])
 
-
-def select_lag_bic(ds: PanelDataset, spec: ARDLSpec, candidates=range(1, 9)) -> int:
-    """Pick p by BIC over candidate lag orders.
-
-    Every candidate is fitted on the sample of the largest one (Ng & Perron
-    2005), so that the criteria compare fits of the same observations; on
-    that sample a candidate's design is the largest design restricted to
-    the candidate's columns.
-    Not the pipeline default; the default lag order is fixed at one year of
-    quarterly lags.
-    """
-    candidates = sorted(candidates)
-    if not candidates:
-        raise SpecError("no candidate lag orders")
-    common = build_ardl_design(ds, replace(spec, p=candidates[-1]))
-    bics = {}
-    for p in candidates:
-        names = build_ardl_design(ds, replace(spec, p=p)).names
-        cols = [common.names.index(name) for name in names]
-        try:
-            fit = ols(replace(common, X=common.X[:, cols], names=names))
-        except ClimPanelError as exc:
-            error = exc
-            continue
-        rss = float(fit.resid_vec @ fit.resid_vec)
-        n = fit.nobs
-        k = fit.rank + fit.absorbed
-        bics[p] = n * np.log(rss / n) + k * np.log(n)
-    if not bics:
-        raise error
-    return min(bics, key=bics.get)

@@ -21,13 +21,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__, ardl
-from .climate import (
-    NORM_MODES,
-    SEASONS,
-    anomaly_name,
-    attach_anomaly_features,
-    seasonal_name,
-)
+from .climate import NORM_MODES, attach_anomaly_features, derived_names
 from .dataset import (
     PanelDataset,
     PanelSchema,
@@ -234,11 +228,10 @@ def _default_shocks(inp: dict) -> tuple[str, ...]:
     t, p = (inp.get(key, getattr(InputConfig, key))
             .replace("{", "{{").replace("}", "}}")   # braces are literal
             for key in ("temperature_var", "precipitation_var"))
-    anom = anomaly_name(p, "{m}")
-    return (seasonal_name(t, "winter", "cold", "{m}"),
-            seasonal_name(t, "spring", "hot", "{m}"),
-            seasonal_name(t, "summer", "hot", "{m}"),
-            f"{anom}_pos", f"{anom}_neg")
+    cold = derived_names(t, "{m}", ("cold",))[4:]   # one per season
+    hot = derived_names(t, "{m}", ("hot",))[4:]
+    pos, neg = derived_names(p, "{m}", seasonal=False)[2:]
+    return (cold[0], hot[1], hot[2], pos, neg)   # winter, spring, summer
 
 
 def _parse_bool(text: str) -> bool:
@@ -484,14 +477,10 @@ def _cmd_anomaly(cfg: RunConfig) -> None:
     written = []
     for var, polarities in _climate_vars(cfg):
         for m in cfg.anomaly.m:
-            anom = anomaly_name(var, m)
-            derived = [anom, f"{anom}_pos", f"{anom}_neg"]
-            if cfg.anomaly.seasonal:
-                derived += [seasonal_name(var, season, polarity, m)
-                            for season in SEASONS for polarity in polarities]
+            norm, *derived = derived_names(var, m, polarities,
+                                           cfg.anomaly.seasonal)
             files = {f"anomaly_{var}_m{m}.csv": derived,
-                     f"norms_audit_{var}_m{m}.csv":
-                         [var, f"{var}_norm_m{m}", anom]}
+                     f"norms_audit_{var}_m{m}.csv": [var, norm, derived[0]]}
             for name, series in files.items():
                 write_panel(subset(ds, series), out / name, _schema(cfg),
                             header_comments=_header(cfg))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import PanelDataset, shift
-from .errors import BurnInError, DegenerateWeightError, SpecError
+from .errors import BurnInError, SpecError
 
 NORM_MODES = ("same-quarter", "rolling")
 
@@ -99,50 +99,22 @@ def seasonal_shock(
     return out
 
 
-def weighted_aggregate(
-    values: np.ndarray, weights, groups, regions=None
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Weighted mean of unit-level rows within each region.
-
-    values is (units, quarters); groups assigns each unit row to a region;
-    weights are nonnegative unit weights. Returns the region order and the
-    (regions, quarters) matrix of weighted means.
-    """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    groups = [str(g) for g in groups]
-    if values.ndim != 2 or len(groups) != values.shape[0]:
-        raise SpecError("values must be (units, quarters) matching groups")
-    if weights.shape != (values.shape[0],):
-        raise SpecError("one weight per unit row required")
-    if (weights < 0).any():
-        raise SpecError("weights must be nonnegative")
-    if regions is None:
-        seen = []
-        for g in groups:
-            if g not in seen:
-                seen.append(g)
-        regions = tuple(seen)
-    else:
-        regions = tuple(str(r) for r in regions)
-    out = np.empty((len(regions), values.shape[1]))
-    for i, region in enumerate(regions):
-        rows = [j for j, g in enumerate(groups) if g == region]
-        total = weights[rows].sum()
-        if not rows or total <= 0:
-            raise DegenerateWeightError(
-                f"region {region!r} has zero total weight"
-            )
-        out[i] = weights[rows] @ values[rows] / total
-    return regions, out
-
-
-def anomaly_name(var: str, m: int) -> str:
-    return f"{var}_anom_m{m}"
-
-
-def seasonal_name(var: str, season: str, polarity: str, m: int) -> str:
-    return f"{var}_{season}_{polarity}_m{m}"
+def derived_names(
+    var: str,
+    m: int | str,
+    polarities: tuple[str, ...] = ("hot", "cold"),
+    seasonal: bool = True,
+) -> tuple[str, ...]:
+    """Names of the series attach_anomaly_features derives from var, in
+    its order: the norm, the anomaly, the anomaly's positive and negative
+    parts, then with seasonal each season's shock of each polarity. m may
+    be a placeholder such as "{m}"."""
+    anom = f"{var}_anom_m{m}"
+    names = (f"{var}_norm_m{m}", anom, f"{anom}_pos", f"{anom}_neg")
+    if seasonal:
+        names += tuple(f"{var}_{season}_{polarity}_m{m}"
+                       for season in SEASONS for polarity in polarities)
+    return names
 
 
 def attach_anomaly_features(
@@ -167,17 +139,12 @@ def attach_anomaly_features(
             f"{var!r}: no quarter has the {m} years of history needed for "
             f"m={m} norms (panel spans {ds.time[0]}..{ds.time[-1]})"
         )
-    base = anomaly_name(var, m)
-    positive, negative = sign_split(values)
-    new = {f"{var}_norm_m{m}": norm, base: values,
-           f"{base}_pos": positive, f"{base}_neg": negative}
-    if seasonal:
-        for season in SEASONS:
-            for polarity in polarities:
-                new[seasonal_name(var, season, polarity, m)] = seasonal_shock(
-                    values, ds.time, season, polarity,
-                    sign_conditioned=sign_conditioned,
-                )
+    shocks = ([seasonal_shock(values, ds.time, season, polarity,
+                              sign_conditioned=sign_conditioned)
+               for season in SEASONS for polarity in polarities]
+              if seasonal else [])
+    new = dict(zip(derived_names(var, m, polarities, seasonal),
+                   [norm, values, *sign_split(values), *shocks]))
     unit = ds.unit(var)
     units = {**ds.units, **dict.fromkeys(new, unit)} if unit else ds.units
     return PanelDataset(ds.regions, ds.time, {**ds.series, **new}, units)

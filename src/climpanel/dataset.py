@@ -183,26 +183,6 @@ class PanelDataset:
     def unit(self, name: str) -> str:
         return self.units.get(name, "")
 
-    def with_series(self, name: str, matrix, unit: str = "") -> PanelDataset:
-        """Return a new dataset with one series appended (or replaced)."""
-        series = dict(self.series)
-        series[name] = matrix
-        units = dict(self.units)
-        if unit:
-            units[name] = unit
-        return PanelDataset(self.regions, self.time, series, units)
-
-    def equals(self, other: PanelDataset) -> bool:
-        """Structural equality, bitwise on values (NaN == NaN)."""
-        if self.regions != other.regions or self.time != other.time:
-            return False
-        if set(self.series) != set(other.series) or self.units != other.units:
-            return False
-        return all(
-            np.array_equal(self.series[k], other.series[k], equal_nan=True)
-            for k in self.series
-        )
-
     def __repr__(self) -> str:
         return (f"PanelDataset({self.n_regions} regions x {self.n_quarters} "
                 f"quarters, {len(self.series)} series, "

@@ -64,10 +64,6 @@ class BurnInError(DataValidationError):
     """Not enough history before the requested window to form norms."""
 
 
-class DegenerateWeightError(DataValidationError):
-    """Aggregation weights sum to zero for some region."""
-
-
 class EstimationError(ClimPanelError):
     """A regression could not be estimated."""
 

@@ -21,13 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import regress  # within_transform is looked up per call, as ols does
-from .dataset import PanelDataset, QuarterIndex, checked_log, shift
+from .dataset import PanelDataset, checked_log, shift
 from .errors import ClimPanelError, SpecError
 from .regress import (
     Design,
     HACSpec,
     _block_design,
     _regressor_block,
+    check_window,
     confidence_band,
     default_bandwidth,
     focal_driscoll_kraay,
@@ -58,14 +59,16 @@ class LPSpec:
             raise SpecError("shocks must be a nonempty tuple of names")
         if len(set(self.shocks)) != len(self.shocks):
             raise SpecError("shock names must be unique")
+        if not self.horizons or len(set(self.horizons)) != len(self.horizons):
+            raise SpecError("horizons must list at least one horizon, "
+                            "each once")
         if any(h < 0 for h in self.horizons):
             raise SpecError("horizons must be nonnegative")
         if self.lags < 0:
             raise SpecError("lags must be >= 0")
         if not 0.0 < self.level < 1.0:
             raise SpecError("level must be in (0, 1)")
-        for label in self.sample or ():
-            QuarterIndex.parse(label)   # raises SpecError
+        check_window(self.sample)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _sample_groups(ds: PanelDataset, spec: LPSpec) -> list[list[int]]:
     group, so reading it fails for it alone."""
     try:
         cols = window_slice(ds.time, spec.sample)
-    except (ClimPanelError, ValueError):
+    except ClimPanelError:
         cols = slice(None)  # every design build fails alike
     groups: dict = {}
     for i, shock in enumerate(spec.shocks):

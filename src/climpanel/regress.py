@@ -79,7 +79,7 @@ class Design:
     y: np.ndarray
     X: np.ndarray
     names: tuple[str, ...]
-    region_codes: np.ndarray   # position in design_from_matrices' regions
+    region_codes: np.ndarray   # position in the panel's regions
     time_codes: np.ndarray     # absolute quarter number (year*4 + quarter-1)
     fixed_effects: tuple[str, ...] = ()
     demeaned: bool = False
@@ -88,6 +88,20 @@ class Design:
     @property
     def nobs(self) -> int:
         return self.y.shape[0]
+
+
+def check_window(window) -> None:
+    """Reject a sample window that is neither None nor a (start, end) pair
+    of quarter labels."""
+    if window is None:
+        return
+    try:
+        start, end = window
+    except (TypeError, ValueError):
+        raise SpecError("sample must be a (start, end) pair of quarter "
+                        f"labels, got {window!r}") from None
+    QuarterIndex.parse(start)
+    QuarterIndex.parse(end)
 
 
 def window_slice(time, window) -> slice:
@@ -103,25 +117,6 @@ def window_slice(time, window) -> slice:
     return slice(a, b + 1)
 
 
-def design_from_matrices(
-    y_mat: np.ndarray,
-    x_named,
-    regions,
-    time,
-    fixed_effects=(),
-    window=None,
-    add_constant: bool | None = None,
-) -> Design:
-    """Stack region-by-quarter matrices into a listwise-deleted design.
-
-    x_named is an ordered list of (name, matrix) pairs; rows with any NaN in
-    the outcome or a regressor are dropped. When no fixed effects are
-    declared a constant column is appended (override with add_constant).
-    """
-    return _block_design(y_mat, _regressor_block(x_named, time, window),
-                         regions, time, fixed_effects, window, add_constant)
-
-
 def _regressor_block(x_named, time, window):
     """Names, cells inside the window as one C-ordered (cells x k) block
     (region-major, quarter within region) and its rows without a NaN."""
@@ -134,7 +129,10 @@ def _regressor_block(x_named, time, window):
 
 def _block_design(y_mat, regressors, regions, time, fixed_effects=(),
                   window=None, add_constant=None) -> Design:
-    """design_from_matrices for regressors given as a _regressor_block."""
+    """Stack the region-by-quarter outcome y_mat and a _regressor_block into
+    a listwise-deleted design: rows with any NaN in the outcome or a
+    regressor are dropped. When no fixed effects are declared a constant
+    column is appended (override with add_constant)."""
     names, block, finite = regressors
     sl = window_slice(time, window)
     time = tuple(time)[sl]

@@ -7,10 +7,12 @@ double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
 zero, classical covariance, and simulation-based truths for the
 local-projection and ARDL designs. fe_panel generates the generic
 fixed-effects panel the regression tests fit, and panel_design the design
-of named series they pass to ols. write_panel_csv is the reference panel
-writer: csv.writer fed one Python float per cell. within_transform and
-focal_driscoll_kraay at the end are not independent: they are the
-package's earlier absorption, kept as bit-for-bit references.
+of named series they pass to ols; with_series, panels_equal and
+design_from_matrices are the panel and design helpers only tests use.
+write_panel_csv is the reference panel writer: csv.writer fed one Python
+float per cell. within_transform and focal_driscoll_kraay at the end are
+not independent: they are the package's earlier absorption, kept as
+bit-for-bit references.
 """
 import csv
 import math
@@ -32,10 +34,11 @@ from climpanel.regress import (
     FocalFit,
     HACSpec,
     _back_substitute,
+    _block_design,
     _factor,
+    _regressor_block,
     bartlett_weights,
     default_bandwidth,
-    design_from_matrices,
 )
 from climpanel.simulate import _grid
 
@@ -233,6 +236,33 @@ def fe_panel(
     series = {"y": y}
     series.update({f"x{i + 1}": x for i, x in enumerate(xs)})
     return PanelDataset(regions, time, series, {})
+
+
+def with_series(ds, name, matrix, unit=""):
+    """ds with one series appended (or replaced)."""
+    units = {**ds.units, name: unit} if unit else ds.units
+    return PanelDataset(ds.regions, ds.time, {**ds.series, name: matrix},
+                        units)
+
+
+def panels_equal(a, b):
+    """Structural equality, bitwise on values (NaN == NaN)."""
+    return (a.regions == b.regions and a.time == b.time
+            and a.units == b.units and set(a.series) == set(b.series)
+            and all(np.array_equal(a.series[k], b.series[k], equal_nan=True)
+                    for k in a.series))
+
+
+def design_from_matrices(y_mat, x_named, regions, time, fixed_effects=(),
+                         window=None, add_constant=None):
+    """Stack region-by-quarter matrices into a listwise-deleted design.
+
+    x_named is an ordered list of (name, matrix) pairs; rows with any NaN in
+    the outcome or a regressor are dropped. When no fixed effects are
+    declared a constant column is appended (override with add_constant).
+    """
+    return _block_design(y_mat, _regressor_block(x_named, time, window),
+                         regions, time, fixed_effects, window, add_constant)
 
 
 def panel_design(ds, outcome, regressors, fixed_effects=(),

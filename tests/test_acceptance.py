@@ -29,12 +29,12 @@ from climpanel import (
     subset,
     vcov_driscoll_kraay,
 )
-from climpanel.regress import design_from_matrices
 from climpanel.simulate import ardl_panel, lp_panel
 from climpanel.dataset import QuarterIndex, quarter_range
 from oracles import (
     ardl_steady_state,
     brute_anomaly,
+    design_from_matrices,
     dummy_ols_slopes,
     fe_panel,
     lp_true_cumulative_response,

@@ -19,8 +19,6 @@ from climpanel import (
     historical_norm,
     quarter_range,
     seasonal_shock,
-    select_lag_bic,
-    weighted_aggregate,
 )
 from climpanel.ardl import default_block
 from climpanel.errors import ClimPanelError, ConfigError
@@ -41,46 +39,69 @@ def test_every_public_name_is_in_the_readme():
         encoding="utf-8")
     assert [name for name in climpanel.__all__
             if not re.search(rf"\b{name}\b", readme)] == []
+    # and the other way: the README lists no name the package lacks
+    listed = re.search(r"^Public names \(.*?\n\n", readme,
+                       re.MULTILINE | re.DOTALL)
+    names = set(re.findall(r"`(\w+)`", listed.group()))
+    assert sorted(names - set(climpanel.__all__)) == []
 
 
 @pytest.mark.parametrize("make", [
-    lambda: LPSpec("cpi", ("shock",), lags=-1),
-    lambda: LPSpec("cpi", ("shock",), level=1.0),
-    lambda: ARDLSpec("cpi", ("x",), p=-1),
-    lambda: ARDLSpec("cpi", ()),
-    lambda: HACSpec(-1),
-    lambda: historical_norm(np.zeros((1, 8)), 0),
-    lambda: annualize(0.5, 0),
-    lambda: historical_norm(np.zeros((1, 8)), 1, mode="monthly"),
-    lambda: seasonal_shock(None, (), "monsoon", "hot"),
-    lambda: seasonal_shock(None, (), "summer", "humid"),
-    lambda: weighted_aggregate(np.ones(3), [1.0], ["a"]),
-    lambda: weighted_aggregate(np.ones((2, 3)), [-1.0, 2.0], ["a", "a"]),
-    lambda: confidence_band(None, 1.0),
-    lambda: select_lag_bic(None, ARDLSpec("cpi", ("x",)), candidates=()),
-    lambda: quarter_range(QuarterIndex(2001, 1), QuarterIndex(2000, 4)),
-    lambda: QuarterIndex(2000, 5),
-    lambda: QuarterIndex.parse("2002-03"),
-    lambda: LPSpec("cpi", ("shock",), sample=("2002Q1", "2010-04")),
-    lambda: ARDLSpec("cpi", ("x",), sample=("2002-03", "2010Q4")),
-    lambda: estimate_irf(None, LPSpec("cpi", ("shock",),
-                                      sample=("2002-03", "2010Q4"))),
+    pytest.param(lambda: LPSpec("cpi", ("shock",), lags=-1), id="lp-lags"),
+    pytest.param(lambda: LPSpec("cpi", ("shock",), level=1.0),
+                 id="lp-level"),
+    pytest.param(lambda: ARDLSpec("cpi", ("x",), p=-1), id="ardl-p"),
+    pytest.param(lambda: ARDLSpec("cpi", ()), id="ardl-block"),
+    pytest.param(lambda: HACSpec(-1), id="hac-bandwidth"),
+    pytest.param(lambda: historical_norm(np.zeros((1, 8)), 0), id="norm-m"),
+    pytest.param(lambda: annualize(0.5, 0), id="annualize-m"),
+    pytest.param(lambda: historical_norm(np.zeros((1, 8)), 1,
+                                         mode="monthly"), id="norm-mode"),
+    pytest.param(lambda: seasonal_shock(None, (), "monsoon", "hot"),
+                 id="season"),
+    pytest.param(lambda: seasonal_shock(None, (), "summer", "humid"),
+                 id="polarity"),
+    pytest.param(lambda: confidence_band(None, 1.0), id="band-level"),
+    pytest.param(lambda: quarter_range(QuarterIndex(2001, 1),
+                                       QuarterIndex(2000, 4)),
+                 id="quarter-range"),
+    pytest.param(lambda: QuarterIndex(2000, 5), id="quarter-number"),
+    pytest.param(lambda: QuarterIndex.parse("2002-03"), id="quarter-label"),
+    pytest.param(lambda: LPSpec("cpi", ("shock",),
+                                sample=("2002Q1", "2010-04")),
+                 id="lp-sample"),
+    pytest.param(lambda: ARDLSpec("cpi", ("x",),
+                                  sample=("2002-03", "2010Q4")),
+                 id="ardl-sample"),
+    pytest.param(lambda: estimate_irf(None, LPSpec(
+        "cpi", ("shock",), sample=("2002-03", "2010Q4"))), id="irf-sample"),
     # an ARDL grid cell as the ardl command builds it
-    lambda: ARDLSpec("cpi", default_block("temperature", "precipitation", 2),
-                     m=2, sample=("2002-03", "2010Q4")),
-    lambda: LPSpec("cpi", ()),
-    lambda: LPSpec("cpi", ("shock", "other", "shock")),
+    pytest.param(lambda: ARDLSpec(
+        "cpi", default_block("temperature", "precipitation", 2), m=2,
+        sample=("2002-03", "2010Q4")), id="suite-sample"),
+    # a sample is a (start, end) pair: one label or three are not
+    pytest.param(lambda: LPSpec("cpi", ("shock",), sample=("2002Q3",)),
+                 id="lp-sample-one"),
+    pytest.param(lambda: LPSpec("cpi", ("shock",),
+                                sample=("2002Q3", "2005Q1", "2009Q4")),
+                 id="lp-sample-three"),
+    pytest.param(lambda: ARDLSpec("cpi", ("x",), sample=("2002Q3",)),
+                 id="ardl-sample-one"),
+    pytest.param(lambda: ARDLSpec("cpi", ("x",),
+                                  sample=("2002Q3", "2005Q1", "2009Q4")),
+                 id="ardl-sample-three"),
+    pytest.param(lambda: LPSpec("cpi", ("shock",), horizons=()),
+                 id="lp-horizons-empty"),
+    pytest.param(lambda: LPSpec("cpi", ("shock",), horizons=(0, 0)),
+                 id="lp-horizons-repeated"),
+    pytest.param(lambda: LPSpec("cpi", ()), id="lp-shocks-empty"),
+    pytest.param(lambda: LPSpec("cpi", ("shock", "other", "shock")),
+                 id="lp-shocks-repeated"),
     # a bare string would run once per character
-    lambda: LPSpec("cpi", "shock"),
-    lambda: PanelSchema(year="quarter"),
-    lambda: PanelSchema(region="year"),
-], ids=["lp-lags", "lp-level", "ardl-p", "ardl-block", "hac-bandwidth",
-        "norm-m", "annualize-m", "norm-mode", "season", "polarity",
-        "aggregate-shape", "aggregate-weights", "band-level",
-        "bic-candidates", "quarter-range", "quarter-number", "quarter-label",
-        "lp-sample", "ardl-sample", "irf-sample", "suite-sample",
-        "lp-shocks-empty", "lp-shocks-repeated", "lp-shocks-string",
-        "schema-year", "schema-region"])
+    pytest.param(lambda: LPSpec("cpi", "shock"), id="lp-shocks-string"),
+    pytest.param(lambda: PanelSchema(year="quarter"), id="schema-year"),
+    pytest.param(lambda: PanelSchema(region="year"), id="schema-region"),
+])
 def test_spec_errors_are_typed(make):
     with pytest.raises(ClimPanelError) as info:
         make()

@@ -1,4 +1,4 @@
-"""ARDL design, long-run effects, delta-method errors, lag selection."""
+"""ARDL design, long-run effects and delta-method errors."""
 import math
 
 import numpy as np
@@ -13,13 +13,12 @@ from climpanel import (
     estimate_ardl,
     quarter_range,
     QuarterIndex,
-    select_lag_bic,
     with_driscoll_kraay,
 )
 from climpanel.ardl import long_run_from_coefficients
 from climpanel.errors import RankDeficiencyError, SpecError, UnitRootError
 from climpanel.simulate import ardl_panel
-from oracles import ardl_steady_state
+from oracles import ardl_steady_state, with_series
 
 
 def _sum_block(fit, var, p):
@@ -58,7 +57,8 @@ def _four_block_panel(seed=0, n_regions=4, n_quarters=60):
     ds = ardl_panel(n_regions=n_regions, n_quarters=n_quarters, seed=seed)
     rng = np.random.default_rng(900 + seed)
     for name in ("b1", "b2", "b3", "b4"):
-        ds = ds.with_series(name, rng.normal(size=(n_regions, n_quarters)))
+        ds = with_series(ds, name,
+                         rng.normal(size=(n_regions, n_quarters)))
     return ds
 
 
@@ -157,7 +157,7 @@ def test_delta_method_reduces_to_ols_se_when_p0():
 def test_reparameterization_scaling():
     ds = ardl_panel(seed=6)
     c = 5.0
-    scaled = ds.with_series("driver", c * np.asarray(ds.values("driver")))
+    scaled = with_series(ds, "driver", c * np.asarray(ds.values("driver")))
     spec = ARDLSpec("price", block=("driver",), p=1, m=30)
     a = estimate_ardl(ds, spec).table.effects[0]
     b = estimate_ardl(scaled, spec).table.effects[0]
@@ -202,38 +202,3 @@ def test_annualize_values():
     assert annualize(0.42, 1) == 0.42
     with pytest.raises(ValueError):
         annualize(1.0, 0)
-
-
-def test_select_lag_bic_smoke():
-    ds = ardl_panel(n_quarters=120, seed=8)
-    p = select_lag_bic(ds, ARDLSpec("price", block=("driver",), p=1, m=30),
-                       candidates=range(1, 5))
-    assert p in range(1, 5)
-
-
-def test_select_lag_bic_compares_candidates_on_one_sample():
-    # BIC is comparable across lag orders only on one set of observations:
-    # every p is fitted on the rows the largest candidate keeps (Ng & Perron
-    # 2005). Here each p on its own, longer sample would pick p = 6.
-    ds = ardl_panel(n_regions=3, n_quarters=24, seed=22)
-    p_max = 8
-    dy = np.diff(np.log(ds.values("price")), axis=1)
-    dx = np.diff(ds.values("driver"), axis=1)
-    R, S = dy.shape
-
-    def brute_bic(p):
-        rows, ys = [], []
-        for i in range(R):
-            for s in range(p_max, S):
-                rows.append([dy[i, s - l] for l in range(1, p + 1)]
-                            + [dx[i, s - l] for l in range(p + 1)]
-                            + [float(j == i) for j in range(R)])
-                ys.append(dy[i, s])
-        X, y = np.array(rows), np.array(ys)
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        rss = float(np.sum((y - X @ coef) ** 2))
-        return len(y) * np.log(rss / len(y)) + X.shape[1] * np.log(len(y))
-
-    expected = min(range(1, p_max + 1), key=brute_bic)
-    spec = ARDLSpec("price", block=("driver",), p=1, m=30)
-    assert select_lag_bic(ds, spec, candidates=range(1, p_max + 1)) == expected

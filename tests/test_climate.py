@@ -1,4 +1,4 @@
-"""Norms, anomalies, sign splits, seasonal shocks, weighted aggregation."""
+"""Norms, anomalies, sign splits and seasonal shocks."""
 import math
 
 import numpy as np
@@ -16,9 +16,8 @@ from climpanel import (
     quarter_range,
     seasonal_shock,
     sign_split,
-    weighted_aggregate,
 )
-from climpanel.errors import BurnInError, DegenerateWeightError
+from climpanel.errors import BurnInError
 from oracles import brute_anomaly, brute_norm
 
 
@@ -215,36 +214,6 @@ def test_seasonal_interaction_form():
             np.testing.assert_array_equal(col[finite], a[:, t][finite])
         else:
             assert np.all(col[finite] == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# weighted aggregation
-# ---------------------------------------------------------------------------
-
-def test_weighted_aggregate_equal_weights():
-    values = np.array([[10.0, 12.0], [20.0, 18.0]])
-    regions, out = weighted_aggregate(values, [1.0, 1.0], ["a", "a"])
-    assert regions == ("a",)
-    np.testing.assert_array_equal(out, [[15.0, 15.0]])
-
-
-def test_weighted_aggregate_identity():
-    values = np.array([[1.0, 2.0], [3.0, 4.0]])
-    regions, out = weighted_aggregate(values, [2.0, 5.0], ["a", "b"])
-    np.testing.assert_array_equal(out, values)
-
-
-def test_weighted_aggregate_hand_value():
-    values = np.array([[10.0], [20.0]])
-    _, out = weighted_aggregate(values, [1.0, 3.0], ["a", "a"])
-    assert out[0, 0] == 17.5
-
-
-def test_weighted_aggregate_zero_weight():
-    with pytest.raises(DegenerateWeightError):
-        weighted_aggregate(np.ones((2, 3)), [0.0, 0.0], ["a", "a"])
-    with pytest.raises(ValueError):
-        weighted_aggregate(np.ones((2, 3)), [-1.0, 2.0], ["a", "a"])
 
 
 # ---------------------------------------------------------------------------

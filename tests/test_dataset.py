@@ -31,7 +31,12 @@ from climpanel.errors import (
     TransformDomainError,
     VariableLookupError,
 )
-from oracles import quantile_type7, write_panel_csv
+from oracles import (
+    panels_equal,
+    quantile_type7,
+    with_series,
+    write_panel_csv,
+)
 
 
 def make_panel(n_regions=3, n_quarters=12, seed=0, start=QuarterIndex(2000, 1)):
@@ -190,15 +195,15 @@ def test_round_trip_bitwise(tmp_path):
     ds = make_panel(seed=42)
     mat = np.array(ds.values("cpi"))
     mat[0, 3] = np.nan
-    ds = ds.with_series("cpi", mat, "index")
+    ds = with_series(ds, "cpi", mat, "index")
     path = tmp_path / "out.csv"
     write_panel(ds, path)
     back = load_panel(path)
-    assert back.equals(ds)
+    assert panels_equal(back, ds)
     # and a second loop is a fixed point
     path2 = tmp_path / "out2.csv"
     write_panel(back, path2)
-    assert load_panel(path2).equals(back)
+    assert panels_equal(load_panel(path2), back)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def log_change(ds, name):
 def test_logdiff_constant_is_zero():
     ds = make_panel()
     const = np.full((ds.n_regions, ds.n_quarters), 100.0)
-    vals = log_change(ds.with_series("flat", const), "flat")
+    vals = log_change(with_series(ds, "flat", const), "flat")
     assert np.all(vals[:, 1:] == 0.0)
     assert np.all(np.isnan(vals[:, 0]))
 
@@ -274,7 +279,7 @@ def test_logdiff_telescopes_to_1e12():
 
 def test_subset_identity():
     ds = make_panel()
-    assert subset(ds).equals(ds)
+    assert panels_equal(subset(ds), ds)
 
 
 def test_subset_estimation_window():
@@ -301,7 +306,7 @@ def test_subset_projection_composes():
     once = subset(ds, start="2001Q1", end="2002Q2")
     twice = subset(subset(ds, start="2000Q3", end="2002Q4"),
                    start="2001Q1", end="2002Q2")
-    assert once.equals(twice)
+    assert panels_equal(once, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def test_frozen_arrays_are_shared_and_writeable_ones_copied():
         ds.n_regions, ds.n_quarters)
     readonly_view = base[:, :]
     readonly_view.flags.writeable = False
-    out = ds.with_series("plain", base).with_series("view", readonly_view)
+    out = with_series(with_series(ds, "plain", base), "view", readonly_view)
     # series the dataset already holds are frozen, so they are shared
     assert out.values("cpi") is ds.values("cpi")
     assert np.shares_memory(subset(out, ["temp"]).values("temp"),
@@ -662,7 +667,7 @@ def test_plain_files_take_the_column_reader(tmp_path):
     mat = np.array(ds.values("cpi"))
     mat[1, 2:4] = np.nan
     mat[0, 0] = -0.0
-    ds = ds.with_series("cpi", mat, "index")
+    ds = with_series(ds, "cpi", mat, "index")
     for missing in ("", "NA", "nan"):
         path = tmp_path / f"plain{missing}.csv"
         schema = PanelSchema(missing=missing)
@@ -672,7 +677,7 @@ def test_plain_files_take_the_column_reader(tmp_path):
         fast = _plain_panel(lines, schema)
         assert fast is not None, missing
         _assert_same_outcome(fast, _row_panel(path, lines, schema))
-        assert fast.equals(ds)
+        assert panels_equal(fast, ds)
 
 
 _ROWS = ["a,2000,1,1.5", "a,2000,2,2.5", "b,2000,1,3.5", "b,2000,2,4.5"]

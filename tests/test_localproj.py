@@ -22,7 +22,11 @@ from climpanel import (
 from climpanel.errors import ClimPanelError
 from climpanel.localproj import _sample_groups
 from climpanel.simulate import lp_panel
-from oracles import dk_double_loop, lp_true_cumulative_response
+from oracles import (
+    dk_double_loop,
+    lp_true_cumulative_response,
+    with_series,
+)
 
 
 def test_h0_outcome_is_one_quarter_log_change():
@@ -77,7 +81,7 @@ def test_sample_monotone_in_horizon():
 
 def test_shift_invariance_of_price_level():
     ds = lp_panel(n_regions=4, n_quarters=50, seed=6)
-    scaled = ds.with_series("price", 7.0 * np.asarray(ds.values("price")))
+    scaled = with_series(ds, "price", 7.0 * np.asarray(ds.values("price")))
     spec = LPSpec("price", ("shock",), horizons=(0, 2, 4), lags=4)
     (a,) = estimate_irf(ds, spec)
     (b,) = estimate_irf(scaled, spec)
@@ -89,7 +93,7 @@ def test_shift_invariance_of_price_level():
 def test_shock_scaling_covariance():
     ds = lp_panel(n_regions=4, n_quarters=50, seed=7)
     c = 4.0
-    scaled = ds.with_series("shock", c * np.asarray(ds.values("shock")))
+    scaled = with_series(ds, "shock", c * np.asarray(ds.values("shock")))
     spec = LPSpec("price", ("shock",), horizons=(0, 3), lags=4)
     (a,) = estimate_irf(ds, spec)
     (b,) = estimate_irf(scaled, spec)
@@ -99,7 +103,7 @@ def test_shock_scaling_covariance():
 
 def test_zero_variance_shock_raises_rank_error():
     ds = lp_panel(n_regions=3, n_quarters=30, seed=8)
-    ds = ds.with_series("flat", np.zeros((3, 30)))
+    ds = with_series(ds, "flat", np.zeros((3, 30)))
     (res,) = estimate_irf(ds, LPSpec("price", ("flat",), horizons=(0, 1),
                                      lags=2))
     assert not res.responses
@@ -243,9 +247,9 @@ def _multi_shock_panel(seed, n_regions=6, n_quarters=60):
                   region_sd=0.5, time_sd=0.5, seed=seed)
     rng = np.random.default_rng(seed)
     shape = (n_regions, n_quarters)
-    ds = ds.with_series("s2", rng.normal(size=shape) + 3.0)
-    return ds.with_series("s3", 0.5 * np.asarray(ds.values("shock"))
-                          + rng.normal(size=shape))
+    ds = with_series(ds, "s2", rng.normal(size=shape) + 3.0)
+    return with_series(ds, "s3", 0.5 * np.asarray(ds.values("shock"))
+                       + rng.normal(size=shape))
 
 
 def test_batched_shocks_sharing_one_sample():
@@ -260,7 +264,7 @@ def test_shock_with_extra_blanks_is_its_own_group():
     ds = _multi_shock_panel(41)
     s2 = np.array(ds.values("s2"))
     s2[np.random.default_rng(1).random(s2.shape) < 0.1] = np.nan
-    ds = ds.with_series("s2", s2)
+    ds = with_series(ds, "s2", s2)
     spec = LPSpec("price", ("shock",), horizons=(0, 2), lags=2)
     assert _sample_groups(ds, dataclasses.replace(
         spec, shocks=("shock", "s2", "s3"))) == [[0, 2], [1]]
@@ -269,7 +273,7 @@ def test_shock_with_extra_blanks_is_its_own_group():
 
 
 def test_flat_shock_fails_alone_with_its_own_message():
-    ds = _multi_shock_panel(42).with_series("flat", np.zeros((6, 60)))
+    ds = with_series(_multi_shock_panel(42), "flat", np.zeros((6, 60)))
     spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=2)
     res = _assert_batched_equals_per_shock(ds, spec, ("shock", "flat", "s2"))
     assert [len(r.responses) for r in res] == [2, 0, 2]

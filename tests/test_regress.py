@@ -27,7 +27,6 @@ from climpanel.regress import (
     _RANK_TOL,
     _STAR_CUTOFFS,
     _factor,
-    design_from_matrices,
     focal_driscoll_kraay,
 )
 from climpanel.errors import (
@@ -39,6 +38,7 @@ from climpanel.errors import (
 )
 import oracles
 from oracles import (
+    design_from_matrices,
     dk_direct_sum_lag0,
     dk_double_loop,
     dummy_ols_slopes,
@@ -47,6 +47,7 @@ from oracles import (
     newey_west_double_loop,
     panel_design,
     vcov_classical,
+    with_series,
 )
 
 
@@ -74,7 +75,7 @@ def simple_design(y, x, fixed_effects=(), n_regions=1, add_constant=None):
 def test_region_constant_regressor_demeans_to_zero():
     ds = fe_panel(n_regions=4, n_quarters=10, seed=1)
     per_region = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 10))
-    ds = ds.with_series("rc", per_region)
+    ds = with_series(ds, "rc", per_region)
     design = panel_design(ds, "y", ("x1", "rc"), fixed_effects=("region",))
     within = within_transform(design)
     rc_col = within.X[:, within.names.index("rc")]
