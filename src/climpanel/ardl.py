@@ -14,10 +14,9 @@ cell; the ardl command runs the grid of cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .climate import derived_names
 from .dataset import PanelDataset, checked_log, shift
 from .errors import SpecError, UnitRootError
@@ -35,8 +34,7 @@ from .regress import (
 _PHI_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class ARDLSpec:
+class ARDLSpec(Record):
     """One ARDL cell: outcome, signed-anomaly block, lag order, norm window.
 
     p = 0 drops the autoregressive lags and keeps only the contemporaneous
@@ -70,8 +68,7 @@ def annualize(theta: float, m: int) -> float:
     return theta * 2.0 / (m + 1.0)
 
 
-@dataclass(frozen=True)
-class LongRunEffect:
+class LongRunEffect(Record):
     variable: str
     theta: float
     se: float
@@ -79,8 +76,7 @@ class LongRunEffect:
     annualized: float
 
 
-@dataclass(frozen=True)
-class LongRunTable:
+class LongRunTable(Record):
     """Long-run effects for one (outcome, m) cell, in block order."""
 
     outcome: str
@@ -92,8 +88,7 @@ class LongRunTable:
     nobs: int
 
 
-@dataclass(frozen=True)
-class ARDLResult:
+class ARDLResult(Record):
     fit: object  # FitResult
     table: LongRunTable
 

@@ -17,10 +17,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__, ardl
+from ._record import Record
 from .climate import NORM_MODES, attach_anomaly_features, derived_names
 from .dataset import (
     PanelDataset,
@@ -73,13 +73,12 @@ def _check_path(where: str, path: str | None) -> None:
              "must not contain a NUL byte")
 
 
-# Each section is a frozen dataclass: its fields are the section's keys,
+# Each section is an immutable Record: its fields are the section's keys,
 # their defaults the defaults, their annotations pick the value parser, and
 # __post_init__ rejects out-of-range values. A section is built once, after
 # the CLI overrides are applied, so an override can replace a bad file value.
 
-@dataclass(frozen=True)
-class InputConfig:
+class InputConfig(Record):
     climate: str | None = None
     prices: str | None = None
     region_col: str = "region"
@@ -103,8 +102,7 @@ class InputConfig:
                  f"{self.start} > {self.end}")
 
 
-@dataclass(frozen=True)
-class AnomalyConfig:
+class AnomalyConfig(Record):
     m: tuple[int, ...] = (20, 30, 40)
     mode: str = "same-quarter"
     seasonal: bool = True
@@ -116,8 +114,7 @@ class AnomalyConfig:
                  f"must be one of {NORM_MODES}")
 
 
-@dataclass(frozen=True)
-class LPConfig:
+class LPConfig(Record):
     outcomes: tuple[str, ...] = ()
     shocks: tuple[str, ...] = ()   # load_config fills in _default_shocks
     m: int = 30
@@ -141,7 +138,7 @@ class LPConfig:
                  "[lp] fixed_effects", "may name region and time")
         try:
             names = self.shock_names()
-        except (KeyError, IndexError, ValueError):
+        except (KeyError, IndexError, ValueError, AttributeError, TypeError):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
         _parse(_each_once, names, f"[lp] shocks (with {{m}} = {self.m})")
@@ -151,8 +148,7 @@ class LPConfig:
         return tuple(pattern.format(m=self.m) for pattern in self.shocks)
 
 
-@dataclass(frozen=True)
-class ARDLConfig:
+class ARDLConfig(Record):
     outcomes: tuple[str, ...] = ()
     m: tuple[int, ...] = (20, 30, 40)
     p: int = 4
@@ -169,8 +165,7 @@ class ARDLConfig:
                  "[ardl] bandwidth", "must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimulateConfig:
+class SimulateConfig(Record):
     kind: str = "climate"
     seed: int = 20240101
     regions: int = 7
@@ -186,21 +181,18 @@ class SimulateConfig:
         _check_quarter("[simulate] start", self.start)
 
 
-@dataclass(frozen=True)
-class StatsConfig:
+class StatsConfig(Record):
     variables: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(Record):
     dir: str = "out"
 
     def __post_init__(self):
         _check_path("[output] dir", self.dir)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     input: InputConfig
     anomaly: AnomalyConfig
     lp: LPConfig
@@ -298,7 +290,7 @@ def _parse(parse, text: str, where: str):
 def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
     """The section's keys as given, each parsed by its field type but not
     yet checked against its range."""
-    types = {f.name: f.type for f in fields(cls)}
+    types = cls.__annotations__
     values = {}
     for key, text in (parser[name] if parser.has_section(name) else {}).items():
         if key not in types:
@@ -357,8 +349,8 @@ def load_config(
     # --out is relative to the working directory
     base = os.path.dirname(path or "")
     inp = sections["input"]
-    sections["input"] = replace(
-        inp, **{key: os.path.join(base, getattr(inp, key))
+    sections["input"] = inp.replace(
+        **{key: os.path.join(base, getattr(inp, key))
                 for key in ("climate", "prices") if getattr(inp, key)})
     return RunConfig(**sections, hash=digest,
                      out_dir=os.path.join(base, output.dir)

@@ -12,11 +12,12 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from functools import total_ordering
 from types import SimpleNamespace
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     EmptyPanelError,
     EmptySummaryError,
@@ -43,8 +44,8 @@ def _quarter_at(code: int) -> QuarterIndex:
     return QuarterIndex(code // 4, code % 4 + 1)
 
 
-@dataclass(frozen=True, order=True)
-class QuarterIndex:
+@total_ordering
+class QuarterIndex(Record):
     """A calendar quarter, ordered lexicographically on (year, quarter)."""
 
     year: int
@@ -52,6 +53,11 @@ class QuarterIndex:
 
     def __post_init__(self):
         _quarter_code(self.year, self.quarter)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.year, self.quarter) < (other.year, other.quarter)
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.quarter}"
@@ -84,8 +90,7 @@ def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex,
     return tuple(start.offset(i) for i in range(n + 1))
 
 
-@dataclass(frozen=True)
-class PanelSchema:
+class PanelSchema(Record):
     """Column names for panel CSV files, and the token that marks an
     explicitly missing cell (default: an empty cell). Every column that is
     not region, year or quarter is a value column."""
@@ -236,8 +241,7 @@ def subset(
     return PanelDataset(ds.regions, ds.time[a:b], series, units)
 
 
-@dataclass(frozen=True)
-class RegionSummary:
+class RegionSummary(Record):
     region: str
     min: float
     q1: float

@@ -15,12 +15,12 @@ regression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import regress  # within_transform is looked up per call, as ols does
+from ._record import Record
 from .dataset import PanelDataset, checked_log, shift
 from .errors import ClimPanelError, SpecError
 from .regress import (
@@ -40,8 +40,7 @@ from .regress import (
 DEFAULT_HORIZONS = tuple(range(9))
 
 
-@dataclass(frozen=True)
-class LPSpec:
+class LPSpec(Record):
     """Local-projection settings for one outcome and its shocks."""
 
     outcome: str
@@ -71,8 +70,7 @@ class LPSpec:
         check_window(self.sample)
 
 
-@dataclass(frozen=True)
-class ImpulseResponse:
+class ImpulseResponse(Record):
     horizon: int
     estimate: float
     se: float
@@ -80,14 +78,12 @@ class ImpulseResponse:
     nobs: int
 
 
-@dataclass(frozen=True)
-class HorizonFailure:
+class HorizonFailure(Record):
     horizon: int
     message: str
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     """Per-horizon impulse responses for one (shock, outcome) pair."""
 
     shock: str
@@ -132,7 +128,7 @@ def _horizon_hac(spec: LPSpec, design: Design, horizon: int) -> HACSpec:
     # T: the periods of the absorbed design, left after the singleton drop
     periods = design.time_codes - design.time_codes.min()
     n_periods = np.count_nonzero(np.bincount(periods))
-    return replace(hac, bandwidth=max(default_bandwidth(n_periods), horizon))
+    return hac.replace(bandwidth=max(default_bandwidth(n_periods), horizon))
 
 
 def _sample_groups(ds: PanelDataset, spec: LPSpec) -> list[list[int]]:
@@ -166,7 +162,7 @@ def _fit_alone(ds: PanelDataset, spec: LPSpec, shock: str, horizon: int):
     """One shock's own regression; raises the error ols or the covariance
     gives for it."""
     design = regress.within_transform(
-        build_lp_design(ds, replace(spec, shocks=(shock,)), horizon))
+        build_lp_design(ds, spec.replace(shocks=(shock,)), horizon))
     fit = ols(design)
     fit = with_driscoll_kraay(fit, _horizon_hac(spec, design, horizon))
     return _response(fit, spec.level, fit.names.index(shock), horizon)
@@ -204,8 +200,8 @@ def estimate_irf(ds: PanelDataset, spec: LPSpec) -> tuple[LPResult, ...]:
     LPResult.failures while the others are still returned, and a shock
     whose every horizon failed has only failures. Nothing is raised.
     """
-    groups = [(group, replace(spec, shocks=tuple(spec.shocks[i]
-                                                 for i in group)))
+    groups = [(group, spec.replace(shocks=tuple(spec.shocks[i]
+                                                for i in group)))
               for group in _sample_groups(ds, spec)]
     outcomes = [[] for _ in spec.shocks]   # (horizon, response or error)
     for h in spec.horizons:

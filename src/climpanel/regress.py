@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record
 from .dataset import QuarterIndex, _quarter_code
 from .errors import (
     BandwidthError,
@@ -47,8 +47,7 @@ _STAR_CUTOFFS = (
 )
 
 
-@dataclass(frozen=True)
-class HACSpec:
+class HACSpec(Record):
     """Bartlett-kernel HAC settings: lag truncation L and the small-sample
     scaling T/(T-k) applied to the moment covariance when flagged. A
     bandwidth of None takes default_bandwidth of the periods in the
@@ -72,8 +71,7 @@ def default_bandwidth(n_periods: int) -> int:
     return int(math.floor(4.0 * (n_periods / 100.0) ** (2.0 / 9.0)))
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Record):
     """Stacked regression sample (region-major, time within region)."""
 
     y: np.ndarray
@@ -183,7 +181,7 @@ def within_transform(design: Design) -> Design:
         return design
     dims = design.fixed_effects
     if not dims:
-        return replace(design, demeaned=True, absorbed=0)
+        return design.replace(demeaned=True, absorbed=0)
     if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
         raise SpecError("fixed_effects may name region and time, each once, "
                         f"got {dims}")
@@ -254,8 +252,7 @@ def within_transform(design: Design) -> Design:
     )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """One estimated fixed-effects regression.
 
     within_x / resid_vec / time_codes / xtx_inv retain the demeaned
@@ -462,11 +459,10 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
 def with_driscoll_kraay(fit: FitResult, hac: HACSpec) -> FitResult:
     """Return the fit with Driscoll-Kraay vcov and standard errors."""
     V = vcov_driscoll_kraay(fit, hac)
-    return replace(fit, vcov=V, se=np.sqrt(np.diag(V)))
+    return fit.replace(vcov=V, se=np.sqrt(np.diag(V)))
 
 
-@dataclass(frozen=True)
-class FocalFit:
+class FocalFit(Record):
     """Slope and standard error of each focal column, entry j from the
     regression of y on focal column j and the shared controls only; NaN
     where ok[j] is False."""

@@ -17,7 +17,6 @@ bit-for-bit references.
 import csv
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -328,7 +327,7 @@ def within_transform(design: Design) -> Design:
         return design
     dims = design.fixed_effects
     if not dims:
-        return replace(design, demeaned=True, absorbed=0)
+        return design.replace(demeaned=True, absorbed=0)
     if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
         raise SpecError("fixed_effects may name region and time, each once, "
                         f"got {dims}")

@@ -626,6 +626,15 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_commands_load_no_dataclasses():
+    # records are plain classes: dataclasses compiles methods per class with
+    # exec, ~1.4 ms each in every cold command
+    out = _python("-c", "import sys, climpanel.cli, climpanel.localproj, "
+                        "climpanel.ardl, climpanel.simulate; "
+                        "print('dataclasses' in sys.modules)")
+    assert out.strip() == "False"
+
+
 # Imports the package, touches an unknown name and lists it; prints what
 # happened and whether numpy got loaded along the way
 LAZY_PACKAGE = """
@@ -806,6 +815,23 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert _OUT_OF_RANGE_MESSAGES.get(setting, "") in err
+
+
+@pytest.mark.parametrize("pattern", [
+    "x_{0}", "x_{m!z}", "x_{", "x_{m.foo}", "x_{m[0]}",
+])
+def test_bad_shock_placeholder_is_a_config_error(workspace, tmp_path, capsys,
+                                                 pattern):
+    # every command builds [lp], so stats fails on it too
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=workspace["data"],
+                                      out=tmp_path / "o")
+                   .replace("[lp]\n", f"[lp]\nshocks = {pattern}\n"),
+                   encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: [lp] shocks: bad placeholder in {(pattern,)} "
+        "(only {m} is substituted)\n")
 
 
 @pytest.mark.parametrize("command", ["lp", "ardl", "stats"])

@@ -1,5 +1,4 @@
 """Local projections: design construction and IRF estimation."""
-import dataclasses
 import math
 
 import numpy as np
@@ -201,7 +200,7 @@ def test_recovery_against_simulated_truth():
 def _per_shock(ds, spec, shock):
     """One regression per horizon with ols and with_driscoll_kraay: the
     ImpulseResponse, or the failure message, keyed by horizon."""
-    one = dataclasses.replace(spec, shocks=(shock,))
+    one = spec.replace(shocks=(shock,))
     out = {}
     for h in spec.horizons:
         try:
@@ -223,7 +222,7 @@ def _per_shock(ds, spec, shock):
 
 
 def _assert_batched_equals_per_shock(ds, spec, shocks):
-    results = estimate_irf(ds, dataclasses.replace(spec, shocks=shocks))
+    results = estimate_irf(ds, spec.replace(shocks=shocks))
     assert [r.shock for r in results] == list(shocks)
     for res in results:
         want = _per_shock(ds, spec, res.shock)
@@ -255,8 +254,8 @@ def _multi_shock_panel(seed, n_regions=6, n_quarters=60):
 def test_batched_shocks_sharing_one_sample():
     ds = _multi_shock_panel(40)
     spec = LPSpec("price", ("shock",), horizons=(0, 1, 4), lags=3)
-    assert _sample_groups(ds, dataclasses.replace(
-        spec, shocks=("shock", "s2", "s3"))) == [[0, 1, 2]]
+    assert _sample_groups(
+        ds, spec.replace(shocks=("shock", "s2", "s3"))) == [[0, 1, 2]]
     _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
 
 
@@ -266,8 +265,8 @@ def test_shock_with_extra_blanks_is_its_own_group():
     s2[np.random.default_rng(1).random(s2.shape) < 0.1] = np.nan
     ds = with_series(ds, "s2", s2)
     spec = LPSpec("price", ("shock",), horizons=(0, 2), lags=2)
-    assert _sample_groups(ds, dataclasses.replace(
-        spec, shocks=("shock", "s2", "s3"))) == [[0, 2], [1]]
+    assert _sample_groups(
+        ds, spec.replace(shocks=("shock", "s2", "s3"))) == [[0, 2], [1]]
     res = _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
     assert res[1].responses[0].nobs < res[0].responses[0].nobs
 
@@ -305,7 +304,7 @@ def test_batched_sample_window_and_unknown_shock():
     res = _assert_batched_equals_per_shock(
         ds, spec, ("shock", "nope", "s2", "s3"))
     assert res[0].responses[0].nobs < estimate_irf(
-        ds, dataclasses.replace(spec, sample=None))[0].responses[0].nobs
+        ds, spec.replace(sample=None))[0].responses[0].nobs
     assert res[1].failures[0].message.startswith(
         "VariableLookupError: unknown variable 'nope'")
 
@@ -315,7 +314,7 @@ def test_blank_bandwidth_keeps_small_sample_flag():
     spec = LPSpec("price", ("shock",), horizons=(0, 3), lags=2,
                   hac=HACSpec(None, small_sample=False))
     (res,) = _assert_batched_equals_per_shock(ds, spec, ("shock",))
-    (default,) = estimate_irf(ds, dataclasses.replace(spec, hac=None))
+    (default,) = estimate_irf(ds, spec.replace(hac=None))
     for a, b in zip(res.responses, default.responses):
         assert a.estimate == b.estimate
         assert a.se < b.se

@@ -1,5 +1,4 @@
 """Within transformation, pivoted-QR OLS, classical and DK covariance."""
-import dataclasses
 import math
 import warnings
 
@@ -400,7 +399,7 @@ def test_classical_scaling_homogeneity():
     y = x + rng.normal(size=30)
     fit = ols(simple_design(y, x, add_constant=False))
     base = vcov_classical(fit)
-    doubled = dataclasses.replace(fit, resid_vec=2.0 * fit.resid_vec)
+    doubled = fit.replace(resid_vec=2.0 * fit.resid_vec)
     np.testing.assert_allclose(vcov_classical(doubled), 4.0 * base, rtol=1e-14)
 
 
@@ -436,7 +435,7 @@ def test_dk_lag0_constant_residuals_proportional_to_classical():
     n = 50
     x = rng.normal(size=n)
     fit = ols(simple_design(x + rng.normal(size=n), x, add_constant=False))
-    const_resid = dataclasses.replace(fit, resid_vec=np.full(n, 0.7))
+    const_resid = fit.replace(resid_vec=np.full(n, 0.7))
     dk = vcov_driscoll_kraay(const_resid, HACSpec(0, small_sample=False))
     classical = vcov_classical(const_resid)
     ratio = dk[0, 0] / classical[0, 0]
@@ -551,7 +550,7 @@ def test_normal_band_multiplier_matches_scipy_ndtri():
     # it agrees with scipy's ndtri to within 1e-15 relative at every level
     ds = fe_panel(n_regions=4, n_quarters=20, seed=19)
     fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
-    unit = dataclasses.replace(fit, coef=np.zeros(1), se=np.ones(1))
+    unit = fit.replace(coef=np.zeros(1), se=np.ones(1))
     rng = np.random.default_rng(60)
     levels = np.concatenate([
         [0.9, 0.95, 0.99],
@@ -579,7 +578,7 @@ def test_confidence_band_multiplier():
 def test_confidence_band_degenerate_cases():
     ds = fe_panel(n_regions=4, n_quarters=20, seed=20)
     fit = ols(panel_design(ds, "y", ("x1",), fixed_effects=("region",)))
-    zero_se = dataclasses.replace(fit, se=np.zeros_like(fit.se))
+    zero_se = fit.replace(se=np.zeros_like(fit.se))
     lo, hi = confidence_band(zero_se, 0.90)
     np.testing.assert_array_equal(lo, fit.coef)
     np.testing.assert_array_equal(hi, fit.coef)
