@@ -24,6 +24,7 @@ from .regress import (
     Design,
     HACSpec,
     _block_design,
+    _check_lag_order,
     _regressor_block,
     check_window,
     ols,
@@ -105,11 +106,12 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
     scaled) anomaly series; burn-in NaN cells trim the sample listwise.
     """
     log_y = checked_log(ds, spec.outcome)
+    levels = [ds.values(var) for var in spec.block]
+    _check_lag_order(spec.p, len(ds.regions), ds.time, spec.sample)
     dy = log_y - shift(log_y, 1)
     x_named = [(_lag_name(spec.outcome, lag), shift(dy, lag))
                for lag in range(1, spec.p + 1)]
-    for var in spec.block:
-        level = ds.values(var)
+    for var, level in zip(spec.block, levels):
         dx = level - shift(level, 1)
         x_named += [(_lag_name(var, lag), shift(dx, lag))
                     for lag in range(0, spec.p + 1)]

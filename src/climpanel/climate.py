@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import PanelDataset, shift
+from .dataset import PanelDataset
 from .errors import BurnInError, SpecError
 
 NORM_MODES = ("same-quarter", "rolling")
@@ -45,11 +45,13 @@ def historical_norm(
     levels = np.atleast_2d(np.asarray(levels, dtype=float))
     step = 4 if mode == "same-quarter" else 1
     offsets = range(step, 4 * m + 1, step)
-    # the longest offset is the burn-in, so cells before it come out NaN
-    acc = np.zeros(levels.shape)
-    for off in offsets:
-        acc += shift(levels, off)
-    return acc / len(offsets)
+    # cells before the burn-in, the longest offset, stay NaN and cost nothing
+    T, burn_in = levels.shape[1], offsets[-1]
+    norm = np.full(levels.shape, np.nan)
+    if burn_in < T:
+        norm[:, burn_in:] = sum((levels[:, burn_in - off:T - off]
+                                 for off in offsets), 0.0) / len(offsets)
+    return norm
 
 
 def anomaly(

@@ -27,6 +27,7 @@ from .regress import (
     Design,
     HACSpec,
     _block_design,
+    _check_lag_order,
     _regressor_block,
     check_window,
     confidence_band,
@@ -97,9 +98,10 @@ def _regressors(ds: PanelDataset, outcome: str, shocks, lags: int, sample):
     """log P, log P[t-1] and the regressor block of an outcome, which its
     horizons share read-only; datasets are immutable, so the last are kept."""
     log_p = checked_log(ds, outcome)
+    x_named = [(shock, ds.values(shock)) for shock in shocks]
+    _check_lag_order(lags, len(ds.regions), ds.time, sample)
     lag1 = shift(log_p, 1)
     dlog = log_p - lag1
-    x_named = [(shock, ds.values(shock)) for shock in shocks]
     x_named += [(f"dlog_{outcome}_lag{n}", shift(dlog, n))
                 for n in range(1, lags + 1)]
     return log_p, lag1, _regressor_block(x_named, ds.time, sample)
@@ -169,10 +171,10 @@ def _fit_alone(ds: PanelDataset, spec: LPSpec, shock: str, horizon: int):
 
 
 def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
-    """An ImpulseResponse or the ClimPanelError for each shock of spec,
-    whose shocks share one sample. A shock the batched fit cannot take, or
-    every shock when the batched fit fails, is refitted alone, so its error
-    is the one its own regression gives."""
+    """An ImpulseResponse or a HorizonFailure for each shock of spec, whose
+    shocks share one sample. A shock the batched fit cannot take, or every
+    shock when the batched fit fails, is refitted alone, so its failure
+    message is the one its own regression gives."""
     try:
         design = regress.within_transform(build_lp_design(ds, spec, horizon))
         fit = focal_driscoll_kraay(design, len(spec.shocks),
@@ -187,7 +189,8 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
         try:
             out.append(_fit_alone(ds, spec, shock, horizon))
         except ClimPanelError as exc:
-            out.append(exc)
+            # kept as text: the exception's traceback holds design blocks
+            out.append(HorizonFailure(horizon, f"{type(exc).__name__}: {exc}"))
     return out
 
 
@@ -198,23 +201,19 @@ def estimate_irf(ds: PanelDataset, spec: LPSpec) -> tuple[LPResult, ...]:
 
     Horizons are independent regressions; a failing horizon is recorded in
     LPResult.failures while the others are still returned, and a shock
-    whose every horizon failed has only failures. Nothing is raised.
+    whose every horizon failed has only failures. Nothing is raised. The
+    horizons of a sample group run together, sharing one regressor block.
     """
-    groups = [(group, spec.replace(shocks=tuple(spec.shocks[i]
-                                                for i in group)))
-              for group in _sample_groups(ds, spec)]
-    outcomes = [[] for _ in spec.shocks]   # (horizon, response or error)
-    for h in spec.horizons:
-        for group, group_spec in groups:
-            for i, out in zip(group, _fit_group(ds, group_spec, h)):
-                outcomes[i].append((h, out))
-    return tuple(
-        LPResult(
-            shock=name, outcome=spec.outcome,
-            responses=tuple(r for _, r in pairs
-                            if isinstance(r, ImpulseResponse)),
-            failures=tuple(HorizonFailure(h, f"{type(e).__name__}: {e}")
-                           for h, e in pairs
-                           if isinstance(e, ClimPanelError)),
-        )
-        for name, pairs in zip(spec.shocks, outcomes))
+    results = {}
+    for group in _sample_groups(ds, spec):
+        group_spec = spec.replace(shocks=tuple(spec.shocks[i] for i in group))
+        fits = [_fit_group(ds, group_spec, h) for h in spec.horizons]
+        for shock, entries in zip(group_spec.shocks, zip(*fits)):
+            results[shock] = LPResult(
+                shock=shock, outcome=spec.outcome,
+                responses=tuple(e for e in entries
+                                if isinstance(e, ImpulseResponse)),
+                failures=tuple(e for e in entries
+                               if isinstance(e, HorizonFailure)),
+            )
+    return tuple(results[shock] for shock in spec.shocks)

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 _RANK_TOL = 1e-10
+_NO_ROWS = "no usable observations: all {} rows dropped listwise"
 # LAPACK dgeqp3 recomputes a downdated column norm once cancellation has
 # left fewer than half the digits: sqrt of the unit roundoff
 _NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps / 2.0)
@@ -125,6 +126,14 @@ def _regressor_block(x_named, time, window):
             np.isfinite(block).all(axis=1))
 
 
+def _check_lag_order(lags: int, n_regions: int, time, window) -> None:
+    """Raise, before any lag column is built, the error _block_design gives
+    when no row outlives the lag order; an empty window is reported first."""
+    if lags >= len(time):
+        n_window = len(tuple(time)[window_slice(time, window)])
+        raise SampleError(_NO_ROWS.format(n_regions * n_window))
+
+
 def _block_design(y_mat, regressors, regions, time, fixed_effects=(),
                   window=None, add_constant=None) -> Design:
     """Stack the region-by-quarter outcome y_mat and a _regressor_block into
@@ -137,8 +146,7 @@ def _block_design(y_mat, regressors, regions, time, fixed_effects=(),
     y = np.asarray(y_mat, float)[:, sl].reshape(len(regions) * len(time))
     rows = np.flatnonzero(np.isfinite(y) & finite)
     if not rows.size:
-        raise SampleError(f"no usable observations: all {y.size} rows "
-                          "dropped listwise")
+        raise SampleError(_NO_ROWS.format(y.size))
     region_codes, period = np.divmod(rows, len(time))
     if add_constant is None:
         add_constant = not fixed_effects

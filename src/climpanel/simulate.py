@@ -40,30 +40,27 @@ def lp_panel(
     n_regions: int = 7,
     n_quarters: int = 88,
     beta: float = 0.3,
-    shock_sd: float = 1.0,
-    noise_sd: float = 1.0,
     region_sd: float = 0.0,
     time_sd: float = 0.0,
     start="2002Q1",
-    price0: float = 100.0,
     seed: int = 0,
 ) -> PanelDataset:
     """Price panel whose one-quarter log change is beta * shock + noise.
 
-    The shock is i.i.d. normal, so the true cumulative response of
-    log(P[t+h]) - log(P[t-1]) to a unit shock at t is beta at every h.
-    Series: 'price' (level), 'shock'.
+    Shock and noise are i.i.d. standard normal, so the true cumulative
+    response of log(P[t+h]) - log(P[t-1]) to a unit shock at t is beta at
+    every h. Series: 'price' (level, from 100), 'shock'.
     """
     rng = np.random.default_rng(seed)
     regions, time = _grid(n_regions, n_quarters, start)
     R, T = len(regions), len(time)
-    shock = rng.normal(0.0, shock_sd, (R, T))
-    dlog = beta * shock + rng.normal(0.0, noise_sd, (R, T))
+    shock = rng.normal(0.0, 1.0, (R, T))
+    dlog = beta * shock + rng.normal(0.0, 1.0, (R, T))
     if region_sd:
         dlog += rng.normal(0.0, region_sd, (R, 1))
     if time_sd:
         dlog += rng.normal(0.0, time_sd, (1, T))
-    log_p = np.log(price0) + np.cumsum(dlog, axis=1)
+    log_p = np.log(100.0) + np.cumsum(dlog, axis=1)
     return PanelDataset(
         regions, time,
         {"price": np.exp(log_p), "shock": shock},
@@ -76,30 +73,26 @@ def ardl_panel(
     n_quarters: int = 88,
     phi=(0.5,),
     beta=(0.2, 0.1),
-    driver_sd: float = 1.0,
-    noise_sd: float = 1.0,
-    region_sd: float = 0.0,
     start="2002Q1",
-    price0: float = 100.0,
-    burn_in: int = 50,
     seed: int = 0,
 ) -> PanelDataset:
     """Price panel following dy[t] = sum phi_l dy[t-l] + sum beta_l dx[t-l] + e.
 
-    The driver x is a random walk (dx i.i.d. normal), so differencing it in
-    the ARDL design recovers the innovations. The implied long-run effect is
-    sum(beta) / (1 - sum(phi)). Series: 'price' (level), 'driver' (level).
+    The driver x is a random walk (dx and e i.i.d. standard normal, from 50
+    quarters before the panel), so differencing it in the ARDL design
+    recovers the innovations. The implied long-run effect is
+    sum(beta) / (1 - sum(phi)). Series: 'price' (from 100), 'driver'.
     """
     rng = np.random.default_rng(seed)
     regions, time = _grid(n_regions, n_quarters, start)
     R, T = len(regions), len(time)
+    burn_in = 50
     total = T + burn_in
-    dx = rng.normal(0.0, driver_sd, (R, total))
-    eps = rng.normal(0.0, noise_sd, (R, total))
-    alpha = rng.normal(0.0, region_sd, R) if region_sd else np.zeros(R)
+    dx = rng.normal(0.0, 1.0, (R, total))
+    eps = rng.normal(0.0, 1.0, (R, total))
     dy = np.zeros((R, total))
     for t in range(total):
-        val = alpha + eps[:, t]
+        val = eps[:, t]
         for l, ph in enumerate(phi, start=1):
             if t - l >= 0:
                 val = val + ph * dy[:, t - l]
@@ -109,7 +102,7 @@ def ardl_panel(
         dy[:, t] = val
     dy = dy[:, burn_in:]
     x = np.cumsum(dx, axis=1)[:, burn_in:]
-    log_p = np.log(price0) + np.cumsum(dy, axis=1)
+    log_p = np.log(100.0) + np.cumsum(dy, axis=1)
     return PanelDataset(
         regions, time,
         {"price": np.exp(log_p), "driver": x},

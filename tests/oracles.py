@@ -10,9 +10,10 @@ fixed-effects panel the regression tests fit, and panel_design the design
 of named series they pass to ols; with_series, panels_equal and
 design_from_matrices are the panel and design helpers only tests use.
 write_panel_csv is the reference panel writer: csv.writer fed one Python
-float per cell. within_transform and focal_driscoll_kraay at the end are
-not independent: they are the package's earlier absorption, kept as
-bit-for-bit references.
+float per cell, and write_paper_claims_csvs writes through it the inputs
+of the end-to-end test of the paper's claims. shift_sum_norm, and within_transform and
+focal_driscoll_kraay at the end, are not independent: they are the
+package's earlier norm and absorption, kept as bit-for-bit references.
 """
 import csv
 import math
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from climpanel.dataset import PanelDataset, PanelSchema
+from climpanel.dataset import PanelDataset, PanelSchema, shift
 from climpanel.errors import (
     BandwidthError,
     DegreesOfFreedomError,
@@ -58,6 +59,19 @@ def brute_norm(levels_row, m, frequency=4, mode="same-quarter"):
             total += levels_row[t - off]
         out[t] = total / len(offsets)
     return out
+
+
+def shift_sum_norm(levels, m, mode="same-quarter"):
+    """The package's earlier historical_norm, kept as a bit-for-bit
+    reference: one full lagged copy of the panel per offset, offsets past
+    the panel included, summed from 0.0 in offset order."""
+    levels = np.atleast_2d(np.asarray(levels, dtype=float))
+    step = 4 if mode == "same-quarter" else 1
+    offsets = range(step, 4 * m + 1, step)
+    acc = np.zeros(levels.shape)
+    for off in offsets:
+        acc += shift(levels, off)
+    return acc / len(offsets)
 
 
 def brute_anomaly(levels_row, m, frequency=4, mode="same-quarter"):
@@ -291,6 +305,45 @@ def write_panel_csv(ds, path, schema=None, header_comments=()):
         writer.writerows(
             [*k, *(schema.missing if v != v else v for v in vals)]
             for k, vals in zip(keys, cells.reshape(len(keys), -1).tolist()))
+
+
+def write_paper_claims_csvs(directory, seed, beta, phi):
+    """Write climate.csv and prices.csv for 32 regions x 252 quarters from
+    1962Q1 in which price growth follows
+
+        dy[r,t] = a[r] + phi dy[r,t-1] + beta d(pos[r,t]) + e[r,t]
+
+    with pos the positive part of the 30-year same-quarter precipitation
+    anomaly, computed here by brute_anomaly (0 before it is defined), so
+    the long-run effect of pos is beta / (1 - phi); temperature moves no
+    price. Returns the anomaly, regions by quarters (NaN in the burn-in)."""
+    rng = np.random.default_rng(seed)
+    R, T = 32, 252
+    regions, time = _grid(R, T, "1962Q1")
+    season = np.arange(T) % 4
+    temperature = (rng.uniform(12.0, 27.0, (R, 1))
+                   + rng.uniform(2.0, 9.0, (R, 1))
+                   * np.array([-1.0, 0.2, 1.0, 0.1])[season]
+                   + rng.normal(0.0, 1.0, (R, T)))
+    precipitation = (rng.uniform(15.0, 120.0, (R, 1))
+                     * np.array([0.4, 0.7, 1.5, 1.0])[season]
+                     * np.exp(rng.normal(0.0, 0.4, (R, T))))
+    anom = np.array([brute_anomaly(row, 30)[0] for row in precipitation])
+    d_pos = np.diff(np.maximum(np.nan_to_num(anom), 0.0), prepend=0.0)
+    alpha = rng.normal(0.01, 0.002, R)
+    eps = rng.normal(0.0, 0.008, (R, T))
+    dy = np.zeros((R, T))
+    for t in range(T):
+        dy[:, t] = alpha + beta * d_pos[:, t] + eps[:, t]
+        if t:
+            dy[:, t] += phi * dy[:, t - 1]
+    climate = PanelDataset(regions, time, {"temperature": temperature,
+                                           "precipitation": precipitation})
+    prices = PanelDataset(regions, time, {
+        "all_items": 100.0 * np.exp(np.cumsum(dy, axis=1))})
+    write_panel_csv(climate, directory / "climate.csv")
+    write_panel_csv(prices, directory / "prices.csv")
+    return anom
 
 
 # Reference copies of regress.within_transform and

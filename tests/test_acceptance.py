@@ -29,6 +29,7 @@ from climpanel import (
     subset,
     vcov_driscoll_kraay,
 )
+from climpanel.cli import main
 from climpanel.simulate import ardl_panel, lp_panel
 from climpanel.dataset import QuarterIndex, quarter_range
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     lp_true_cumulative_response,
     newey_west_double_loop,
     panel_design,
+    write_paper_claims_csvs,
 )
 
 Z90 = float(stats.norm.ppf(0.95))
@@ -219,6 +221,79 @@ def test_null_effect_size_calibration():
     ok = 0.07 <= rate <= 0.13
     _verdict("null-calibration", ok,
              f"(rejection rate {rate:.3f} over {reps} reps, {elapsed:.0f}s)")
+
+
+PAPER_CLAIMS_CONFIG = """
+[input]
+climate = climate.csv
+prices = prices.csv
+
+[anomaly]
+m = 30
+seasonal = false
+
+[lp]
+outcomes = all_items
+
+[ardl]
+outcomes = all_items
+m = 30
+"""
+
+
+def _csv_rows(path):
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("#")]
+    head = lines[0].split(",")
+    return [dict(zip(head, line.split(","))) for line in lines[1:]]
+
+
+def test_paper_claims_end_to_end(tmp_path):
+    """anomaly -> lp -> ardl through the CLI on 32 x 252 CSVs in which price
+    growth loads on the change of the positive precipitation anomaly
+    (beta = 0.003, phi = 0.5, so theta = 0.006) and on temperature not at
+    all; three seeds, under 5 seconds. For each seed the P+ theta lies
+    within 3 of its standard errors of the truth and the h = 0 band of the
+    P+ shock covers beta; the T+ and T- thetas reject zero at 5% in at most
+    1 of their 6 tests."""
+    t0 = time.perf_counter()
+    beta, phi = 0.003, 0.5
+    theta = beta / (1.0 - phi)
+    rejections = 0
+    details = []
+    for seed in (0, 1, 2):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        anom = write_paper_claims_csvs(root, 4_000_000 + seed, beta, phi)
+        (root / "run.ini").write_text(PAPER_CLAIMS_CONFIG, encoding="utf-8")
+        for command in ("anomaly", "lp", "ardl"):
+            assert main([command, "--config", str(root / "run.ini")]) == 0
+        out = root / "out"
+        # the anomaly the program writes is the generator's own
+        written = load_panel(out / "anomaly_precipitation_m30.csv")
+        np.testing.assert_allclose(
+            written.values("precipitation_anom_m30"), anom, rtol=1e-12,
+            atol=1e-12)
+        effects = {row["variable"]: row
+                   for row in _csv_rows(out / "longrun_table.csv")}
+        p_pos = effects["precipitation_pos"]
+        est, se = float(p_pos["theta"]), float(p_pos["se"])
+        details.append(f"theta_P+ {est:.5f} se {se:.5f}")
+        assert abs(est - theta) <= 3.0 * se, details[-1]
+        for name in ("temperature_pos", "temperature_neg"):
+            t_stat = float(effects[name]["theta"]) / float(effects[name]["se"])
+            rejections += abs(t_stat) > 1.959963984540054
+        (h0,) = [row for row in _csv_rows(
+            out / "irf_precipitation_anom_m30_pos__all_items.csv")
+            if row["horizon"] == "0"]
+        lo, hi = float(h0["lo"]), float(h0["hi"])
+        details.append(f"h0 band [{lo:.5f}, {hi:.5f}]")
+        assert lo <= beta <= hi, details[-1]
+    elapsed = time.perf_counter() - t0
+    ok = rejections <= 1 and elapsed < 5.0
+    _verdict("paper-claims-end-to-end", ok,
+             f"({'; '.join(details)}; temperature rejections {rejections}/6, "
+             f"{elapsed:.1f}s)")
 
 
 def test_real_data_reproduction():

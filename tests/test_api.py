@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import climpanel
+from climpanel import cli
 from climpanel import (
     ARDLSpec,
     HACSpec,
@@ -44,6 +45,20 @@ def test_every_public_name_is_in_the_readme():
                        re.MULTILINE | re.DOTALL)
     names = set(re.findall(r"`(\w+)`", listed.group()))
     assert sorted(names - set(climpanel.__all__)) == []
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("## Configuration reference", 1)[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (\w+) \| ([\w /]+?) \|", table, re.MULTILINE)
+    listed = [(section, key) for section, keys in rows if section != "Section"
+              for key in keys.split(" / ")]
+    assert len(set(listed)) == len(listed)
+    keys = {(section, key) for section, cls in cli._SECTIONS.items()
+            for key in cls.__annotations__}
+    assert sorted(set(listed) - keys) == []
+    assert sorted(keys - set(listed)) == []
 
 
 @pytest.mark.parametrize("make", [

@@ -1,5 +1,6 @@
 """ARDL design, long-run effects and delta-method errors."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,16 @@ from climpanel import (
     QuarterIndex,
     with_driscoll_kraay,
 )
+from climpanel import ardl
 from climpanel.ardl import long_run_from_coefficients
-from climpanel.errors import RankDeficiencyError, SpecError, UnitRootError
+from climpanel.dataset import shift
+from climpanel.errors import (
+    ClimPanelError,
+    RankDeficiencyError,
+    SampleError,
+    SpecError,
+    UnitRootError,
+)
 from climpanel.simulate import ardl_panel
 from oracles import ardl_steady_state, with_series
 
@@ -80,6 +89,37 @@ def test_constant_anomalies_rank_error():
                       {"price": price, "flat": np.full((1, T), 2.0)})
     with pytest.raises(RankDeficiencyError):
         estimate_ardl(ds, ARDLSpec("price", block=("flat",), p=1, m=30))
+
+
+def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
+    ds = _four_block_panel(seed=2, n_regions=3, n_quarters=20)
+    calls = []
+
+    def counting_shift(mat, k):
+        calls.append(k)
+        return shift(mat, k)
+
+    monkeypatch.setattr(ardl, "shift", counting_shift)
+    spec = ARDLSpec("price", block=("b1", "b2"), p=21)
+    with pytest.raises(SampleError, match=r"^no usable observations: all 60 "
+                       r"rows dropped listwise$"):
+        build_ardl_design(ds, spec)
+    with pytest.raises(SampleError, match="all 24 rows dropped listwise"):
+        build_ardl_design(ds, spec.replace(sample=("2003Q1", "2004Q4")))
+    assert calls == []
+    # the outcome, every block series and the window are still checked first
+    for bad, message in (
+            (spec.replace(outcome="b1"),
+             "log requires strictly positive values: 'b1'"),
+            (spec.replace(block=("b1", "nope")), "unknown variable 'nope'"),
+            (spec.replace(sample=("1990Q1", "1995Q4")),
+             "sample window 1990Q1..1995Q4 is empty")):
+        with pytest.raises(ClimPanelError, match=re.escape(message)):
+            build_ardl_design(ds, bad)
+    # one lag short of the panel still builds its columns and fails alike
+    with pytest.raises(SampleError, match="all 60 rows dropped listwise"):
+        build_ardl_design(ds, spec.replace(p=19))
+    assert calls
 
 
 def test_unknown_fixed_effect_is_a_spec_error():

@@ -1,5 +1,6 @@
 """Norms, anomalies, sign splits and seasonal shocks."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from climpanel import (
     sign_split,
 )
 from climpanel.errors import BurnInError
-from oracles import brute_anomaly, brute_norm
+from oracles import brute_anomaly, brute_norm, shift_sum_norm
 
 
 def quarters(n, start=QuarterIndex(1990, 1)):
@@ -62,6 +63,31 @@ def test_norm_and_anomaly_match_bruteforce(m, mode):
         exp_vals, exp_norm = brute_anomaly(list(levels[i]), m, mode=mode)
         np.testing.assert_allclose(norm[i], exp_norm, atol=1e-12)
         np.testing.assert_allclose(values[i], exp_vals, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["same-quarter", "rolling"])
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 40])
+def test_norm_bits_match_the_shift_sum(m, mode):
+    # T = 20, so m = 4, 5, 6 are below, at and above T/4
+    rng = np.random.default_rng(m)
+    levels = rng.normal(size=(3, 20))
+    levels[0, ::3] = np.nan
+    levels[1, :] = -0.0
+    levels[2, 7] = 0.0
+    got = historical_norm(levels, m, mode)
+    want = shift_sum_norm(levels, m, mode)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_norm_window_far_past_the_panel_is_a_quick_burn_in_error():
+    rng = np.random.default_rng(3)
+    ds = PanelDataset(["a", "b"], quarters(40),
+                      {"temperature": rng.normal(size=(2, 40))})
+    for mode in ("same-quarter", "rolling"):
+        t0 = time.perf_counter()
+        with pytest.raises(BurnInError):
+            attach_anomaly_features(ds, "temperature", m=10**7, mode=mode)
+        assert time.perf_counter() - t0 < 2.0
 
 
 def test_norm_trailing_causality():

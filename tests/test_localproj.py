@@ -1,5 +1,7 @@
 """Local projections: design construction and IRF estimation."""
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from climpanel import (
     quarter_range,
     with_driscoll_kraay,
 )
-from climpanel.errors import ClimPanelError
+from climpanel import localproj
+from climpanel.dataset import shift
+from climpanel.errors import ClimPanelError, SampleError
 from climpanel.localproj import _sample_groups
+from climpanel.regress import _regressor_block
 from climpanel.simulate import lp_panel
 from oracles import (
     dk_double_loop,
@@ -318,3 +323,79 @@ def test_blank_bandwidth_keeps_small_sample_flag():
     for a, b in zip(res.responses, default.responses):
         assert a.estimate == b.estimate
         assert a.se < b.se
+
+
+def test_failed_horizons_leave_no_live_exception():
+    # a failure is kept as its message: an exception kept in a list its own
+    # traceback reaches would hold the design blocks until gc ran
+    ds = with_series(lp_panel(n_regions=3, n_quarters=30, seed=8), "flat",
+                     np.zeros((3, 30)))
+    spec = LPSpec("price", ("flat",), horizons=(0, 1, 2), lags=2)
+
+    def live_errors():
+        return sum(isinstance(o, ClimPanelError) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_errors()
+    gc.disable()
+    try:
+        (res,) = estimate_irf(ds, spec)
+        after = live_errors()
+    finally:
+        gc.enable()
+    assert [f.horizon for f in res.failures] == [0, 1, 2]
+    assert after == before
+
+
+def test_sample_groups_are_fitted_one_after_another(monkeypatch):
+    # the horizons of a group share one cached regressor block
+    ds = _multi_shock_panel(47)
+    s2 = np.array(ds.values("s2"))
+    s2[0, 30] = np.nan
+    ds = with_series(ds, "s2", s2)
+    spec = LPSpec("price", ("shock", "s2", "s3"), horizons=(0, 1, 2), lags=2)
+    assert _sample_groups(ds, spec) == [[0, 2], [1]]
+    built = []
+
+    def counting_block(x_named, time, window):
+        built.append(tuple(name for name, _ in x_named))
+        return _regressor_block(x_named, time, window)
+
+    monkeypatch.setattr(localproj, "_regressor_block", counting_block)
+    localproj._regressors.cache_clear()
+    res = estimate_irf(ds, spec)
+    lags = ("dlog_price_lag1", "dlog_price_lag2")
+    assert built == [("shock", "s3", *lags), ("s2", *lags)]
+    assert [len(r.responses) for r in res] == [3, 3, 3]
+
+
+def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
+    ds = lp_panel(n_regions=3, n_quarters=20, seed=2)
+    calls = []
+
+    def counting_shift(mat, k):
+        calls.append(k)
+        return shift(mat, k)
+
+    monkeypatch.setattr(localproj, "shift", counting_shift)
+    spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=21)
+    with pytest.raises(SampleError, match=r"^no usable observations: all 60 "
+                       r"rows dropped listwise$"):
+        build_lp_design(ds, spec, 0)
+    (res,) = estimate_irf(ds, spec.replace(sample=("2003Q1", "2004Q4")))
+    assert calls == []
+    assert [f.message for f in res.failures] == 2 * [
+        "SampleError: no usable observations: all 24 rows dropped listwise"]
+    # the outcome, the shocks and the window are still checked first
+    for bad, message in (
+            (spec.replace(outcome="shock"),
+             "log requires strictly positive values: 'shock'"),
+            (spec.replace(shocks=("nope",)), "unknown variable 'nope'"),
+            (spec.replace(sample=("1990Q1", "1995Q4")),
+             "sample window 1990Q1..1995Q4 is empty")):
+        with pytest.raises(ClimPanelError, match=re.escape(message)):
+            build_lp_design(ds, bad, 0)
+    # one lag short of the panel still builds its columns and fails alike
+    with pytest.raises(SampleError, match="all 60 rows dropped listwise"):
+        build_lp_design(ds, spec.replace(lags=19), 0)
+    assert calls
