@@ -160,36 +160,44 @@ def _response(fit, level: float, j: int, horizon: int) -> ImpulseResponse:
     )
 
 
-def _fit_alone(ds: PanelDataset, spec: LPSpec, shock: str, horizon: int):
-    """One shock's own regression; raises the error ols or the covariance
+def _fit_alone(raw: Design, spec: LPSpec, j: int, hac: HACSpec,
+               horizon: int) -> ImpulseResponse:
+    """Shock j's own regression, on its column and the controls of the
+    group's unabsorbed design raw; raises the error ols or the covariance
     gives for it."""
-    design = regress.within_transform(
-        build_lp_design(ds, spec.replace(shocks=(shock,)), horizon))
-    fit = ols(design)
-    fit = with_driscoll_kraay(fit, _horizon_hac(spec, design, horizon))
-    return _response(fit, spec.level, fit.names.index(shock), horizon)
+    cols = [j, *range(len(spec.shocks), len(raw.names))]
+    design = regress.within_transform(raw.replace(
+        X=raw.X[:, cols], names=tuple(raw.names[c] for c in cols)))
+    fit = with_driscoll_kraay(ols(design), hac)
+    return _response(fit, spec.level, 0, horizon)
 
 
 def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
     """An ImpulseResponse or a HorizonFailure for each shock of spec, whose
-    shocks share one sample. A shock the batched fit cannot take, or every
-    shock when the batched fit fails, is refitted alone, so its failure
-    message is the one its own regression gives."""
+    shocks share one sample, so a design that cannot be built or absorbed
+    fails them all alike. A shock the batched fit cannot take, or every
+    shock when the batched fit fails, is refitted alone on the group's
+    design, so its failure message is the one its own regression gives."""
+    n = len(spec.shocks)
     try:
-        design = regress.within_transform(build_lp_design(ds, spec, horizon))
-        fit = focal_driscoll_kraay(design, len(spec.shocks),
-                                   _horizon_hac(spec, design, horizon))
+        raw = build_lp_design(ds, spec, horizon)
+        design = regress.within_transform(raw)
+    except ClimPanelError as exc:
+        # kept as text: the exception's traceback holds design blocks
+        return n * [HorizonFailure(horizon, f"{type(exc).__name__}: {exc}")]
+    hac = _horizon_hac(spec, design, horizon)
+    try:
+        fit = focal_driscoll_kraay(design, n, hac)
     except ClimPanelError:
         fit = None
     out = []
-    for j, shock in enumerate(spec.shocks):
+    for j in range(n):
         if fit is not None and fit.ok[j]:
             out.append(_response(fit, spec.level, j, horizon))
             continue
         try:
-            out.append(_fit_alone(ds, spec, shock, horizon))
+            out.append(_fit_alone(raw, spec, j, hac, horizon))
         except ClimPanelError as exc:
-            # kept as text: the exception's traceback holds design blocks
             out.append(HorizonFailure(horizon, f"{type(exc).__name__}: {exc}"))
     return out
 

@@ -3,8 +3,8 @@
 The estimation path is: assemble a listwise-deleted design from panel
 series, absorb region/time fixed effects by demeaning (two-way by one
 exact projection) in place on one C-ordered [y | X] block, each group sum
-one np.bincount over its cells in row order, solve by rank-revealing
-pivoted QR, then attach either the classical covariance sigma^2 (X'X)^-1
+one np.bincount over its cells in row order, solve by QR after a rank
+check, then attach either the classical covariance sigma^2 (X'X)^-1
 or the Driscoll-Kraay HAC covariance built from Bartlett-weighted
 autocovariances of the cross-sectionally summed moment vectors
 h_t = sum_i x_it e_it.
@@ -12,8 +12,8 @@ focal_driscoll_kraay does the same for several focal columns that share
 one outcome and one set of controls, absorbing and factoring them once.
 
 Everything runs on numpy and the standard library: the QR is
-np.linalg.qr, its rank comes from a column-pivoting pass over the small
-triangle it returns, and normal quantiles from statistics.NormalDist.
+np.linalg.qr, its rank from the singular values of the small triangle
+it returns, and normal quantiles from statistics.NormalDist.
 """
 from __future__ import annotations
 
@@ -34,9 +34,6 @@ from .errors import (
 
 _RANK_TOL = 1e-10
 _NO_ROWS = "no usable observations: all {} rows dropped listwise"
-# LAPACK dgeqp3 recomputes a downdated column norm once cancellation has
-# left fewer than half the digits: sqrt of the unit roundoff
-_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps / 2.0)
 
 # Two-sided normal critical values for 1% / 5% / 10% significance stars:
 # scipy.special.ndtri at 0.995, 0.975 and 0.95, written out so that
@@ -128,8 +125,9 @@ def _regressor_block(x_named, time, window):
 
 def _check_lag_order(lags: int, n_regions: int, time, window) -> None:
     """Raise, before any lag column is built, the error _block_design gives
-    when no row outlives the lag order; an empty window is reported first."""
-    if lags >= len(time):
+    when no row outlives the lag order: the first difference takes one
+    quarter and the lags the rest. An empty window is reported first."""
+    if lags >= len(time) - 1:
         n_window = len(tuple(time)[window_slice(time, window)])
         raise SampleError(_NO_ROWS.format(n_regions * n_window))
 
@@ -281,69 +279,25 @@ class FitResult(Record):
     xtx_inv: np.ndarray
 
 
-def _pivoted_triangle(R: np.ndarray, norms: np.ndarray):
-    """Column-pivoted Householder pass over the small triangle R of A = Q R
-    (Businger & Golub 1965; Golub & Van Loan, Alg. 5.4.1).
-
-    Gives R[:, piv] = Q1 Rp, so that A[:, piv] = (Q Q1) Rp exactly: the
-    pivoted QR of A without touching its n rows again. Pivots follow LAPACK
-    dgeqp3: the column of largest remaining norm, the first on ties,
-    starting from norms (A's column norms) and downdated after each step.
-    Returns Rp and piv.
-    """
-    m, k = R.shape   # m = min(n, k)
-    Rp = R.copy()
-    piv = list(range(k))
-    # k is small, so the pivot bookkeeping is plain Python floats
-    norms = norms.tolist()
-    ref = norms[:]   # each norm when it was last computed in full
-    for i in range(m):
-        p = max(range(i, k), key=norms.__getitem__)
-        if p != i:
-            for seq in (piv, norms, ref):
-                seq[i], seq[p] = seq[p], seq[i]
-            Rp[:, [i, p]] = Rp[:, [p, i]]
-        x = Rp[i:, i]
-        size = math.sqrt(float(x @ x))
-        if size != 0.0:
-            # reflector I - tau v v' with v[0] = 1 maps x onto beta e_1
-            beta = -math.copysign(size, x[0])
-            v = x / (x[0] - beta)
-            v[0] = 1.0
-            rest = Rp[i:, i + 1:]
-            rest -= np.outer(v, ((beta - x[0]) / beta) * (v @ rest))
-            Rp[i, i] = beta
-            Rp[i + 1:, i] = 0.0
-        for j, r in enumerate(Rp[i, i + 1:].tolist(), start=i + 1):
-            if norms[j] == 0.0:
-                continue
-            left = max(1.0 - (abs(r) / norms[j]) ** 2, 0.0)
-            if left * (norms[j] / ref[j]) ** 2 <= _NORM_RECOMPUTE:
-                col = Rp[i + 1:, j]
-                norms[j] = ref[j] = math.sqrt(float(col @ col))
-            else:
-                norms[j] *= math.sqrt(left)
-    return Rp, piv
-
-
 def _factor(A: np.ndarray, B: np.ndarray):
     """QR of A (n x k) in numpy, with Q'B for the columns B (n x m) that
-    ride along, and the rank of A under the pivoted-QR rule.
+    ride along, and the numerical rank of A with a basis of its null space.
 
     np.linalg.qr (LAPACK dgeqrf) factors [A | B]: its leading block is
-    A = Q R and its top-right block Q'B; Q itself is never formed.
-    _pivoted_triangle turns R into the pivoted triangle Rp, and the rank
-    is the count of |Rp_jj| above _RANK_TOL times the largest, |Rp_11|.
-    Returns R, Q'B, A's column norms, Rp, its pivot order and the rank.
+    A = Q R and its top-right block Q'B; Q itself is never formed. Q has
+    orthonormal columns, so the small triangle R has A's singular values;
+    the rank is the count of them above _RANK_TOL times the largest (Golub
+    & Van Loan, Matrix Computations, 5.4), and the rows of V' past the
+    rank span the null space of R and of A.
+    Returns R, Q'B, A's column norms, the rank and that null-space basis.
     """
     k = A.shape[1]
     full = np.linalg.qr(np.column_stack([A, B]), mode="r")
     R, QtB = full[:k, :k], full[:k, k:]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
-    Rp, piv = _pivoted_triangle(R, norms)
-    diag = np.abs(np.diag(Rp))
-    rank = int((diag > _RANK_TOL * diag[0]).sum()) if diag.size else 0
-    return R, QtB, norms, Rp, piv, rank
+    _, sv, Vt = np.linalg.svd(R)
+    rank = int((sv > _RANK_TOL * sv[0]).sum()) if sv.size else 0
+    return R, QtB, norms, rank, Vt[rank:]
 
 
 def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -354,28 +308,24 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _describe_rank_deficiency(Rp, piv, rank, names, norms):
-    offenders = []
-    lines = []
-    norm_scale = norms.max()
-    for pos in range(rank, len(piv)):
-        name = names[piv[pos]]
-        offenders.append(name)
-        if norms[piv[pos]] <= _RANK_TOL * max(norm_scale, 1.0):
-            lines.append(f"{name!r} has no variation after FE absorption")
-            continue
-        partners = []
-        if rank > 0:
-            c = _back_substitute(Rp[:rank, :rank], Rp[:rank, pos])
-            big = np.abs(c) > 1e-8 * max(1.0, float(np.abs(c).max()))
-            partners = [names[piv[i]] for i in np.nonzero(big)[0]]
-        offenders.extend(p for p in partners if p not in offenders)
-        lines.append(f"{name!r} is collinear with {partners}")
-    return offenders, lines
+def _describe_rank_deficiency(null, names, norms):
+    """The columns with weight in the null-space basis null, in design
+    order, and one message line for each without variation after
+    absorption and one for the rest together. A column's weight is its
+    norm over the basis, which no rotation of the basis changes."""
+    weight = np.sqrt(np.einsum("ij,ij->j", null, null))
+    named = np.flatnonzero(weight > 1e-8 * weight.max())
+    flat = norms <= _RANK_TOL * max(norms.max(), 1.0)
+    lines = [f"{names[j]!r} has no variation after FE absorption"
+             for j in named if flat[j]]
+    rest = [names[j] for j in named if not flat[j]]
+    if rest:
+        lines.append(f"{rest} are collinear")
+    return [names[j] for j in named], lines
 
 
 def ols(design: Design) -> FitResult:
-    """Least squares on the (within-transformed) design via pivoted QR.
+    """Least squares on the (within-transformed) design via QR.
 
     Raises RankDeficiencyError naming the collinear or degenerate columns
     instead of silently dropping them; dof = nobs - rank - absorbed FE count.
@@ -384,10 +334,9 @@ def ols(design: Design) -> FitResult:
     n, k = d.X.shape
     if n == 0:
         raise SampleError("empty design")
-    R, qty, norms, Rp, piv, rank = _factor(d.X, d.y)
+    R, qty, norms, rank, null = _factor(d.X, d.y)
     if rank < k:
-        offenders, lines = _describe_rank_deficiency(
-            Rp, piv, rank, d.names, norms)
+        offenders, lines = _describe_rank_deficiency(null, d.names, norms)
         raise RankDeficiencyError(
             "design matrix is rank deficient: " + "; ".join(lines),
             columns=offenders,
@@ -507,7 +456,7 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     controls_ok = True
     if n_controls:
         controls = d.X[:, n_focal:]
-        R, QtZ, norms, _, _, rank = _factor(controls, Z)
+        R, QtZ, norms, rank, _ = _factor(controls, Z)
         controls_ok = rank == n_controls
         scale = np.maximum(scale, norms.max())
         if controls_ok:

@@ -495,7 +495,7 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     controls_ok = True
     if n_controls:
         controls = d.X[:, n_focal:]
-        R, QtZ, norms, _, _, rank = _factor(controls, Z)
+        R, QtZ, norms, rank, _ = _factor(controls, Z)
         controls_ok = rank == n_controls
         scale = np.maximum(scale, norms.max())
         if controls_ok:

@@ -610,6 +610,28 @@ def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
                 == (tmp_path / "permuted" / name).read_bytes()), name
 
 
+def test_lp_and_ardl_trees_do_not_depend_on_openblas_threads(workspace,
+                                                            tmp_path):
+    # the QR, the rank check's SVD and the DK products are LAPACK and BLAS
+    # calls: one and two OpenBLAS threads must write the same bytes
+    dk = tmp_path / "dk.ini"
+    dk.write_text(workspace["config"].read_text(encoding="utf-8").replace(
+        "p = 1\n", "p = 1\nse = driscoll-kraay\n"), encoding="utf-8")
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for cmd, cfg, sub in (("lp", workspace["config"], "classical"),
+                              ("ardl", workspace["config"], "classical"),
+                              ("ardl", dk, "dk")):
+            _python("-m", "climpanel", cmd, "--config", str(cfg),
+                    "--out", str(out / sub), threads=threads)
+        trees.append({str(path.relative_to(out)): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert any(name.startswith("dk/longrun") for name in trees[0])
+    assert any(name.startswith("classical/irf_") for name in trees[0])
+    assert trees[0] == trees[1]
+
+
 def test_cli_import_loads_no_statistics():
     # statistics pulls in decimal and fractions; only a confidence band
     # needs it, and imports it when it runs

@@ -2,6 +2,7 @@
 import gc
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,51 @@ def test_sample_groups_are_fitted_one_after_another(monkeypatch):
     assert [len(r.responses) for r in res] == [3, 3, 3]
 
 
+def test_refit_reuses_its_group_regressor_block():
+    # a shock the batched fit cannot take is refitted on the group's own
+    # design, so the group's cached block serves every horizon
+    ds = with_series(_multi_shock_panel(48), "flat", np.zeros((6, 60)))
+    spec = LPSpec("price", ("shock", "flat", "s2"), horizons=tuple(range(9)),
+                  lags=2)
+    localproj._regressors.cache_clear()
+    res = estimate_irf(ds, spec)
+    info = localproj._regressors.cache_info()
+    assert (info.hits, info.misses) == (8, 1)
+    assert [len(r.responses) for r in res] == [9, 0, 9]
+    _assert_batched_equals_per_shock(ds, spec, spec.shocks)
+
+
+@pytest.mark.parametrize("change", [
+    {"outcome": "nope"},                         # unknown outcome
+    {"outcome": "shock"},                        # non-positive outcome
+    {"lags": 59},                                # lag order T - 1
+    {"sample": ("1990Q1", "1995Q4")},            # empty window
+    {"fixed_effects": ("county",)},              # unknown fixed effect
+    {"sample": ("2005Q1", "2005Q1")},            # only singleton groups
+])
+def test_group_that_cannot_be_built_fails_each_shock_alike(monkeypatch,
+                                                           change):
+    # the group's design is built once per horizon, and each shock gets
+    # the message its own build gives
+    ds = _multi_shock_panel(49)
+    spec = LPSpec("price", ("shock",), horizons=(0, 2), lags=2).replace(
+        **change)
+    built = []
+
+    def counting_build(ds, spec, horizon):
+        built.append(horizon)
+        return build_lp_design(ds, spec, horizon)
+
+    monkeypatch.setattr(localproj, "build_lp_design", counting_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the singleton drop warns
+        res = _assert_batched_equals_per_shock(ds, spec,
+                                               ("shock", "s2", "s3"))
+    assert not any(r.responses for r in res)
+    assert all(len(r.failures) == 2 for r in res)
+    assert built == [0, 2]
+
+
 def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     ds = lp_panel(n_regions=3, n_quarters=20, seed=2)
     calls = []
@@ -395,7 +441,8 @@ def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
              "sample window 1990Q1..1995Q4 is empty")):
         with pytest.raises(ClimPanelError, match=re.escape(message)):
             build_lp_design(ds, bad, 0)
-    # one lag short of the panel still builds its columns and fails alike
+    # one lag short of the panel builds no lag column either: the first
+    # difference takes a quarter, so no row survives
     with pytest.raises(SampleError, match="all 60 rows dropped listwise"):
         build_lp_design(ds, spec.replace(lags=19), 0)
-    assert calls
+    assert calls == []

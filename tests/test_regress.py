@@ -1,4 +1,5 @@
-"""Within transformation, pivoted-QR OLS, classical and DK covariance."""
+"""Within transformation, QR OLS with its rank check, classical and DK
+covariance."""
 import math
 import warnings
 
@@ -517,32 +518,89 @@ def _kernel_design(kind, n, k, seed):
     return X
 
 
+def _pivoted_rank(X):
+    """Rank under LAPACK dgeqp3's column-pivoted QR: the count of |R_jj|
+    above _RANK_TOL times the largest, |R_11|."""
+    _, R_ref, _ = linalg.qr(X, mode="economic", pivoting=True)
+    d_ref = np.abs(np.diag(R_ref))
+    return int((d_ref > _RANK_TOL * d_ref[0]).sum())
+
+
 @pytest.mark.parametrize("n,k", [(7000, 8), (7000, 13), (1700, 20), (21, 20),
                                  (12, 12)])
 @pytest.mark.parametrize("kind", ["random", "scaled", "zero", "duplicate",
                                   "collinear"])
-def test_pivoted_qr_matches_lapack_dgeqp3(kind, n, k):
-    # the numpy kernel against LAPACK's column-pivoted QR: same pivot order,
-    # same rank, |diag R| equal to 1e-13 relative over the leading rank
-    # (the entries past it are rounding noise in both)
+def test_rank_matches_lapack_dgeqp3(kind, n, k):
+    # the singular-value rank against LAPACK's column-pivoted QR rule, and
+    # the null-space basis against the design itself
     X = _kernel_design(kind, n, k, seed=n + k)
     y = np.random.default_rng(n * k).normal(size=(n, 1))
-    R, qty, _, Rp, piv, rank = _factor(X, y)
-    _, R_ref, piv_ref = linalg.qr(X, mode="economic", pivoting=True)
-    d_ref = np.abs(np.diag(R_ref))
-    assert rank == int((d_ref > _RANK_TOL * d_ref[0]).sum())
+    R, qty, norms, rank, null = _factor(X, y)
+    assert rank == _pivoted_rank(X)
     assert rank == {"random": k, "scaled": k, "zero": k - 1,
                     "duplicate": k - 1, "collinear": k - 2}[kind]
-    np.testing.assert_array_equal(piv, piv_ref)
-    np.testing.assert_allclose(np.abs(np.diag(Rp))[:rank], d_ref[:rank],
-                               rtol=1e-13, atol=0.0)
-    assert np.abs(np.diag(Rp))[rank:].max(initial=0.0) <= _RANK_TOL * d_ref[0]
-    np.testing.assert_array_equal(np.tril(Rp, -1), 0.0)
+    np.testing.assert_allclose(norms, np.linalg.norm(X, axis=0), rtol=1e-13)
     # R'R = X'X and R'(Q'y) = X'y, so Q R = X with the same Q for y
     gram = np.abs(X).max() ** 2 * n
     np.testing.assert_allclose(R.T @ R, X.T @ X, atol=1e-13 * gram)
     np.testing.assert_allclose(R.T @ qty, X.T @ y,
                                atol=1e-13 * gram / np.abs(X).max())
+    # the rows of null are orthonormal directions that X maps to zero
+    assert null.shape == (k - rank, k)
+    np.testing.assert_allclose(null @ null.T, np.eye(k - rank), atol=1e-13)
+    np.testing.assert_allclose(X @ null.T, 0.0,
+                               atol=1e-13 * math.sqrt(gram))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_extra=st.integers(0, 40),
+       k=st.integers(2, 12), n_dependent=st.integers(1, 3),
+       noise=st.floats(-17.0, -6.0), spread=st.floats(0.0, 3.0))
+def test_rank_is_never_above_the_pivoted_qr_rank(seed, n_extra, k,
+                                                 n_dependent, noise, spread):
+    # near-collinear designs around the tolerance: column scales spread
+    # over 10^(+-spread), dependent columns a mix of the others plus noise
+    # of relative size 10^noise. sigma_min <= |Rp_kk| and |Rp_11| <= sigma_max,
+    # so a design the pivoted rule calls rank deficient is rank deficient
+    # here too; beyond that bound, the singular-value rank is never the
+    # larger on such designs
+    rng = np.random.default_rng(seed)
+    n = k + n_extra
+    X = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-spread, spread, k)
+    for j in rng.choice(k, size=min(n_dependent, k - 1), replace=False):
+        others = np.delete(np.arange(k), j)
+        mix = X[:, others] @ rng.normal(size=k - 1)
+        X[:, j] = mix + 10.0 ** noise * np.linalg.norm(mix) * rng.normal(
+            size=n) / math.sqrt(n)
+    assert _factor(X, np.ones((n, 1)))[3] <= _pivoted_rank(X)
+
+
+def test_rank_error_names_collinear_columns_in_design_order():
+    rng = np.random.default_rng(61)
+    n = 40
+    X = rng.normal(size=(n, 7))
+    X[:, 3] = X[:, 0]                    # one pair
+    X[:, 6] = 2.0 * X[:, 4]              # another pair
+    X[:, 2] = 0.0                        # no variation
+    names = tuple(f"x{j}" for j in range(7))
+    design = Design(y=rng.normal(size=n), X=X, names=names,
+                    region_codes=np.zeros(n, dtype=int),
+                    time_codes=np.arange(n), demeaned=True)
+    with pytest.raises(RankDeficiencyError) as err:
+        ols(design)
+    assert err.value.columns == ("x0", "x2", "x3", "x4", "x6")
+    assert str(err.value) == (
+        "design matrix is rank deficient: "
+        "'x2' has no variation after FE absorption; "
+        "['x0', 'x3', 'x4', 'x6'] are collinear")
+    with pytest.raises(RankDeficiencyError) as err:
+        ols(design.replace(X=X[:, :4], names=names[:4]))
+    assert err.value.columns == ("x0", "x2", "x3")
+    with pytest.raises(RankDeficiencyError) as err:
+        ols(design.replace(X=X[:, [0, 1, 3]], names=("x0", "x1", "x3")))
+    assert err.value.columns == ("x0", "x3")
+    assert str(err.value) == ("design matrix is rank deficient: "
+                              "['x0', 'x3'] are collinear")
 
 
 def test_normal_band_multiplier_matches_scipy_ndtri():
