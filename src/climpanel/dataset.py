@@ -253,26 +253,55 @@ class RegionSummary(Record):
 
 
 def summary_stats(ds: PanelDataset, var: str) -> tuple[RegionSummary, ...]:
-    """Per-region five-number summary plus mean and sample sd.
+    """Per-region five-number summary plus mean and sample sd of the finite
+    cells.
 
-    Quantiles use type-7 linear interpolation so emitted summary files are
-    reproducible bit for bit.
+    Quartiles are type 7 (Hyndman & Fan 1996), with np.quantile's bits: its
+    linear-method arithmetic runs once for all regions, and each region's
+    cells get the one partition np.quantile would make, with the same kth.
+    Min, max, mean and sd are taken before that reordering, because
+    pairwise sums depend on element order.
     """
     mat = ds.values(var)
-    rows = []
-    for i, region in enumerate(ds.regions):
-        v = mat[i][np.isfinite(mat[i])]
-        if v.size == 0:
-            raise EmptySummaryError(f"{var!r} has no observations for region "
-                                    f"{region!r}")
-        q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75], method="linear")
-        sd = float(np.std(v, ddof=1)) if v.size > 1 else math.nan
-        rows.append(RegionSummary(
-            region=region,
-            min=float(v.min()), q1=float(q1), median=float(med),
-            q3=float(q3), max=float(v.max()), mean=float(v.mean()), sd=sd,
-        ))
-    return tuple(rows)
+    finite = np.isfinite(mat)
+    n = finite.sum(axis=1)
+    if not n.all():
+        region = ds.regions[np.argmin(n)]
+        raise EmptySummaryError(f"{var!r} has no observations for region "
+                                f"{region!r}")
+    # np.quantile's linear method: virtual index, its neighbours (both the
+    # last cell, -1, at or past it) and the weight
+    last = (n - 1)[:, None]
+    virtual = last * np.array([0.25, 0.5, 0.75])
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= last
+    prev[top] = nxt[top] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    gamma = virtual - prev
+    a = np.empty_like(virtual)
+    b = np.empty_like(virtual)
+    moments = []
+    for i, size in enumerate(n.tolist()):
+        v = mat[i][finite[i]]
+        # v.mean() and np.std(v, ddof=1) in the ufunc calls they make
+        mean = np.add.reduce(v) / size
+        dev = v - mean
+        sd = (math.sqrt(np.add.reduce(dev * dev) / (size - 1))
+              if size > 1 else math.nan)
+        moments.append((float(np.minimum.reduce(v)),
+                        float(np.maximum.reduce(v)), float(mean), sd))
+        v.partition(sorted({0, -1, *prev[i].tolist(), *nxt[i].tolist()}))
+        a[i], b[i] = v[prev[i]], v[nxt[i]]
+    # numpy's _lerp: a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    return tuple(
+        RegionSummary(region=region, min=lo, q1=q1, median=med, q3=q3,
+                      max=hi, mean=mean, sd=sd)
+        for region, (lo, hi, mean, sd), (q1, med, q3)
+        in zip(ds.regions, moments, q.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -445,26 +445,32 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     g_t = sum_i s~_it e_it (times nobs/dof when hac.small_sample) over
     (s~'s~)^2, dof = nobs - 1 - n_controls - absorbed as in ols. ok[j] is
     False where ols on column j's own design would fail its rank or dof
-    check: rank-deficient controls, dof <= 0, or a partialled focal column
-    within the rank tolerance; refit those with ols to get its error.
+    check, by _factor's rule: column j's design [controls | s_j] has the
+    triangle [[R, Q's_j], [0, |s~_j|]] from the controls' QR, and ok[j]
+    needs all n_controls + 1 of its singular values above _RANK_TOL times
+    the largest, and dof > 0. Refit the others with ols to get its error.
     """
     d = design if design.demeaned else within_transform(design)
     n = d.nobs
     n_controls = d.X.shape[1] - n_focal
     Z = np.column_stack([d.y, d.X[:, :n_focal]])
-    scale = np.linalg.norm(Z[:, 1:], axis=0)
     controls_ok = True
+    triangles = np.zeros((n_focal, n_controls + 1, n_controls + 1))
     if n_controls:
         controls = d.X[:, n_focal:]
-        R, QtZ, norms, rank, _ = _factor(controls, Z)
+        R, QtZ, _, rank, _ = _factor(controls, Z)
         controls_ok = rank == n_controls
-        scale = np.maximum(scale, norms.max())
+        triangles[:, :-1, :-1] = R
+        triangles[:, :-1, -1] = QtZ[:, 1:].T
         if controls_ok:
             Z -= controls @ _back_substitute(R, QtZ)
     dof = n - 1 - n_controls - d.absorbed
     y, s = Z[:, 0], Z[:, 1:]
     ss = np.einsum("ij,ij->j", s, s)
-    ok = (np.sqrt(ss) > _RANK_TOL * scale) & controls_ok & (dof > 0)
+    triangles[:, -1, -1] = np.sqrt(ss)
+    sv = np.linalg.svd(triangles, compute_uv=False)
+    ok = ((sv > _RANK_TOL * sv[:, :1]).all(axis=1) & controls_ok
+          & (dof > 0))
     coef = np.full(n_focal, np.nan)
     se = np.full(n_focal, np.nan)
     if ok.any():

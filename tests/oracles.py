@@ -11,9 +11,10 @@ of named series they pass to ols; with_series, panels_equal and
 design_from_matrices are the panel and design helpers only tests use.
 write_panel_csv is the reference panel writer: csv.writer fed one Python
 float per cell, and write_paper_claims_csvs writes through it the inputs
-of the end-to-end test of the paper's claims. shift_sum_norm, and within_transform and
-focal_driscoll_kraay at the end, are not independent: they are the
-package's earlier norm and absorption, kept as bit-for-bit references.
+of the end-to-end test of the paper's claims. shift_sum_norm,
+summary_stats, and within_transform and focal_driscoll_kraay at the end,
+are not independent: they are the package's earlier norm, summary and
+absorption, kept as bit-for-bit references.
 """
 import csv
 import math
@@ -21,10 +22,11 @@ import warnings
 
 import numpy as np
 
-from climpanel.dataset import PanelDataset, PanelSchema, shift
+from climpanel.dataset import PanelDataset, PanelSchema, RegionSummary, shift
 from climpanel.errors import (
     BandwidthError,
     DegreesOfFreedomError,
+    EmptySummaryError,
     SampleError,
     SpecError,
 )
@@ -220,6 +222,27 @@ def quantile_type7(values, p):
     lo = math.floor(h)
     hi = min(lo + 1, n - 1)
     return v[lo] + (h - lo) * (v[hi] - v[lo])
+
+
+def summary_stats(ds, var):
+    """The package's per-region summary before the quartiles were computed
+    once per variable: one np.quantile call per region, kept verbatim as
+    the bit-for-bit reference."""
+    mat = ds.values(var)
+    rows = []
+    for i, region in enumerate(ds.regions):
+        v = mat[i][np.isfinite(mat[i])]
+        if v.size == 0:
+            raise EmptySummaryError(f"{var!r} has no observations for region "
+                                    f"{region!r}")
+        q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75], method="linear")
+        sd = float(np.std(v, ddof=1)) if v.size > 1 else math.nan
+        rows.append(RegionSummary(
+            region=region,
+            min=float(v.min()), q1=float(q1), median=float(med),
+            q3=float(q3), max=float(v.max()), mean=float(v.mean()), sd=sd,
+        ))
+    return tuple(rows)
 
 
 def fe_panel(

@@ -657,6 +657,28 @@ def test_commands_load_no_dataclasses():
     assert out.strip() == "False"
 
 
+# Runs each command through main on the workspace config, writing into argv[2],
+# and prints, last, whether numpy.ma had been loaded after each
+COMMANDS_AND_NUMPY_MA = """
+import json, sys
+from climpanel.cli import main
+facts = {}
+for cmd in ("simulate", "anomaly", "lp", "ardl", "stats"):
+    assert main([cmd, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+    facts[cmd] = "numpy.ma" in sys.modules
+print(json.dumps(facts))
+"""
+
+
+def test_commands_load_no_numpy_ma(workspace, tmp_path):
+    # np.quantile's np.unique step calls np.ma.is_masked, which imports
+    # numpy.ma (~14 ms cold); no command needs it
+    out = _python("-c", COMMANDS_AND_NUMPY_MA, str(workspace["config"]),
+                  str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == dict.fromkeys(
+        ("simulate", "anomaly", "lp", "ardl", "stats"), False)
+
+
 # Imports the package, touches an unknown name and lists it; prints what
 # happened and whether numpy got loaded along the way
 LAZY_PACKAGE = """

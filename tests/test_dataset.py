@@ -31,6 +31,7 @@ from climpanel.errors import (
     TransformDomainError,
     VariableLookupError,
 )
+import oracles
 from oracles import (
     panels_equal,
     quantile_type7,
@@ -344,6 +345,67 @@ def test_summary_all_missing():
     ds = PanelDataset(["a"], time, {"x": [[math.nan, math.nan]]})
     with pytest.raises(EmptySummaryError):
         summary_stats(ds, "x")
+
+
+# signed zeros, ties and repeats from the pool, moderate magnitudes otherwise
+_SUMMARY_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def _summary_panel(draw):
+    """A region x quarter matrix whose rows are ragged (NaN holes), hold
+    one finite cell, repeat one value, or are blank. Long panels, whose
+    ragged rows come from a seeded generator, reach numpy's pairwise
+    summation blocks."""
+    n_regions = draw(st.integers(1, 6))
+    n_quarters = draw(st.one_of(st.integers(1, 30), st.integers(129, 400)))
+    rows = []
+    for _ in range(n_regions):
+        kind = draw(st.sampled_from(["ragged", "ragged", "one", "repeat",
+                                     "blank"]))
+        row = [math.nan] * n_quarters
+        if kind == "ragged" and n_quarters > 30:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            pool = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan]
+            row = np.where(rng.random(n_quarters) < 0.5,
+                           rng.choice(pool, n_quarters),
+                           rng.uniform(-1e6, 1e6, n_quarters))
+        elif kind == "ragged":
+            row = draw(st.lists(st.one_of(_SUMMARY_CELL, st.just(math.nan)),
+                                min_size=n_quarters, max_size=n_quarters))
+        elif kind == "one":
+            row[draw(st.integers(0, n_quarters - 1))] = draw(_SUMMARY_CELL)
+        elif kind == "repeat":
+            row = [draw(_SUMMARY_CELL)] * n_quarters
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summary_panel())
+def test_summary_stats_keep_the_per_region_quantile_bits(rows):
+    time = quarter_range(QuarterIndex(2000, 1),
+                         QuarterIndex(2000, 1).offset(len(rows[0]) - 1))
+    ds = PanelDataset([f"r{i}" for i in range(len(rows))], time, {"x": rows})
+    outcomes = []
+    for fn in (summary_stats, oracles.summary_stats):
+        try:
+            outcomes.append(fn(ds, "x"))
+        except EmptySummaryError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    fields = ("min", "q1", "median", "q3", "max", "mean", "sd")
+    for g, w in zip(got, want, strict=True):
+        assert g.region == w.region
+        assert (np.array([getattr(g, f) for f in fields]).view(np.int64)
+                == np.array([getattr(w, f) for f in fields]).view(np.int64)
+                ).all()
 
 
 # ---------------------------------------------------------------------------

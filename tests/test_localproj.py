@@ -23,7 +23,7 @@ from climpanel import (
 )
 from climpanel import localproj
 from climpanel.dataset import shift
-from climpanel.errors import ClimPanelError, SampleError
+from climpanel.errors import ClimPanelError, RankDeficiencyError, SampleError
 from climpanel.localproj import _sample_groups
 from climpanel.regress import _regressor_block
 from climpanel.simulate import lp_panel
@@ -285,6 +285,26 @@ def test_flat_shock_fails_alone_with_its_own_message():
     assert res[1].failures[0].message == (
         "RankDeficiencyError: design matrix is rank deficient: "
         "'flat' has no variation after FE absorption")
+
+
+@pytest.mark.parametrize("a, eps", [(100.0, 1e-7), (1e4, 1e-5)])
+def test_shock_nearly_a_multiple_of_a_control_fails_as_ols_does(a, eps):
+    # the shock partialled on the controls keeps 9.8e-10 of the largest
+    # column norm, above the 1e-10 tolerance, yet its design's smallest
+    # singular value is 9.8e-12 (9.8e-14) of the largest: the batched fit
+    # must refuse what ols refuses
+    ds = lp_panel(6, 60, seed=3)
+    log_p = np.log(ds.values("price"))
+    lag1 = shift(log_p - shift(log_p, 1), 1)
+    noise = np.random.default_rng(4).normal(size=lag1.shape)
+    ds = with_series(ds, "near", a * lag1 + eps * noise)
+    spec = LPSpec("price", ("near",), horizons=(0,), lags=2)
+    with pytest.raises(RankDeficiencyError) as err:
+        ols(build_lp_design(ds, spec, 0))
+    (res,) = estimate_irf(ds, spec)
+    assert not res.responses
+    assert [f.message for f in res.failures] == [
+        f"RankDeficiencyError: {err.value}"]
 
 
 @pytest.mark.parametrize("fixed_effects", [("region", "time"), ()])
