@@ -284,13 +284,8 @@ def summary_stats(ds: PanelDataset, var: str) -> tuple[RegionSummary, ...]:
     moments = []
     for i, size in enumerate(n.tolist()):
         v = mat[i][finite[i]]
-        # v.mean() and np.std(v, ddof=1) in the ufunc calls they make
-        mean = np.add.reduce(v) / size
-        dev = v - mean
-        sd = (math.sqrt(np.add.reduce(dev * dev) / (size - 1))
-              if size > 1 else math.nan)
-        moments.append((float(np.minimum.reduce(v)),
-                        float(np.maximum.reduce(v)), float(mean), sd))
+        sd = float(np.std(v, ddof=1)) if size > 1 else math.nan
+        moments.append((float(v.min()), float(v.max()), float(v.mean()), sd))
         v.partition(sorted({0, -1, *prev[i].tolist(), *nxt[i].tolist()}))
         a[i], b[i] = v[prev[i]], v[nxt[i]]
     # numpy's _lerp: a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5

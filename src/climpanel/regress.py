@@ -455,22 +455,26 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     n_controls = d.X.shape[1] - n_focal
     Z = np.column_stack([d.y, d.X[:, :n_focal]])
     controls_ok = True
-    triangles = np.zeros((n_focal, n_controls + 1, n_controls + 1))
     if n_controls:
         controls = d.X[:, n_focal:]
         R, QtZ, _, rank, _ = _factor(controls, Z)
         controls_ok = rank == n_controls
-        triangles[:, :-1, :-1] = R
-        triangles[:, :-1, -1] = QtZ[:, 1:].T
         if controls_ok:
             Z -= controls @ _back_substitute(R, QtZ)
     dof = n - 1 - n_controls - d.absorbed
     y, s = Z[:, 0], Z[:, 1:]
     ss = np.einsum("ij,ij->j", s, s)
-    triangles[:, -1, -1] = np.sqrt(ss)
-    sv = np.linalg.svd(triangles, compute_uv=False)
-    ok = ((sv > _RANK_TOL * sv[:, :1]).all(axis=1) & controls_ok
-          & (dof > 0))
+    ok = np.zeros(n_focal, dtype=bool)
+    # full rank and dof > 0 give nobs > n_controls, so R is square; with
+    # fewer rows QR gives R only nobs rows and every shock fails ols anyway
+    if controls_ok and dof > 0:
+        triangles = np.zeros((n_focal, n_controls + 1, n_controls + 1))
+        if n_controls:
+            triangles[:, :-1, :-1] = R
+            triangles[:, :-1, -1] = QtZ[:, 1:].T
+        triangles[:, -1, -1] = np.sqrt(ss)
+        sv = np.linalg.svd(triangles, compute_uv=False)
+        ok = (sv > _RANK_TOL * sv[:, :1]).all(axis=1)
     coef = np.full(n_focal, np.nan)
     se = np.full(n_focal, np.nan)
     if ok.any():

@@ -14,7 +14,8 @@ float per cell, and write_paper_claims_csvs writes through it the inputs
 of the end-to-end test of the paper's claims. shift_sum_norm,
 summary_stats, and within_transform and focal_driscoll_kraay at the end,
 are not independent: they are the package's earlier norm, summary and
-absorption, kept as bit-for-bit references.
+absorption, kept as bit-for-bit references (focal_driscoll_kraay's ok
+flags excepted: the package now takes them from ols's rank rule).
 """
 import csv
 import math
@@ -509,6 +510,9 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     False where ols on column j's own design would fail its rank or dof
     check: rank-deficient controls, dof <= 0, or a partialled focal column
     within the rank tolerance; refit those with ols to get its error.
+    This ok is the superseded partialled-norm rule, which passes a focal
+    column nearly a multiple of a control that ols refuses; only coef and
+    se where ok holds are still the package's bits.
     """
     d = within_transform(design)
     n = d.nobs

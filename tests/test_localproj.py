@@ -307,6 +307,22 @@ def test_shock_nearly_a_multiple_of_a_control_fails_as_ols_does(a, eps):
         f"RankDeficiencyError: {err.value}"]
 
 
+@pytest.mark.parametrize("fixed_effects", [("time",), ()])
+def test_fewer_rows_than_controls_fail_as_ols_does(fixed_effects):
+    # one quarter of 3 regions against 4 lags (and a constant without FE):
+    # QR of the controls has only 3 rows, and every shock records the
+    # error its own ols gives instead of escaping estimate_irf
+    ds = _multi_shock_panel(50, n_regions=3)
+    spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=4,
+                  fixed_effects=fixed_effects, sample=("2005Q1", "2005Q1"))
+    design = build_lp_design(ds, spec, 0)
+    assert design.nobs < design.X.shape[1] - 1
+    res = _assert_batched_equals_per_shock(ds, spec, ("shock", "s2", "s3"))
+    assert not any(r.responses for r in res)
+    assert all(f.message.startswith("RankDeficiencyError: ")
+               for r in res for f in r.failures)
+
+
 @pytest.mark.parametrize("fixed_effects", [("region", "time"), ()])
 def test_batched_lags0_with_and_without_fixed_effects(fixed_effects):
     ds = _multi_shock_panel(43)

@@ -233,7 +233,9 @@ def test_absorption_and_focal_fit_keep_the_reference_bits(
         seed, layout, fixed_effects, n_focal, bandwidth):
     # the reference copies in oracles are the absorption before it summed
     # groups in one pass; every bit must survive. n_focal=2 leaves no
-    # controls, as an LP with lags=0 does
+    # controls, as an LP with lags=0 does. The reference's ok is the older
+    # partialled-norm rule, so ok is checked against ols on each focal
+    # column's own design, and the bits where both sides fit
     rng = np.random.default_rng(seed)
     R, T = int(rng.integers(2, 9)), int(rng.integers(6, 30))
     design = _ragged_design(rng, R, T, layout, fixed_effects)
@@ -256,10 +258,26 @@ def test_absorption_and_focal_fit_keep_the_reference_bits(
         if isinstance(want_fit, tuple):
             assert got_fit == want_fit
             continue
-        for field in ("coef", "se", "ok"):
-            assert np.array_equal(getattr(got_fit, field),
-                                  getattr(want_fit, field), equal_nan=True)
+        ok = got_fit.ok
+        assert ok.tolist() == [_ols_accepts(got, n_focal, j)
+                               for j in range(n_focal)]
+        both = ok & want_fit.ok
+        for field in ("coef", "se"):
+            assert np.array_equal(getattr(got_fit, field)[both],
+                                  getattr(want_fit, field)[both])
+            assert np.isnan(getattr(got_fit, field)[~ok]).all()
         assert (got_fit.nobs, got_fit.dof) == (want_fit.nobs, want_fit.dof)
+
+
+def _ols_accepts(d, n_focal, j):
+    """Whether ols fits focal column j of the absorbed design d on the
+    controls, the columns past the first n_focal."""
+    cols = [j, *range(n_focal, d.X.shape[1])]
+    try:
+        ols(d.replace(X=d.X[:, cols], names=tuple(d.names[c] for c in cols)))
+    except (RankDeficiencyError, DegreesOfFreedomError):
+        return False
+    return True
 
 
 @pytest.mark.parametrize("fixed_effects", [("region", "time"), ("region",),
