@@ -10,7 +10,8 @@ The long-run effect of block variable k is theta_k = (sum_l beta_lk) / phi
 with phi = 1 - sum_l phi_l; its standard error comes from the delta method
 on the joint coefficient covariance. The annualized reading of theta under
 an m-year norm is theta * 2 / (m + 1). estimate_ardl fits one (outcome, m)
-cell; the ardl command runs the grid of cells.
+cell; the ardl command runs the grid of cells. Each series is differenced
+once, and regress writes its lags into the regressor block.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .regress import (
     Design,
     HACSpec,
     _block_design,
-    _check_lag_order,
     _regressor_block,
     check_window,
     ols,
@@ -106,17 +106,15 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
     scaled) anomaly series; burn-in NaN cells trim the sample listwise.
     """
     log_y = checked_log(ds, spec.outcome)
-    levels = [ds.values(var) for var in spec.block]
-    _check_lag_order(spec.p, len(ds.regions), ds.time, spec.sample)
     dy = log_y - shift(log_y, 1)
-    x_named = [(_lag_name(spec.outcome, lag), shift(dy, lag))
+    entries = [(_lag_name(spec.outcome, lag), dy, lag)
                for lag in range(1, spec.p + 1)]
-    for var, level in zip(spec.block, levels):
+    for var in spec.block:
+        level = ds.values(var)
         dx = level - shift(level, 1)
-        x_named += [(_lag_name(var, lag), shift(dx, lag))
-                    for lag in range(0, spec.p + 1)]
+        entries += [(_lag_name(var, lag), dx, lag) for lag in range(spec.p + 1)]
     return _block_design(
-        dy, _regressor_block(x_named, ds.time, spec.sample),
+        dy, _regressor_block(entries, ds.time, spec.sample),
         ds.regions, ds.time,
         fixed_effects=spec.fixed_effects, window=spec.sample,
     )

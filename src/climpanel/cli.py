@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     DataValidationError,
     EstimationError,
+    SpecError,
 )
 from .localproj import LPSpec, estimate_irf
 from .regress import HACSpec, significance_stars
@@ -73,10 +74,20 @@ def _check_path(where: str, path: str | None) -> None:
              "must not contain a NUL byte")
 
 
+def _spec_rules(where: str, build, *args):
+    """build(*args), its SpecError a ConfigError prefixed by where: the
+    message starts with the field, the section's key of the same name."""
+    try:
+        return build(*args)
+    except SpecError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+
+
 # Each section is an immutable Record: its fields are the section's keys,
 # their defaults the defaults, their annotations pick the value parser, and
-# __post_init__ rejects out-of-range values. A section is built once, after
-# the CLI overrides are applied, so an override can replace a bad file value.
+# __post_init__ rejects out-of-range values, also by building the library
+# records its command runs. A section is built once, after the CLI
+# overrides are applied, so an override can replace a bad file value.
 
 class InputConfig(Record):
     climate: str | None = None
@@ -100,6 +111,12 @@ class InputConfig(Record):
                  <= QuarterIndex.parse(self.end),
                  "[input] start", f"must not be after [input] end, got "
                  f"{self.start} > {self.end}")
+        _spec_rules("[input] region_col, year_col and quarter_col:",
+                    self.schema)
+
+    def schema(self) -> PanelSchema:
+        return PanelSchema(self.region_col, self.year_col, self.quarter_col,
+                           self.missing)
 
 
 class AnomalyConfig(Record):
@@ -118,51 +135,56 @@ class LPConfig(Record):
     outcomes: tuple[str, ...] = ()
     shocks: tuple[str, ...] = ()   # load_config fills in _default_shocks
     m: int = 30
-    horizons: tuple[int, ...] = tuple(range(9))
-    lags: int = 8
-    level: float = 0.90
+    horizons: tuple[int, ...] = LPSpec.horizons
+    lags: int = LPSpec.lags
+    level: float = LPSpec.level
     bandwidth: int | None = None
-    small_sample: bool = True
-    fixed_effects: tuple[str, ...] = ("region", "time")
+    small_sample: bool = HACSpec.small_sample
+    fixed_effects: tuple[str, ...] = LPSpec.fixed_effects
 
     def __post_init__(self):
-        _require(self.shocks, "[lp] shocks", "must not be empty")
         _check_windows("[lp] m", (self.m,))
-        _require(self.horizons and min(self.horizons) >= 0, "[lp] horizons",
-                 f"must list horizons >= 0, got {self.horizons}")
-        _require(self.lags >= 0, "[lp] lags", "must be >= 0")
-        _require(0.0 < self.level < 1.0, "[lp] level", "must be in (0, 1)")
-        _require(self.bandwidth is None or self.bandwidth >= 0,
-                 "[lp] bandwidth", "must be >= 0")
-        _require(set(self.fixed_effects) <= {"region", "time"},
-                 "[lp] fixed_effects", "may name region and time")
         try:
             names = self.shock_names()
         except (KeyError, IndexError, ValueError, AttributeError, TypeError):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
         _parse(_each_once, names, f"[lp] shocks (with {{m}} = {self.m})")
+        _require(set(self.fixed_effects) <= {"region", "time"},
+                 "[lp] fixed_effects", "may name region and time")
+        _spec_rules("[lp]", self.spec, "")
 
     def shock_names(self) -> tuple[str, ...]:
         """The shock series, with {m} replaced by the norm window."""
         return tuple(pattern.format(m=self.m) for pattern in self.shocks)
 
+    def spec(self, outcome: str, sample=None) -> LPSpec:
+        """One outcome's LPSpec; a blank bandwidth is max(rule, h)."""
+        hac = HACSpec(self.bandwidth, self.small_sample)
+        return LPSpec(outcome, self.shock_names(), self.horizons, self.lags,
+                      self.fixed_effects, hac, self.level, sample)
+
 
 class ARDLConfig(Record):
     outcomes: tuple[str, ...] = ()
     m: tuple[int, ...] = (20, 30, 40)
-    p: int = 4
+    p: int = ardl.ARDLSpec.p
     se: str = "classical"
     bandwidth: int | None = None
-    small_sample: bool = True
+    small_sample: bool = HACSpec.small_sample
 
     def __post_init__(self):
         _check_windows("[ardl] m", self.m)
-        _require(self.p >= 0, "[ardl] p", "must be >= 0")
         _require(self.se in ("classical", "driscoll-kraay"), "[ardl] se",
                  "must be classical or driscoll-kraay")
-        _require(self.bandwidth is None or self.bandwidth >= 0,
-                 "[ardl] bandwidth", "must be >= 0")
+        # the outcome and block are each cell's; any one stands in here
+        _spec_rules("[ardl]", self.spec, "", ("",), self.m[0])
+
+    def spec(self, outcome: str, block, m: int, sample=None) -> ardl.ARDLSpec:
+        """One cell's ARDLSpec; classical se also checks the bandwidth."""
+        hac = HACSpec(self.bandwidth, self.small_sample)
+        return ardl.ARDLSpec(outcome, block, self.p, m, sample=sample,
+                             hac=hac if self.se == "driscoll-kraay" else None)
 
 
 class SimulateConfig(Record):
@@ -397,15 +419,6 @@ def _write_run_report(cfg: RunConfig, command: str, facts: dict, written,
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _schema(cfg: RunConfig) -> PanelSchema:
-    return PanelSchema(
-        region=cfg.input.region_col,
-        year=cfg.input.year_col,
-        quarter=cfg.input.quarter_col,
-        missing=cfg.input.missing,
-    )
-
-
 def _window(cfg: RunConfig, ds: PanelDataset):
     if cfg.input.start is None and cfg.input.end is None:
         return None
@@ -417,14 +430,14 @@ def _window(cfg: RunConfig, ds: PanelDataset):
 def _load_climate(cfg: RunConfig) -> PanelDataset:
     if not cfg.input.climate:
         raise ConfigError("[input] climate: path to the climate CSV is required")
-    return load_panel(cfg.input.climate, _schema(cfg))
+    return load_panel(cfg.input.climate, cfg.input.schema())
 
 
 def _load_merged(cfg: RunConfig) -> PanelDataset:
     ds = _load_climate(cfg)
     if not cfg.input.prices:
         raise ConfigError("[input] prices: path to the price CSV is required")
-    prices = load_panel(cfg.input.prices, _schema(cfg))
+    prices = load_panel(cfg.input.prices, cfg.input.schema())
     # the climate file fixes the region order, so the price file may list
     # its regions in any order without changing a result; the price series
     # still come first
@@ -474,7 +487,7 @@ def _cmd_anomaly(cfg: RunConfig) -> None:
             files = {f"anomaly_{var}_m{m}.csv": derived,
                      f"norms_audit_{var}_m{m}.csv": [var, norm, derived[0]]}
             for name, series in files.items():
-                write_panel(subset(ds, series), out / name, _schema(cfg),
+                write_panel(subset(ds, series), out / name, cfg.input.schema(),
                             header_comments=_header(cfg))
                 written.append(name)
     _write_run_report(cfg, "anomaly", {
@@ -487,24 +500,16 @@ def _cmd_anomaly(cfg: RunConfig) -> None:
 def _cmd_lp(cfg: RunConfig) -> None:
     if not cfg.lp.outcomes:
         raise ConfigError("[lp] outcomes: at least one outcome is required")
-    ds = _load_merged(cfg)
-    ds = _attach_all(cfg, ds, [cfg.lp.m], seasonal=True)
+    ds = _attach_all(cfg, _load_merged(cfg), [cfg.lp.m], seasonal=True)
     shocks = cfg.lp.shock_names()
     window = _window(cfg, ds)
-    # a blank bandwidth (None) means max(rule, h) for each horizon
-    hac = HACSpec(cfg.lp.bandwidth, cfg.lp.small_sample)
     out = _out_dir(cfg)
 
     # every shock of an outcome is estimated in one call, which fits the
     # shocks sharing a sample together; files and reports stay shock-major
     by_cell = {}
     for outcome in cfg.lp.outcomes:
-        spec = LPSpec(
-            outcome=outcome, shocks=shocks, horizons=cfg.lp.horizons,
-            lags=cfg.lp.lags, fixed_effects=cfg.lp.fixed_effects,
-            hac=hac, level=cfg.lp.level, sample=window,
-        )
-        for res in estimate_irf(ds, spec):
+        for res in estimate_irf(ds, cfg.lp.spec(outcome, window)):
             by_cell[(res.shock, outcome)] = res
     cell_failures = []
     horizon_failures = []
@@ -587,23 +592,17 @@ def _longrun_text(outcome: str, tables) -> str:
 def _cmd_ardl(cfg: RunConfig) -> None:
     if not cfg.ardl.outcomes:
         raise ConfigError("[ardl] outcomes: at least one outcome is required")
-    ds = _load_merged(cfg)
-    ds = _attach_all(cfg, ds, cfg.ardl.m, seasonal=False)
+    ds = _attach_all(cfg, _load_merged(cfg), cfg.ardl.m, seasonal=False)
     window = _window(cfg, ds)
-    hac = (HACSpec(cfg.ardl.bandwidth, cfg.ardl.small_sample)
-           if cfg.ardl.se == "driscoll-kraay" else None)
     # one long-run table per (outcome, m) cell, m ascending within each
     # outcome; a failing cell is recorded and the rest still estimated
     tables = []
     failed = []
     for outcome in cfg.ardl.outcomes:
         for m in sorted(cfg.ardl.m):
-            spec = ardl.ARDLSpec(
-                outcome=outcome,
-                block=ardl.default_block(cfg.input.temperature_var,
-                                         cfg.input.precipitation_var, m),
-                p=cfg.ardl.p, m=m, hac=hac, sample=window,
-            )
+            block = ardl.default_block(cfg.input.temperature_var,
+                                       cfg.input.precipitation_var, m)
+            spec = cfg.ardl.spec(outcome, block, m, window)
             try:
                 tables.append(ardl.estimate_ardl(ds, spec).table)
             except ClimPanelError as exc:
@@ -658,7 +657,7 @@ def _cmd_stats(cfg: RunConfig) -> None:
     elif cfg.input.climate:
         ds = _load_climate(cfg)
     elif cfg.input.prices:
-        ds = load_panel(cfg.input.prices, _schema(cfg))
+        ds = load_panel(cfg.input.prices, cfg.input.schema())
     else:
         raise ConfigError("[input] climate or prices path is required")
     variables = cfg.stats.variables or ds.variables

@@ -5,7 +5,8 @@ the shock at t plus lagged one-quarter log changes of P, with region and
 time fixed effects; the shock coefficient traced over h = 0..H is the
 impulse response. Horizons are estimated by separate regressions, each with
 Driscoll-Kraay standard errors whose default bandwidth grows with h to
-cover the moving-average overlap the cumulative outcome induces.
+cover the moving-average overlap the cumulative outcome induces. The log
+change is taken once, and regress writes its lags into the regressor block.
 
 A spec names one outcome and one or more shocks. Shocks that share a
 sample at a horizon are fitted in one exact Frisch-Waugh-Lovell pass: the
@@ -27,7 +28,6 @@ from .regress import (
     Design,
     HACSpec,
     _block_design,
-    _check_lag_order,
     _regressor_block,
     check_window,
     confidence_band,
@@ -63,7 +63,8 @@ class LPSpec(Record):
             raise SpecError("horizons must list at least one horizon, "
                             "each once")
         if any(h < 0 for h in self.horizons):
-            raise SpecError("horizons must be nonnegative")
+            raise SpecError("horizons must list horizons >= 0, "
+                            f"got {self.horizons}")
         if self.lags < 0:
             raise SpecError("lags must be >= 0")
         if not 0.0 < self.level < 1.0:
@@ -98,13 +99,11 @@ def _regressors(ds: PanelDataset, outcome: str, shocks, lags: int, sample):
     """log P, log P[t-1] and the regressor block of an outcome, which its
     horizons share read-only; datasets are immutable, so the last are kept."""
     log_p = checked_log(ds, outcome)
-    x_named = [(shock, ds.values(shock)) for shock in shocks]
-    _check_lag_order(lags, len(ds.regions), ds.time, sample)
+    entries = [(shock, ds.values(shock), 0) for shock in shocks]
     lag1 = shift(log_p, 1)
     dlog = log_p - lag1
-    x_named += [(f"dlog_{outcome}_lag{n}", shift(dlog, n))
-                for n in range(1, lags + 1)]
-    return log_p, lag1, _regressor_block(x_named, ds.time, sample)
+    entries += [(f"dlog_{outcome}_lag{n}", dlog, n) for n in range(1, lags + 1)]
+    return log_p, lag1, _regressor_block(entries, ds.time, sample)
 
 
 def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:

@@ -1,10 +1,11 @@
 """Fixed-effects least squares with classical and Driscoll-Kraay covariance.
 
 The estimation path is: assemble a listwise-deleted design from panel
-series, absorb region/time fixed effects by demeaning (two-way by one
-exact projection) in place on one C-ordered [y | X] block, each group sum
-one np.bincount over its cells in row order, solve by QR after a rank
-check, then attach either the classical covariance sigma^2 (X'X)^-1
+series and their lags, each written straight into one regressor block,
+absorb region/time fixed effects by demeaning (two-way by one exact
+projection) in place on one C-ordered [y | X] block, each group sum one
+np.bincount over its cells in row order, solve by QR after a rank check,
+then attach either the classical covariance sigma^2 (X'X)^-1
 or the Driscoll-Kraay HAC covariance built from Bartlett-weighted
 autocovariances of the cross-sectionally summed moment vectors
 h_t = sum_i x_it e_it.
@@ -113,23 +114,25 @@ def window_slice(time, window) -> slice:
     return slice(a, b + 1)
 
 
-def _regressor_block(x_named, time, window):
+def _regressor_block(entries, time, window):
     """Names, cells inside the window as one C-ordered (cells x k) block
-    (region-major, quarter within region) and its rows without a NaN."""
-    sl = window_slice(time, window)
-    block = np.stack([np.asarray(mat, float)[:, sl] for _, mat in x_named],
-                     axis=-1).reshape(-1, len(x_named))
-    return (tuple(name for name, _ in x_named), block,
+    (region-major, quarter within region) and its rows without a NaN.
+    Entry (name, matrix, lag) fills its column with matrix[:, t - lag], NaN
+    before the panel. Only first differences (NaN in the first quarter) are
+    lagged, so an order >= T - 1 leaves no row: after an empty window's, it
+    raises _block_design's error before any column is written."""
+    start, stop, _ = window_slice(time, window).indices(len(time))
+    n_regions = entries[0][1].shape[0]
+    if 0 < max(lag for _, _, lag in entries) >= len(time) - 1:
+        raise SampleError(_NO_ROWS.format(n_regions * (stop - start)))
+    block = np.empty((n_regions, stop - start, len(entries)))
+    for j, (_, mat, lag) in enumerate(entries):
+        skip = min(max(lag - start, 0), stop - start)   # cells with t < lag
+        block[:, :skip, j] = np.nan
+        block[:, skip:, j] = mat[:, start + skip - lag:stop - lag]
+    block = block.reshape(-1, len(entries))
+    return (tuple(name for name, _, _ in entries), block,
             np.isfinite(block).all(axis=1))
-
-
-def _check_lag_order(lags: int, n_regions: int, time, window) -> None:
-    """Raise, before any lag column is built, the error _block_design gives
-    when no row outlives the lag order: the first difference takes one
-    quarter and the lags the rest. An empty window is reported first."""
-    if lags >= len(time) - 1:
-        n_window = len(tuple(time)[window_slice(time, window)])
-        raise SampleError(_NO_ROWS.format(n_regions * n_window))
 
 
 def _block_design(y_mat, regressors, regions, time, fixed_effects=(),

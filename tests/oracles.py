@@ -8,7 +8,8 @@ zero, classical covariance, and simulation-based truths for the
 local-projection and ARDL designs. fe_panel generates the generic
 fixed-effects panel the regression tests fit, and panel_design the design
 of named series they pass to ols; with_series, panels_equal and
-design_from_matrices are the panel and design helpers only tests use.
+design_from_matrices are the panel and design helpers only tests use, and
+peak_traced the allocation probe.
 write_panel_csv is the reference panel writer: csv.writer fed one Python
 float per cell, and write_paper_claims_csvs writes through it the inputs
 of the end-to-end test of the paper's claims. shift_sum_norm,
@@ -19,6 +20,7 @@ flags excepted: the package now takes them from ols's rank rule).
 """
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,8 +300,22 @@ def design_from_matrices(y_mat, x_named, regions, time, fixed_effects=(),
     the outcome or a regressor are dropped. When no fixed effects are
     declared a constant column is appended (override with add_constant).
     """
-    return _block_design(y_mat, _regressor_block(x_named, time, window),
+    entries = [(name, np.asarray(mat, float), 0) for name, mat in x_named]
+    return _block_design(y_mat, _regressor_block(entries, time, window),
                          regions, time, fixed_effects, window, add_constant)
+
+
+def peak_traced(fn, peaks: list):
+    """fn, appending to peaks the most bytes each call held at once
+    (numpy reports its arrays to tracemalloc), also when the call raises."""
+    def call(*args):
+        tracemalloc.start()
+        try:
+            return fn(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    return call
 
 
 def panel_design(ds, outcome, regressors, fixed_effects=(),

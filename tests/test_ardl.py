@@ -18,7 +18,6 @@ from climpanel import (
 )
 from climpanel import ardl
 from climpanel.ardl import long_run_from_coefficients
-from climpanel.dataset import shift
 from climpanel.errors import (
     ClimPanelError,
     RankDeficiencyError,
@@ -26,8 +25,9 @@ from climpanel.errors import (
     SpecError,
     UnitRootError,
 )
+from climpanel.regress import _regressor_block
 from climpanel.simulate import ardl_panel
-from oracles import ardl_steady_state, with_series
+from oracles import ardl_steady_state, peak_traced, with_series
 
 
 def _sum_block(fit, var, p):
@@ -93,20 +93,15 @@ def test_constant_anomalies_rank_error():
 
 def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     ds = _four_block_panel(seed=2, n_regions=3, n_quarters=20)
-    calls = []
-
-    def counting_shift(mat, k):
-        calls.append(k)
-        return shift(mat, k)
-
-    monkeypatch.setattr(ardl, "shift", counting_shift)
+    peaks = []
+    monkeypatch.setattr(ardl, "_regressor_block",
+                        peak_traced(_regressor_block, peaks))
     spec = ARDLSpec("price", block=("b1", "b2"), p=21)
     with pytest.raises(SampleError, match=r"^no usable observations: all 60 "
                        r"rows dropped listwise$"):
         build_ardl_design(ds, spec)
     with pytest.raises(SampleError, match="all 24 rows dropped listwise"):
         build_ardl_design(ds, spec.replace(sample=("2003Q1", "2004Q4")))
-    assert calls == []
     # the outcome, every block series and the window are still checked first
     for bad, message in (
             (spec.replace(outcome="b1"),
@@ -120,7 +115,11 @@ def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     # difference takes a quarter, so no row survives
     with pytest.raises(SampleError, match="all 60 rows dropped listwise"):
         build_ardl_design(ds, spec.replace(p=19))
-    assert calls == []
+    # only the window and the lag-order calls reach the block builder, and
+    # each raised holding less than its smallest block would: 24 cells by
+    # the 59 lag columns of p = 19
+    assert len(peaks) == 4
+    assert max(peaks) < 8 * 24 * 59
 
 
 def test_unknown_fixed_effect_is_a_spec_error():

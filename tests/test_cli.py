@@ -801,6 +801,14 @@ _OUT_OF_RANGE_MESSAGES = {
                                            "twice",
     "lp.shocks=temperature_anom_m{m},temperature_anom_m2":
         "[lp] shocks (with {m} = 2): lists 'temperature_anom_m2' twice",
+    "input.region_col=year":
+        "[input] region_col, year_col and quarter_col: region, year and "
+        "quarter must name three different columns, got ('year', 'year', "
+        "'quarter')",
+    "input.quarter_col=year":
+        "[input] region_col, year_col and quarter_col: region, year and "
+        "quarter must name three different columns, got ('region', 'year', "
+        "'year')",
 }
 
 
@@ -837,6 +845,9 @@ _OUT_OF_RANGE_MESSAGES = {
     ("stats", "input.climate=data\0climate.csv"),
     ("stats", "output.dir=o\0ut"),
     ("stats", "--out=o\0ut"),
+    # every command builds [input], so simulate rejects it too
+    ("simulate", "input.region_col=year"),
+    ("stats", "input.quarter_col=year"),
 ])
 def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
                                           command, setting):
@@ -859,6 +870,32 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert _OUT_OF_RANGE_MESSAGES.get(setting, "") in err
+
+
+@pytest.mark.parametrize("setting", [
+    "lp.horizons=-2", "lp.lags=-1", "lp.level=1", "lp.bandwidth=-1",
+    "ardl.p=-1", "ardl.bandwidth=-1", "input.region_col=year",
+])
+def test_config_error_comes_before_any_data_error(workspace, tmp_path,
+                                                  capsys, setting):
+    # the library specs hold these rules, and the config still applies them
+    # before any data is read: the missing climate file is never opened
+    target, value = setting.split("=")
+    section, key = target.split(".")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG.format(data=workspace["data"],
+                                          out=tmp_path / "o"))
+    parser.set("input", "climate", str(tmp_path / "missing.csv"))
+    cfg = tmp_path / "cfg.ini"
+    command = "stats" if section == "input" else section
+    for change, code, start in ((None, 2, "data error: "),
+                                (value, 1, f"config error: [{section}] {key}")):
+        if change is not None:
+            parser.set(section, key, change)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main([command, "--config", str(cfg)]) == code
+        assert capsys.readouterr().err.startswith(start)
 
 
 @pytest.mark.parametrize("pattern", [
@@ -932,8 +969,8 @@ def test_repeated_key_column_exit_1(workspace, tmp_path, capsys, key,
                    encoding="utf-8")
     assert main(["stats", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(
-        "config error: region, year and quarter must name three different "
-        "columns")
+        "config error: [input] region_col, year_col and quarter_col: region, "
+        "year and quarter must name three different columns")
 
 
 @pytest.mark.parametrize("damage", ["missing", "directory", "not-utf8",

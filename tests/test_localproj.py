@@ -30,6 +30,7 @@ from climpanel.simulate import lp_panel
 from oracles import (
     dk_double_loop,
     lp_true_cumulative_response,
+    peak_traced,
     with_series,
 )
 
@@ -394,9 +395,9 @@ def test_sample_groups_are_fitted_one_after_another(monkeypatch):
     assert _sample_groups(ds, spec) == [[0, 2], [1]]
     built = []
 
-    def counting_block(x_named, time, window):
-        built.append(tuple(name for name, _ in x_named))
-        return _regressor_block(x_named, time, window)
+    def counting_block(entries, time, window):
+        built.append(tuple(name for name, _, _ in entries))
+        return _regressor_block(entries, time, window)
 
     monkeypatch.setattr(localproj, "_regressor_block", counting_block)
     localproj._regressors.cache_clear()
@@ -453,19 +454,15 @@ def test_group_that_cannot_be_built_fails_each_shock_alike(monkeypatch,
 
 def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     ds = lp_panel(n_regions=3, n_quarters=20, seed=2)
-    calls = []
-
-    def counting_shift(mat, k):
-        calls.append(k)
-        return shift(mat, k)
-
-    monkeypatch.setattr(localproj, "shift", counting_shift)
+    peaks = []
+    monkeypatch.setattr(localproj, "_regressor_block",
+                        peak_traced(_regressor_block, peaks))
+    localproj._regressors.cache_clear()
     spec = LPSpec("price", ("shock",), horizons=(0, 1), lags=21)
     with pytest.raises(SampleError, match=r"^no usable observations: all 60 "
                        r"rows dropped listwise$"):
         build_lp_design(ds, spec, 0)
     (res,) = estimate_irf(ds, spec.replace(sample=("2003Q1", "2004Q4")))
-    assert calls == []
     assert [f.message for f in res.failures] == 2 * [
         "SampleError: no usable observations: all 24 rows dropped listwise"]
     # the outcome, the shocks and the window are still checked first
@@ -481,4 +478,8 @@ def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     # difference takes a quarter, so no row survives
     with pytest.raises(SampleError, match="all 60 rows dropped listwise"):
         build_lp_design(ds, spec.replace(lags=19), 0)
-    assert calls == []
+    # only the window and the lag-order calls (one per horizon) reach the
+    # block builder, and each raised holding less than its smallest block
+    # would: 24 cells by the shock and 19 lag columns of lags = 19
+    assert len(peaks) == 5
+    assert max(peaks) < 8 * 24 * 20
