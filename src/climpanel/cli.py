@@ -113,6 +113,11 @@ class InputConfig(Record):
                  f"{self.start} > {self.end}")
         _spec_rules("[input] region_col, year_col and quarter_col:",
                     self.schema)
+        # anomaly would write both variables' files under one set of names
+        _require(self.temperature_var != self.precipitation_var,
+                 "[input] temperature_var and precipitation_var",
+                 "must name two different columns, got "
+                 f"{(self.temperature_var, self.precipitation_var)}")
 
     def schema(self) -> PanelSchema:
         return PanelSchema(self.region_col, self.year_col, self.quarter_col,
@@ -479,22 +484,20 @@ def _cmd_anomaly(cfg: RunConfig) -> None:
     ds = _attach_all(cfg, _load_climate(cfg), cfg.anomaly.m,
                      cfg.anomaly.seasonal)
     out = _out_dir(cfg)
-    written = []
+    files = {}
     for var, polarities in _climate_vars(cfg):
         for m in cfg.anomaly.m:
             norm, *derived = derived_names(var, m, polarities,
                                            cfg.anomaly.seasonal)
-            files = {f"anomaly_{var}_m{m}.csv": derived,
-                     f"norms_audit_{var}_m{m}.csv": [var, norm, derived[0]]}
-            for name, series in files.items():
-                write_panel(subset(ds, series), out / name, cfg.input.schema(),
-                            header_comments=_header(cfg))
-                written.append(name)
+            files[f"anomaly_{var}_m{m}.csv"] = derived
+            files[f"norms_audit_{var}_m{m}.csv"] = [var, norm, derived[0]]
+    write_panel(ds, {out / name: series for name, series in files.items()},
+                cfg.input.schema(), header_comments=_header(cfg))
     _write_run_report(cfg, "anomaly", {
         "m": ",".join(str(m) for m in cfg.anomaly.m),
-        "files": len(written),
-    }, written)
-    print(f"anomaly: wrote {len(written)} files to {out}")
+        "files": len(files),
+    }, files)
+    print(f"anomaly: wrote {len(files)} files to {out}")
 
 
 def _cmd_lp(cfg: RunConfig) -> None:
@@ -686,12 +689,12 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     ds = make[sim.kind](n_regions=sim.regions, n_quarters=sim.quarters,
                         start=sim.start, seed=sim.seed)
     if sim.kind == "climate":
-        files = {"climate.csv": subset(ds, ["temperature", "precipitation"]),
-                 "prices.csv": subset(ds, list(PRICE_COMPONENTS))}
+        files = {"climate.csv": ("temperature", "precipitation"),
+                 "prices.csv": PRICE_COMPONENTS}
     else:
-        files = {f"{sim.kind}_panel.csv": ds}
-    for name, panel in files.items():
-        write_panel(panel, out / name, header_comments=_header(cfg))
+        files = {f"{sim.kind}_panel.csv": ds.variables}
+    write_panel(ds, {out / name: series for name, series in files.items()},
+                header_comments=_header(cfg))
     _write_run_report(cfg, "simulate", {"kind": sim.kind, "seed": sim.seed},
                       files)
     print(f"simulate: wrote {', '.join(files)} to {out}")

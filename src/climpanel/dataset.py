@@ -7,9 +7,11 @@ incomplete rows listwise and never reindex.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
 import re
 import warnings
 from functools import total_ordering
@@ -541,35 +543,70 @@ def _grid_panel(names, ri, codes, lo, hi, value_pos, values, lines):
 
 def write_panel(
     ds: PanelDataset,
-    path,
+    files,
     schema: PanelSchema | None = None,
     header_comments=(),
 ) -> None:
-    """Write a panel as CSV, rows ordered by region then time.
+    """Write panel CSV files from one panel, rows ordered by region then time.
 
-    Cells follow write_csv's rule, so load_panel(write(ds)) is bitwise and
-    keeps -0.0; units go in '# unit' comments. The bytes are csv.writer's,
-    but a region's distinct values are formatted once and a row is one join.
+    files maps each path to the names of the series it holds, in column
+    order (a name listed twice is written once); a plain path is one file
+    of all of ds's series. Each file has the bytes that writing
+    subset(ds, names) alone would give, and cells follow write_csv's rule,
+    so load_panel(write(ds)) is bitwise and keeps -0.0; units go in
+    '# unit' comments. The bytes are csv.writer's, but the files are
+    written together a region at a time: the region's distinct values
+    across every written series are formatted once, and its rows go to
+    each file in one write.
     """
     schema = schema or PanelSchema()
-    names = ds.variables
-    units = [f"unit {n} = {ds.unit(n)}" for n in names if ds.unit(n)]
-    cells = np.stack([ds.series[n] for n in names], axis=-1)
-    quoted = []   # csv.writer quotes the header, then "missing," and each "region,"
+    if isinstance(files, (str, os.PathLike)):
+        files = {files: ds.variables}
+    files = {path: tuple(dict.fromkeys(names)) for path, names in files.items()}
+    # every written series once, as a column of each region's block
+    written = list(dict.fromkeys(n for names in files.values() for n in names))
+    mats = [ds.values(n) for n in written]   # raises VariableLookupError
+    column = {n: j for j, n in enumerate(written)}
+    quoted = []   # csv.writer quotes each header, then "missing," and each "region,"
     csv.writer(SimpleNamespace(write=quoted.append), lineterminator="").writerows(
-        [[schema.region, schema.year, schema.quarter, *names],
+        [*([schema.region, schema.year, schema.quarter, *names]
+           for names in files.values()),
          *([f, ""] for f in (schema.missing, *ds.regions))])
-    header, missing, *heads = quoted
-    stamps = [f"{q.year},{q.quarter}," for q in ds.time]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(comment_lines([*header_comments, *units]) + header + "\n")
-        for head, block in zip(heads, cells):   # one region's texts at a time
-            # unique bit patterns: a float unique would merge -0.0 into 0.0
-            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array(_cells(bits.view(float).tolist(), missing[:-1]),
-                            dtype=object)[inverse.reshape(block.shape)]
-            fh.writelines(f"{head}{s}{','.join(r)}\n"
-                          for s, r in zip(stamps, text.tolist()))
+    headers = quoted[:len(files)]
+    missing, *heads = quoted[len(files):]
+    stamps = [f"{q.year},{q.quarter}" for q in ds.time]
+    block = np.empty((ds.n_quarters, len(written)))
+    with contextlib.ExitStack() as stack:
+        outs = []
+        for (path, names), header in zip(files.items(), headers):
+            fh = stack.enter_context(open(path, "w", encoding="utf-8",
+                                          newline=""))
+            units = [f"unit {n} = {ds.unit(n)}" for n in names if ds.unit(n)]
+            fh.write(comment_lines([*header_comments, *units]) + header + "\n")
+            outs.append((fh, [0, *(1 + column[n] for n in names)]))
+        for i, head in enumerate(heads):   # one region at a time
+            for j, mat in enumerate(mats):
+                block[:, j] = mat[i]
+            _write_rows(outs, [head + s for s in stamps], block, missing[:-1])
+
+
+def _write_rows(outs, starts, block, missing: str) -> None:
+    """Write rows to each (file, columns) pair of outs: row t is starts[t]
+    and the texts of block[t] at the columns, each a position in block
+    plus 1 (0 is the start). Each distinct bit pattern of block is
+    formatted once; what this allocates is freed before the next call."""
+    # unique bit patterns: a float unique would merge -0.0 into 0.0
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    # _cells's rule over a list of floats at once
+    cells = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        cells[k] = missing
+    text = np.empty((len(starts), 1 + block.shape[1]), dtype=object)
+    text[:, 0] = starts
+    text[:, 1:] = np.array(cells, dtype=object)[inverse.reshape(block.shape)]
+    for fh, cols in outs:
+        fh.write("\n".join(map(",".join, text[:, cols].tolist())) + "\n")
 
 
 def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:

@@ -706,18 +706,16 @@ def test_package_import_is_lazy():
 
 # Runs `climpanel --version` the way `python -m climpanel` does, then
 # prints the OpenBLAS thread setting the run saw and whether it had to
-# load numpy after the package import
+# load numpy after the package import; the run ends the process, so an
+# exit handler prints
 MODULE_RUN = """
-import os, runpy, sys
+import atexit, os, runpy, sys
 import climpanel
 before = "numpy" in sys.modules
+atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
+                              "numpy" in sys.modules))
 sys.argv = ["climpanel", "--version"]
-try:
-    runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
-      "numpy" in sys.modules)
+runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
 
@@ -726,6 +724,47 @@ def test_entry_point_runs_openblas_on_one_thread_by_default(threads, seen):
     lines = _python("-c", MODULE_RUN, threads=threads).splitlines()
     assert lines[0] == f"climpanel, version {climpanel.__version__}"
     assert lines[-1] == f"{seen} False True"
+
+
+# Runs `python -m climpanel` with the arguments after the snippet, under an
+# exit handler registered before the run, which must still run
+MODULE_RUN_WITH_HANDLER = """
+import atexit, runpy, sys
+atexit.register(print, "exit handler ran")
+sys.argv = ["climpanel", *sys.argv[1:]]
+runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_module_run_flushes_both_pipes_and_runs_exit_handlers(workspace,
+                                                              tmp_path):
+    # the module run ends in os._exit, which drops what is still buffered;
+    # with PYTHONUNBUFFERED unset, pipes are block-buffered
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(climpanel.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    missing = tmp_path / "missing.ini"
+    missing.write_text(workspace["config"].read_text(encoding="utf-8")
+                       .replace("climate.csv", "no_such.csv"),
+                       encoding="utf-8")
+    cfg, out = str(workspace["config"]), str(tmp_path / "o")
+    for args, code, stream, start in (
+            (["-m", "climpanel", "stats", "--config", cfg, "--out", out],
+             0, "stdout", "stats: wrote "),
+            (["-m", "climpanel", "stats", "--config", cfg, "--m", "0"],
+             1, "stderr", "config error: "),
+            (["-m", "climpanel", "stats", "--config", str(missing)],
+             2, "stderr", "data error: "),
+            (["-c", MODULE_RUN_WITH_HANDLER, "stats", "--config", cfg,
+              "--out", out], 0, "stdout", "stats: wrote ")):
+        run = subprocess.run([sys.executable, *args], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == code
+        lines = getattr(run, stream).splitlines()
+        assert lines[0].startswith(start)
+        if args[0] == "-c":
+            assert lines[1:] == ["exit handler ran"]
 
 
 def test_climpanel_script_is_the_module_entry_point():
@@ -809,6 +848,9 @@ _OUT_OF_RANGE_MESSAGES = {
         "[input] region_col, year_col and quarter_col: region, year and "
         "quarter must name three different columns, got ('region', 'year', "
         "'year')",
+    "input.precipitation_var=temperature":
+        "[input] temperature_var and precipitation_var must name two "
+        "different columns, got ('temperature', 'temperature')",
 }
 
 
@@ -848,6 +890,9 @@ _OUT_OF_RANGE_MESSAGES = {
     # every command builds [input], so simulate rejects it too
     ("simulate", "input.region_col=year"),
     ("stats", "input.quarter_col=year"),
+    # one variable's anomaly files would overwrite the other's
+    ("anomaly", "input.precipitation_var=temperature"),
+    ("ardl", "input.precipitation_var=temperature"),
 ])
 def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
                                           command, setting):
@@ -875,6 +920,7 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
 @pytest.mark.parametrize("setting", [
     "lp.horizons=-2", "lp.lags=-1", "lp.level=1", "lp.bandwidth=-1",
     "ardl.p=-1", "ardl.bandwidth=-1", "input.region_col=year",
+    "input.temperature_var=precipitation",
 ])
 def test_config_error_comes_before_any_data_error(workspace, tmp_path,
                                                   capsys, setting):

@@ -621,14 +621,47 @@ def _edge_panel(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ds=_edge_panel(), missing=st.sampled_from(["", "NA", "N,A", '"']))
-def test_write_panel_writes_the_reference_bytes(ds, missing, tmp_path_factory):
+@given(ds=_edge_panel(), missing=st.sampled_from(["", "NA", "N,A", '"']),
+       data=st.data())
+def test_write_panel_writes_the_reference_bytes(ds, missing, data,
+                                                tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bytes")
     schema = PanelSchema(missing=missing)
     comments = ("climpanel test", "config sha256 0123")
     write_panel(ds, tmp / "panel.csv", schema, header_comments=comments)
     write_panel_csv(ds, tmp / "reference.csv", schema, header_comments=comments)
     assert (tmp / "panel.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+    # a copy of the first series with some signs flipped shares its cells:
+    # 0.0 beside -0.0, and NaNs of either sign with the same payloads
+    first = ds.values(ds.variables[0])
+    flip = data.draw(st.lists(st.booleans(), min_size=first.size,
+                              max_size=first.size))
+    ds = with_series(ds, "flipped copy",
+                     np.where(np.reshape(flip, first.shape), -first, first))
+    # files of one call: a series may sit in several, in any column order
+    names = st.lists(st.sampled_from(ds.variables), min_size=1, unique=True)
+    files = {tmp / f"file{k}.csv": data.draw(names)
+             for k in range(data.draw(st.integers(1, 4)))}
+    write_panel(ds, files, schema, header_comments=comments)
+    for path, series in files.items():
+        write_panel_csv(subset(ds, series), tmp / "reference.csv", schema,
+                        header_comments=comments)
+        assert path.read_bytes() == (tmp / "reference.csv").read_bytes(), series
+
+
+def test_write_panel_holds_one_region_at_a_time(tmp_path):
+    # each region's values are formatted and written before the next
+    # region's: 16 times the regions must not hold much more at once
+    peaks = []
+    write = oracles.peak_traced(write_panel, peaks)
+    for n_regions in (4, 64):
+        ds = make_panel(n_regions, n_quarters=252, seed=n_regions)
+        for k in range(6):
+            ds = with_series(ds, f"s{k}", ds.values("temp") * k - ds.values("cpi"))
+        files = {tmp_path / f"{n_regions}_{k}.csv": ds.variables[k:k + 4]
+                 for k in range(5)}
+        write(ds, files)
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
