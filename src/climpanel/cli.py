@@ -4,9 +4,12 @@ Configuration is an INI-style file with flat key=value sections; unknown
 sections or keys are rejected. Identical config plus identical inputs
 produce byte-identical outputs: every emitted file carries the toolkit
 version and a hash of the resolved configuration, never a timestamp.
+Each command writes its files through a _Run and returns its summary
+line, report facts and failure lists; main writes the run report, then
+prints the summary.
 
-Exit codes: 0 success, 1 usage/config, 2 data validation, 3 estimation
-failure in every cell.
+Exit codes: 0 success, 1 usage/config or a stdout that cannot be written,
+2 data validation, 3 estimation failure in every cell.
 """
 from __future__ import annotations
 
@@ -40,9 +43,10 @@ from .errors import (
     DataValidationError,
     EstimationError,
     SpecError,
+    describe,
 )
 from .localproj import LPSpec, estimate_irf
-from .regress import HACSpec, significance_stars
+from .regress import HACSpec, check_fixed_effects, significance_stars
 from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
 
 
@@ -155,8 +159,7 @@ class LPConfig(Record):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
         _parse(_each_once, names, f"[lp] shocks (with {{m}} = {self.m})")
-        _require(set(self.fixed_effects) <= {"region", "time"},
-                 "[lp] fixed_effects", "may name region and time")
+        _spec_rules("[lp]", check_fixed_effects, self.fixed_effects)
         _spec_rules("[lp]", self.spec, "")
 
     def shock_names(self) -> tuple[str, ...]:
@@ -395,133 +398,151 @@ def _header(cfg: RunConfig, units: dict[str, str] | None = None) -> list[str]:
     return lines
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {str(out)!r}: "
-                          f"{exc.strerror}") from None
-    return out
+class _Run:
+    """A command's output directory and the files it has written there, in
+    order; each write call writes its files and records their names."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.out, self.written = cfg, Path(cfg.out_dir), []
+
+    def mkdir(self) -> None:
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory "
+                              f"{str(self.out)!r}: {exc.strerror}") from None
+
+    def csv(self, name: str, units: dict, header, rows) -> None:
+        _write_csv(self.out / name, _header(self.cfg, units), header, rows)
+        self.written.append(name)
+
+    def panels(self, ds: PanelDataset, files: dict, schema=None) -> None:
+        """files maps each file name to its series; one write_panel call."""
+        write_panel(ds, {self.out / name: cols for name, cols in files.items()},
+                    schema, header_comments=_header(self.cfg))
+        self.written += files
+
+    def text(self, name: str, text: str) -> None:
+        (self.out / name).write_text(text, encoding="utf-8")
+        self.written.append(name)
+
+    def report(self, command: str, facts: dict, failures: dict) -> None:
+        """run_report_<command>.txt: one 'name: value' line per fact (after
+        the command, version and config hash), the files written, then each
+        nonempty failure list under its heading. A 'files' fact (the file
+        count) heads the file list in place of the bare 'files:' line."""
+        facts = {"command": command, "climpanel": __version__,
+                 "config": self.cfg.hash, **facts}
+        lines = [f"{name}: {value}" for name, value in facts.items()]
+        if "files" not in facts:
+            lines.append("files:")
+        lines += [f"  {name}" for name in self.written]
+        for heading, items in failures.items():
+            if items:
+                lines += [f"{heading}:", *(f"  {item}" for item in items)]
+        self.text(f"run_report_{command}.txt",
+                  "".join(line + "\n" for line in lines))
 
 
-def _write_run_report(cfg: RunConfig, command: str, facts: dict, written,
-                      failures: dict | None = None) -> None:
-    """run_report_<command>.txt: one 'name: value' line per fact (after
-    the command, version and config hash), the files written, then each
-    nonempty failure list under its heading. A 'files' fact (the file
-    count) heads the file list in place of the bare 'files:' line."""
-    facts = {"command": command, "climpanel": __version__,
-             "config": cfg.hash, **facts}
-    lines = [f"{name}: {value}" for name, value in facts.items()]
-    if "files" not in facts:
-        lines.append("files:")
-    lines += [f"  {name}" for name in written]
-    for heading, items in (failures or {}).items():
-        if items:
-            lines += [f"{heading}:", *(f"  {item}" for item in items)]
-    path = Path(cfg.out_dir) / f"run_report_{command}.txt"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _cells(command: str, run: _Run, estimated: int, failed: list) -> tuple:
+    """lp's and ardl's summary line and 'cells' fact. If every cell failed,
+    an EstimationError with their count and only the first cell's message."""
+    n_cells = estimated + len(failed)
+    if not estimated:
+        raise EstimationError(f"all {n_cells} {command.upper()} cells "
+                              f"failed; the first: {failed[0]}")
+    return (f"{command}: {estimated}/{n_cells} cells estimated, "
+            f"outputs in {run.out}",
+            {"cells": f"{n_cells} attempted, {estimated} estimated, "
+                      f"{len(failed)} failed"})
 
 
-def _window(cfg: RunConfig, ds: PanelDataset):
-    if cfg.input.start is None and cfg.input.end is None:
-        return None
-    start = cfg.input.start or str(ds.time[0])
-    end = cfg.input.end or str(ds.time[-1])
-    return (start, end)
+# [input] path key -> what its file holds
+_INPUTS = {"climate": "climate", "prices": "price"}
 
 
-def _load_climate(cfg: RunConfig) -> PanelDataset:
-    if not cfg.input.climate:
-        raise ConfigError("[input] climate: path to the climate CSV is required")
-    return load_panel(cfg.input.climate, cfg.input.schema())
+def _load(cfg: RunConfig, keys=None) -> PanelDataset:
+    """The panel of the [input] files named by keys (None: those set, at
+    least one), every path checked before any file is read. With both, the
+    climate file fixes the region order, so the price file may list its
+    regions in any order; the price series still come first."""
+    inp = cfg.input
+    if keys is None:
+        keys = [key for key in _INPUTS if getattr(inp, key)]
+        _require(keys, "[input] climate or prices", "path is required")
+    for key in keys:
+        _require(getattr(inp, key), f"[input] {key}:",
+                 f"path to the {_INPUTS[key]} CSV is required")
+    schema = inp.schema()
+    panels = [load_panel(getattr(inp, key), schema) for key in keys]
+    if len(panels) == 1:
+        return panels[0]
+    climate, prices = panels
+    return subset(merge_panels(climate, prices),
+                  prices.variables + climate.variables)
 
 
-def _load_merged(cfg: RunConfig) -> PanelDataset:
-    ds = _load_climate(cfg)
-    if not cfg.input.prices:
-        raise ConfigError("[input] prices: path to the price CSV is required")
-    prices = load_panel(cfg.input.prices, cfg.input.schema())
-    # the climate file fixes the region order, so the price file may list
-    # its regions in any order without changing a result; the price series
-    # still come first
-    merged = merge_panels(ds, prices)
-    return subset(merged, prices.variables + ds.variables)
-
-
-def _all_failed(kind: str, failures: list[str]) -> EstimationError:
-    """The error for a run in which every cell failed: their count and the
-    first cell's message, which alone can name every series of the panel."""
-    return EstimationError(f"all {len(failures)} {kind} cells failed; "
-                           f"the first: {failures[0]}")
-
-
-def _climate_vars(cfg: RunConfig):
-    """(climate variable, its seasonal polarities) pairs."""
-    return ((cfg.input.temperature_var, ("hot", "cold")),
-            (cfg.input.precipitation_var, ("wet", "dry")))
-
-
-def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool) -> PanelDataset:
-    for var, polarities in _climate_vars(cfg):
+def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,
+                files: dict | None = None) -> PanelDataset:
+    """ds with both climate variables' anomaly series for each window in
+    ms; files, if given, gets each (variable, window)'s anomaly and norms
+    audit file names mapped to their series."""
+    for var, polarities in ((cfg.input.temperature_var, ("hot", "cold")),
+                            (cfg.input.precipitation_var, ("wet", "dry"))):
         for m in ms:
             ds = attach_anomaly_features(
-                ds, var, m,
-                mode=cfg.anomaly.mode,
-                polarities=polarities,
-                seasonal=seasonal,
-                sign_conditioned=cfg.anomaly.sign_conditioned,
-            )
+                ds, var, m, cfg.anomaly.mode, polarities, seasonal,
+                sign_conditioned=cfg.anomaly.sign_conditioned)
+            if files is not None:
+                norm, *derived = derived_names(var, m, polarities, seasonal)
+                files[f"anomaly_{var}_m{m}.csv"] = derived
+                files[f"norms_audit_{var}_m{m}.csv"] = [var, norm, derived[0]]
     return ds
 
 
+def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
+    """lp's or ardl's merged panel, with the anomaly series for the windows
+    ms, and its [input] sample window (None: every quarter)."""
+    _require(getattr(cfg, section).outcomes, f"[{section}] outcomes:",
+             "at least one outcome is required")
+    ds = _attach_all(cfg, _load(cfg, ("climate", "prices")), ms, seasonal)
+    if cfg.input.start is None and cfg.input.end is None:
+        return ds, None
+    return ds, (cfg.input.start or str(ds.time[0]),
+                cfg.input.end or str(ds.time[-1]))
+
+
 # ---------------------------------------------------------------------------
-# Command bodies
+# Command bodies: each reads its inputs, writes its files through run and
+# returns its summary line, its run report facts and its failure lists
 # ---------------------------------------------------------------------------
 
-def _cmd_anomaly(cfg: RunConfig) -> None:
-    ds = _attach_all(cfg, _load_climate(cfg), cfg.anomaly.m,
-                     cfg.anomaly.seasonal)
-    out = _out_dir(cfg)
+def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
     files = {}
-    for var, polarities in _climate_vars(cfg):
-        for m in cfg.anomaly.m:
-            norm, *derived = derived_names(var, m, polarities,
-                                           cfg.anomaly.seasonal)
-            files[f"anomaly_{var}_m{m}.csv"] = derived
-            files[f"norms_audit_{var}_m{m}.csv"] = [var, norm, derived[0]]
-    write_panel(ds, {out / name: series for name, series in files.items()},
-                cfg.input.schema(), header_comments=_header(cfg))
-    _write_run_report(cfg, "anomaly", {
-        "m": ",".join(str(m) for m in cfg.anomaly.m),
-        "files": len(files),
-    }, files)
-    print(f"anomaly: wrote {len(files)} files to {out}")
+    ds = _attach_all(cfg, _load(cfg, ("climate",)), cfg.anomaly.m,
+                     cfg.anomaly.seasonal, files)
+    run.mkdir()
+    run.panels(ds, files, cfg.input.schema())
+    return (f"anomaly: wrote {len(files)} files to {run.out}",
+            {"m": ",".join(str(m) for m in cfg.anomaly.m),
+             "files": len(files)}, {})
 
 
-def _cmd_lp(cfg: RunConfig) -> None:
-    if not cfg.lp.outcomes:
-        raise ConfigError("[lp] outcomes: at least one outcome is required")
-    ds = _attach_all(cfg, _load_merged(cfg), [cfg.lp.m], seasonal=True)
-    shocks = cfg.lp.shock_names()
-    window = _window(cfg, ds)
-    out = _out_dir(cfg)
-
+def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
+    ds, window = _estimation_panel(cfg, "lp", [cfg.lp.m], seasonal=True)
+    run.mkdir()
     # every shock of an outcome is estimated in one call, which fits the
     # shocks sharing a sample together; files and reports stay shock-major
     by_cell = {}
     for outcome in cfg.lp.outcomes:
         for res in estimate_irf(ds, cfg.lp.spec(outcome, window)):
             by_cell[(res.shock, outcome)] = res
-    cell_failures = []
-    horizon_failures = []
-    written = []   # one file per estimated cell, then irf_table.csv
+    cell_failures, horizon_failures = [], []
     table = []   # irf_table.csv rows
     units = {"horizon": "quarters",
              "estimate": "log change of outcome per unit shock",
              "se": "same as estimate", "lo": "band lower", "hi": "band upper"}
-    for shock in shocks:
+    for shock in cfg.lp.shock_names():
         for outcome in cfg.lp.outcomes:
             res = by_cell[(shock, outcome)]
             cell = f"shock={shock} outcome={outcome}"
@@ -533,35 +554,19 @@ def _cmd_lp(cfg: RunConfig) -> None:
             rows = [[r.horizon, r.estimate, r.se, r.band[0], r.band[1], r.nobs,
                      significance_stars(r.estimate, r.se)]
                     for r in res.responses]
-            path = out / f"irf_{shock}__{outcome}.csv"
-            _write_csv(
-                path, _header(cfg, units),
-                ["horizon", "estimate", "se", "lo", "hi", "nobs", "stars"],
-                rows,
-            )
-            written.append(path.name)
+            run.csv(f"irf_{shock}__{outcome}.csv", units,
+                    ["horizon", "estimate", "se", "lo", "hi", "nobs", "stars"],
+                    rows)
             table += [[shock, outcome, h, est, se, stars]
                       for h, est, se, _, _, _, stars in rows]
-    if not written:
-        raise _all_failed("LP", cell_failures)
-    estimated = len(written)
+    summary, facts = _cells("lp", run, len(run.written), cell_failures)
     # the combined table is keyed (shock, outcome, horizon)
     table.sort(key=lambda row: row[:3])
-    table_path = out / "irf_table.csv"
-    _write_csv(
-        table_path, _header(cfg, units),
-        ["shock", "outcome", "horizon", "estimate", "se", "stars"], table,
-    )
-    written.append(table_path.name)
-    n_cells = len(shocks) * len(cfg.lp.outcomes)
-    _write_run_report(cfg, "lp", {
-        "cells": f"{n_cells} attempted, {estimated} estimated, "
-                 f"{len(cell_failures)} failed",
-        "horizon failures": len(horizon_failures),
-    }, written, {"failed cells": cell_failures,
-                 "failed horizons": horizon_failures})
-    print(f"lp: {estimated}/{n_cells} cells estimated, "
-          f"outputs in {out}")
+    run.csv("irf_table.csv", units,
+            ["shock", "outcome", "horizon", "estimate", "se", "stars"], table)
+    return (summary, {**facts, "horizon failures": len(horizon_failures)},
+            {"failed cells": cell_failures,
+             "failed horizons": horizon_failures})
 
 
 def _longrun_label(variable: str, m: int) -> str:
@@ -592,15 +597,11 @@ def _longrun_text(outcome: str, tables) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_ardl(cfg: RunConfig) -> None:
-    if not cfg.ardl.outcomes:
-        raise ConfigError("[ardl] outcomes: at least one outcome is required")
-    ds = _attach_all(cfg, _load_merged(cfg), cfg.ardl.m, seasonal=False)
-    window = _window(cfg, ds)
+def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
+    ds, window = _estimation_panel(cfg, "ardl", cfg.ardl.m, seasonal=False)
     # one long-run table per (outcome, m) cell, m ascending within each
     # outcome; a failing cell is recorded and the rest still estimated
-    tables = []
-    failed = []
+    tables, failed = [], []
     for outcome in cfg.ardl.outcomes:
         for m in sorted(cfg.ardl.m):
             block = ardl.default_block(cfg.input.temperature_var,
@@ -609,81 +610,48 @@ def _cmd_ardl(cfg: RunConfig) -> None:
             try:
                 tables.append(ardl.estimate_ardl(ds, spec).table)
             except ClimPanelError as exc:
-                failed.append(f"{outcome}/m={m}: {type(exc).__name__}: {exc}")
-    if not tables:
-        raise _all_failed("ARDL", failed)
-    out = _out_dir(cfg)
-    written = []
+                failed.append(f"{outcome}/m={m}: {describe(exc)}")
+    summary, facts = _cells("ardl", run, len(tables), failed)
+    run.mkdir()
     units = {"theta": "log change per unit of the block variable",
              "annualized": "theta * 2/(m+1)"}
-    table_path = out / "longrun_table.csv"
-    _write_csv(
-        table_path, _header(cfg, units),
-        ["outcome", "m", "variable", "theta", "se", "stars", "annualized",
-         "phi", "phi_se", "phi_stars", "nobs"],
-        [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta, e.se,
-          e.stars, e.annualized, t.phi, t.phi_se, t.phi_stars, t.nobs]
-         for t in tables for e in t.effects],
-    )
-    written.append(table_path.name)
+    run.csv("longrun_table.csv", units,
+            ["outcome", "m", "variable", "theta", "se", "stars", "annualized",
+             "phi", "phi_se", "phi_stars", "nobs"],
+            [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta, e.se,
+              e.stars, e.annualized, t.phi, t.phi_se, t.phi_stars, t.nobs]
+             for t in tables for e in t.effects])
+    notes = [*_header(cfg, units),
+             "standard errors in parentheses; *** 1%, ** 5%, * 10%"]
     for outcome in cfg.ardl.outcomes:
         own = [t for t in tables if t.outcome == outcome]
-        if not own:
-            continue
-        path = out / f"longrun_{outcome}.txt"
-        notes = [*_header(cfg, units),
-                 "standard errors in parentheses; *** 1%, ** 5%, * 10%"]
-        path.write_text(comment_lines(notes) + _longrun_text(outcome, own),
-                        encoding="utf-8")
-        written.append(path.name)
-    ann_path = out / "annualized_summary.csv"
-    _write_csv(
-        ann_path, _header(cfg, units),
-        ["outcome", "m", "variable", "theta", "annualized", "annualized_4dp"],
-        [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta,
-          e.annualized, f"{e.annualized:.4f}"]
-         for t in tables for e in t.effects],
-    )
-    written.append(ann_path.name)
-    n_cells = len(cfg.ardl.outcomes) * len(cfg.ardl.m)
-    _write_run_report(cfg, "ardl", {
-        "cells": f"{n_cells} attempted, {len(tables)} estimated, "
-                 f"{len(failed)} failed",
-    }, written, {"failed cells": failed})
-    print(f"ardl: {len(tables)}/{n_cells} cells estimated, "
-          f"outputs in {out}")
+        if own:
+            run.text(f"longrun_{outcome}.txt",
+                     comment_lines(notes) + _longrun_text(outcome, own))
+    run.csv("annualized_summary.csv", units,
+            ["outcome", "m", "variable", "theta", "annualized",
+             "annualized_4dp"],
+            [[t.outcome, t.m, _longrun_label(e.variable, t.m), e.theta,
+              e.annualized, f"{e.annualized:.4f}"]
+             for t in tables for e in t.effects])
+    return summary, facts, {"failed cells": failed}
 
 
-def _cmd_stats(cfg: RunConfig) -> None:
-    if cfg.input.climate and cfg.input.prices:
-        ds = _load_merged(cfg)
-    elif cfg.input.climate:
-        ds = _load_climate(cfg)
-    elif cfg.input.prices:
-        ds = load_panel(cfg.input.prices, cfg.input.schema())
-    else:
-        raise ConfigError("[input] climate or prices path is required")
+def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
+    ds = _load(cfg)
     variables = cfg.stats.variables or ds.variables
-    rows = []
-    for var in variables:
-        for s in summary_stats(ds, var):
-            rows.append([var, s.region, s.min, s.q1, s.median, s.q3, s.max,
-                         s.mean, s.sd])
-    path = _out_dir(cfg) / "summary_stats.csv"
-    units = {v: ds.unit(v) or "unknown" for v in variables}
-    _write_csv(
-        path, _header(cfg, units),
-        ["variable", "region", "min", "q1", "median", "q3", "max", "mean",
-         "sd"],
-        rows,
-    )
-    _write_run_report(cfg, "stats", {"variables": len(variables)},
-                      [path.name])
-    print(f"stats: wrote {path}")
+    rows = [[var, s.region, s.min, s.q1, s.median, s.q3, s.max, s.mean, s.sd]
+            for var in variables for s in summary_stats(ds, var)]
+    run.mkdir()
+    run.csv("summary_stats.csv", {v: ds.unit(v) or "unknown" for v in variables},
+            ["variable", "region", "min", "q1", "median", "q3", "max", "mean",
+             "sd"], rows)
+    return (f"stats: wrote {run.out / 'summary_stats.csv'}",
+            {"variables": len(variables)}, {})
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
+def _cmd_simulate(cfg: RunConfig, run: _Run) -> tuple:
+    run.mkdir()
     sim = cfg.simulate
     make = {"climate": climate_panel, "lp": lp_panel, "ardl": ardl_panel}
     ds = make[sim.kind](n_regions=sim.regions, n_quarters=sim.quarters,
@@ -693,11 +661,9 @@ def _cmd_simulate(cfg: RunConfig) -> None:
                  "prices.csv": PRICE_COMPONENTS}
     else:
         files = {f"{sim.kind}_panel.csv": ds.variables}
-    write_panel(ds, {out / name: series for name, series in files.items()},
-                header_comments=_header(cfg))
-    _write_run_report(cfg, "simulate", {"kind": sim.kind, "seed": sim.seed},
-                      files)
-    print(f"simulate: wrote {', '.join(files)} to {out}")
+    run.panels(ds, files)
+    return (f"simulate: wrote {', '.join(files)} to {run.out}",
+            {"kind": sim.kind, "seed": sim.seed}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -764,16 +730,20 @@ _EXITS = (
 
 
 def main(argv=None) -> int:
-    """Entry point mapping toolkit errors to exit codes."""
+    """Entry point mapping toolkit errors, and a stdout that cannot be
+    written (a pipe whose reader has gone), to one stderr line and a code."""
+    code, text = 0, ""   # text: stdout after what argparse prints
     try:
         args = _parser().parse_args(argv)
+        body, _ = _COMMANDS[args.command]
+        run = _Run(load_config(args.config, args.out, args.m, args.seed))
+        summary, facts, failures = body(run.cfg, run)
+        run.report(args.command, facts, failures)
+        text = summary + "\n"
     except SystemExit as exc:
         # --help and --version exit 0; argparse exits 2 on a usage error,
         # which is 1 here like every other usage/config error
-        return 1 if exc.code else 0
-    body, _ = _COMMANDS[args.command]
-    try:
-        body(load_config(args.config, args.out, args.m, args.seed))
+        code = 1 if exc.code else 0
     except ClimPanelError as exc:
         prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
                             if isinstance(exc, kind))
@@ -781,5 +751,15 @@ def main(argv=None) -> int:
         # as configparser's
         print(f"{prefix}: " + " ".join(str(exc).splitlines()),
               file=sys.stderr)
-        return code
-    return 0
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        # what is still buffered goes to os.devnull, so that no later flush
+        # reports the failure again (the SIGPIPE note of Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    return code

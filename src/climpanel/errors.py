@@ -10,6 +10,12 @@ class ClimPanelError(Exception):
     """Base class for all toolkit errors."""
 
 
+def describe(exc: Exception) -> str:
+    """A failure as the run reports and HorizonFailure name it: the error
+    class, then its message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class ConfigError(ClimPanelError):
     """Invalid or unknown configuration keys / values."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import regress  # within_transform is looked up per call, as ols does
 from ._record import Record
 from .dataset import PanelDataset, checked_log, shift
-from .errors import ClimPanelError, SpecError
+from .errors import ClimPanelError, SpecError, describe
 from .regress import (
     Design,
     HACSpec,
@@ -183,7 +183,7 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
         design = regress.within_transform(raw)
     except ClimPanelError as exc:
         # kept as text: the exception's traceback holds design blocks
-        return n * [HorizonFailure(horizon, f"{type(exc).__name__}: {exc}")]
+        return n * [HorizonFailure(horizon, describe(exc))]
     hac = _horizon_hac(spec, design, horizon)
     try:
         fit = focal_driscoll_kraay(design, n, hac)
@@ -197,7 +197,7 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
         try:
             out.append(_fit_alone(raw, spec, j, hac, horizon))
         except ClimPanelError as exc:
-            out.append(HorizonFailure(horizon, f"{type(exc).__name__}: {exc}"))
+            out.append(HorizonFailure(horizon, describe(exc)))
     return out
 
 

@@ -172,6 +172,13 @@ def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
                        minlength=n_groups * m).reshape(n_groups, m)
 
 
+def check_fixed_effects(dims) -> None:
+    """SpecError unless dims names only region and time, each at most once."""
+    if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
+        raise SpecError("fixed_effects may name region and time, each once, "
+                        f"got {dims}")
+
+
 def within_transform(design: Design) -> Design:
     """Absorb declared fixed effects by demeaning.
 
@@ -191,9 +198,7 @@ def within_transform(design: Design) -> Design:
     dims = design.fixed_effects
     if not dims:
         return design.replace(demeaned=True, absorbed=0)
-    if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
-        raise SpecError("fixed_effects may name region and time, each once, "
-                        f"got {dims}")
+    check_fixed_effects(dims)
     if not design.nobs:
         raise SampleError("no observations to absorb")
 

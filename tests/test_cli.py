@@ -29,7 +29,7 @@ from climpanel import (
     ols,
     with_driscoll_kraay,
 )
-from climpanel.cli import _attach_all, _load_merged, load_config, main
+from climpanel.cli import _attach_all, _load, load_config, main
 
 
 BASE_CONFIG = """\
@@ -405,6 +405,19 @@ def test_stats_command(workspace, tmp_path):
                       "max", "mean", "sd"]
 
 
+def test_each_command_prints_its_summary_line(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    for command, line in (
+            ("simulate", f"simulate: wrote climate.csv, prices.csv to {out}"),
+            ("anomaly", f"anomaly: wrote 8 files to {out}"),
+            ("lp", f"lp: 10/10 cells estimated, outputs in {out}"),
+            ("ardl", f"ardl: 4/4 cells estimated, outputs in {out}"),
+            ("stats", f"stats: wrote {out / 'summary_stats.csv'}")):
+        assert main([command, "--config", str(workspace["config"]),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_missing_config_file(tmp_path):
     assert main(["lp", "--config", str(tmp_path / "nope.ini")]) == 1
 
@@ -560,7 +573,8 @@ def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
     assert main(["lp", "--config", str(workspace["config"]),
                  "--out", str(tmp_path / "default")]) == 0
     run = load_config(str(cfg))
-    ds = _attach_all(run, _load_merged(run), [run.lp.m], seasonal=True)
+    ds = _attach_all(run, _load(run, ("climate", "prices")), [run.lp.m],
+                     seasonal=True)
     name = "irf_temperature_spring_hot_m2__food.csv"
     rows = [l.split(",") for l in _read_lines(tmp_path / "o" / name)
             if not l.startswith("#")][1:]
@@ -767,6 +781,44 @@ def test_module_run_flushes_both_pipes_and_runs_exit_handlers(workspace,
             assert lines[1:] == ["exit handler ran"]
 
 
+@pytest.mark.parametrize("command, unbuffered", [
+    ("stats", True), ("stats", False), ("--version", False)])
+def test_closed_stdout_is_one_stderr_line_and_exit_1(workspace, tmp_path,
+                                                      command, unbuffered):
+    # a pipe whose reader has gone: an unbuffered print fails at once, a
+    # buffered one when stdout is flushed; neither may end in a traceback
+    # or in Python's own "Exception ignored" report at shutdown
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(climpanel.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = [command]
+    if command == "stats":
+        args += ["--config", str(workspace["config"]),
+                 "--out", str(tmp_path / "closed")]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "climpanel", *args],
+                             env=env, stdout=write, stderr=subprocess.PIPE,
+                             text=True)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert "Exception ignored" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: cannot write to stdout: ")
+    if command == "stats":
+        assert main(["stats", "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "open")]) == 0
+        for name in ("summary_stats.csv", "run_report_stats.txt"):
+            assert ((tmp_path / "closed" / name).read_bytes()
+                    == (tmp_path / "open" / name).read_bytes())
+
+
 def test_climpanel_script_is_the_module_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -816,13 +868,14 @@ def test_benchmark_tracer_sees_every_layer_it_wraps(workspace, tmp_path):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        for command in ("lp", "ardl"):
+        for command in ("simulate", "anomaly", "lp", "ardl", "stats"):
             assert main([command, "--config", str(workspace["config"]),
                          "--out", str(tmp_path)]) == 0
     finally:
         tracer.unpatch()
     names = {span.name for span in tracer.spans}
     assert [name for name in (
+        "dataset.load_panel", "dataset.write_panel", "climate.attach",
         "localproj.estimate_irf", "localproj.design", "ardl.estimate_ardl",
         "ardl.design", "regress.ols", "regress.absorb", "cli.write_csv")
         if name not in names] == []
@@ -851,6 +904,9 @@ _OUT_OF_RANGE_MESSAGES = {
     "input.precipitation_var=temperature":
         "[input] temperature_var and precipitation_var must name two "
         "different columns, got ('temperature', 'temperature')",
+    "lp.fixed_effects=year":
+        "[lp] fixed_effects may name region and time, each once, got "
+        "('year',)",
 }
 
 
@@ -871,6 +927,7 @@ _OUT_OF_RANGE_MESSAGES = {
     ("lp", "lp.bandwidth=-2"),
     ("lp", "lp.shocks="),
     ("lp", "lp.fixed_effects=region,region"),
+    ("lp", "lp.fixed_effects=year"),
     # every list names each entry once
     ("anomaly", "anomaly.m=3,03"),
     ("anomaly", "--m=3,3"),
@@ -920,7 +977,7 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
 @pytest.mark.parametrize("setting", [
     "lp.horizons=-2", "lp.lags=-1", "lp.level=1", "lp.bandwidth=-1",
     "ardl.p=-1", "ardl.bandwidth=-1", "input.region_col=year",
-    "input.temperature_var=precipitation",
+    "input.temperature_var=precipitation", "lp.fixed_effects=year",
 ])
 def test_config_error_comes_before_any_data_error(workspace, tmp_path,
                                                   capsys, setting):
@@ -942,6 +999,24 @@ def test_config_error_comes_before_any_data_error(workspace, tmp_path,
             parser.write(fh)
         assert main([command, "--config", str(cfg)]) == code
         assert capsys.readouterr().err.startswith(start)
+
+
+@pytest.mark.parametrize("command", ["lp", "ardl"])
+def test_missing_price_path_comes_before_the_climate_file(workspace, tmp_path,
+                                                          capsys, command):
+    # both [input] paths are checked before either file is opened
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG.format(data=workspace["data"],
+                                          out=tmp_path / "o"))
+    parser.set("input", "climate", str(tmp_path / "missing.csv"))
+    parser.remove_option("input", "prices")
+    cfg = tmp_path / "cfg.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [input] prices: path to the price CSV is required\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("pattern", [
