@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -346,7 +348,7 @@ def load_config(
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
-            read = parser.read(path, encoding="utf-8")
+            read = parser.read(path, encoding="utf-8-sig")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from None
         if not read:
@@ -732,14 +734,15 @@ _EXITS = (
 def main(argv=None) -> int:
     """Entry point mapping toolkit errors, and a stdout that cannot be
     written (a pipe whose reader has gone), to one stderr line and a code."""
-    code, text = 0, ""   # text: stdout after what argparse prints
+    code, text = 0, io.StringIO()   # stdout: argparse's text or the summary
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(text):
+            args = _parser().parse_args(argv)
         body, _ = _COMMANDS[args.command]
         run = _Run(load_config(args.config, args.out, args.m, args.seed))
         summary, facts, failures = body(run.cfg, run)
         run.report(args.command, facts, failures)
-        text = summary + "\n"
+        text.write(summary + "\n")
     except SystemExit as exc:
         # --help and --version exit 0; argparse exits 2 on a usage error,
         # which is 1 here like every other usage/config error
@@ -752,7 +755,7 @@ def main(argv=None) -> int:
         print(f"{prefix}: " + " ".join(str(exc).splitlines()),
               file=sys.stderr)
     try:
-        print(text, end="", flush=True)
+        print(text.getvalue(), end="", flush=True)
     except OSError as exc:
         # what is still buffered goes to os.devnull, so that no later flush
         # reports the failure again (the SIGPIPE note of Python's signal docs)

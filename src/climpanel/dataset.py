@@ -313,18 +313,15 @@ def comment_lines(comments) -> str:
     return "".join(f"# {c}\n" for c in comments)
 
 
-def _cells(row, missing: str) -> list:
-    """Output cells: NaN of any payload is ``missing``, a float its shortest repr."""
-    return [missing if v != v else repr(v) if isinstance(v, float) else v for v in row]
-
-
 def write_csv(path, comments, header, rows) -> None:
-    """Write '# ' comment lines, a header row and the rows, cells by _cells."""
+    """Write '# ' comment lines, a header row and the rows; a NaN cell of any
+    payload is empty, a float cell its shortest repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comment_lines(comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(_cells(row, "") for row in rows)
+        writer.writerows(["" if v != v else repr(v) if isinstance(v, float)
+                          else v for v in row] for row in rows)
 
 
 def _holes(names, ri, codes, lo, hi):
@@ -349,66 +346,82 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     ('# unit var = u' comments populate units). Identical duplicate rows are
     dropped; conflicting duplicates raise PanelIntegrityError; a missing
     (region, quarter) row raises GapError naming the holes (the first
-    max(rows read, 1000) of them) and counting them all.
+    max(rows read, 1000) of them) and counting them all. Lines may end in
+    \\n, \\r\\n or \\r; one leading byte-order mark is dropped.
 
-    A plain file is parsed column-wise by _plain_panel; any other file, and
-    every file that fails a check, is read row by row by _row_panel, the
-    one place that raises. Both give the same panel for a plain file.
+    After _header's checks, a plain file is parsed column-wise by
+    _plain_panel; any other file, and every file that fails a check, is
+    read row by row by _row_panel. Both give the same panel for a plain file.
     """
     schema = schema or PanelSchema()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # universal newlines: no "\r" reaches either reader
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    ds = _plain_panel(lines, schema)
-    return ds if ds is not None else _row_panel(path, lines, schema)
+    head = _header(path, lines, schema)
+    ds = _plain_panel(lines, head, schema)
+    return ds if ds is not None else _row_panel(path, lines, head, schema)
 
 
-# what str.strip removes from a cell: the ASCII characters, and a pattern
-# for text that is not all ASCII
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-_PADDING_RE = re.compile(r"[^\S\n]")
+def _header(path, lines, schema: PanelSchema):
+    """Find and check a panel file's header: the first line that is neither
+    blank nor a '#' comment, read by csv over such lines. Returns its index
+    in lines, the rows after it as (file line number of the row's last
+    line, cells), its cells and the (name, position) of each value column."""
+    taken = []   # the file line number of each line the reader has taken
+    reader = csv.reader(taken.append(n) or line
+                        for n, line in enumerate(lines, start=1)
+                        if line.strip() and not line.startswith("#"))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: no data rows")
+    for col in header:
+        if header.count(col) > 1:
+            raise SchemaError(f"{path}: column {col!r} appears more than once")
+    keys = (schema.region, schema.year, schema.quarter)
+    for col in keys:
+        if col not in header:
+            raise SchemaError(f"{path}: missing required column {col!r}")
+    value_pos = [(c, j) for j, c in enumerate(header) if c not in keys]
+    if not value_pos:
+        raise SchemaError(f"{path}: no value columns")
+    return taken[0] - 1, ((taken[-1], row) for row in reader), header, value_pos
 
 
-def _plain_panel(lines, schema: PanelSchema) -> PanelDataset | None:
+# what str.strip removes, but the line end and the space
+_BLANKS = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f"
+           "\u3000" + "".join(map(chr, range(0x2000, 0x200b))))
+
+
+def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     """The panel of a plain file, parsed by one np.loadtxt call; None for
     any other file.
 
-    A file is plain when comment and blank lines come only above the
-    header; the header and data lines hold no quote, carriage return, NUL
-    or whitespace other than their line ends, so no cell needs stripping;
-    the header names each column once, the key columns among them; there
-    is a data row and each is as wide as the header; loadtxt reads every
-    year and quarter as an integer and every value cell as a finite number
-    or the missing token (a token holding a comma or newline is not plain);
-    quarters are in 1..4; and each (region, quarter) of a hole-free grid
-    has exactly one row. On such a file _row_panel raises nothing and reads
-    the same numbers, which float() and loadtxt parse alike.
+    Plain means: no comment or blank line below the header; no quote, NUL
+    or whitespace from the header on but line ends and inner spaces of
+    region cells, so no cell needs stripping; a data row, each as wide as
+    the header, whose years and quarters loadtxt reads as integers and
+    value cells as finite numbers or the missing token (a token holding a
+    comma or newline is not plain); quarters in 1..4; and one row for each
+    (region, quarter) of a hole-free grid. _row_panel then raises nothing
+    and reads the same numbers, which float() and loadtxt parse alike.
     """
-    head = 0
-    while head < len(lines) and (lines[head].startswith("#")
-                                 or not lines[head].strip()):
-        head += 1
-    text = "".join(lines[head:])   # the header line, then the data lines
+    at, _, header, value_pos = head
+    text = "".join(lines[at:])   # the header line, then the data lines
     missing = schema.missing
-    if (not text or '"' in text or "\r" in text or "\0" in text
-            or "\n#" in text or "\n\n" in text
-            or (any(c in text for c in _PADDING) if text.isascii()
-                else _PADDING_RE.search(text))
+    if ('"' in text or "\0" in text or "\n#" in text or "\n\n" in text
+            or any(c in text for c in _BLANKS)
             or "," in missing or "\n" in missing):
-        return None
-    header = lines[head].rstrip("\n").split(",")
-    keys = (schema.region, schema.year, schema.quarter)
-    if len(set(header)) != len(header) or not set(keys) < set(header):
         return None
     # each cell that is the missing token becomes a nan literal other than
     # the token; the first pattern runs twice, since a match takes the
     # comma that opens the next cell
     nan = "NaN" if missing == "nan" else "nan"
-    body, n_missing = "\n" + text[len(lines[head]):] + "\n", 0
+    body, n_missing = "\n" + text[len(lines[at]):] + "\n", 0
     for a, b in ((",", ","), (",", ","), (",", "\n"), ("\n", ",")):
         n = body.count(a + missing + b)
         if n:
@@ -425,10 +438,9 @@ def _plain_panel(lines, schema: PanelSchema) -> PanelDataset | None:
                                               for j, col in enumerate(header)])
     except (ValueError, Warning):   # a bad cell or row width; no rows
         return None
-    region, year, quarter = (rows[f"c{header.index(c)}"] for c in keys)
+    region, year, quarter = (rows[f"c{header.index(c)}"] for c in kinds)
     region = region.tolist()
     names = tuple(dict.fromkeys(region))
-    value_pos = [(c, j) for j, c in enumerate(header) if c not in keys]
     values = np.stack([rows[f"c{j}"] for _, j in value_pos])
     # a token in a region cell leaves a region named nan; a nan or inf
     # literal leaves more non-finite cells than tokens
@@ -444,40 +456,27 @@ def _plain_panel(lines, schema: PanelSchema) -> PanelDataset | None:
     ri = np.fromiter(map(index.__getitem__, region), np.intp, len(rows))
     seen = np.zeros((len(names), hi - lo + 1), dtype=bool)
     seen[ri, codes - lo] = True
-    if not seen.all():   # one row per cell: a repeated key leaves a hole
+    # one row per cell, as a repeated key leaves a hole; so each region has
+    # hi - lo + 1 rows, and each space is inside a name, not at its ends
+    if not seen.all() or text.count(" ") != (hi - lo + 1) * sum(
+            name.count(" ") for name in names if name == name.strip()):
         return None
     return _grid_panel(names, ri, codes, lo, hi, value_pos, values,
-                       lines[:head])
+                       lines[:at])
 
 
-def _row_panel(path, lines, schema: PanelSchema) -> PanelDataset:
-    """load_panel's row loop: checks each row in file order and raises the
-    first error with its path:line."""
-    # (file line number, text) of each data line, header first
-    data = [(n, line) for n, line in enumerate(lines, start=1)
-            if line.strip() and not line.startswith("#")]
-    if not data:
-        raise SchemaError(f"{path}: no data rows")
-    reader = csv.reader(line for _, line in data)
-    header = next(reader)
-    for col in header:
-        if header.count(col) > 1:
-            raise SchemaError(f"{path}: column {col!r} appears more than once")
-    keys = (schema.region, schema.year, schema.quarter)
-    for col in keys:
-        if col not in header:
-            raise SchemaError(f"{path}: missing required column {col!r}")
-    value_pos = [(c, j) for j, c in enumerate(header) if c not in keys]
-    if not value_pos:
-        raise SchemaError(f"{path}: no value columns")
-    ir, iy, iq = (header.index(c) for c in keys)
+def _row_panel(path, lines, head, schema: PanelSchema) -> PanelDataset:
+    """load_panel's row loop: checks each row after the header in file
+    order and raises the first error with its path:line."""
+    _, rows, header, value_pos = head
+    ir, iy, iq = (header.index(c)
+                  for c in (schema.region, schema.year, schema.quarter))
 
     # cells are keyed by (region index, quarter code) and scattered onto
     # the grid once every row has been read
     regions: dict[str, int] = {}
     cells: dict[tuple[int, int], list[float]] = {}
-    for row in reader:
-        lineno = data[reader.line_num - 1][0]
+    for lineno, row in rows:
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: {len(row)} fields where the "
                               f"header has {len(header)}")
@@ -598,7 +597,7 @@ def _write_rows(outs, starts, block, missing: str) -> None:
     # unique bit patterns: a float unique would merge -0.0 into 0.0
     bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
     values = bits.view(float)
-    # _cells's rule over a list of floats at once
+    # write_csv's cell rule over a list of floats at once
     cells = list(map(repr, values.tolist()))
     for k in np.flatnonzero(np.isnan(values)).tolist():
         cells[k] = missing

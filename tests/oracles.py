@@ -4,8 +4,9 @@ Everything here is deliberately written as plain loops and lstsq calls so
 it shares no code path with the package: spreadsheet-style norm and anomaly
 recomputation, full dummy-variable least squares and residual projection,
 double-loop Newey-West and Driscoll-Kraay, direct-sum Driscoll-Kraay at lag
-zero, classical covariance, and simulation-based truths for the
-local-projection and ARDL designs. fe_panel generates the generic
+zero, classical covariance, simulation-based truths for the
+local-projection and ARDL designs, and the ARDL long-run standard error by
+a numerical Jacobian. fe_panel generates the generic
 fixed-effects panel the regression tests fit, and panel_design the design
 of named series they pass to ols; with_series, panels_equal and
 design_from_matrices are the panel and design helpers only tests use, and
@@ -215,6 +216,29 @@ def ardl_steady_state(phi, beta, tol=1e-14, max_iter=100000):
         if abs(hist[-1] - hist[-2]) < tol:
             return hist[-1]
     return hist[-1]
+
+
+def delta_method_numeric(coef, vcov, names, outcome, var, p, step=1e-6):
+    """The long-run effect of var, theta(coef) = sum_l beta_l / (1 -
+    sum_l phi_l) over the columns d_{var}_lag0..p and d_{outcome}_lag1..p,
+    and its delta-method standard error sqrt(J V J') with the full vcov V.
+    The Jacobian J is taken by central differences in every coefficient,
+    each stepped by step times max(1, |coefficient|)."""
+    coef = np.asarray(coef, dtype=float)
+    beta = [names.index(f"d_{var}_lag{lag}") for lag in range(p + 1)]
+    phi = [names.index(f"d_{outcome}_lag{lag}") for lag in range(1, p + 1)]
+
+    def theta(c):
+        return sum(c[i] for i in beta) / (1.0 - sum(c[i] for i in phi))
+
+    jac = np.zeros(len(coef))
+    for k in range(len(coef)):
+        h = step * max(1.0, abs(coef[k]))
+        up, down = coef.copy(), coef.copy()
+        up[k] += h
+        down[k] -= h
+        jac[k] = (theta(up) - theta(down)) / (2 * h)
+    return theta(coef), math.sqrt(jac @ np.asarray(vcov) @ jac)
 
 
 def quantile_type7(values, p):

@@ -27,6 +27,7 @@ from climpanel.errors import (
 )
 from climpanel.regress import _regressor_block
 from climpanel.simulate import ardl_panel
+import oracles
 from oracles import ardl_steady_state, peak_traced, with_series
 
 
@@ -206,11 +207,19 @@ def test_reparameterization_scaling():
 
 
 def test_unit_root_guard():
-    names = ("d_y_lag1", "d_x_lag0")
-    coef = np.array([1.0, 0.3])
-    vcov = np.eye(2) * 1e-4
-    with pytest.raises(UnitRootError):
-        long_run_from_coefficients(coef, vcov, names, "y", ("x",), 1, 30, 100)
+    names = ("d_y_lag1", "d_x_lag0", "d_x_lag1")
+    vcov = np.eye(3) * 1e-4
+    # the floor on |1 - sum(phi)| is 1e-6: pinned on either side of it
+    for phi_sum in (1.0, 1.0 - 0.5e-6, 1.0 + 0.5e-6):
+        with pytest.raises(UnitRootError):
+            long_run_from_coefficients(np.array([phi_sum, 0.3, 0.1]), vcov,
+                                       names, "y", ("x",), 1, 30, 100)
+    for phi_sum in (1.0 - 2e-6, 1.0 + 2e-6):
+        table = long_run_from_coefficients(np.array([phi_sum, 0.3, 0.1]),
+                                           vcov, names, "y", ("x",), 1, 30,
+                                           100)
+        assert table.effects[0].theta == pytest.approx(0.4 / (1.0 - phi_sum),
+                                                       rel=1e-9)
 
 
 def test_phi_se_from_joint_covariance():
@@ -227,6 +236,40 @@ def test_phi_se_from_joint_covariance():
     g = np.array([theta / 0.7, 1 / 0.7, 1 / 0.7])
     assert table.effects[0].se == pytest.approx(
         math.sqrt(g @ vcov @ g), rel=1e-12)
+
+
+def test_long_run_se_matches_the_numerical_jacobian():
+    # a full vcov with nonzero cov(phi, beta) and theta far from 0: the
+    # gradient's sign on phi no longer cancels in g'Vg
+    names = ("d_y_lag1", "d_y_lag2", "d_x_lag0", "d_x_lag1", "d_x_lag2",
+             "d_z_lag0", "d_z_lag1", "d_z_lag2", "const")
+    rng = np.random.default_rng(11)
+    coef = np.array([0.3, 0.15, 0.4, -0.1, 0.25, -0.6, 0.2, 0.05, 1.0])
+    a = rng.normal(0, 0.05, (len(names), len(names)))
+    vcov = a @ a.T + np.eye(len(names)) * 1e-4
+    table = long_run_from_coefficients(coef, vcov, names, "y", ("x", "z"), 2,
+                                       30, 200)
+    for effect in table.effects:
+        theta, se = oracles.delta_method_numeric(coef, vcov, names, "y",
+                                                 effect.variable, 2)
+        assert effect.theta == pytest.approx(theta, rel=1e-12)
+        assert effect.se == pytest.approx(se, rel=1e-7)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_fitted_long_run_se_matches_the_numerical_jacobian(p):
+    ds = _four_block_panel(seed=p, n_regions=6, n_quarters=80)
+    spec = ARDLSpec("price", block=("driver", "b1"), p=p, m=30)
+    res = estimate_ardl(ds, spec)
+    for fit in (res.fit, with_driscoll_kraay(res.fit, HACSpec(None))):
+        table = long_run_from_coefficients(fit.coef, fit.vcov, fit.names,
+                                           "price", spec.block, p, 30,
+                                           fit.nobs)
+        for effect in table.effects:
+            theta, se = oracles.delta_method_numeric(
+                fit.coef, fit.vcov, fit.names, "price", effect.variable, p)
+            assert effect.theta == pytest.approx(theta, rel=1e-12)
+            assert effect.se == pytest.approx(se, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

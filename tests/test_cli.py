@@ -782,7 +782,8 @@ def test_module_run_flushes_both_pipes_and_runs_exit_handlers(workspace,
 
 
 @pytest.mark.parametrize("command, unbuffered", [
-    ("stats", True), ("stats", False), ("--version", False)])
+    ("stats", True), ("stats", False), ("--version", False),
+    ("--version", True), ("--help", False), ("--help", True)])
 def test_closed_stdout_is_one_stderr_line_and_exit_1(workspace, tmp_path,
                                                       command, unbuffered):
     # a pipe whose reader has gone: an unbuffered print fails at once, a
@@ -1165,6 +1166,27 @@ def test_config_paths_resolve_against_the_config_file(workspace, tmp_path,
            for path in (tmp_path / "proj" / "out", sub / "here",
                         tmp_path / "cwd")}
     assert len(got) == 1
+
+
+def test_spreadsheet_exports_run_as_their_plain_copies(workspace, tmp_path,
+                                                      monkeypatch):
+    # a config and panel files with a byte-order mark and CRLF line ends,
+    # as spreadsheet tools write them, give the plain copies' outputs
+    texts = [(workspace["data"] / name).read_text(encoding="utf-8")
+             for name in ("climate.csv", "prices.csv")]
+    for name in ("plain", "exported"):
+        _project(tmp_path / name, *texts)
+    for path in ("run.ini", "data/climate.csv", "data/prices.csv"):
+        path = tmp_path / "exported" / path
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + path.read_bytes().replace(b"\n", b"\r\n"))
+    got = []
+    for name in ("plain", "exported"):
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["ardl", "--config", "run.ini"]) == 0
+        assert main(["stats", "--config", "run.ini"]) == 0
+        got.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+    assert got[0] == got[1]
 
 
 def _pipeline_outputs(climate, prices):

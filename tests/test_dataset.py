@@ -1,5 +1,7 @@
 """Panel container, CSV round trips, log changes and summaries."""
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,14 @@ from climpanel import (
     summary_stats,
     write_panel,
 )
-from climpanel.dataset import _plain_panel, _row_panel, checked_log, shift
+from climpanel.dataset import (
+    _BLANKS,
+    _header,
+    _plain_panel,
+    _row_panel,
+    checked_log,
+    shift,
+)
 from climpanel.errors import (
     DataValidationError,
     EmptyPanelError,
@@ -668,15 +677,21 @@ def test_write_panel_holds_one_region_at_a_time(tmp_path):
 # the column reader against the row loop
 # ---------------------------------------------------------------------------
 
+def _lines(path):
+    """A panel file's lines, decoded the way load_panel decodes them."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.readlines()
+
+
 def _both_readers(path, schema=None):
     """(load_panel's result, the row loop's alone): each a panel, or the
     class and message of what it raised."""
     schema = schema or PanelSchema()
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    lines = _lines(path)
     outcomes = []
     for load in (lambda: load_panel(path, schema),
-                 lambda: _row_panel(path, lines, schema)):
+                 lambda: _row_panel(path, lines, _header(path, lines, schema),
+                                    schema)):
         try:
             outcomes.append(load())
         except Exception as exc:
@@ -707,7 +722,9 @@ def _grid_text(draw):
     """A full region x quarter grid written as CSV, then perhaps shuffled,
     with a row dropped or repeated, a year or quarter damaged, or a comment
     or blank line put in."""
-    regions = draw(st.lists(st.sampled_from(["a", "b", "MX01", "nan", "é"]),
+    regions = draw(st.lists(st.sampled_from(["a", "b", "MX01", "nan", "é",
+                                             "Nuevo León", "Ciudad de México",
+                                             "San  Luis", " c", "d ", "e\tf"]),
                             min_size=1, max_size=3, unique=True))
     start = draw(st.integers(1990, 2010)) * 4 + draw(st.integers(0, 3))
     n = draw(st.integers(1, 6))
@@ -745,15 +762,20 @@ def _grid_text(draw):
 def test_load_panel_agrees_with_the_row_loop(data, tmp_path_factory):
     """load_panel gives the row loop's panel bit for bit, or raises what it
     raises, on near-schema text, on full grids of edge cells and on
-    write_panel's own files."""
+    write_panel's own files, with any line end and with or without a
+    byte-order mark."""
     schema = PanelSchema(missing=data.draw(st.sampled_from(["", "NA", "nan"])))
     path = tmp_path_factory.mktemp("diff") / "panel.csv"
     source = data.draw(st.sampled_from(["text", "grid", "written"]))
     if source == "written":
         write_panel(data.draw(_panel()), path, schema)
+        text = path.read_text(encoding="utf-8")
     else:
         text = data.draw(_panel_text() if source == "text" else _grid_text())
-        path.write_text(text, encoding="utf-8")
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    path.write_text(bom + text.replace("\n", end), encoding="utf-8",
+                    newline="")
     _assert_same_outcome(*_both_readers(path, schema))
 
 
@@ -763,16 +785,44 @@ def test_plain_files_take_the_column_reader(tmp_path):
     mat[1, 2:4] = np.nan
     mat[0, 0] = -0.0
     ds = with_series(ds, "cpi", mat, "index")
-    for missing in ("", "NA", "nan"):
-        path = tmp_path / f"plain{missing}.csv"
+    # state names with inner spaces, as in the paper's panel
+    spaced = PanelDataset(["Nuevo León", "Baja California Sur",
+                           "Ciudad de México", "r3"], ds.time, ds.series,
+                          ds.units)
+    for missing, panel in itertools.product(("", "NA", "nan"), (ds, spaced)):
         schema = PanelSchema(missing=missing)
-        write_panel(ds, path, schema, header_comments=["made by a test"])
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-        fast = _plain_panel(lines, schema)
-        assert fast is not None, missing
-        _assert_same_outcome(fast, _row_panel(path, lines, schema))
-        assert panels_equal(fast, ds)
+        write_panel(panel, tmp_path / "lf.csv", schema,
+                    header_comments=["made by a test"])
+        text = (tmp_path / "lf.csv").read_bytes()
+        # spreadsheet exports: CRLF line ends, a byte-order mark, or both
+        (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+        (tmp_path / "bom-crlf.csv").write_bytes(
+            b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"))
+        for name in ("lf", "crlf", "bom", "bom-crlf"):
+            path = tmp_path / f"{name}.csv"
+            lines = _lines(path)
+            head = _header(path, lines, schema)
+            fast = _plain_panel(lines, head, schema)
+            assert fast is not None, (missing, name)
+            _assert_same_outcome(fast, _row_panel(path, lines, head, schema))
+            assert panels_equal(fast, panel)
+    # the rows of the row loop's table, with CRLF line ends
+    path = tmp_path / "panel.csv"
+    path.write_bytes("".join(row + "\r\n" for row in
+                             ["region,year,quarter,cpi", *_ROWS]).encode())
+    lines = _lines(path)
+    head = _header(path, lines, PanelSchema())
+    fast = _plain_panel(lines, head, PanelSchema())
+    assert fast is not None
+    _assert_same_outcome(fast, _row_panel(path, lines, head, PanelSchema()))
+
+
+def test_plain_files_hold_no_whitespace_but_spaces():
+    # _BLANKS is every character str.strip removes, but the newline and the
+    # space, which the column reader checks on its own
+    blanks = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert set(_BLANKS) == blanks - {"\n", " "}
 
 
 _ROWS = ["a,2000,1,1.5", "a,2000,2,2.5", "b,2000,1,3.5", "b,2000,2,4.5"]
@@ -787,8 +837,19 @@ def _rows_with(i, row):
 @pytest.mark.parametrize("text, missing, message", [
     pytest.param(_rows_with(1, 'a,2000,2,"2.5"'), "", None, id="quoted"),
     pytest.param(_rows_with(1, "a,2000,2, 2.5"), "", None, id="padded"),
-    pytest.param("\r\n".join(["region,year,quarter,cpi", *_ROWS]) + "\r\n",
+    # CRLF alone is plain (see test_plain_files_take_the_column_reader);
+    # with a quoted cell the file still goes to the loop, read as its LF copy
+    pytest.param("\r\n".join(["region,year,quarter,cpi", _ROWS[0],
+                               'a,2000,2,"2.5"', *_ROWS[2:]]) + "\r\n",
                  "", None, id="crlf"),
+    pytest.param("\n".join(["region,year,quarter,cpi", *_ROWS[:2],
+                             *(" " + row for row in _ROWS[2:])]), "", None,
+                 id="padded-region"),
+    pytest.param("\n".join(["region,year,quarter,cpi", *_ROWS[:2],
+                             *(row.replace(",", " ,", 1)
+                               for row in _ROWS[2:])]),
+                 "", None, id="region-padded-after"),
+    pytest.param(_rows_with(1, "a,2000 ,2,2.5"), "", None, id="padded-year"),
     pytest.param(_rows_with(1, "a,2000,2,1_000"), "", None, id="underscore"),
     pytest.param(_rows_with(1, "a,2000,2,infinity"), "",
                  "panel.csv:3: cannot parse cpi='infinity' as a finite number",
@@ -825,8 +886,8 @@ def test_files_that_are_not_plain_go_to_the_row_loop(tmp_path, text, missing,
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
     schema = PanelSchema(missing=missing)
-    with open(path, encoding="utf-8", newline="") as fh:
-        assert _plain_panel(fh.readlines(), schema) is None
+    lines = _lines(path)
+    assert _plain_panel(lines, _header(path, lines, schema), schema) is None
     fast, loop = _both_readers(path, schema)
     _assert_same_outcome(fast, loop)
     if message is None:

@@ -669,6 +669,12 @@ def test_default_bandwidth_rule():
     assert default_bandwidth(100) == 4
     assert default_bandwidth(88) == 3
     assert default_bandwidth(25) == math.floor(4 * (25 / 100) ** (2 / 9))
+    # floor(4 (T/100)^(2/9)) reaches k at T = 100 (k/4)^4.5: 0.2, 4.4, 27.4,
+    # 100, 272.8 and 619.9 for k = 1..6; in floating point T = 620 is
+    # still 5
+    steps = {1: 1, 4: 1, 5: 2, 27: 2, 28: 3, 99: 3, 100: 4, 272: 4, 273: 5,
+             620: 5, 621: 6}
+    assert {T: default_bandwidth(T) for T in steps} == steps
 
 
 def test_star_cutoffs_pinned():
