@@ -44,7 +44,6 @@ from .errors import (
     ConfigError,
     DataValidationError,
     EstimationError,
-    SpecError,
     describe,
 )
 from .localproj import LPSpec, estimate_irf
@@ -61,12 +60,14 @@ def _require(ok, where: str, rule: str) -> None:
         raise ConfigError(f"{where} {rule}")
 
 
-def _check_quarter(where: str, label: str | None) -> None:
-    if label is not None:
-        try:
-            QuarterIndex.parse(label)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+def _checked(where: str, fn, *args):
+    """fn(*args), its ValueError (a SpecError is one) a ConfigError prefixed
+    by where, which ends in a colon when the message does not start with
+    the setting's name."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def _check_windows(where: str, ms: tuple[int, ...]) -> None:
@@ -78,15 +79,6 @@ def _check_path(where: str, path: str | None) -> None:
     # the OS takes no NUL in a file name; open() would raise a bare ValueError
     _require(path is None or "\0" not in path, where,
              "must not contain a NUL byte")
-
-
-def _spec_rules(where: str, build, *args):
-    """build(*args), its SpecError a ConfigError prefixed by where: the
-    message starts with the field, the section's key of the same name."""
-    try:
-        return build(*args)
-    except SpecError as exc:
-        raise ConfigError(f"{where} {exc}") from None
 
 
 # Each section is an immutable Record: its fields are the section's keys,
@@ -110,15 +102,14 @@ class InputConfig(Record):
     def __post_init__(self):
         _check_path("[input] climate", self.climate)
         _check_path("[input] prices", self.prices)
-        _check_quarter("[input] start", self.start)
-        _check_quarter("[input] end", self.end)
-        _require(None in (self.start, self.end)
-                 or QuarterIndex.parse(self.start)
-                 <= QuarterIndex.parse(self.end),
-                 "[input] start", f"must not be after [input] end, got "
-                 f"{self.start} > {self.end}")
-        _spec_rules("[input] region_col, year_col and quarter_col:",
-                    self.schema)
+        start, end = (None if label is None else
+                      _checked(f"[input] {key}:", QuarterIndex.parse, label)
+                      for key, label in (("start", self.start),
+                                         ("end", self.end)))
+        _require(None in (start, end) or start <= end, "[input] start",
+                 f"must not be after [input] end, got {self.start} > "
+                 f"{self.end}")
+        _checked("[input] region_col, year_col and quarter_col:", self.schema)
         # anomaly would write both variables' files under one set of names
         _require(self.temperature_var != self.precipitation_var,
                  "[input] temperature_var and precipitation_var",
@@ -160,9 +151,9 @@ class LPConfig(Record):
         except (KeyError, IndexError, ValueError, AttributeError, TypeError):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
-        _parse(_each_once, names, f"[lp] shocks (with {{m}} = {self.m})")
-        _spec_rules("[lp]", check_fixed_effects, self.fixed_effects)
-        _spec_rules("[lp]", self.spec, "")
+        _checked(f"[lp] shocks (with {{m}} = {self.m}):", _each_once, names)
+        _checked("[lp]", check_fixed_effects, self.fixed_effects)
+        _checked("[lp]", self.spec, "")
 
     def shock_names(self) -> tuple[str, ...]:
         """The shock series, with {m} replaced by the norm window."""
@@ -188,7 +179,7 @@ class ARDLConfig(Record):
         _require(self.se in ("classical", "driscoll-kraay"), "[ardl] se",
                  "must be classical or driscoll-kraay")
         # the outcome and block are each cell's; any one stands in here
-        _spec_rules("[ardl]", self.spec, "", ("",), self.m[0])
+        _checked("[ardl]", self.spec, "", ("",), self.m[0])
 
     def spec(self, outcome: str, block, m: int, sample=None) -> ardl.ARDLSpec:
         """One cell's ARDLSpec; classical se also checks the bandwidth."""
@@ -210,7 +201,7 @@ class SimulateConfig(Record):
         _require(self.seed >= 0, "[simulate] seed", "must be >= 0")
         _require(self.regions >= 1, "[simulate] regions", "must be >= 1")
         _require(self.quarters >= 1, "[simulate] quarters", "must be >= 1")
-        _check_quarter("[simulate] start", self.start)
+        _checked("[simulate] start:", QuarterIndex.parse, self.start)
 
 
 class StatsConfig(Record):
@@ -312,13 +303,6 @@ _PARSERS = {
 }
 
 
-def _parse(parse, text: str, where: str):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
     """The section's keys as given, each parsed by its field type but not
     yet checked against its range."""
@@ -330,7 +314,7 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
         # [lp] horizons also takes an a-b range
         parse = (_parse_horizons if (name, key) == ("lp", "horizons")
                  else _PARSERS[types[key]])
-        values[key] = _parse(parse, text, f"[{name}] {key}")
+        values[key] = _checked(f"[{name}] {key}:", parse, text)
     return values
 
 
@@ -359,7 +343,7 @@ def load_config(
     raw = {name: _parse_section(parser, name, cls)
            for name, cls in _SECTIONS.items()}
     if m_list is not None:
-        ms = _parse(_parse_int_list, m_list, "--m")
+        ms = _checked("--m:", _parse_int_list, m_list)
         # a bad list is named by the first section it lands in, [anomaly]
         _check_windows("--m: [anomaly] m", ms)
         raw["anomaly"]["m"] = raw["ardl"]["m"] = ms
@@ -425,7 +409,8 @@ class _Run:
         self.written += files
 
     def text(self, name: str, text: str) -> None:
-        (self.out / name).write_text(text, encoding="utf-8")
+        # no newline translation, as in write_csv: \n on every platform
+        (self.out / name).write_text(text, encoding="utf-8", newline="")
         self.written.append(name)
 
     def report(self, command: str, facts: dict, failures: dict) -> None:

@@ -159,28 +159,17 @@ def _response(fit, level: float, j: int, horizon: int) -> ImpulseResponse:
     )
 
 
-def _fit_alone(raw: Design, spec: LPSpec, j: int, hac: HACSpec,
-               horizon: int) -> ImpulseResponse:
-    """Shock j's own regression, on its column and the controls of the
-    group's unabsorbed design raw; raises the error ols or the covariance
-    gives for it."""
-    cols = [j, *range(len(spec.shocks), len(raw.names))]
-    design = regress.within_transform(raw.replace(
-        X=raw.X[:, cols], names=tuple(raw.names[c] for c in cols)))
-    fit = with_driscoll_kraay(ols(design), hac)
-    return _response(fit, spec.level, 0, horizon)
-
-
 def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
     """An ImpulseResponse or a HorizonFailure for each shock of spec, whose
     shocks share one sample, so a design that cannot be built or absorbed
     fails them all alike. A shock the batched fit cannot take, or every
-    shock when the batched fit fails, is refitted alone on the group's
-    design, so its failure message is the one its own regression gives."""
+    shock when the batched fit fails, is refitted alone on its columns of
+    the group's absorbed design, so its failure message is the one its own
+    regression gives: the singleton drop and the absorbed count depend only
+    on the region and time codes, not on the columns."""
     n = len(spec.shocks)
     try:
-        raw = build_lp_design(ds, spec, horizon)
-        design = regress.within_transform(raw)
+        design = regress.within_transform(build_lp_design(ds, spec, horizon))
     except ClimPanelError as exc:
         # kept as text: the exception's traceback holds design blocks
         return n * [HorizonFailure(horizon, describe(exc))]
@@ -194,8 +183,12 @@ def _fit_group(ds: PanelDataset, spec: LPSpec, horizon: int) -> list:
         if fit is not None and fit.ok[j]:
             out.append(_response(fit, spec.level, j, horizon))
             continue
+        cols = [j, *range(n, len(design.names))]   # shock j and the controls
+        own = design.replace(X=design.X[:, cols],
+                             names=tuple(design.names[c] for c in cols))
         try:
-            out.append(_fit_alone(raw, spec, j, hac, horizon))
+            own_fit = with_driscoll_kraay(ols(own), hac)
+            out.append(_response(own_fit, spec.level, 0, horizon))
         except ClimPanelError as exc:
             out.append(HorizonFailure(horizon, describe(exc)))
     return out

@@ -78,6 +78,9 @@ MUTANTS = [
      "entries = [(shock, ds.values(shock), 0) for shock in shocks]",
      "entries = [(shock, shift(ds.values(shock), -1), 0)\n"
      "               for shock in shocks]"),
+    ("LP refit on the wrong shock column", "src/climpanel/localproj.py",
+     "cols = [j, *range(n, len(design.names))]",
+     "cols = [0, *range(n, len(design.names))]"),
 ]
 
 

@@ -908,6 +908,16 @@ _OUT_OF_RANGE_MESSAGES = {
     "lp.fixed_effects=year":
         "[lp] fixed_effects may name region and time, each once, got "
         "('year',)",
+    "input.start=2002Q5": "[input] start: cannot parse quarter label "
+                          "'2002Q5' (want e.g. 2002Q1)",
+    "input.end=x": "[input] end: cannot parse quarter label 'x' (want e.g. "
+                   "2002Q1)",
+    "simulate.start=1962Q0": "[simulate] start: cannot parse quarter label "
+                             "'1962Q0' (want e.g. 2002Q1)",
+    "--m=a": "--m: invalid literal for int() with base 10: 'a'",
+    # the labels are echoed as written, not as parsed
+    "input.start=2000q1; input.end=1995Q4":
+        "[input] start must not be after [input] end, got 2000q1 > 1995Q4",
 }
 
 
@@ -941,6 +951,12 @@ _OUT_OF_RANGE_MESSAGES = {
     ("simulate", "simulate.regions=0"),
     ("simulate", "simulate.quarters=0"),
     ("simulate", "simulate.start=1962Q5"),
+    ("simulate", "simulate.start=1962Q0"),
+    ("stats", "input.start=2002Q5"),
+    ("stats", "input.end=x"),
+    ("anomaly", "--m=a"),
+    # a setting may hold several assignments, joined by "; "
+    ("stats", "input.start=2000q1; input.end=1995Q4"),
     ("simulate", "simulate.seed=-1"),
     ("stats", "input.climate=data\0climate.csv"),
     ("stats", "output.dir=o\0ut"),
@@ -957,15 +973,16 @@ def test_config_value_out_of_range_exit_1(workspace, tmp_path, capsys,
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(BASE_CONFIG.format(data=workspace["data"],
                                           out=tmp_path / "o"))
-    target, value = setting.split("=", 1)
     args = []
-    if target.startswith("--"):
-        args = [target, value]
-    else:
-        section, key = target.split(".")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser[section][key] = value
+    for assignment in setting.split("; "):
+        target, value = assignment.split("=", 1)
+        if target.startswith("--"):
+            args += [target, value]
+        else:
+            section, key = target.split(".")
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = value
     cfg = tmp_path / "cfg.ini"
     with open(cfg, "w", encoding="utf-8") as fh:
         parser.write(fh)

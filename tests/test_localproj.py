@@ -21,7 +21,7 @@ from climpanel import (
     quarter_range,
     with_driscoll_kraay,
 )
-from climpanel import localproj
+from climpanel import localproj, regress
 from climpanel.dataset import shift
 from climpanel.errors import ClimPanelError, RankDeficiencyError, SampleError
 from climpanel.localproj import _sample_groups
@@ -407,16 +407,26 @@ def test_sample_groups_are_fitted_one_after_another(monkeypatch):
     assert [len(r.responses) for r in res] == [3, 3, 3]
 
 
-def test_refit_reuses_its_group_regressor_block():
-    # a shock the batched fit cannot take is refitted on the group's own
-    # design, so the group's cached block serves every horizon
+def test_refit_reuses_its_group_regressor_block(monkeypatch):
+    # a shock the batched fit cannot take is refitted on its columns of the
+    # group's absorbed design, so the group's cached block serves every
+    # horizon and each (group, horizon) is absorbed once
     ds = with_series(_multi_shock_panel(48), "flat", np.zeros((6, 60)))
     spec = LPSpec("price", ("shock", "flat", "s2"), horizons=tuple(range(9)),
                   lags=2)
+    absorbed = []
+    absorb = regress.within_transform
+
+    def counting_absorb(design):
+        absorbed.append(design)
+        return absorb(design)
+
+    monkeypatch.setattr(regress, "within_transform", counting_absorb)
     localproj._regressors.cache_clear()
     res = estimate_irf(ds, spec)
     info = localproj._regressors.cache_info()
     assert (info.hits, info.misses) == (8, 1)
+    assert len(absorbed) == len(spec.horizons)
     assert [len(r.responses) for r in res] == [9, 0, 9]
     _assert_batched_equals_per_shock(ds, spec, spec.shocks)
 
