@@ -8,8 +8,9 @@ Each command writes its files through a _Run and returns its summary
 line, report facts and failure lists; main writes the run report, then
 prints the summary.
 
-Exit codes: 0 success, 1 usage/config or a stdout that cannot be written,
-2 data validation, 3 estimation failure in every cell.
+Exit codes: 0 success, 1 usage/config, or an output file (a series name
+holding a path separator included) or stdout that cannot be written, 2
+data validation, 3 estimation failure in every cell.
 """
 from __future__ import annotations
 
@@ -386,32 +387,36 @@ def _header(cfg: RunConfig, units: dict[str, str] | None = None) -> list[str]:
 
 class _Run:
     """A command's output directory and the files it has written there, in
-    order; each write call writes its files and records their names."""
+    order; each write call takes its paths from _path, then writes."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg, self.out, self.written = cfg, Path(cfg.out_dir), []
 
-    def mkdir(self) -> None:
+    def _path(self, name: str) -> Path:
+        """out/name, recorded as written; the output directory is made at
+        the run's first file. A series name may hold a path separator."""
+        path = self.out / name
+        if {"/", os.sep, os.altsep, "\0"} & set(name):
+            raise ClimPanelError(f"{path}: cannot write: not a plain file name")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory "
                               f"{str(self.out)!r}: {exc.strerror}") from None
+        self.written.append(name)
+        return path
 
     def csv(self, name: str, units: dict, header, rows) -> None:
-        _write_csv(self.out / name, _header(self.cfg, units), header, rows)
-        self.written.append(name)
+        _write_csv(self._path(name), _header(self.cfg, units), header, rows)
 
     def panels(self, ds: PanelDataset, files: dict, schema=None) -> None:
         """files maps each file name to its series; one write_panel call."""
-        write_panel(ds, {self.out / name: cols for name, cols in files.items()},
+        write_panel(ds, {self._path(name): cols for name, cols in files.items()},
                     schema, header_comments=_header(self.cfg))
-        self.written += files
 
     def text(self, name: str, text: str) -> None:
         # no newline translation, as in write_csv: \n on every platform
-        (self.out / name).write_text(text, encoding="utf-8", newline="")
-        self.written.append(name)
+        self._path(name).write_text(text, encoding="utf-8", newline="")
 
     def report(self, command: str, facts: dict, failures: dict) -> None:
         """run_report_<command>.txt: one 'name: value' line per fact (after
@@ -508,7 +513,6 @@ def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
     files = {}
     ds = _attach_all(cfg, _load(cfg, ("climate",)), cfg.anomaly.m,
                      cfg.anomaly.seasonal, files)
-    run.mkdir()
     run.panels(ds, files, cfg.input.schema())
     return (f"anomaly: wrote {len(files)} files to {run.out}",
             {"m": ",".join(str(m) for m in cfg.anomaly.m),
@@ -517,7 +521,6 @@ def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
 
 def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
     ds, window = _estimation_panel(cfg, "lp", [cfg.lp.m], seasonal=True)
-    run.mkdir()
     # every shock of an outcome is estimated in one call, which fits the
     # shocks sharing a sample together; files and reports stay shock-major
     by_cell = {}
@@ -599,7 +602,6 @@ def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
             except ClimPanelError as exc:
                 failed.append(f"{outcome}/m={m}: {describe(exc)}")
     summary, facts = _cells("ardl", run, len(tables), failed)
-    run.mkdir()
     units = {"theta": "log change per unit of the block variable",
              "annualized": "theta * 2/(m+1)"}
     run.csv("longrun_table.csv", units,
@@ -629,7 +631,6 @@ def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
     variables = cfg.stats.variables or ds.variables
     rows = [[var, s.region, s.min, s.q1, s.median, s.q3, s.max, s.mean, s.sd]
             for var in variables for s in summary_stats(ds, var)]
-    run.mkdir()
     run.csv("summary_stats.csv", {v: ds.unit(v) or "unknown" for v in variables},
             ["variable", "region", "min", "q1", "median", "q3", "max", "mean",
              "sd"], rows)
@@ -638,7 +639,6 @@ def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _cmd_simulate(cfg: RunConfig, run: _Run) -> tuple:
-    run.mkdir()
     sim = cfg.simulate
     make = {"climate": climate_panel, "lp": lp_panel, "ardl": ardl_panel}
     ds = make[sim.kind](n_regions=sim.regions, n_quarters=sim.quarters,
@@ -725,8 +725,12 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         body, _ = _COMMANDS[args.command]
         run = _Run(load_config(args.config, args.out, args.m, args.seed))
-        summary, facts, failures = body(run.cfg, run)
-        run.report(args.command, facts, failures)
+        try:
+            summary, facts, failures = body(run.cfg, run)
+            run.report(args.command, facts, failures)
+        except OSError as exc:   # the readers raise typed errors: a write
+            raise ClimPanelError(f"{exc.filename or run.out}: cannot write: "
+                                 f"{exc.strerror or exc}") from None
         text.write(summary + "\n")
     except SystemExit as exc:
         # --help and --version exit 0; argparse exits 2 on a usage error,

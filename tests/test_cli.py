@@ -273,6 +273,8 @@ def test_all_cells_failing_is_one_short_stderr_line(workspace, tmp_path,
     assert err.startswith(f"estimation error: all 4 {command.upper()} cells "
                           "failed; the first: ")
     assert "VariableLookupError: unknown variable 'nope" in err
+    # no file, so no output directory
+    assert not (tmp_path / "o").exists()
 
 
 def _table_rows(path):
@@ -1145,14 +1147,48 @@ def test_unreadable_or_malformed_input_exit_2(workspace, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "anomaly", "lp", "ardl",
+                                     "stats"])
+def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys,
+                                            command):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")
-    code = main(["stats", "--config", str(workspace["config"]),
+    code = main([command, "--config", str(workspace["config"]),
                  "--out", str(taken)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory '{taken}': ")
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, setting, column, written", [
+    ("lp", "lp.outcomes", "all_items",
+     "irf_temperature_winter_cold_m2__all/items.csv"),
+    ("ardl", "ardl.outcomes", "all_items", "longrun_all/items.txt"),
+    ("anomaly", "input.temperature_var", "temperature",
+     "anomaly_temp/x_m2.csv"),
+], ids=["lp", "ardl", "anomaly"])
+def test_series_name_with_a_path_separator_exit_1(workspace, tmp_path, capsys,
+                                                  command, setting, column,
+                                                  written):
+    # a CPI component such as food/beverages names a file, not a directory
+    renamed = {"all_items": "all/items", "temperature": "temp/x"}[column]
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("climate.csv", "prices.csv"):
+        text = (workspace["data"] / name).read_text(encoding="utf-8")
+        (data / name).write_text(text.replace(column, renamed),
+                                 encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG.format(data=data, out=tmp_path / "o"))
+    section, key = setting.split(".")
+    parser[section][key] = renamed
+    cfg = tmp_path / "cfg.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'o' / written}: "
+                                       "cannot write: not a plain file name\n")
 
 
 def _project(root, climate, prices):
@@ -1357,3 +1393,30 @@ def test_every_failure_is_one_typed_line(workspace, data):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith(_PREFIXES[code]), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, reason", [
+    ("stats", "No space left on device"), ("anomaly", "File too large")],
+    ids=["stats", "anomaly"])
+def test_every_failed_write_is_one_typed_line(workspace, tmp_path, command,
+                                              reason):
+    # the OS refuses a write: stats's file is a link to /dev/full, anomaly
+    # runs under a 3,000-byte file size limit set in the child alone
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "stats":
+        (out / "summary_stats.csv").symlink_to("/dev/full")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(climpanel.__file__).resolve().parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "climpanel", command,
+         "--config", str(workspace["config"]), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+        preexec_fn=None if command == "stats" else lambda: resource.setrlimit(
+            resource.RLIMIT_FSIZE, (3000, 3000)))
+    assert run.returncode == 1
+    assert run.stderr == f"error: {out}: cannot write: {reason}\n"
