@@ -139,17 +139,14 @@ def long_run_from_coefficients(
     vcov = np.asarray(vcov, dtype=float)
     phi_idx = [names.index(_lag_name(outcome, lag))
                for lag in range(1, p + 1)]
-    phi = 1.0 - float(coef[phi_idx].sum()) if phi_idx else 1.0
+    phi = 1.0 - float(coef[phi_idx].sum())   # exactly 1.0 at p = 0
     if abs(phi) < _PHI_FLOOR:
         raise UnitRootError(
             f"1 - sum(phi) = {phi:.2e}; long-run effect undefined"
         )
-    if phi_idx:
-        ones = np.zeros(len(coef))
-        ones[phi_idx] = 1.0
-        phi_se = float(np.sqrt(ones @ vcov @ ones))
-    else:
-        phi_se = 0.0
+    ones = np.zeros(len(coef))
+    ones[phi_idx] = 1.0
+    phi_se = float(np.sqrt(ones @ vcov @ ones))
     effects = []
     for var in block:
         beta_idx = [names.index(_lag_name(var, lag))
@@ -157,8 +154,7 @@ def long_run_from_coefficients(
         theta = float(coef[beta_idx].sum()) / phi
         grad = np.zeros(len(coef))
         grad[beta_idx] = 1.0 / phi
-        if phi_idx:
-            grad[phi_idx] = theta / phi
+        grad[phi_idx] = theta / phi
         var_theta = float(grad @ vcov @ grad)
         se = float(np.sqrt(max(var_theta, 0.0)))
         effects.append(LongRunEffect(

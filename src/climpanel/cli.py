@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, ardl
@@ -394,10 +395,14 @@ class _Run:
 
     def _path(self, name: str) -> Path:
         """out/name, recorded as written; the output directory is made at
-        the run's first file. A series name may hold a path separator."""
+        the run's first file. A series name may hold a path separator, and
+        two series names may join into one file name."""
         path = self.out / name
         if {"/", os.sep, os.altsep, "\0"} & set(name):
             raise ClimPanelError(f"{path}: cannot write: not a plain file name")
+        if name in self.written:
+            raise ClimPanelError(f"{path}: cannot write: this run already "
+                                 "wrote a file of that name")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -494,12 +499,10 @@ def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,
 
 def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
     """lp's or ardl's merged panel, with the anomaly series for the windows
-    ms, and its [input] sample window (None: every quarter)."""
+    ms, and its [input] sample window, the panel's ends for unset bounds."""
     _require(getattr(cfg, section).outcomes, f"[{section}] outcomes:",
              "at least one outcome is required")
     ds = _attach_all(cfg, _load(cfg, ("climate", "prices")), ms, seasonal)
-    if cfg.input.start is None and cfg.input.end is None:
-        return ds, None
     return ds, (cfg.input.start or str(ds.time[0]),
                 cfg.input.end or str(ds.time[-1]))
 
@@ -726,7 +729,12 @@ def main(argv=None) -> int:
         body, _ = _COMMANDS[args.command]
         run = _Run(load_config(args.config, args.out, args.m, args.seed))
         try:
-            summary, facts, failures = body(run.cfg, run)
+            with warnings.catch_warnings():
+                # a library warning is one stderr line, with no source line
+                warnings.showwarning = lambda message, *_: print(
+                    "warning: " + " ".join(str(message).splitlines()),
+                    file=sys.stderr)
+                summary, facts, failures = body(run.cfg, run)
             run.report(args.command, facts, failures)
         except OSError as exc:   # the readers raise typed errors: a write
             raise ClimPanelError(f"{exc.filename or run.out}: cannot write: "

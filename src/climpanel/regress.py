@@ -188,10 +188,10 @@ def within_transform(design: Design) -> Design:
     solve C alpha = D_a' Z_b for C = diag(n_a) - N diag(1/n_b) N' (N the
     a-by-b count cross-tab) and subtract alpha[a] net of its own b means.
     The absorbed count is G_b + rank(C), which is right also when the
-    region-period graph splits into disconnected blocks. Groups with a
-    single observation carry no within variation and are dropped with a
-    warning. Groups are counted by np.bincount on offset codes, with no
-    sort; y and X are absorbed in place as one C-ordered block.
+    region-period graph splits into disconnected blocks. Rows of one-row
+    groups, which carry no within variation, are dropped with a warning
+    until none is left. Groups are counted by np.bincount on offset codes,
+    with no sort; y and X are absorbed in place as one C-ordered block.
     """
     if design.demeaned:
         return design
@@ -205,18 +205,13 @@ def within_transform(design: Design) -> Design:
     raw = {"region": design.region_codes, "time": design.time_codes}
     codes = {dim: raw[dim] - raw[dim].min() for dim in dims}
     keep = np.ones(design.nobs, dtype=bool)
-    counts = {}   # kept rows per offset code
-    dropped = 0
-    changed = True
-    while changed:
-        changed = False
-        for dim in dims:
-            counts[dim] = np.bincount(codes[dim], weights=keep)
-            hit = keep & (counts[dim] == 1)[codes[dim]]
-            if hit.any():
-                keep &= ~hit
-                dropped += int(hit.sum())
-                changed = True
+    while True:   # until no kept row lies in a singleton group
+        counts = {d: np.bincount(codes[d], weights=keep) for d in dims}
+        hit = keep & np.any([(counts[d] == 1)[codes[d]] for d in dims], axis=0)
+        if not hit.any():
+            break
+        keep &= ~hit
+    dropped = design.nobs - int(keep.sum())
     if dropped:
         warnings.warn(
             f"dropped {dropped} observation(s) in singleton "
@@ -241,14 +236,13 @@ def within_transform(design: Design) -> Design:
 
     Z = np.concatenate([design.y[rows, None], design.X[rows]], axis=1,
                        dtype=float)
-    if len(dims) == 1:
-        demean(Z, dims[0])
-        absorbed = len(groups[dims[0]][1])
-    else:
-        a, b = sorted(dims, key=lambda dim: len(groups[dim][1]))
-        (ca, na), (cb, nb) = groups[a], groups[b]
-        ga, gb = len(na), len(nb)
-        demean(Z, b)
+    *rest, b = sorted(dims, key=lambda dim: len(groups[dim][1]))
+    cb, nb = groups[b]
+    demean(Z, b)
+    absorbed = gb = len(nb)
+    for a in rest:   # the second dimension, with no more groups than b
+        ca, na = groups[a]
+        ga = len(na)
         N = np.bincount(ca * gb + cb, minlength=ga * gb).reshape(ga, gb)
         C = np.diag(N.sum(axis=1)) - (N / N.sum(axis=0)) @ N.T
         alpha, _, rank_c, _ = np.linalg.lstsq(
@@ -256,7 +250,7 @@ def within_transform(design: Design) -> Design:
         shift = alpha[ca]
         demean(shift, b)
         Z -= shift
-        absorbed = gb + int(rank_c)
+        absorbed += int(rank_c)
 
     return Design(
         y=Z[:, 0], X=Z[:, 1:], names=design.names,
@@ -462,13 +456,11 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     n = d.nobs
     n_controls = d.X.shape[1] - n_focal
     Z = np.column_stack([d.y, d.X[:, :n_focal]])
-    controls_ok = True
-    if n_controls:
-        controls = d.X[:, n_focal:]
-        R, QtZ, _, rank, _ = _factor(controls, Z)
-        controls_ok = rank == n_controls
-        if controls_ok:
-            Z -= controls @ _back_substitute(R, QtZ)
+    controls = d.X[:, n_focal:]   # n x 0 without controls: R is 0 x 0
+    R, QtZ, _, rank, _ = _factor(controls, Z)
+    controls_ok = rank == n_controls
+    if controls_ok:
+        Z -= controls @ _back_substitute(R, QtZ)
     dof = n - 1 - n_controls - d.absorbed
     y, s = Z[:, 0], Z[:, 1:]
     ss = np.einsum("ij,ij->j", s, s)
@@ -477,9 +469,8 @@ def focal_driscoll_kraay(design: Design, n_focal: int,
     # fewer rows QR gives R only nobs rows and every shock fails ols anyway
     if controls_ok and dof > 0:
         triangles = np.zeros((n_focal, n_controls + 1, n_controls + 1))
-        if n_controls:
-            triangles[:, :-1, :-1] = R
-            triangles[:, :-1, -1] = QtZ[:, 1:].T
+        triangles[:, :-1, :-1] = R
+        triangles[:, :-1, -1] = QtZ[:, 1:].T
         triangles[:, -1, -1] = np.sqrt(ss)
         sv = np.linalg.svd(triangles, compute_uv=False)
         ok = (sv > _RANK_TOL * sv[:, :1]).all(axis=1)

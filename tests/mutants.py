@@ -47,8 +47,11 @@ MUTANTS = [
     ("DK small-sample factor times (1 + 1e-7)", "src/climpanel/regress.py",
      "S *= fit.nobs / fit.dof", "S *= fit.nobs / fit.dof * (1 + 1e-7)"),
     ("singleton drop skipped", "src/climpanel/regress.py",
-     "hit = keep & (counts[dim] == 1)[codes[dim]]",
-     "hit = keep & (counts[dim] == 0)[codes[dim]]"),
+     "(counts[d] == 1)", "(counts[d] == 0)"),
+    ("two-way absorbed count one short", "src/climpanel/regress.py",
+     "absorbed += int(rank_c)", "absorbed += int(rank_c) - 1"),
+    ("focal triangle without the focal columns' Q's", "src/climpanel/regress.py",
+     "triangles[:, :-1, -1] = QtZ[:, 1:].T", "pass"),
     ("classical dof without absorbed FE", "src/climpanel/regress.py",
      "dof = n - rank - d.absorbed", "dof = n - rank"),
     ("Bartlett weights over L + 2", "src/climpanel/regress.py",

@@ -186,13 +186,17 @@ def test_phi_zero_dgp_theta_close_to_beta_sum():
 
 
 def test_delta_method_reduces_to_ols_se_when_p0():
+    # no autoregressive lag: phi is 1 with no error, so theta and its error
+    # are the fit's own, bit for bit, with classical and with DK errors
     ds = ardl_panel(seed=5)
-    res = estimate_ardl(ds, ARDLSpec("price", block=("driver",), p=0, m=30))
-    i = res.fit.names.index("d_driver_lag0")
-    assert res.table.phi == 1.0
-    assert res.table.effects[0].se == pytest.approx(res.fit.se[i], abs=1e-10)
-    assert res.table.effects[0].theta == pytest.approx(res.fit.coef[i],
-                                                       abs=1e-14)
+    for hac in (None, HACSpec(None)):
+        res = estimate_ardl(ds, ARDLSpec("price", block=("driver",), p=0,
+                                         m=30, hac=hac))
+        i = res.fit.names.index("d_driver_lag0")
+        table, effect = res.table, res.table.effects[0]
+        assert (table.phi, table.phi_se, table.phi_stars) == (1.0, 0.0, "")
+        assert effect.theta == res.fit.coef[i]
+        assert effect.se == res.fit.se[i]
 
 
 def test_reparameterization_scaling():

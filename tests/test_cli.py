@@ -1191,6 +1191,65 @@ def test_series_name_with_a_path_separator_exit_1(workspace, tmp_path, capsys,
                                        "cannot write: not a plain file name\n")
 
 
+def _panel_csv(path, columns, blank=lambda region, t: False):
+    """A panel CSV of 3 regions by 40 quarters from 2000Q1 with positive
+    seeded values of columns; blank(region, t) leaves a row's cells empty."""
+    rng = np.random.default_rng(7)
+    rows = [",".join(["region", "year", "quarter", *columns])]
+    for region in ("r1", "r2", "r3"):
+        for t in range(40):
+            values = 1.0 + rng.random(len(columns))
+            cells = ["" if blank(region, t) else f"{v:.6f}" for v in values]
+            rows.append(",".join([region, str(2000 + t // 4), str(t % 4 + 1),
+                                  *cells]))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _lp_config(tmp_path, lp_lines, blank_prices=lambda region, t: False):
+    """tmp_path/cfg.ini for lp on a climate file holding the series a__b and
+    a, and a price file holding c and b__c; outputs go to tmp_path/out."""
+    _panel_csv(tmp_path / "climate.csv",
+               ["temperature", "precipitation", "a__b", "a"])
+    _panel_csv(tmp_path / "prices.csv", ["c", "b__c"], blank_prices)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[input]\nclimate = {tmp_path / 'climate.csv'}\n"
+                   f"prices = {tmp_path / 'prices.csv'}\n"
+                   f"[lp]\nm = 2\n{lp_lines}\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    return cfg
+
+
+def test_two_cells_naming_one_file_exit_1(tmp_path, capsys):
+    # irf_<shock>__<outcome>.csv: the cells (a__b, c) and (a, b__c) both
+    # name irf_a__b__c.csv, and the second may not overwrite the first
+    cfg = _lp_config(tmp_path, "shocks = a__b, a\noutcomes = c, b__c\n"
+                               "horizons = 0-1\nlags = 1")
+    assert main(["lp", "--config", str(cfg)]) == 1
+    path = tmp_path / "out" / "irf_a__b__c.csv"
+    assert capsys.readouterr().err == (
+        f"error: {path}: cannot write: this run already wrote a file of "
+        "that name\n")
+    assert path.read_text(encoding="utf-8").count("\n") > 2
+
+
+def test_library_warning_is_one_stderr_line(tmp_path):
+    # region r3 has prices in two quarters only, so one row of the lp
+    # design at horizon 0 is a singleton region group and is dropped
+    cfg = _lp_config(tmp_path, "shocks = a\noutcomes = c\nhorizons = 0\n"
+                               "lags = 0",
+                     lambda region, t: region == "r3" and t not in (10, 11))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(climpanel.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "climpanel", "lp",
+                          "--config", str(cfg)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stderr == ("warning: dropped 1 observation(s) in singleton "
+                          "fixed-effect group(s); they have no within "
+                          "variation\n")
+
+
 def _project(root, climate, prices):
     """root/run.ini naming root/data/{climate,prices}.csv relatively."""
     (root / "data").mkdir(parents=True)
