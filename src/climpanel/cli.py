@@ -331,7 +331,8 @@ def load_config(
     Unknown sections or keys raise ConfigError. The returned config carries
     a hash of the fully resolved settings for output-file headers.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header line spells "\n": [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     if path is not None:
         try:
             read = parser.read(path, encoding="utf-8-sig")
@@ -572,20 +573,16 @@ def _longrun_text(outcome: str, tables) -> str:
     head = f"Long-run effects: {outcome}"
     cols = "".join(f"{f'{t.m} yr MA':>{width}}" for t in tables)
     lines = [head, "=" * max(len(head), 24), f"{'':24}{cols}"]
-    n_block = len(tables[0].effects)
-    for i in range(n_block):
-        label = f"theta[{_longrun_label(tables[0].effects[i].variable, tables[0].m)}]"
-        est = "".join(
-            f"{f'{t.effects[i].theta:.4f} {t.effects[i].stars}'.rstrip():>{width}}"
-            for t in tables)
-        ses = "".join(f"{f'({t.effects[i].se:.4f})':>{width}}" for t in tables)
-        lines.append(f"{label:24}{est}")
-        lines.append(f"{'':24}{ses}")
-    est = "".join(f"{f'{t.phi:.4f} {t.phi_stars}'.rstrip():>{width}}"
-                  for t in tables)
-    ses = "".join(f"{f'({t.phi_se:.4f})':>{width}}" for t in tables)
-    lines.append(f"{'phi':24}{est}")
-    lines.append(f"{'':24}{ses}")
+    # each estimate row: the value with its stars, then (se) beneath it
+    rows = [(f"theta[{_longrun_label(e.variable, tables[0].m)}]",
+             [(t.effects[i].theta, t.effects[i].stars, t.effects[i].se)
+              for t in tables]) for i, e in enumerate(tables[0].effects)]
+    rows.append(("phi", [(t.phi, t.phi_stars, t.phi_se) for t in tables]))
+    for label, cells in rows:
+        lines.append(f"{label:24}" + "".join(
+            f"{f'{v:.4f} {stars}'.rstrip():>{width}}" for v, stars, _ in cells))
+        lines.append(f"{'':24}" + "".join(f"{f'({se:.4f})':>{width}}"
+                                          for *_, se in cells))
     lines.append(f"{'nobs':24}" + "".join(f"{t.nobs:>{width}}" for t in tables))
     return "\n".join(lines) + "\n"
 

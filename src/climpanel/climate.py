@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import PanelDataset
+from .dataset import PanelDataset, _join
 from .errors import BurnInError, SpecError
 
 NORM_MODES = ("same-quarter", "rolling")
@@ -133,7 +133,7 @@ def attach_anomaly_features(
     Adds ``<var>_norm_m<m>``, ``<var>_anom_m<m>`` with ``_pos``/``_neg``
     splits, and optionally ``<var>_<season>_<polarity>_m<m>`` for all four
     seasons. Raises BurnInError when the panel is too short for any cell to
-    have m years of history.
+    have m years of history, PanelIntegrityError when it already holds a name.
     """
     values, norm = anomaly(ds.values(var), m, mode)
     if not np.isfinite(values).any():
@@ -148,5 +148,4 @@ def attach_anomaly_features(
     new = dict(zip(derived_names(var, m, polarities, seasonal),
                    [norm, values, *sign_split(values), *shocks]))
     unit = ds.unit(var)
-    units = {**ds.units, **dict.fromkeys(new, unit)} if unit else ds.units
-    return PanelDataset(ds.regions, ds.time, {**ds.series, **new}, units)
+    return _join(ds, new, dict.fromkeys(new, unit) if unit else {})

@@ -324,18 +324,13 @@ def write_csv(path, comments, header, rows) -> None:
                           else v for v in row] for row in rows)
 
 
-def _holes(names, ri, codes, lo, hi):
-    """Yield (region, quarter label) for each quarter in lo..hi that a
-    region has no row for: regions in order, quarters ascending."""
-    order = np.lexsort((codes, ri))
-    ri, codes = ri[order], codes[order]
-    starts = np.searchsorted(ri, np.arange(len(names) + 1))
+def _holes(names, cells, lo, hi):
+    """Yield (region, quarter label) for each code in lo..hi that is not a
+    (region index, code) key of cells: regions in order, codes ascending."""
     for i, name in enumerate(names):
-        bounds = np.concatenate([[lo - 1], codes[starts[i]:starts[i + 1]],
-                                 [hi + 1]])
-        for j in np.flatnonzero(np.diff(bounds) > 1):
-            for c in range(int(bounds[j]) + 1, int(bounds[j + 1])):
-                yield name, str(_quarter_at(c))
+        for code in range(lo, hi + 1):
+            if (i, code) not in cells:
+                yield name, str(_quarter_at(code))
 
 
 def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
@@ -520,7 +515,7 @@ def _row_panel(path, lines, head, schema: PanelSchema) -> PanelDataset:
     if n_gaps:
         # list at most max(rows read, 1000) holes: one mistyped far-off
         # year must not cost a grid of every quarter up to it
-        raise GapError(itertools.islice(_holes(names, ri, codes, lo, hi),
+        raise GapError(itertools.islice(_holes(names, cells, lo, hi),
                                         max(len(cells), 1000)), n_gaps)
     return _grid_panel(names, ri, codes, lo, hi, value_pos,
                        np.array(list(cells.values())).T, lines)
@@ -622,14 +617,18 @@ def merge_panels(a: PanelDataset, b: PanelDataset) -> PanelDataset:
     hi = min(a.time[-1], b.time[-1])
     if hi - lo < 0:
         raise EmptyPanelError("panels share no quarters")
-    clash = set(a.variables) & set(b.variables)
-    if clash:
-        raise PanelIntegrityError(f"series defined in both panels: {sorted(clash)}")
     a = subset(a, start=lo, end=hi)
     b = subset(b, start=lo, end=hi)
     rows = [b.regions.index(r) for r in a.regions]
-    series = dict(a.series)
-    series.update((name, mat[rows]) for name, mat in b.series.items())
-    units = dict(a.units)
-    units.update(b.units)
-    return PanelDataset(a.regions, a.time, series, units)
+    return _join(a, {name: mat[rows] for name, mat in b.series.items()},
+                 b.units)
+
+
+def _join(ds: PanelDataset, series, units) -> PanelDataset:
+    """ds with series, each a matrix on ds's grid, and their units appended;
+    a name that ds already holds raises PanelIntegrityError."""
+    clash = sorted(set(ds.series) & set(series))
+    if clash:
+        raise PanelIntegrityError(f"series already in the panel: {clash}")
+    return PanelDataset(ds.regions, ds.time, {**ds.series, **series},
+                        {**ds.units, **units})

@@ -84,6 +84,10 @@ MUTANTS = [
     ("LP refit on the wrong shock column", "src/climpanel/localproj.py",
      "cols = [j, *range(n, len(design.names))]",
      "cols = [0, *range(n, len(design.names))]"),
+    ("join without its clash check", "src/climpanel/dataset.py",
+     "    if clash:", "    if False:"),
+    ("gap walk one quarter short", "src/climpanel/dataset.py",
+     "for code in range(lo, hi + 1):", "for code in range(lo, hi):"),
 ]
 
 

@@ -237,10 +237,16 @@ def test_malformed_config_exit_1(workspace, tmp_path):
     assert main(["lp", "--config", str(cfg)]) == 1
 
 
-def test_unknown_section_rejected(tmp_path):
+def test_unknown_section_rejected(tmp_path, capsys):
+    # [DEFAULT] is an ordinary section too: it is not merged into the others
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[nonsense]\nx = 1\n", encoding="utf-8")
-    assert main(["stats", "--config", str(cfg)]) == 1
+    for text, section in (("[nonsense]\nx = 1\n", "nonsense"),
+                          ("[DEFAULT]\nseed = 7\n[simulate]\nregions = 2\n"
+                           "quarters = 8\n", "DEFAULT")):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown config section [{section}]\n")
 
 
 def test_lp_all_cells_failing_exit_3(workspace, tmp_path):
@@ -1191,13 +1197,14 @@ def test_series_name_with_a_path_separator_exit_1(workspace, tmp_path, capsys,
                                        "cannot write: not a plain file name\n")
 
 
-def _panel_csv(path, columns, blank=lambda region, t: False):
-    """A panel CSV of 3 regions by 40 quarters from 2000Q1 with positive
-    seeded values of columns; blank(region, t) leaves a row's cells empty."""
+def _panel_csv(path, columns, blank=lambda region, t: False, quarters=40):
+    """A panel CSV of 3 regions by `quarters` quarters from 2000Q1 with
+    positive seeded values of columns; blank(region, t) leaves a row's cells
+    empty."""
     rng = np.random.default_rng(7)
     rows = [",".join(["region", "year", "quarter", *columns])]
     for region in ("r1", "r2", "r3"):
-        for t in range(40):
+        for t in range(quarters):
             values = 1.0 + rng.random(len(columns))
             cells = ["" if blank(region, t) else f"{v:.6f}" for v in values]
             rows.append(",".join([region, str(2000 + t // 4), str(t % 4 + 1),
@@ -1248,6 +1255,24 @@ def test_library_warning_is_one_stderr_line(tmp_path):
     assert run.stderr == ("warning: dropped 1 observation(s) in singleton "
                           "fixed-effect group(s); they have no within "
                           "variation\n")
+
+
+def test_anomaly_refuses_an_input_series_named_like_a_derived_one(
+        tmp_path, capsys):
+    # the input column would otherwise be replaced by the computed anomaly
+    _panel_csv(tmp_path / "climate.csv",
+               ["temperature", "precipitation", "temperature_anom_m20"],
+               quarters=88)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[input]\nclimate = {tmp_path / 'climate.csv'}\n"
+                   f"[anomaly]\nm = 20\n[output]\ndir = {tmp_path / 'out'}\n",
+                   encoding="utf-8")
+    assert main(["anomaly", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "'temperature_anom_m20'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _project(root, climate, prices):

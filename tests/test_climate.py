@@ -18,7 +18,7 @@ from climpanel import (
     seasonal_shock,
     sign_split,
 )
-from climpanel.errors import BurnInError
+from climpanel.errors import BurnInError, PanelIntegrityError
 from oracles import brute_anomaly, brute_norm, shift_sum_norm
 
 
@@ -262,6 +262,9 @@ def test_attach_anomaly_features_names():
     neg = out.values("temperature_anom_m2_neg")
     defined = np.isfinite(vals)
     np.testing.assert_array_equal((pos + neg)[defined], vals[defined])
+    # the panel now holds every derived name, so a second attach is refused
+    with pytest.raises(PanelIntegrityError, match="temperature_anom_m2"):
+        attach_anomaly_features(out, "temperature", m=2)
 
 
 def test_attach_burn_in_error():

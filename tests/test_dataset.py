@@ -127,6 +127,21 @@ def test_load_panel_gap_error_names_cell(tmp_path):
     assert ("b", "2003Q2") in err.value.gaps
 
 
+def test_load_panel_gap_error_lists_the_holes_region_by_region(tmp_path):
+    # rows go quarter by quarter; holes at the first and the last quarter of
+    # the grid, in different regions, are listed in region order
+    missing = {("a", 2), ("b", 1), ("c", 1), ("c", 4)}
+    rows = [f"{r},2003,{q},1.0" for q in range(1, 5) for r in "abc"
+            if (r, q) not in missing]
+    path = tmp_path / "panel.csv"
+    write_csv(path, rows)
+    with pytest.raises(GapError) as err:
+        load_panel(path)
+    assert err.value.gaps == (("a", "2003Q2"), ("b", "2003Q1"),
+                              ("c", "2003Q1"), ("c", "2003Q4"))
+    assert err.value.count == 4
+
+
 def test_load_panel_far_off_year_raises_without_the_grid(tmp_path):
     # a mistyped 7-digit year puts about 4 million quarters between the
     # rows; the error counts them instead of listing each one
@@ -475,6 +490,9 @@ def test_merge_panels_aligns_region_order_and_rejects_other_sets():
                      {"other": b.values("other")})
     with pytest.raises(PanelIntegrityError):
         merge_panels(a, c)
+    # a series held by both panels
+    with pytest.raises(PanelIntegrityError, match=r"\['other'\]"):
+        merge_panels(merged, b)
 
 
 @settings(max_examples=60)
