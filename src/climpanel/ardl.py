@@ -46,7 +46,6 @@ class ARDLSpec(Record):
     block: tuple[str, ...]
     p: int = 4
     m: int = 30
-    fixed_effects: tuple[str, ...] = ("region",)
     sample: tuple | None = None
     hac: HACSpec | None = None   # None: classical standard errors
 
@@ -113,11 +112,8 @@ def build_ardl_design(ds: PanelDataset, spec: ARDLSpec) -> Design:
         level = ds.values(var)
         dx = level - shift(level, 1)
         entries += [(_lag_name(var, lag), dx, lag) for lag in range(spec.p + 1)]
-    return _block_design(
-        dy, _regressor_block(entries, ds.time, spec.sample),
-        ds.regions, ds.time,
-        fixed_effects=spec.fixed_effects, window=spec.sample,
-    )
+    return _block_design(dy, _regressor_block(entries, ds.time, spec.sample),
+                         fixed_effects=("region",))
 
 
 def long_run_from_coefficients(

@@ -564,7 +564,8 @@ def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _longrun_label(variable: str, m: int) -> str:
-    return variable.replace(f"_anom_m{m}", "")
+    head, _, tail = variable.rpartition(derived_names("", m, seasonal=False)[1])
+    return head + tail
 
 
 def _longrun_text(outcome: str, tables) -> str:

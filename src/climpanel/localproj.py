@@ -116,10 +116,8 @@ def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:
     log_p, lag1, block = _regressors(  # tuples hash, as the cache needs
         ds, spec.outcome, tuple(spec.shocks), spec.lags,
         spec.sample and tuple(spec.sample))
-    return _block_design(
-        shift(log_p, -horizon) - lag1, block, ds.regions, ds.time,
-        fixed_effects=spec.fixed_effects, window=spec.sample,
-    )
+    return _block_design(shift(log_p, -horizon) - lag1, block,
+                         fixed_effects=spec.fixed_effects)
 
 
 def _horizon_hac(spec: LPSpec, design: Design, horizon: int) -> HACSpec:

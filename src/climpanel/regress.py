@@ -115,13 +115,14 @@ def window_slice(time, window) -> slice:
 
 
 def _regressor_block(entries, time, window):
-    """Names, cells inside the window as one C-ordered (cells x k) block
-    (region-major, quarter within region) and its rows without a NaN.
-    Entry (name, matrix, lag) fills its column with matrix[:, t - lag], NaN
-    before the panel. Only first differences (NaN in the first quarter) are
-    lagged, so an order >= T - 1 leaves no row: after an empty window's, it
-    raises _block_design's error before any column is written."""
-    start, stop, _ = window_slice(time, window).indices(len(time))
+    """Names, the window's cells as one C-ordered (cells x k) block
+    (region-major, quarter within region), its rows without a NaN, and the
+    window's columns and quarters. Entry (name, matrix, lag) fills its
+    column with matrix[:, t - lag], NaN before the panel. Lagged first
+    differences leave no row at an order >= T - 1: after an empty window's,
+    that raises _block_design's error before any column is written."""
+    cols = window_slice(time, window)
+    start, stop, _ = cols.indices(len(time))
     n_regions = entries[0][1].shape[0]
     if 0 < max(lag for _, _, lag in entries) >= len(time) - 1:
         raise SampleError(_NO_ROWS.format(n_regions * (stop - start)))
@@ -132,19 +133,17 @@ def _regressor_block(entries, time, window):
         block[:, skip:, j] = mat[:, start + skip - lag:stop - lag]
     block = block.reshape(-1, len(entries))
     return (tuple(name for name, _, _ in entries), block,
-            np.isfinite(block).all(axis=1))
+            np.isfinite(block).all(axis=1), cols, tuple(time)[cols])
 
 
-def _block_design(y_mat, regressors, regions, time, fixed_effects=(),
-                  window=None, add_constant=None) -> Design:
-    """Stack the region-by-quarter outcome y_mat and a _regressor_block into
-    a listwise-deleted design: rows with any NaN in the outcome or a
-    regressor are dropped. When no fixed effects are declared a constant
-    column is appended (override with add_constant)."""
-    names, block, finite = regressors
-    sl = window_slice(time, window)
-    time = tuple(time)[sl]
-    y = np.asarray(y_mat, float)[:, sl].reshape(len(regions) * len(time))
+def _block_design(y_mat, regressors, fixed_effects=(),
+                  add_constant=None) -> Design:
+    """Stack the region-by-quarter outcome y_mat, in the block's window, and
+    a _regressor_block into a listwise-deleted design: rows with any NaN in
+    the outcome or a regressor are dropped. With no fixed effects declared
+    a constant column is appended (override with add_constant)."""
+    names, block, finite, cols, time = regressors
+    y = np.asarray(y_mat, float)[:, cols].ravel()
     rows = np.flatnonzero(np.isfinite(y) & finite)
     if not rows.size:
         raise SampleError(_NO_ROWS.format(y.size))

@@ -88,6 +88,10 @@ MUTANTS = [
      "    if clash:", "    if False:"),
     ("gap walk one quarter short", "src/climpanel/dataset.py",
      "for code in range(lo, hi + 1):", "for code in range(lo, hi):"),
+    ("design window ignored", "src/climpanel/regress.py",
+     "cols = window_slice(time, window)", "cols = window_slice(time, None)"),
+    ("ARDL without region effects", "src/climpanel/ardl.py",
+     'fixed_effects=("region",)', "fixed_effects=()"),
 ]
 
 

@@ -316,7 +316,7 @@ def panels_equal(a, b):
                     for k in a.series))
 
 
-def design_from_matrices(y_mat, x_named, regions, time, fixed_effects=(),
+def design_from_matrices(y_mat, x_named, time, fixed_effects=(),
                          window=None, add_constant=None):
     """Stack region-by-quarter matrices into a listwise-deleted design.
 
@@ -326,7 +326,7 @@ def design_from_matrices(y_mat, x_named, regions, time, fixed_effects=(),
     """
     entries = [(name, np.asarray(mat, float), 0) for name, mat in x_named]
     return _block_design(y_mat, _regressor_block(entries, time, window),
-                         regions, time, fixed_effects, window, add_constant)
+                         fixed_effects, add_constant)
 
 
 def peak_traced(fn, peaks: list):
@@ -349,8 +349,7 @@ def panel_design(ds, outcome, regressors, fixed_effects=(),
     add_constant says otherwise)."""
     return design_from_matrices(
         ds.values(outcome), [(name, ds.values(name)) for name in regressors],
-        ds.regions, ds.time, fixed_effects=fixed_effects,
-        add_constant=add_constant)
+        ds.time, fixed_effects=fixed_effects, add_constant=add_constant)
 
 
 def write_panel_csv(ds, path, schema=None, header_comments=()):

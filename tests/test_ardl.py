@@ -22,7 +22,6 @@ from climpanel.errors import (
     ClimPanelError,
     RankDeficiencyError,
     SampleError,
-    SpecError,
     UnitRootError,
 )
 from climpanel.regress import _regressor_block
@@ -44,16 +43,6 @@ def _sum_phi(fit, outcome, p):
 # ---------------------------------------------------------------------------
 # design
 # ---------------------------------------------------------------------------
-
-def test_design_column_count_with_constant():
-    ds = _four_block_panel(seed=0)
-    p = 2
-    spec = ARDLSpec("price", block=("b1", "b2", "b3", "b4"), p=p, m=30,
-                    fixed_effects=())
-    design = build_ardl_design(ds, spec)
-    assert design.X.shape[1] == 1 + p + 4 * (p + 1)
-    assert design.names[-1] == "const"
-
 
 def test_design_column_count_with_region_fe():
     ds = _four_block_panel(seed=1)
@@ -121,12 +110,6 @@ def test_lag_order_past_the_panel_builds_no_lag_column(monkeypatch):
     # the 59 lag columns of p = 19
     assert len(peaks) == 4
     assert max(peaks) < 8 * 24 * 59
-
-
-def test_unknown_fixed_effect_is_a_spec_error():
-    spec = ARDLSpec("price", ("driver",), p=1, fixed_effects=("county",))
-    with pytest.raises(SpecError, match="may name region and time"):
-        estimate_ardl(ardl_panel(seed=1), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1275,6 +1275,28 @@ def test_anomaly_refuses_an_input_series_named_like_a_derived_one(
     assert not (tmp_path / "out").exists()
 
 
+def test_longrun_label_keeps_a_climate_columns_own_infix(tmp_path):
+    # the block variable temp_anom_m2_anom_m2_pos loses the infix that
+    # attach added, not the one the column's own name holds
+    _panel_csv(tmp_path / "climate.csv", ["temp_anom_m2", "precipitation"])
+    _panel_csv(tmp_path / "prices.csv", ["c"])
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[input]\nclimate = {tmp_path / 'climate.csv'}\n"
+                   f"prices = {tmp_path / 'prices.csv'}\n"
+                   "temperature_var = temp_anom_m2\n"
+                   "[ardl]\noutcomes = c\nm = 2\np = 1\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["ardl", "--config", str(cfg)]) == 0
+    labels = ["temp_anom_m2_pos", "temp_anom_m2_neg",
+              "precipitation_pos", "precipitation_neg"]
+    for name in ("longrun_table.csv", "annualized_summary.csv"):
+        rows = _table_rows(tmp_path / "out" / name)
+        assert [row[2] for row in rows] == labels
+    text = (tmp_path / "out" / "longrun_c.txt").read_text(encoding="utf-8")
+    assert [line.split()[0] for line in text.splitlines()
+            if line.startswith("theta[")] == [f"theta[{v}]" for v in labels]
+
+
 def _project(root, climate, prices):
     """root/run.ini naming root/data/{climate,prices}.csv relatively."""
     (root / "data").mkdir(parents=True)

@@ -58,12 +58,10 @@ def grid(n):
 def simple_design(y, x, fixed_effects=(), n_regions=1, add_constant=None):
     """Single-region helper: y, x are 1-D arrays."""
     T = len(y) // n_regions
-    time = grid(T)
-    regions = [f"r{i}" for i in range(n_regions)]
     return design_from_matrices(
         np.asarray(y, float).reshape(n_regions, T),
         [("x", np.asarray(x, float).reshape(n_regions, T))],
-        regions, time, fixed_effects=fixed_effects,
+        grid(T), fixed_effects=fixed_effects,
         add_constant=add_constant,
     )
 
@@ -129,8 +127,7 @@ def _ragged_design(rng, R, T, layout, fixed_effects=("region", "time")):
         y[R // 2:, : T // 2] = np.nan
         y[rng.random((R, T)) < 0.1] = np.nan
     return design_from_matrices(
-        y, [("x1", x1), ("x2", x2)], [f"r{i}" for i in range(R)], grid(T),
-        fixed_effects=fixed_effects)
+        y, [("x1", x1), ("x2", x2)], grid(T), fixed_effects=fixed_effects)
 
 
 @pytest.mark.parametrize("fixed_effects",
@@ -164,8 +161,8 @@ def test_within_transform_singleton_drop_matches_lsdv_projection():
     y[0, 1:] = np.nan
     y[2:, 3] = np.nan
     design = design_from_matrices(
-        y, [("x", rng.normal(size=(5, 12)))], [f"r{i}" for i in range(5)],
-        grid(12), fixed_effects=("region", "time"))
+        y, [("x", rng.normal(size=(5, 12)))], grid(12),
+        fixed_effects=("region", "time"))
     with pytest.warns(UserWarning, match="dropped 2 observation"):
         within = within_transform(design)
     assert within.nobs == design.nobs - 2
@@ -200,7 +197,7 @@ def test_absorbed_count_on_disconnected_sample():
     y[:2, 10:] = np.nan
     y[2:, :10] = np.nan
     design = design_from_matrices(
-        y, [("x", rng.normal(size=(4, 20)))], list("abcd"), grid(20),
+        y, [("x", rng.normal(size=(4, 20)))], grid(20),
         fixed_effects=("region", "time"))
     fit = ols(design)
     _, rank = lsdv_residuals(design.y[:, None], design.region_codes,
@@ -317,7 +314,7 @@ def test_duplicated_column_rank_error_names_both():
     design = design_from_matrices(
         rng.normal(size=(1, 20)),
         [("x_first", x.reshape(1, 20)), ("x_second", x.reshape(1, 20))],
-        ["a"], time, add_constant=False,
+        time, add_constant=False,
     )
     with pytest.raises(RankDeficiencyError) as err:
         ols(design)
@@ -331,7 +328,7 @@ def test_zero_column_reported_as_degenerate():
     design = design_from_matrices(
         rng.normal(size=(1, 15)),
         [("live", rng.normal(size=(1, 15))), ("dead", np.zeros((1, 15)))],
-        ["a"], time, add_constant=False,
+        time, add_constant=False,
     )
     with pytest.raises(RankDeficiencyError, match="no variation"):
         ols(design)
@@ -393,8 +390,7 @@ def test_frisch_waugh_partialling():
     resid_y = residual_grid("y")
     resid_x1 = residual_grid("x1")
     partial = ols(design_from_matrices(
-        resid_y, [("x1", resid_x1)], ds.regions, ds.time,
-        add_constant=False))
+        resid_y, [("x1", resid_x1)], ds.time, add_constant=False))
     assert partial.coef[0] == pytest.approx(full.coef[full.names.index("x1")],
                                            abs=1e-10)
 
@@ -483,8 +479,7 @@ def test_dk_dense_grid_matches_double_loop_with_missing_periods():
     y[:, [40, 70]] = np.nan
     y[1, 10] = np.nan
     fit = ols(design_from_matrices(
-        y, [("x1", x1), ("x2", x2)], list("abc"), grid(101),
-        fixed_effects=("region",)))
+        y, [("x1", x1), ("x2", x2)], grid(101), fixed_effects=("region",)))
     assert len(np.unique(fit.time_codes)) == 99
     assert (default_bandwidth(99), default_bandwidth(101)) == (3, 4)
     for bandwidth, L in ((None, 3), (0, 0), (2, 2), (6, 6)):
@@ -717,11 +712,11 @@ def test_focal_driscoll_kraay_matches_each_own_regression(layout):
     else:
         y[: R // 2, T // 2:] = np.nan
         y[R // 2:, : T // 2] = np.nan
-    regions, time = [f"r{i}" for i in range(R)], grid(T)
+    time = grid(T)
 
     def design(names):
         return design_from_matrices(y, [(n, mats[n]) for n in names],
-                                    regions, time, ("region", "time"))
+                                    time, ("region", "time"))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
