@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys((
-        "ARDLResult", "ARDLSpec", "LongRunEffect", "LongRunTable", "annualize",
+        "ARDLResult", "LongRunEffect", "LongRunTable", "annualize",
         "build_ardl_design", "estimate_ardl",
     ), "ardl"),
     **dict.fromkeys((
@@ -25,14 +25,14 @@ _HOMES = {
         "summary_stats", "write_panel",
     ), "dataset"),
     **dict.fromkeys((
-        "ImpulseResponse", "LPResult", "LPSpec", "build_lp_design",
-        "estimate_irf",
+        "ImpulseResponse", "LPResult", "build_lp_design", "estimate_irf",
     ), "localproj"),
     **dict.fromkeys((
-        "Design", "FitResult", "HACSpec", "confidence_band",
+        "Design", "FitResult", "confidence_band",
         "default_bandwidth", "ols", "significance_stars",
         "vcov_driscoll_kraay", "with_driscoll_kraay", "within_transform",
     ), "regress"),
+    **dict.fromkeys(("ARDLSpec", "HACSpec", "LPSpec"), "specs"),
 }
 
 __all__ = list(_HOMES)

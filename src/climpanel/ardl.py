@@ -23,42 +23,15 @@ from .dataset import PanelDataset, checked_log, shift
 from .errors import SpecError, UnitRootError
 from .regress import (
     Design,
-    HACSpec,
     _block_design,
     _regressor_block,
-    check_window,
     ols,
     significance_stars,
     with_driscoll_kraay,
 )
+from .specs import ARDLSpec
 
 _PHI_FLOOR = 1e-6
-
-
-class ARDLSpec(Record):
-    """One ARDL cell: outcome, signed-anomaly block, lag order, norm window.
-
-    p = 0 drops the autoregressive lags and keeps only the contemporaneous
-    block (then phi = 1 by construction); the pipeline default is p = 4.
-    """
-
-    outcome: str
-    block: tuple[str, ...]
-    p: int = 4
-    m: int = 30
-    sample: tuple | None = None
-    hac: HACSpec | None = None   # None: classical standard errors
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise SpecError("p must be >= 0")
-        if not self.block:
-            raise SpecError("block must name at least one regressor")
-        if len(set(self.block)) != len(self.block):
-            raise SpecError("block names must be unique")
-        if self.m < 1:
-            raise SpecError("m must be >= 1")
-        check_window(self.sample)
 
 
 def annualize(theta: float, m: int) -> float:

@@ -26,7 +26,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import __version__, ardl
+from . import __version__
 from ._record import Record
 from .climate import NORM_MODES, attach_anomaly_features, derived_names
 from .dataset import (
@@ -48,9 +48,7 @@ from .errors import (
     EstimationError,
     describe,
 )
-from .localproj import LPSpec, estimate_irf
-from .regress import HACSpec, check_fixed_effects, significance_stars
-from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
+from .specs import ARDLSpec, HACSpec, LPSpec, check_fixed_effects
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ class LPConfig(Record):
 class ARDLConfig(Record):
     outcomes: tuple[str, ...] = ()
     m: tuple[int, ...] = (20, 30, 40)
-    p: int = ardl.ARDLSpec.p
+    p: int = ARDLSpec.p
     se: str = "classical"
     bandwidth: int | None = None
     small_sample: bool = HACSpec.small_sample
@@ -183,11 +181,11 @@ class ARDLConfig(Record):
         # the outcome and block are each cell's; any one stands in here
         _checked("[ardl]", self.spec, "", ("",), self.m[0])
 
-    def spec(self, outcome: str, block, m: int, sample=None) -> ardl.ARDLSpec:
+    def spec(self, outcome: str, block, m: int, sample=None) -> ARDLSpec:
         """One cell's ARDLSpec; classical se also checks the bandwidth."""
         hac = HACSpec(self.bandwidth, self.small_sample)
-        return ardl.ARDLSpec(outcome, block, self.p, m, sample=sample,
-                             hac=hac if self.se == "driscoll-kraay" else None)
+        return ARDLSpec(outcome, block, self.p, m, sample=sample,
+                        hac=hac if self.se == "driscoll-kraay" else None)
 
 
 class SimulateConfig(Record):
@@ -510,8 +508,16 @@ def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
 
 # ---------------------------------------------------------------------------
 # Command bodies: each reads its inputs, writes its files through run and
-# returns its summary line, its run report facts and its failure lists
+# returns its summary line, its run report facts and its failure lists.
+# Each imports the estimator or generator it runs, so a command loads none
+# of the others' modules.
 # ---------------------------------------------------------------------------
+
+def estimate_irf(ds: PanelDataset, spec: LPSpec) -> tuple:
+    """localproj.estimate_irf, the module loaded at the first call."""
+    from . import localproj
+    return localproj.estimate_irf(ds, spec)
+
 
 def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
     files = {}
@@ -524,6 +530,7 @@ def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
+    from .regress import significance_stars
     ds, window = _estimation_panel(cfg, "lp", [cfg.lp.m], seasonal=True)
     # every shock of an outcome is estimated in one call, which fits the
     # shocks sharing a sample together; files and reports stay shock-major
@@ -569,26 +576,30 @@ def _longrun_label(variable: str, m: int) -> str:
 
 
 def _longrun_text(outcome: str, tables) -> str:
-    """The outcome's long-run tables, m ascending, side by side."""
+    """The outcome's long-run tables, m ascending, side by side, after a
+    label column as wide as its longest label, at least 24."""
     width = 16
     head = f"Long-run effects: {outcome}"
     cols = "".join(f"{f'{t.m} yr MA':>{width}}" for t in tables)
-    lines = [head, "=" * max(len(head), 24), f"{'':24}{cols}"]
     # each estimate row: the value with its stars, then (se) beneath it
     rows = [(f"theta[{_longrun_label(e.variable, tables[0].m)}]",
              [(t.effects[i].theta, t.effects[i].stars, t.effects[i].se)
               for t in tables]) for i, e in enumerate(tables[0].effects)]
     rows.append(("phi", [(t.phi, t.phi_stars, t.phi_se) for t in tables]))
+    pad = max(24, *(len(label) for label, _ in rows))
+    lines = [head, "=" * max(len(head), 24), f"{'':{pad}}{cols}"]
     for label, cells in rows:
-        lines.append(f"{label:24}" + "".join(
+        lines.append(f"{label:{pad}}" + "".join(
             f"{f'{v:.4f} {stars}'.rstrip():>{width}}" for v, stars, _ in cells))
-        lines.append(f"{'':24}" + "".join(f"{f'({se:.4f})':>{width}}"
-                                          for *_, se in cells))
-    lines.append(f"{'nobs':24}" + "".join(f"{t.nobs:>{width}}" for t in tables))
+        lines.append(f"{'':{pad}}" + "".join(f"{f'({se:.4f})':>{width}}"
+                                             for *_, se in cells))
+    lines.append(f"{'nobs':{pad}}"
+                 + "".join(f"{t.nobs:>{width}}" for t in tables))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
+    from . import ardl
     ds, window = _estimation_panel(cfg, "ardl", cfg.ardl.m, seasonal=False)
     # one long-run table per (outcome, m) cell, m ascending within each
     # outcome; a failing cell is recorded and the rest still estimated
@@ -640,6 +651,7 @@ def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _cmd_simulate(cfg: RunConfig, run: _Run) -> tuple:
+    from .simulate import PRICE_COMPONENTS, ardl_panel, climate_panel, lp_panel
     sim = cfg.simulate
     make = {"climate": climate_panel, "lp": lp_panel, "ardl": ardl_panel}
     ds = make[sim.kind](n_regions=sim.regions, n_quarters=sim.quarters,

@@ -23,13 +23,11 @@ import numpy as np
 from . import regress  # within_transform is looked up per call, as ols does
 from ._record import Record
 from .dataset import PanelDataset, checked_log, shift
-from .errors import ClimPanelError, SpecError, describe
+from .errors import ClimPanelError, describe
 from .regress import (
     Design,
-    HACSpec,
     _block_design,
     _regressor_block,
-    check_window,
     confidence_band,
     default_bandwidth,
     focal_driscoll_kraay,
@@ -37,39 +35,7 @@ from .regress import (
     window_slice,
     with_driscoll_kraay,
 )
-
-DEFAULT_HORIZONS = tuple(range(9))
-
-
-class LPSpec(Record):
-    """Local-projection settings for one outcome and its shocks."""
-
-    outcome: str
-    shocks: tuple[str, ...]
-    horizons: tuple[int, ...] = DEFAULT_HORIZONS
-    lags: int = 8
-    fixed_effects: tuple[str, ...] = ("region", "time")
-    hac: HACSpec | None = None   # bandwidth None: max(rule, h) per horizon
-    level: float = 0.90
-    sample: tuple | None = None
-
-    def __post_init__(self):
-        # a bare string would otherwise run once per character
-        if isinstance(self.shocks, str) or not self.shocks:
-            raise SpecError("shocks must be a nonempty tuple of names")
-        if len(set(self.shocks)) != len(self.shocks):
-            raise SpecError("shock names must be unique")
-        if not self.horizons or len(set(self.horizons)) != len(self.horizons):
-            raise SpecError("horizons must list at least one horizon, "
-                            "each once")
-        if any(h < 0 for h in self.horizons):
-            raise SpecError("horizons must list horizons >= 0, "
-                            f"got {self.horizons}")
-        if self.lags < 0:
-            raise SpecError("lags must be >= 0")
-        if not 0.0 < self.level < 1.0:
-            raise SpecError("level must be in (0, 1)")
-        check_window(self.sample)
+from .specs import HACSpec, LPSpec
 
 
 class ImpulseResponse(Record):

@@ -32,6 +32,7 @@ from .errors import (
     SampleError,
     SpecError,
 )
+from .specs import HACSpec, check_fixed_effects
 
 _RANK_TOL = 1e-10
 _NO_ROWS = "no usable observations: all {} rows dropped listwise"
@@ -44,20 +45,6 @@ _STAR_CUTOFFS = (
     (1.959963984540054, "**"),
     (1.6448536269514722, "*"),
 )
-
-
-class HACSpec(Record):
-    """Bartlett-kernel HAC settings: lag truncation L and the small-sample
-    scaling T/(T-k) applied to the moment covariance when flagged. A
-    bandwidth of None takes default_bandwidth of the periods in the
-    estimation sample."""
-
-    bandwidth: int | None
-    small_sample: bool = True
-
-    def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth < 0:
-            raise SpecError("bandwidth must be >= 0")
 
 
 def bartlett_weights(bandwidth: int) -> np.ndarray:
@@ -85,20 +72,6 @@ class Design(Record):
     @property
     def nobs(self) -> int:
         return self.y.shape[0]
-
-
-def check_window(window) -> None:
-    """Reject a sample window that is neither None nor a (start, end) pair
-    of quarter labels."""
-    if window is None:
-        return
-    try:
-        start, end = window
-    except (TypeError, ValueError):
-        raise SpecError("sample must be a (start, end) pair of quarter "
-                        f"labels, got {window!r}") from None
-    QuarterIndex.parse(start)
-    QuarterIndex.parse(end)
 
 
 def window_slice(time, window) -> slice:
@@ -169,13 +142,6 @@ def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
     cells = (codes * m)[:, None] + np.arange(m)
     return np.bincount(cells.ravel(), weights=Z.ravel(),
                        minlength=n_groups * m).reshape(n_groups, m)
-
-
-def check_fixed_effects(dims) -> None:
-    """SpecError unless dims names only region and time, each at most once."""
-    if not set(dims) <= {"region", "time"} or len(set(dims)) < len(dims):
-        raise SpecError("fixed_effects may name region and time, each once, "
-                        f"got {dims}")
 
 
 def within_transform(design: Design) -> Design:

@@ -726,6 +726,51 @@ def test_package_import_is_lazy():
     }
 
 
+# Runs `climpanel` with the arguments after the snippet, as `python -m
+# climpanel` does, and prints, last, the climpanel modules the run loaded
+COMMAND_MODULES = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("climpanel.")))))
+sys.argv = ["climpanel", *sys.argv[1:]]
+runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
+"""
+
+# what every command loads: the command line, the panel, the anomalies and
+# the setting records its config validation builds
+CLI_MODULES = ["climpanel._record", "climpanel.cli", "climpanel.climate",
+               "climpanel.dataset", "climpanel.errors", "climpanel.specs"]
+
+
+# the modules each command loads beyond those
+OWN_MODULES = {"--version": [], "stats": [], "anomaly": [],
+               "simulate": ["climpanel.simulate"],
+               "lp": ["climpanel.localproj", "climpanel.regress"],
+               "ardl": ["climpanel.ardl", "climpanel.regress"]}
+
+
+@pytest.mark.parametrize("command", OWN_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path,
+                                                     command):
+    # every module is compiled from source in a cold run that writes no
+    # bytecode, so one a command does not run is start-up time spent
+    args = [command]
+    if command != "--version":
+        args += ["--config", str(workspace["config"]), "--out", str(tmp_path)]
+    out = _python("-c", COMMAND_MODULES, *args)
+    assert (json.loads(out.splitlines()[-1])
+            == sorted(CLI_MODULES + OWN_MODULES[command]))
+
+
+def test_spec_records_load_no_estimator():
+    out = _python("-c", "import json, sys, climpanel; "
+                        "climpanel.LPSpec, climpanel.ARDLSpec, climpanel.HACSpec; "
+                        "print(json.dumps(sorted(m for m in sys.modules "
+                        "if m.startswith('climpanel.'))))")
+    assert json.loads(out) == ["climpanel._record", "climpanel.dataset",
+                               "climpanel.errors", "climpanel.specs"]
+
+
 # Runs `climpanel --version` the way `python -m climpanel` does, then
 # prints the OpenBLAS thread setting the run saw and whether it had to
 # load numpy after the package import; the run ends the process, so an
@@ -1295,6 +1340,31 @@ def test_longrun_label_keeps_a_climate_columns_own_infix(tmp_path):
     text = (tmp_path / "out" / "longrun_c.txt").read_text(encoding="utf-8")
     assert [line.split()[0] for line in text.splitlines()
             if line.startswith("theta[")] == [f"theta[{v}]" for v in labels]
+
+
+def test_longrun_text_widens_its_label_column_to_the_longest_label(tmp_path):
+    # theta[precipitation_mm_pos] is 27 characters, past the 24 of the
+    # shortest label column
+    _panel_csv(tmp_path / "climate.csv", ["temperature", "precipitation_mm"])
+    _panel_csv(tmp_path / "prices.csv", ["c"])
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[input]\nclimate = {tmp_path / 'climate.csv'}\n"
+                   f"prices = {tmp_path / 'prices.csv'}\n"
+                   "precipitation_var = precipitation_mm\n"
+                   "[ardl]\noutcomes = c\nm = 2,3\np = 1\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["ardl", "--config", str(cfg)]) == 0
+    lines = [line for line in _read_lines(tmp_path / "out" / "longrun_c.txt")
+             if not line.startswith("#")]
+    header = lines[2]
+    ends = [m.end() for m in re.finditer(r"\d+ yr MA", header)]
+    assert len(ends) == 2 and header.startswith(" " * 27 + " ")
+    rows = lines[3:]
+    assert "theta[precipitation_mm_pos]" in {row.split()[0] for row in rows}
+    assert rows[-1].startswith("nobs ")
+    for row in rows:   # value, (se) and nobs rows
+        assert len(row) == ends[-1], row
+        assert all(row[end - 1] != " " for end in ends), row
 
 
 def _project(root, climate, prices):
