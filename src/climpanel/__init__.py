@@ -20,9 +20,8 @@ _HOMES = {
         "seasonal_shock", "sign_split",
     ), "climate"),
     **dict.fromkeys((
-        "PanelDataset", "PanelSchema", "QuarterIndex", "RegionSummary",
-        "load_panel", "merge_panels", "quarter_range", "subset",
-        "summary_stats", "write_panel",
+        "PanelDataset", "RegionSummary", "load_panel", "merge_panels",
+        "subset", "summary_stats", "write_panel",
     ), "dataset"),
     **dict.fromkeys((
         "ImpulseResponse", "LPResult", "build_lp_design", "estimate_irf",
@@ -32,7 +31,10 @@ _HOMES = {
         "default_bandwidth", "ols", "significance_stars",
         "vcov_driscoll_kraay", "with_driscoll_kraay", "within_transform",
     ), "regress"),
-    **dict.fromkeys(("ARDLSpec", "HACSpec", "LPSpec"), "specs"),
+    **dict.fromkeys((
+        "ARDLSpec", "HACSpec", "LPSpec", "PanelSchema", "QuarterIndex",
+        "quarter_range",
+    ), "specs"),
 }
 
 __all__ = list(_HOMES)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .climate import derived_names
 from .dataset import PanelDataset, checked_log, shift
 from .errors import SpecError, UnitRootError
 from .regress import (
@@ -29,7 +28,7 @@ from .regress import (
     significance_stars,
     with_driscoll_kraay,
 )
-from .specs import ARDLSpec
+from .specs import ARDLSpec, derived_names
 
 _PHI_FLOOR = 1e-6
 

@@ -17,11 +17,7 @@ import numpy as np
 
 from .dataset import PanelDataset, _join
 from .errors import BurnInError, SpecError
-
-NORM_MODES = ("same-quarter", "rolling")
-
-# Northern-hemisphere seasons of quarters 1..4.
-SEASONS = ("winter", "spring", "summer", "autumn")
+from .specs import NORM_MODES, SEASONS, derived_names
 
 # hot/wet keep the positive part of the anomaly, cold/dry the negative part.
 POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
@@ -99,24 +95,6 @@ def seasonal_shock(
     out = np.where(in_season[None, :], part, 0.0)
     out[np.isnan(values)] = np.nan
     return out
-
-
-def derived_names(
-    var: str,
-    m: int | str,
-    polarities: tuple[str, ...] = ("hot", "cold"),
-    seasonal: bool = True,
-) -> tuple[str, ...]:
-    """Names of the series attach_anomaly_features derives from var, in
-    its order: the norm, the anomaly, the anomaly's positive and negative
-    parts, then with seasonal each season's shock of each polarity. m may
-    be a placeholder such as "{m}"."""
-    anom = f"{var}_anom_m{m}"
-    names = (f"{var}_norm_m{m}", anom, f"{anom}_pos", f"{anom}_neg")
-    if seasonal:
-        names += tuple(f"{var}_{season}_{polarity}_m{m}"
-                       for season in SEASONS for polarity in polarities)
-    return names
 
 
 def attach_anomaly_features(

@@ -14,7 +14,6 @@ import math
 import os
 import re
 import warnings
-from functools import total_ordering
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,87 +25,17 @@ from .errors import (
     GapError,
     PanelIntegrityError,
     SchemaError,
-    SpecError,
     TransformDomainError,
     VariableLookupError,
 )
-
-_QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
-
-
-def _quarter_code(year: int, quarter: int) -> int:
-    """A quarter's position on one integer axis, year * 4 + quarter - 1."""
-    if quarter not in (1, 2, 3, 4):
-        raise SpecError(f"quarter must be in 1..4, got {quarter!r}")
-    return year * 4 + quarter - 1
-
-
-def _quarter_at(code: int) -> QuarterIndex:
-    """The quarter at a position on that axis: _quarter_code's inverse."""
-    return QuarterIndex(code // 4, code % 4 + 1)
-
-
-@total_ordering
-class QuarterIndex(Record):
-    """A calendar quarter, ordered lexicographically on (year, quarter)."""
-
-    year: int
-    quarter: int
-
-    def __post_init__(self):
-        _quarter_code(self.year, self.quarter)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.year, self.quarter) < (other.year, other.quarter)
-
-    def __str__(self) -> str:
-        return f"{self.year}Q{self.quarter}"
-
-    @classmethod
-    def parse(cls, text: str | QuarterIndex) -> QuarterIndex:
-        """Parse '2002Q1' style labels; QuarterIndex passes through."""
-        if isinstance(text, QuarterIndex):
-            return text
-        m = _QUARTER_RE.match(str(text).strip().upper())
-        if m is None:
-            raise SpecError(f"cannot parse quarter label {text!r} (want e.g. 2002Q1)")
-        return cls(int(m.group(1)), int(m.group(2)))
-
-    def offset(self, n: int) -> QuarterIndex:
-        """The quarter n steps ahead (negative n steps back)."""
-        return _quarter_at(_quarter_code(self.year, self.quarter) + n)
-
-    def __sub__(self, other: QuarterIndex) -> int:
-        """Signed distance in quarters."""
-        return (_quarter_code(self.year, self.quarter)
-                - _quarter_code(other.year, other.quarter))
-
-
-def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex, ...]:
-    """Inclusive contiguous range of quarters."""
-    n = end - start
-    if n < 0:
-        raise SpecError(f"empty quarter range {start}..{end}")
-    return tuple(start.offset(i) for i in range(n + 1))
-
-
-class PanelSchema(Record):
-    """Column names for panel CSV files, and the token that marks an
-    explicitly missing cell (default: an empty cell). Every column that is
-    not region, year or quarter is a value column."""
-
-    region: str = "region"
-    year: str = "year"
-    quarter: str = "quarter"
-    missing: str = ""
-
-    def __post_init__(self):
-        keys = (self.region, self.year, self.quarter)
-        if len(set(keys)) != 3:
-            raise SpecError("region, year and quarter must name three "
-                            f"different columns, got {keys}")
+# quarter_range too, so the climpanel.dataset import path still has it
+from .specs import (
+    PanelSchema,
+    QuarterIndex,
+    _quarter_at,
+    _quarter_code,
+    quarter_range,
+)
 
 
 def _frozen(arr) -> bool:

@@ -24,7 +24,6 @@ import warnings
 import numpy as np
 
 from ._record import Record
-from .dataset import QuarterIndex, _quarter_code
 from .errors import (
     BandwidthError,
     DegreesOfFreedomError,
@@ -32,7 +31,7 @@ from .errors import (
     SampleError,
     SpecError,
 )
-from .specs import HACSpec, check_fixed_effects
+from .specs import HACSpec, QuarterIndex, _quarter_code, check_fixed_effects
 
 _RANK_TOL = 1e-10
 _NO_ROWS = "no usable observations: all {} rows dropped listwise"

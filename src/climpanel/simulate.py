@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import PanelDataset, QuarterIndex, quarter_range
+from .dataset import PanelDataset
+from .specs import QuarterIndex, quarter_range
 
 MEXICO_REGIONS = (
     "north-centre",

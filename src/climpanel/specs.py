@@ -1,16 +1,131 @@
-"""Estimator settings: the records that config validation builds.
+"""Settings: the records that config validation builds.
 
 Each [lp] and [ardl] config value is checked by building the record its
 command would run, so every command rejects a bad one. The records live
 here, apart from the estimators, so that a command that fits nothing
 loads none of regress, localproj and ardl; each of those modules imports
-its own records back under their old names.
+its own records back under their old names. The quarter and column-schema
+records and the derived-series names live here too, apart from the panels,
+so that building a config loads no numpy; dataset and climate import them
+back the same way.
 """
 from __future__ import annotations
 
+import re
+from functools import total_ordering
+
 from ._record import Record
-from .dataset import QuarterIndex
 from .errors import SpecError
+
+_QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
+
+
+def _quarter_code(year: int, quarter: int) -> int:
+    """A quarter's position on one integer axis, year * 4 + quarter - 1."""
+    if quarter not in (1, 2, 3, 4):
+        raise SpecError(f"quarter must be in 1..4, got {quarter!r}")
+    return year * 4 + quarter - 1
+
+
+def _quarter_at(code: int) -> QuarterIndex:
+    """The quarter at a position on that axis: _quarter_code's inverse."""
+    return QuarterIndex(code // 4, code % 4 + 1)
+
+
+@total_ordering
+class QuarterIndex(Record):
+    """A calendar quarter, ordered lexicographically on (year, quarter)."""
+
+    year: int
+    quarter: int
+
+    def __post_init__(self):
+        # a bool is an int, and a float year would print as 2000.5Q1; the
+        # usual two plain ints skip the loop, as a panel builds hundreds
+        if type(self.year) is not int or type(self.quarter) is not int:
+            for name in ("year", "quarter"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not hasattr(value, "__index__"):
+                    raise SpecError(f"{name} must be an integer, "
+                                    f"got {value!r}")
+        _quarter_code(self.year, self.quarter)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.year, self.quarter) < (other.year, other.quarter)
+
+    def __str__(self) -> str:
+        return f"{self.year}Q{self.quarter}"
+
+    @classmethod
+    def parse(cls, text: str | QuarterIndex) -> QuarterIndex:
+        """Parse '2002Q1' style labels; QuarterIndex passes through."""
+        if isinstance(text, QuarterIndex):
+            return text
+        m = _QUARTER_RE.match(str(text).strip().upper())
+        if m is None:
+            raise SpecError(f"cannot parse quarter label {text!r} (want e.g. 2002Q1)")
+        return cls(int(m.group(1)), int(m.group(2)))
+
+    def offset(self, n: int) -> QuarterIndex:
+        """The quarter n steps ahead (negative n steps back)."""
+        return _quarter_at(_quarter_code(self.year, self.quarter) + n)
+
+    def __sub__(self, other: QuarterIndex) -> int:
+        """Signed distance in quarters."""
+        return (_quarter_code(self.year, self.quarter)
+                - _quarter_code(other.year, other.quarter))
+
+
+def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex, ...]:
+    """Inclusive contiguous range of quarters."""
+    n = end - start
+    if n < 0:
+        raise SpecError(f"empty quarter range {start}..{end}")
+    return tuple(start.offset(i) for i in range(n + 1))
+
+
+class PanelSchema(Record):
+    """Column names for panel CSV files, and the token that marks an
+    explicitly missing cell (default: an empty cell). Every column that is
+    not region, year or quarter is a value column."""
+
+    region: str = "region"
+    year: str = "year"
+    quarter: str = "quarter"
+    missing: str = ""
+
+    def __post_init__(self):
+        keys = (self.region, self.year, self.quarter)
+        if len(set(keys)) != 3:
+            raise SpecError("region, year and quarter must name three "
+                            f"different columns, got {keys}")
+
+
+NORM_MODES = ("same-quarter", "rolling")
+
+# Northern-hemisphere seasons of quarters 1..4.
+SEASONS = ("winter", "spring", "summer", "autumn")
+
+
+def derived_names(
+    var: str,
+    m: int | str,
+    polarities: tuple[str, ...] = ("hot", "cold"),
+    seasonal: bool = True,
+) -> tuple[str, ...]:
+    """Names of the series attach_anomaly_features derives from var, in
+    its order: the norm, the anomaly, the anomaly's positive and negative
+    parts, then with seasonal each season's shock of each polarity. m may
+    be a placeholder such as "{m}"."""
+    anom = f"{var}_anom_m{m}"
+    names = (f"{var}_norm_m{m}", anom, f"{anom}_pos", f"{anom}_neg")
+    if seasonal:
+        names += tuple(f"{var}_{season}_{polarity}_m{m}"
+                       for season in SEASONS for polarity in polarities)
+    return names
+
 
 DEFAULT_HORIZONS = tuple(range(9))
 

@@ -1,12 +1,13 @@
 """Same-behaviour check: do this tree and a commit give the same outputs?
 
 For each CONFIG the script runs simulate, anomaly, lp, ardl and stats, each
-into its own output directory, and --version, once with this tree's src and
-once with the src of a `git archive` copy of REV (HEAD by default). For
-each run it compares the output tree byte for byte (a directory that is
-missing differs from an empty one), stdout and stderr with each side's
-output directory replaced by <out>, and the exit code. It prints every
-difference and exits 1 if there is any.
+into its own output directory, and the runs that take no config (--version,
+--help, lp --help and no command at all, a usage error), once with this
+tree's src and once with the src of a `git archive` copy of REV (HEAD by
+default). For each run it compares the output tree byte for byte (a
+directory that is missing differs from an empty one), stdout and stderr
+with each side's output directory replaced by <out>, and the exit code. It
+prints every difference and exits 1 if there is any.
 
     python tests/same_outputs.py [--rev REV] CONFIG...
 
@@ -23,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "anomaly", "lp", "ardl", "stats")
+# runs that read no config and write nothing, by their arguments
+NO_CONFIG = ("--version", "--help", "lp --help", "")
 
 
 def _tree(out: Path) -> dict | None:
@@ -81,17 +84,17 @@ def main(argv=None) -> int:
                                   "src"], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
         for config in args.configs:
-            for command in (*COMMANDS, "--version"):
+            for command in (*COMMANDS, *NO_CONFIG):
                 runs += 1
-                cmd = ([command] if command == "--version"
+                cmd = (command.split() if command in NO_CONFIG
                        else [command, "--config", config])
-                outs = ((None, None) if command == "--version" else
+                outs = ((None, None) if command in NO_CONFIG else
                         (tmp / f"here{runs}", tmp / f"rev{runs}"))
                 found = _differences(_run(ROOT / "src", cmd, outs[0]),
                                      _run(tmp / "src", cmd, outs[1]),
                                      args.rev)
                 differ += bool(found)
-                print(f"{config} {command}: "
+                print(f"{config} {command or '(no command)'}: "
                       + (f"{len(found)} differences" if found else "same"),
                       *(f"  {line}" for line in found), sep="\n", flush=True)
     print(f"{runs - differ} of {runs} runs the same as {args.rev}")

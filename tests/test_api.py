@@ -22,7 +22,7 @@ from climpanel import (
     seasonal_shock,
 )
 from climpanel.ardl import default_block
-from climpanel.errors import ClimPanelError, ConfigError
+from climpanel.errors import ClimPanelError, ConfigError, SpecError
 
 
 def test_star_import_binds_exactly_all():
@@ -135,3 +135,18 @@ def test_quarter_errors_keep_their_messages(make, message):
     with pytest.raises(ConfigError) as info:
         make()
     assert str(info.value) == message
+
+
+# a float year used to print as 2000.5Q1, and step to 2000.0Q4.0; a bool
+# quarter printed as 2000QTrue; a str year raised a bare TypeError
+@pytest.mark.parametrize("year, quarter, message", [
+    (2000.5, 1, "year must be an integer, got 2000.5"),
+    (2000, True, "quarter must be an integer, got True"),
+    ("2000", 1, "year must be an integer, got '2000'"),
+    (2000, 1.0, "quarter must be an integer, got 1.0"),
+])
+def test_quarter_fields_must_be_integers(year, quarter, message):
+    with pytest.raises(SpecError) as info:
+        QuarterIndex(year, quarter)
+    assert str(info.value) == message
+

@@ -551,9 +551,10 @@ def test_ardl_driscoll_kraay_default_bandwidth_uses_sample_periods(tmp_path):
     assert rule != run("bandwidth = 4", "panel_rule")
 
 
-def _python(*args, threads=None):
+def _python(*args, threads=None, code=0):
     """stdout of a child `python *args` that imports climpanel from this
-    tree, with OPENBLAS_NUM_THREADS unset or set to threads."""
+    tree, with OPENBLAS_NUM_THREADS unset or set to threads, which must
+    exit with code."""
     src = str(Path(climpanel.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -561,8 +562,10 @@ def _python(*args, threads=None):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    run = subprocess.run([sys.executable, *args], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    return run.stdout
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -728,68 +731,91 @@ def test_package_import_is_lazy():
 
 # Runs `climpanel` with the arguments after the snippet, as `python -m
 # climpanel` does, and prints, last, the climpanel modules the run loaded
+# and whether numpy was among its modules
 COMMAND_MODULES = """
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.startswith("climpanel.")))))
+    m for m in sys.modules if m.startswith("climpanel."))),
+    "numpy" in sys.modules))
 sys.argv = ["climpanel", *sys.argv[1:]]
 runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
-# what every command loads: the command line, the panel, the anomalies and
-# the setting records its config validation builds
-CLI_MODULES = ["climpanel._record", "climpanel.cli", "climpanel.climate",
-               "climpanel.dataset", "climpanel.errors", "climpanel.specs"]
+# what every run loads: the command line and the setting records its
+# config validation builds
+CLI_MODULES = ["climpanel._record", "climpanel.cli", "climpanel.errors",
+               "climpanel.specs"]
 
+# what every command loads once its config is checked: the panel and the
+# anomalies, and with them numpy
+PANEL_MODULES = ["climpanel.climate", "climpanel.dataset"]
 
 # the modules each command loads beyond those
-OWN_MODULES = {"--version": [], "stats": [], "anomaly": [],
+OWN_MODULES = {"stats": [], "anomaly": [],
                "simulate": ["climpanel.simulate"],
                "lp": ["climpanel.localproj", "climpanel.regress"],
                "ardl": ["climpanel.ardl", "climpanel.regress"]}
 
+# runs that end before a command runs, by their arguments and exit code:
+# argparse ends the first four, load_config the last
+NO_COMMAND = {"--version": (["--version"], 0), "--help": (["--help"], 0),
+              "lp --help": (["lp", "--help"], 0), "no command": ([], 1),
+              "bad config value": (["stats", "--m", "0"], 1)}
 
-@pytest.mark.parametrize("command", OWN_MODULES)
+
+@pytest.mark.parametrize("command", [*NO_COMMAND, *OWN_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path,
                                                      command):
     # every module is compiled from source in a cold run that writes no
-    # bytecode, so one a command does not run is start-up time spent
-    args = [command]
-    if command != "--version":
-        args += ["--config", str(workspace["config"]), "--out", str(tmp_path)]
-    out = _python("-c", COMMAND_MODULES, *args)
-    assert (json.loads(out.splitlines()[-1])
-            == sorted(CLI_MODULES + OWN_MODULES[command]))
+    # bytecode, so one a command does not run is start-up time spent; the
+    # modules and whether numpy is among them print last
+    if command in NO_COMMAND:
+        args, code = NO_COMMAND[command]
+        expected = CLI_MODULES, False
+    else:
+        args = [command, "--config", str(workspace["config"]),
+                "--out", str(tmp_path)]
+        expected, code = (sorted(CLI_MODULES + PANEL_MODULES
+                                 + OWN_MODULES[command]), True), 0
+    modules, numpy = _python("-c", COMMAND_MODULES, *args,
+                             code=code).splitlines()[-1].rsplit(" ", 1)
+    assert (json.loads(modules), numpy == "True") == expected
 
 
 def test_spec_records_load_no_estimator():
     out = _python("-c", "import json, sys, climpanel; "
                         "climpanel.LPSpec, climpanel.ARDLSpec, climpanel.HACSpec; "
+                        "climpanel.QuarterIndex, climpanel.PanelSchema; "
                         "print(json.dumps(sorted(m for m in sys.modules "
-                        "if m.startswith('climpanel.'))))")
-    assert json.loads(out) == ["climpanel._record", "climpanel.dataset",
-                               "climpanel.errors", "climpanel.specs"]
+                        "if m.startswith('climpanel.'))), "
+                        "'numpy' in sys.modules)")
+    modules, numpy = out.strip().rsplit(" ", 1)
+    assert (json.loads(modules), numpy) == (
+        ["climpanel._record", "climpanel.errors", "climpanel.specs"], "False")
 
 
-# Runs `climpanel --version` the way `python -m climpanel` does, then
-# prints the OpenBLAS thread setting the run saw and whether it had to
-# load numpy after the package import; the run ends the process, so an
-# exit handler prints
+# Runs `climpanel stats` with the arguments after the snippet, the way
+# `python -m climpanel` does, then prints the OpenBLAS thread setting the
+# run saw and whether it had to load numpy after the package import; the
+# run ends the process, so an exit handler prints
 MODULE_RUN = """
 import atexit, os, runpy, sys
 import climpanel
 before = "numpy" in sys.modules
 atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
                               "numpy" in sys.modules))
-sys.argv = ["climpanel", "--version"]
+sys.argv = ["climpanel", "stats", *sys.argv[1:]]
 runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
 
 @pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
-def test_entry_point_runs_openblas_on_one_thread_by_default(threads, seen):
-    lines = _python("-c", MODULE_RUN, threads=threads).splitlines()
-    assert lines[0] == f"climpanel, version {climpanel.__version__}"
+def test_entry_point_runs_openblas_on_one_thread_by_default(workspace,
+                                                            tmp_path, threads,
+                                                            seen):
+    lines = _python("-c", MODULE_RUN, "--config", str(workspace["config"]),
+                    "--out", str(tmp_path), threads=threads).splitlines()
+    assert lines[0] == f"stats: wrote {tmp_path / 'summary_stats.csv'}"
     assert lines[-1] == f"{seen} False True"
 
 
