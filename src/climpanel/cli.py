@@ -471,20 +471,34 @@ def _cells(command: str, run: _Run, estimated: int, failed: list) -> tuple:
 _INPUTS = {"climate": "climate", "prices": "price"}
 
 
-def _load(cfg: RunConfig, keys=None) -> PanelDataset:
-    """The panel of the [input] files named by keys (None: those set, at
-    least one), every path checked before any file is read. With both, the
-    climate file fixes the region order, so the price file may list its
-    regions in any order; the price series still come first."""
+def _inputs(cfg: RunConfig, command: str) -> list[str]:
+    """The [input] keys of the files command reads (stats: those set, at
+    least one), once the settings it needs beyond its sections' own checks
+    are there: lp's or ardl's outcomes first, then each path. main makes
+    these checks before numpy loads."""
     inp = cfg.input
-    if keys is None:
+    if command in ("lp", "ardl"):
+        _require(getattr(cfg, command).outcomes, f"[{command}] outcomes:",
+                 "at least one outcome is required")
+        keys = list(_INPUTS)
+    elif command == "stats":
         keys = [key for key in _INPUTS if getattr(inp, key)]
         _require(keys, "[input] climate or prices", "path is required")
+    else:
+        keys = ["climate"] if command == "anomaly" else []
     for key in keys:
         _require(getattr(inp, key), f"[input] {key}:",
                  f"path to the {_INPUTS[key]} CSV is required")
-    schema = inp.schema()
-    panels = [load_panel(getattr(inp, key), schema) for key in keys]
+    return keys
+
+
+def _load(cfg: RunConfig, command: str) -> PanelDataset:
+    """The panel of the [input] files command reads. With both, the climate
+    file fixes the region order, so the price file may list its regions in
+    any order; the price series still come first."""
+    inp, schema = cfg.input, cfg.input.schema()
+    panels = [load_panel(getattr(inp, key), schema)
+              for key in _inputs(cfg, command)]
     if len(panels) == 1:
         return panels[0]
     from .dataset import merge_panels, subset
@@ -514,9 +528,7 @@ def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,
 def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
     """lp's or ardl's merged panel, with the anomaly series for the windows
     ms, and its [input] sample window, the panel's ends for unset bounds."""
-    _require(getattr(cfg, section).outcomes, f"[{section}] outcomes:",
-             "at least one outcome is required")
-    ds = _attach_all(cfg, _load(cfg, ("climate", "prices")), ms, seasonal)
+    ds = _attach_all(cfg, _load(cfg, section), ms, seasonal)
     return ds, (cfg.input.start or str(ds.time[0]),
                 cfg.input.end or str(ds.time[-1]))
 
@@ -530,7 +542,7 @@ def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
 
 def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
     files = {}
-    ds = _attach_all(cfg, _load(cfg, ("climate",)), cfg.anomaly.m,
+    ds = _attach_all(cfg, _load(cfg, "anomaly"), cfg.anomaly.m,
                      cfg.anomaly.seasonal, files)
     run.panels(ds, files, cfg.input.schema())
     return (f"anomaly: wrote {len(files)} files to {run.out}",
@@ -650,7 +662,7 @@ def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
 
 def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
     from .dataset import summary_stats
-    ds = _load(cfg)
+    ds = _load(cfg, "stats")
     variables = cfg.stats.variables or ds.variables
     rows = [[var, s.region, s.min, s.q1, s.median, s.q3, s.max, s.mean, s.sd]
             for var in variables for s in summary_stats(ds, var)]
@@ -749,9 +761,11 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         body, _ = _COMMANDS[args.command]
         run = _Run(load_config(args.config, args.out, args.m, args.seed))
+        _inputs(run.cfg, args.command)
         # numpy and the panel layer load here, in one place: --version,
-        # --help and a usage or config error exit without them, and no
-        # command's first call to a stand-in above pays for the import
+        # --help and a usage or config error (a missing [input] path or
+        # outcome list among them) exit without them, and no command's
+        # first call to a stand-in above pays for the import
         from . import climate  # noqa: F401
         try:
             with warnings.catch_warnings():

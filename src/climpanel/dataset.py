@@ -215,8 +215,11 @@ def summary_stats(ds: PanelDataset, var: str) -> tuple[RegionSummary, ...]:
     moments = []
     for i, size in enumerate(n.tolist()):
         v = mat[i][finite[i]]
-        sd = float(np.std(v, ddof=1)) if size > 1 else math.nan
-        moments.append((float(v.min()), float(v.max()), float(v.mean()), sd))
+        # np.mean's and np.std(ddof=1)'s arithmetic, so their bits
+        mean = v.sum() / size
+        sd = (math.sqrt(((v - mean) ** 2).sum() / (size - 1)) if size > 1
+              else math.nan)
+        moments.append((float(v.min()), float(v.max()), float(mean), sd))
         v.partition(sorted({0, -1, *prev[i].tolist(), *nxt[i].tolist()}))
         a[i], b[i] = v[prev[i]], v[nxt[i]]
     # numpy's _lerp: a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5
@@ -343,14 +346,17 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
         return None
     # each cell that is the missing token becomes a nan literal other than
     # the token; the first pattern runs twice, since a match takes the
-    # comma that opens the next cell
+    # comma that opens the next cell. Each match changes the body's length
+    # by grow, which then counts them without a scan of its own.
     nan = "NaN" if missing == "nan" else "nan"
     body, n_missing = "\n" + text[len(lines[at]):] + "\n", 0
+    grow, size = len(nan) - len(missing), len(body)
     for a, b in ((",", ","), (",", ","), (",", "\n"), ("\n", ",")):
-        n = body.count(a + missing + b)
-        if n:
-            n_missing += n
-            body = body.replace(a + missing + b, a + nan + b)
+        if not grow:
+            n_missing += body.count(a + missing + b)
+        body = body.replace(a + missing + b, a + nan + b)
+    if grow:
+        n_missing = (len(body) - size) // grow
     kinds = {schema.region: object, schema.year: np.int64,
              schema.quarter: np.int64}
     try:

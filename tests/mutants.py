@@ -76,7 +76,7 @@ MUTANTS = [
     ("annualized over m", "src/climpanel/ardl.py",
      "return theta * 2.0 / (m + 1.0)", "return theta * 2.0 / m"),
     ("summary sd with ddof 0", "src/climpanel/dataset.py",
-     "np.std(v, ddof=1)", "np.std(v, ddof=0)"),
+     ".sum() / (size - 1))", ".sum() / size)"),
     ("LP shock led one quarter", "src/climpanel/localproj.py",
      "entries = [(shock, ds.values(shock), 0) for shock in shocks]",
      "entries = [(shock, shift(ds.values(shock), -1), 0)\n"

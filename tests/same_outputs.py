@@ -2,9 +2,9 @@
 
 For each CONFIG the script runs simulate, anomaly, lp, ardl and stats, each
 into its own output directory, and the runs that take no config (--version,
---help, lp --help and no command at all, a usage error), once with this
-tree's src and once with the src of a `git archive` copy of REV (HEAD by
-default). For each run it compares the output tree byte for byte (a
+--help, lp --help, no command at all, a usage error, and stats and lp,
+which lack their inputs or outcomes), once with this tree's src and once
+with the src of a `git archive` copy of REV (HEAD by default). For each run it compares the output tree byte for byte (a
 directory that is missing differs from an empty one), stdout and stderr
 with each side's output directory replaced by <out>, and the exit code. It
 prints every difference and exits 1 if there is any.
@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "anomaly", "lp", "ardl", "stats")
 # runs that read no config and write nothing, by their arguments
-NO_CONFIG = ("--version", "--help", "lp --help", "")
+NO_CONFIG = ("--version", "--help", "lp --help", "", "stats", "lp")
 
 
 def _tree(out: Path) -> dict | None:
@@ -84,17 +84,20 @@ def main(argv=None) -> int:
                                   "src"], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
         for config in args.configs:
-            for command in (*COMMANDS, *NO_CONFIG):
+            for command, configured in (*((c, True) for c in COMMANDS),
+                                        *((c, False) for c in NO_CONFIG)):
                 runs += 1
-                cmd = (command.split() if command in NO_CONFIG
-                       else [command, "--config", config])
-                outs = ((None, None) if command in NO_CONFIG else
-                        (tmp / f"here{runs}", tmp / f"rev{runs}"))
+                cmd = ([command, "--config", config] if configured
+                       else command.split())
+                outs = ((tmp / f"here{runs}", tmp / f"rev{runs}")
+                        if configured else (None, None))
                 found = _differences(_run(ROOT / "src", cmd, outs[0]),
                                      _run(tmp / "src", cmd, outs[1]),
                                      args.rev)
                 differ += bool(found)
-                print(f"{config} {command or '(no command)'}: "
+                label = (command if configured
+                         else f"{command or '(no command)'} (no config)")
+                print(f"{config} {label}: "
                       + (f"{len(found)} differences" if found else "same"),
                       *(f"  {line}" for line in found), sep="\n", flush=True)
     print(f"{runs - differ} of {runs} runs the same as {args.rev}")

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: simulate -> anomaly -> lp -> ardl -> stats."""
 import configparser
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -584,7 +585,7 @@ def test_lp_blank_bandwidth_honours_small_sample_false(workspace, tmp_path):
     assert main(["lp", "--config", str(workspace["config"]),
                  "--out", str(tmp_path / "default")]) == 0
     run = load_config(str(cfg))
-    ds = _attach_all(run, _load(run, ("climate", "prices")), [run.lp.m],
+    ds = _attach_all(run, _load(run, "lp"), [run.lp.m],
                      seasonal=True)
     name = "irf_temperature_spring_hot_m2__food.csv"
     rows = [l.split(",") for l in _read_lines(tmp_path / "o" / name)
@@ -757,10 +758,13 @@ OWN_MODULES = {"stats": [], "anomaly": [],
                "ardl": ["climpanel.ardl", "climpanel.regress"]}
 
 # runs that end before a command runs, by their arguments and exit code:
-# argparse ends the first four, load_config the last
+# argparse ends the first four, load_config the fifth, and the check of
+# what the command needs (an [input] path, lp's outcomes) the last two
 NO_COMMAND = {"--version": (["--version"], 0), "--help": (["--help"], 0),
               "lp --help": (["lp", "--help"], 0), "no command": ([], 1),
-              "bad config value": (["stats", "--m", "0"], 1)}
+              "bad config value": (["stats", "--m", "0"], 1),
+              "stats without inputs": (["stats"], 1),
+              "lp without outcomes": (["lp"], 1)}
 
 
 @pytest.mark.parametrize("command", [*NO_COMMAND, *OWN_MODULES])
@@ -796,14 +800,15 @@ def test_spec_records_load_no_estimator():
 
 # Runs `climpanel stats` with the arguments after the snippet, the way
 # `python -m climpanel` does, then prints the OpenBLAS thread setting the
-# run saw and whether it had to load numpy after the package import; the
-# run ends the process, so an exit handler prints
+# run saw, whether it had to load numpy after the package import and
+# whether the cyclic garbage collector was still on; the run ends the
+# process, so an exit handler prints
 MODULE_RUN = """
-import atexit, os, runpy, sys
+import atexit, gc, os, runpy, sys
 import climpanel
 before = "numpy" in sys.modules
 atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
-                              "numpy" in sys.modules))
+                              "numpy" in sys.modules, gc.isenabled()))
 sys.argv = ["climpanel", "stats", *sys.argv[1:]]
 runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
@@ -816,7 +821,38 @@ def test_entry_point_runs_openblas_on_one_thread_by_default(workspace,
     lines = _python("-c", MODULE_RUN, "--config", str(workspace["config"]),
                     "--out", str(tmp_path), threads=threads).splitlines()
     assert lines[0] == f"stats: wrote {tmp_path / 'summary_stats.csv'}"
-    assert lines[-1] == f"{seen} False True"
+    assert lines[-1] == f"{seen} False True False"
+
+
+def test_commands_leave_no_array_record_or_error_to_the_cyclic_collector(
+        workspace, tmp_path):
+    # the entry point runs with the cyclic collector off, which frees
+    # nothing only while no array, panel, record or error ends up in a
+    # reference cycle; DEBUG_SAVEALL keeps what each collection finds
+    from climpanel._record import Record
+    from climpanel.dataset import PanelDataset
+    from climpanel.errors import ClimPanelError
+    runs = [(cmd, workspace["config"], 0)
+            for cmd in ("simulate", "anomaly", "lp", "ardl", "stats")]
+    # lp and ardl with one failed cell of two, then with every cell failed
+    for outcomes, code in (("all_items,nope", 0), ("nope", 3)):
+        cfg = tmp_path / f"{outcomes}.ini"
+        cfg.write_text(BASE_CONFIG.format(data=workspace["data"], out="")
+                       .replace("all_items,food", outcomes), encoding="utf-8")
+        runs += [("lp", cfg, code), ("ardl", cfg, code)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for i, (cmd, cfg, code) in enumerate(runs):
+            assert main([cmd, "--config", str(cfg),
+                         "--out", str(tmp_path / str(i))]) == code
+        gc.collect()
+        kept = [type(obj).__name__ for obj in gc.garbage if isinstance(
+            obj, (np.ndarray, PanelDataset, Record, ClimPanelError))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == []
 
 
 # Runs `python -m climpanel` with the arguments after the snippet, under an

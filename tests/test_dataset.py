@@ -432,6 +432,35 @@ def test_summary_stats_keep_the_per_region_quantile_bits(rows):
                 ).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_summary_mean_and_sd_keep_numpys_bits(data):
+    # mean and sd are np.mean's and np.std(ddof=1)'s arithmetic written out;
+    # rows have NaN holes, signed zeros, one finite cell, or reach numpy's
+    # pairwise summation blocks
+    n_quarters = data.draw(st.one_of(st.integers(1, 20),
+                                     st.integers(129, 300)))
+    cell = st.one_of(_SUMMARY_CELL, st.floats(-1e150, 1e150),
+                     st.just(math.nan))
+    rows = data.draw(st.lists(st.lists(cell, min_size=n_quarters,
+                                       max_size=n_quarters),
+                              min_size=1, max_size=4))
+    for row in rows:   # each region keeps one finite cell
+        row[data.draw(st.integers(0, n_quarters - 1))] = data.draw(
+            _SUMMARY_CELL)
+    time = quarter_range(QuarterIndex(2000, 1),
+                         QuarterIndex(2000, 1).offset(n_quarters - 1))
+    ds = PanelDataset([f"r{i}" for i in range(len(rows))], time, {"x": rows})
+    got = [(s.mean, s.sd) for s in summary_stats(ds, "x")]
+    want = []
+    for row in np.array(rows):
+        v = row[np.isfinite(row)]
+        want.append((float(np.mean(v)),
+                     float(np.std(v, ddof=1)) if v.size > 1 else math.nan))
+    assert (np.array(got).view(np.int64)
+            == np.array(want).view(np.int64)).all()
+
+
 # ---------------------------------------------------------------------------
 # structure
 # ---------------------------------------------------------------------------
@@ -807,7 +836,8 @@ def test_plain_files_take_the_column_reader(tmp_path):
     spaced = PanelDataset(["Nuevo León", "Baja California Sur",
                            "Ciudad de México", "r3"], ds.time, ds.series,
                           ds.units)
-    for missing, panel in itertools.product(("", "NA", "nan"), (ds, spaced)):
+    for missing, panel in itertools.product(("", "NA", "nan", "-99"),
+                                            (ds, spaced)):
         schema = PanelSchema(missing=missing)
         write_panel(panel, tmp_path / "lf.csv", schema,
                     header_comments=["made by a test"])
@@ -895,6 +925,21 @@ def _rows_with(i, row):
                  "missing quarters: (a, 2000Q2), (b, 2000Q3)", id="hole"),
     pytest.param("# unit cpi = index\nregion,year,quarter,cpi\n", "",
                  "panel.csv: no data rows", id="header-only"),
+    # a token as long as its nan stand-in is counted, any other by the
+    # length it adds; a nan or inf literal beside a token still goes to
+    # the loop
+    pytest.param(_rows_with(1, "a,2000,2,nan").replace("1.5", "-99"), "-99",
+                 "panel.csv:3: cannot parse cpi='nan' as a finite number",
+                 id="3-char-token-and-nan"),
+    pytest.param(_rows_with(2, "b,2000,1,inf").replace("1.5", "-99"), "-99",
+                 "panel.csv:4: cannot parse cpi='inf' as a finite number",
+                 id="3-char-token-and-inf"),
+    pytest.param(_rows_with(2, "b,2000,1,nan").replace("1.5", ""), "",
+                 "panel.csv:4: cannot parse cpi='nan' as a finite number",
+                 id="blank-and-nan"),
+    pytest.param(_rows_with(1, "a,2000,2,-inf").replace("1.5", "NA"), "NA",
+                 "panel.csv:3: cannot parse cpi='-inf' as a finite number",
+                 id="token-and-inf"),
     pytest.param(_rows_with(1, "a,2000,2, NA"), "NA", None, id="padded-token"),
     pytest.param(_rows_with(1, 'a,2000,2,"N,A"'), "N,A", None,
                  id="token-with-comma"),
