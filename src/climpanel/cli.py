@@ -1,9 +1,9 @@
 """Command-line pipeline: ingest -> anomalies -> local projections / ARDL.
 
-Configuration is an INI-style file with flat key=value sections; unknown
-sections or keys are rejected. Identical config plus identical inputs
-produce byte-identical outputs: every emitted file carries the toolkit
-version and a hash of the resolved configuration, never a timestamp.
+The INI configuration is read and checked by config.load_config.
+Identical config plus identical inputs produce byte-identical outputs:
+every emitted file carries the toolkit version and a hash of the resolved
+configuration, never a timestamp.
 Each command writes its files through a _Run and returns its summary
 line, report facts and failure lists; main writes the run report, then
 prints the summary.
@@ -15,36 +15,21 @@ data validation, 3 estimation failure in every cell.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
-import hashlib
 import importlib
 import io
-import json
 import os
-import re
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
-from ._record import Record
 from .errors import (
     ClimPanelError,
     ConfigError,
     DataValidationError,
     EstimationError,
     describe,
-)
-from .specs import (
-    NORM_MODES,
-    ARDLSpec,
-    HACSpec,
-    LPSpec,
-    PanelSchema,
-    QuarterIndex,
-    check_fixed_effects,
-    derived_names,
 )
 
 
@@ -63,329 +48,6 @@ write_panel = _on_first_call("dataset", "write_panel")
 _write_csv = _on_first_call("dataset", "write_csv")
 attach_anomaly_features = _on_first_call("climate", "attach_anomaly_features")
 estimate_irf = _on_first_call("localproj", "estimate_irf")
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-def _require(ok, where: str, rule: str) -> None:
-    if not ok:
-        raise ConfigError(f"{where} {rule}")
-
-
-def _checked(where: str, fn, *args):
-    """fn(*args), its ValueError (a SpecError is one) a ConfigError prefixed
-    by where, which ends in a colon when the message does not start with
-    the setting's name."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{where} {exc}") from None
-
-
-def _check_windows(where: str, ms: tuple[int, ...]) -> None:
-    _require(ms and min(ms) >= 1, where,
-             f"must list norm windows of at least 1 year, got {ms}")
-
-
-def _check_path(where: str, path: str | None) -> None:
-    # the OS takes no NUL in a file name; open() would raise a bare ValueError
-    _require(path is None or "\0" not in path, where,
-             "must not contain a NUL byte")
-
-
-# Each section is an immutable Record: its fields are the section's keys,
-# their defaults the defaults, their annotations pick the value parser, and
-# __post_init__ rejects out-of-range values, also by building the library
-# records its command runs. A section is built once, after the CLI
-# overrides are applied, so an override can replace a bad file value.
-
-class InputConfig(Record):
-    climate: str | None = None
-    prices: str | None = None
-    region_col: str = "region"
-    year_col: str = "year"
-    quarter_col: str = "quarter"
-    missing: str = ""
-    temperature_var: str = "temperature"
-    precipitation_var: str = "precipitation"
-    start: str | None = None
-    end: str | None = None
-
-    def __post_init__(self):
-        _check_path("[input] climate", self.climate)
-        _check_path("[input] prices", self.prices)
-        start, end = (None if label is None else
-                      _checked(f"[input] {key}:", QuarterIndex.parse, label)
-                      for key, label in (("start", self.start),
-                                         ("end", self.end)))
-        _require(None in (start, end) or start <= end, "[input] start",
-                 f"must not be after [input] end, got {self.start} > "
-                 f"{self.end}")
-        _checked("[input] region_col, year_col and quarter_col:", self.schema)
-        # anomaly would write both variables' files under one set of names
-        _require(self.temperature_var != self.precipitation_var,
-                 "[input] temperature_var and precipitation_var",
-                 "must name two different columns, got "
-                 f"{(self.temperature_var, self.precipitation_var)}")
-
-    def schema(self) -> PanelSchema:
-        return PanelSchema(self.region_col, self.year_col, self.quarter_col,
-                           self.missing)
-
-
-class AnomalyConfig(Record):
-    m: tuple[int, ...] = (20, 30, 40)
-    mode: str = "same-quarter"
-    seasonal: bool = True
-    sign_conditioned: bool = True
-
-    def __post_init__(self):
-        _check_windows("[anomaly] m", self.m)
-        _require(self.mode in NORM_MODES, "[anomaly] mode",
-                 f"must be one of {NORM_MODES}")
-
-
-class LPConfig(Record):
-    outcomes: tuple[str, ...] = ()
-    shocks: tuple[str, ...] = ()   # load_config fills in _default_shocks
-    m: int = 30
-    horizons: tuple[int, ...] = LPSpec.horizons
-    lags: int = LPSpec.lags
-    level: float = LPSpec.level
-    bandwidth: int | None = None
-    small_sample: bool = HACSpec.small_sample
-    fixed_effects: tuple[str, ...] = LPSpec.fixed_effects
-
-    def __post_init__(self):
-        _check_windows("[lp] m", (self.m,))
-        try:
-            names = self.shock_names()
-        except (KeyError, IndexError, ValueError, AttributeError, TypeError):
-            raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
-                              "(only {m} is substituted)") from None
-        _checked(f"[lp] shocks (with {{m}} = {self.m}):", _each_once, names)
-        _checked("[lp]", check_fixed_effects, self.fixed_effects)
-        _checked("[lp]", self.spec, "")
-
-    def shock_names(self) -> tuple[str, ...]:
-        """The shock series, with {m} replaced by the norm window."""
-        return tuple(pattern.format(m=self.m) for pattern in self.shocks)
-
-    def spec(self, outcome: str, sample=None) -> LPSpec:
-        """One outcome's LPSpec; a blank bandwidth is max(rule, h)."""
-        hac = HACSpec(self.bandwidth, self.small_sample)
-        return LPSpec(outcome, self.shock_names(), self.horizons, self.lags,
-                      self.fixed_effects, hac, self.level, sample)
-
-
-class ARDLConfig(Record):
-    outcomes: tuple[str, ...] = ()
-    m: tuple[int, ...] = (20, 30, 40)
-    p: int = ARDLSpec.p
-    se: str = "classical"
-    bandwidth: int | None = None
-    small_sample: bool = HACSpec.small_sample
-
-    def __post_init__(self):
-        _check_windows("[ardl] m", self.m)
-        _require(self.se in ("classical", "driscoll-kraay"), "[ardl] se",
-                 "must be classical or driscoll-kraay")
-        # the outcome and block are each cell's; any one stands in here
-        _checked("[ardl]", self.spec, "", ("",), self.m[0])
-
-    def spec(self, outcome: str, block, m: int, sample=None) -> ARDLSpec:
-        """One cell's ARDLSpec; classical se also checks the bandwidth."""
-        hac = HACSpec(self.bandwidth, self.small_sample)
-        return ARDLSpec(outcome, block, self.p, m, sample=sample,
-                        hac=hac if self.se == "driscoll-kraay" else None)
-
-
-class SimulateConfig(Record):
-    kind: str = "climate"
-    seed: int = 20240101
-    regions: int = 7
-    quarters: int = 252
-    start: str = "1962Q1"
-
-    def __post_init__(self):
-        _require(self.kind in ("climate", "lp", "ardl"), "[simulate] kind",
-                 "must be climate, lp or ardl")
-        _require(self.seed >= 0, "[simulate] seed", "must be >= 0")
-        _require(self.regions >= 1, "[simulate] regions", "must be >= 1")
-        _require(self.quarters >= 1, "[simulate] quarters", "must be >= 1")
-        _checked("[simulate] start:", QuarterIndex.parse, self.start)
-
-
-class StatsConfig(Record):
-    variables: tuple[str, ...] = ()
-
-
-class OutputConfig(Record):
-    dir: str = "out"
-
-    def __post_init__(self):
-        _check_path("[output] dir", self.dir)
-
-
-class RunConfig(Record):
-    input: InputConfig
-    anomaly: AnomalyConfig
-    lp: LPConfig
-    ardl: ARDLConfig
-    simulate: SimulateConfig
-    stats: StatsConfig
-    out_dir: str
-    hash: str
-
-
-_SECTIONS = {
-    "input": InputConfig,
-    "anomaly": AnomalyConfig,
-    "lp": LPConfig,
-    "ardl": ARDLConfig,
-    "simulate": SimulateConfig,
-    "stats": StatsConfig,
-    "output": OutputConfig,
-}
-
-
-def _default_shocks(inp: dict) -> tuple[str, ...]:
-    """[lp] shocks when the file gives none, from the climate column names
-    in the [input] values inp, with {m} left in."""
-    t, p = (inp.get(key, getattr(InputConfig, key))
-            .replace("{", "{{").replace("}", "}}")   # braces are literal
-            for key in ("temperature_var", "precipitation_var"))
-    cold = derived_names(t, "{m}", ("cold",))[4:]   # one per season
-    hot = derived_names(t, "{m}", ("hot",))[4:]
-    pos, neg = derived_names(p, "{m}", seasonal=False)[2:]
-    return (cold[0], hot[1], hot[2], pos, neg)   # winter, spring, summer
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-def _each_once(items: tuple) -> tuple:
-    """items, unless one is listed twice: every list names each entry once."""
-    repeated = [x for i, x in enumerate(items) if x in items[:i]]
-    if repeated:
-        raise ValueError(f"lists {repeated[0]!r} twice")
-    return items
-
-
-def _parse_list(text: str) -> tuple[str, ...]:
-    return _each_once(tuple(s.strip() for s in text.split(",") if s.strip()))
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    # compared as ints, so 30 and 030 are one entry
-    return _each_once(tuple(int(s) for s in text.split(",") if s.strip()))
-
-
-_HORIZON_RANGE = re.compile(r"(\d+)\s*-\s*(\d+)")
-
-
-def _parse_horizons(text: str) -> tuple[int, ...]:
-    """An a-b range of nonnegative ints, else a list (so -2 is a list)."""
-    text = text.strip()
-    match = _HORIZON_RANGE.fullmatch(text)
-    if match:
-        lo, hi = (int(s) for s in match.groups())
-        if hi < lo:
-            raise ValueError(f"empty horizon range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return _parse_int_list(text)
-
-
-# field annotation (a string, as annotations are postponed) -> value parser
-_PARSERS = {
-    "bool": _parse_bool,
-    "int": int,
-    "int | None": lambda text: int(text) if text.strip() else None,
-    "float": float,
-    "str": str,
-    "str | None": str,
-    "tuple[str, ...]": _parse_list,
-    "tuple[int, ...]": _parse_int_list,
-}
-
-
-def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
-    """The section's keys as given, each parsed by its field type but not
-    yet checked against its range."""
-    types = cls.__annotations__
-    values = {}
-    for key, text in (parser[name] if parser.has_section(name) else {}).items():
-        if key not in types:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        # [lp] horizons also takes an a-b range
-        parse = (_parse_horizons if (name, key) == ("lp", "horizons")
-                 else _PARSERS[types[key]])
-        values[key] = _checked(f"[{name}] {key}:", parse, text)
-    return values
-
-
-def load_config(
-    path: str | None,
-    out_dir: str | None = None,
-    m_list: str | None = None,
-    seed: int | None = None,
-) -> RunConfig:
-    """Parse and validate a config file, applying CLI overrides.
-
-    Unknown sections or keys raise ConfigError. The returned config carries
-    a hash of the fully resolved settings for output-file headers.
-    """
-    # no header line spells "\n": [DEFAULT] is an ordinary, unknown section
-    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
-    if path is not None:
-        try:
-            read = parser.read(path, encoding="utf-8-sig")
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"malformed config file {path!r}: {exc}") from None
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-    raw = {name: _parse_section(parser, name, cls)
-           for name, cls in _SECTIONS.items()}
-    if m_list is not None:
-        ms = _checked("--m:", _parse_int_list, m_list)
-        # a bad list is named by the first section it lands in, [anomaly]
-        _check_windows("--m: [anomaly] m", ms)
-        raw["anomaly"]["m"] = raw["ardl"]["m"] = ms
-        raw["lp"]["m"] = ms[0]
-    _check_path("--out", out_dir)
-    if seed is not None:
-        raw["simulate"]["seed"] = seed
-    raw["lp"].setdefault("shocks", _default_shocks(raw["input"]))
-    sections = {name: cls(**raw[name]) for name, cls in _SECTIONS.items()}
-    output = sections.pop("output")
-
-    # the output directory is deliberately left out of the hash: it changes
-    # where files land, never what they contain
-    resolved = {name: vars(sec) for name, sec in sections.items()}
-    digest = hashlib.sha256(
-        json.dumps(resolved, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
-    # paths in the file are relative to the file, hashed as written above;
-    # --out is relative to the working directory
-    base = os.path.dirname(path or "")
-    inp = sections["input"]
-    sections["input"] = inp.replace(
-        **{key: os.path.join(base, getattr(inp, key))
-                for key in ("climate", "prices") if getattr(inp, key)})
-    return RunConfig(**sections, hash=digest,
-                     out_dir=os.path.join(base, output.dir)
-                     if out_dir is None else out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -467,35 +129,11 @@ def _cells(command: str, run: _Run, estimated: int, failed: list) -> tuple:
                       f"{len(failed)} failed"})
 
 
-# [input] path key -> what its file holds
-_INPUTS = {"climate": "climate", "prices": "price"}
-
-
-def _inputs(cfg: RunConfig, command: str) -> list[str]:
-    """The [input] keys of the files command reads (stats: those set, at
-    least one), once the settings it needs beyond its sections' own checks
-    are there: lp's or ardl's outcomes first, then each path. main makes
-    these checks before numpy loads."""
-    inp = cfg.input
-    if command in ("lp", "ardl"):
-        _require(getattr(cfg, command).outcomes, f"[{command}] outcomes:",
-                 "at least one outcome is required")
-        keys = list(_INPUTS)
-    elif command == "stats":
-        keys = [key for key in _INPUTS if getattr(inp, key)]
-        _require(keys, "[input] climate or prices", "path is required")
-    else:
-        keys = ["climate"] if command == "anomaly" else []
-    for key in keys:
-        _require(getattr(inp, key), f"[input] {key}:",
-                 f"path to the {_INPUTS[key]} CSV is required")
-    return keys
-
-
 def _load(cfg: RunConfig, command: str) -> PanelDataset:
     """The panel of the [input] files command reads. With both, the climate
     file fixes the region order, so the price file may list its regions in
     any order; the price series still come first."""
+    from .config import _inputs
     inp, schema = cfg.input, cfg.input.schema()
     panels = [load_panel(getattr(inp, key), schema)
               for key in _inputs(cfg, command)]
@@ -512,6 +150,7 @@ def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,
     """ds with both climate variables' anomaly series for each window in
     ms; files, if given, gets each (variable, window)'s anomaly and norms
     audit file names mapped to their series."""
+    from .specs import derived_names
     for var, polarities in ((cfg.input.temperature_var, ("hot", "cold")),
                             (cfg.input.precipitation_var, ("wet", "dry"))):
         for m in ms:
@@ -592,6 +231,7 @@ def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _longrun_label(variable: str, m: int) -> str:
+    from .specs import derived_names
     head, _, tail = variable.rpartition(derived_names("", m, seasonal=False)[1])
     return head + tail
 
@@ -752,6 +392,19 @@ _EXITS = (
 )
 
 
+def _print_warnings(caught: list) -> None:
+    """One stderr line per distinct warning text, in the order each first
+    occurred, with no source line and with its count if it occurred more
+    than once."""
+    counts = {}
+    for warning in caught:
+        message = " ".join(str(warning.message).splitlines())
+        counts[message] = counts.get(message, 0) + 1
+    for message, n in counts.items():
+        print(f"warning: {message}" + (f" ({n} times)" if n > 1 else ""),
+              file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Entry point mapping toolkit errors, and a stdout that cannot be
     written (a pipe whose reader has gone), to one stderr line and a code."""
@@ -760,6 +413,9 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(text):
             args = _parser().parse_args(argv)
         body, _ = _COMMANDS[args.command]
+        # the config layer loads once argparse has picked a command, so
+        # --version, --help and a usage error compile none of it
+        from .config import _inputs, load_config
         run = _Run(load_config(args.config, args.out, args.m, args.seed))
         _inputs(run.cfg, args.command)
         # numpy and the panel layer load here, in one place: --version,
@@ -768,12 +424,14 @@ def main(argv=None) -> int:
         # first call to a stand-in above pays for the import
         from . import climate  # noqa: F401
         try:
-            with warnings.catch_warnings():
-                # a library warning is one stderr line, with no source line
-                warnings.showwarning = lambda message, *_: print(
-                    "warning: " + " ".join(str(message).splitlines()),
-                    file=sys.stderr)
-                summary, facts, failures = body(run.cfg, run)
+            with warnings.catch_warnings(record=True) as caught:
+                # every warning is kept, also one repeated at a code
+                # location, which the default filter would show once
+                warnings.simplefilter("always")
+                try:
+                    summary, facts, failures = body(run.cfg, run)
+                finally:
+                    _print_warnings(caught)
             run.report(args.command, facts, failures)
         except OSError as exc:   # the readers raise typed errors: a write
             raise ClimPanelError(f"{exc.filename or run.out}: cannot write: "

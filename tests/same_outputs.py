@@ -2,8 +2,8 @@
 
 For each CONFIG the script runs simulate, anomaly, lp, ardl and stats, each
 into its own output directory, and the runs that take no config (--version,
---help, lp --help, no command at all, a usage error, and stats and lp,
-which lack their inputs or outcomes), once with this tree's src and once
+--help, lp --help, no command at all, a bad config value (stats --m 0),
+and stats and lp, which lack their inputs or outcomes), once with this tree's src and once
 with the src of a `git archive` copy of REV (HEAD by default). For each run it compares the output tree byte for byte (a
 directory that is missing differs from an empty one), stdout and stderr
 with each side's output directory replaced by <out>, and the exit code. It
@@ -25,7 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "anomaly", "lp", "ardl", "stats")
 # runs that read no config and write nothing, by their arguments
-NO_CONFIG = ("--version", "--help", "lp --help", "", "stats", "lp")
+NO_CONFIG = ("--version", "--help", "lp --help", "", "stats --m 0", "stats",
+             "lp")
 
 
 def _tree(out: Path) -> dict | None:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import climpanel
-from climpanel import cli
 from climpanel import (
     ARDLSpec,
     HACSpec,
@@ -22,6 +21,7 @@ from climpanel import (
     seasonal_shock,
 )
 from climpanel.ardl import default_block
+from climpanel.config import _SECTIONS
 from climpanel.errors import ClimPanelError, ConfigError, SpecError
 
 
@@ -55,7 +55,7 @@ def test_readme_config_table_lists_every_key():
     listed = [(section, key) for section, keys in rows if section != "Section"
               for key in keys.split(" / ")]
     assert len(set(listed)) == len(listed)
-    keys = {(section, key) for section, cls in cli._SECTIONS.items()
+    keys = {(section, key) for section, cls in _SECTIONS.items()
             for key in cls.__annotations__}
     assert sorted(set(listed) - keys) == []
     assert sorted(keys - set(listed)) == []

@@ -30,7 +30,9 @@ from climpanel import (
     ols,
     with_driscoll_kraay,
 )
-from climpanel.cli import _attach_all, _load, load_config, main
+from climpanel.cli import _attach_all, _load, main
+from climpanel.config import load_config
+from climpanel.errors import EstimationError
 
 
 BASE_CONFIG = """\
@@ -731,21 +733,30 @@ def test_package_import_is_lazy():
 
 
 # Runs `climpanel` with the arguments after the snippet, as `python -m
-# climpanel` does, and prints, last, the climpanel modules the run loaded
-# and whether numpy was among its modules
+# climpanel` does, and prints, last, the climpanel modules the run loaded,
+# which of configparser, hashlib and json it loaded (checked before the
+# handler imports json) and whether numpy was among its modules
 COMMAND_MODULES = """
-import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.startswith("climpanel."))),
-    "numpy" in sys.modules))
+import atexit, runpy, sys
+def report():
+    stdlib = [m for m in ("configparser", "hashlib", "json")
+              if m in sys.modules]
+    import json
+    print(json.dumps([sorted(m for m in sys.modules
+                             if m.startswith("climpanel.")),
+                      stdlib, "numpy" in sys.modules]))
+atexit.register(report)
 sys.argv = ["climpanel", *sys.argv[1:]]
 runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
-# what every run loads: the command line and the setting records its
-# config validation builds
-CLI_MODULES = ["climpanel._record", "climpanel.cli", "climpanel.errors",
-               "climpanel.specs"]
+# what a run that argparse ends loads: the command line alone
+PARSER_MODULES = ["climpanel.cli", "climpanel.errors"]
+
+# what every run that gets past argparse loads: the config layer and the
+# setting records its validation builds
+CONFIG_MODULES = sorted(PARSER_MODULES + [
+    "climpanel._record", "climpanel.config", "climpanel.specs"])
 
 # what every command loads once its config is checked: the panel and the
 # anomalies, and with them numpy
@@ -757,33 +768,49 @@ OWN_MODULES = {"stats": [], "anomaly": [],
                "lp": ["climpanel.localproj", "climpanel.regress"],
                "ardl": ["climpanel.ardl", "climpanel.regress"]}
 
-# runs that end before a command runs, by their arguments and exit code:
-# argparse ends the first four, load_config the fifth, and the check of
-# what the command needs (an [input] path, lp's outcomes) the last two
-NO_COMMAND = {"--version": (["--version"], 0), "--help": (["--help"], 0),
-              "lp --help": (["lp", "--help"], 0), "no command": ([], 1),
-              "bad config value": (["stats", "--m", "0"], 1),
-              "stats without inputs": (["stats"], 1),
-              "lp without outcomes": (["lp"], 1)}
+# runs that argparse ends, by their arguments and exit code
+PARSER_ONLY = {"--version": (["--version"], 0), "--help": (["--help"], 0),
+               "lp --help": (["lp", "--help"], 0), "no command": ([], 1)}
+
+# runs that end before a command runs, once the config is read: load_config
+# ends the first, and the check of what the command needs (an [input] path,
+# lp's outcomes) the other two
+CONFIG_ONLY = {"bad config value": (["stats", "--m", "0"], 1),
+               "stats without inputs": (["stats"], 1),
+               "lp without outcomes": (["lp"], 1)}
 
 
-@pytest.mark.parametrize("command", [*NO_COMMAND, *OWN_MODULES])
+@pytest.mark.parametrize("command",
+                         [*PARSER_ONLY, *CONFIG_ONLY, *OWN_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path,
                                                      command):
     # every module is compiled from source in a cold run that writes no
     # bytecode, so one a command does not run is start-up time spent; the
-    # modules and whether numpy is among them print last
-    if command in NO_COMMAND:
-        args, code = NO_COMMAND[command]
-        expected = CLI_MODULES, False
+    # modules and whether numpy is among them print last. A run that
+    # argparse ends loads no standard module the config layer needs.
+    if command in PARSER_ONLY:
+        args, code = PARSER_ONLY[command]
+        expected = PARSER_MODULES, False
+    elif command in CONFIG_ONLY:
+        args, code = CONFIG_ONLY[command]
+        expected = CONFIG_MODULES, False
     else:
         args = [command, "--config", str(workspace["config"]),
                 "--out", str(tmp_path)]
-        expected, code = (sorted(CLI_MODULES + PANEL_MODULES
+        expected, code = (sorted(CONFIG_MODULES + PANEL_MODULES
                                  + OWN_MODULES[command]), True), 0
-    modules, numpy = _python("-c", COMMAND_MODULES, *args,
-                             code=code).splitlines()[-1].rsplit(" ", 1)
-    assert (json.loads(modules), numpy == "True") == expected
+    modules, stdlib, numpy = json.loads(_python(
+        "-c", COMMAND_MODULES, *args, code=code).splitlines()[-1])
+    assert (modules, numpy) == expected
+    if command in PARSER_ONLY:
+        assert stdlib == []
+
+
+def test_config_layer_loads_no_command_line_and_no_numpy():
+    out = _python("-c", "import sys, climpanel.config; "
+                        "print('climpanel.cli' in sys.modules, "
+                        "'numpy' in sys.modules)")
+    assert out.split() == ["False", "False"]
 
 
 def test_spec_records_load_no_estimator():
@@ -1274,6 +1301,30 @@ def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys,
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def test_empty_output_directory_exit_1(workspace, tmp_path, capsys,
+                                       monkeypatch):
+    # an empty [output] dir would name the config file's directory and an
+    # empty --out the working directory; . still names the latter
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=workspace["data"], out=""),
+                   encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for args, message in (
+            ([], "[output] dir must not be empty (. is the config file's "
+                 "directory)"),
+            (["--out", ""], "--out must not be empty (. is the working "
+                            "directory)")):
+        assert main(["stats", "--config", str(cfg), *args]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "work"]
+    assert list(work.iterdir()) == []
+    assert main(["stats", "--config", str(cfg), "--out", "."]) == 0
+    assert sorted(p.name for p in work.iterdir()) == [
+        "run_report_stats.txt", "summary_stats.csv"]
+
+
 @pytest.mark.parametrize("command, setting, column, written", [
     ("lp", "lp.outcomes", "all_items",
      "irf_temperature_winter_cold_m2__all/items.csv"),
@@ -1362,6 +1413,39 @@ def test_library_warning_is_one_stderr_line(tmp_path):
     assert run.stderr == ("warning: dropped 1 observation(s) in singleton "
                           "fixed-effect group(s); they have no within "
                           "variation\n")
+
+
+def test_repeated_library_warning_is_one_line_with_its_count(tmp_path,
+                                                            capsys):
+    # region r3 has prices in two quarters only, so each outcome's fit at
+    # horizon 0 drops one row of it as a singleton region group
+    cfg = _lp_config(tmp_path, "shocks = a\noutcomes = c, b__c\n"
+                               "horizons = 0\nlags = 0",
+                     lambda region, t: region == "r3" and t not in (10, 11))
+    assert main(["lp", "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: dropped 1 observation(s) in singleton "
+                   "fixed-effect group(s); they have no within variation "
+                   "(2 times)\n")
+
+
+def test_warnings_print_before_the_error_line(workspace, capsys,
+                                              monkeypatch):
+    # a command that warns, then fails: each distinct text once, in order
+    # of first occurrence, then the error line
+    from climpanel import cli
+
+    def body(cfg, run):
+        for _ in range(3):
+            warnings.warn("first")
+        warnings.warn("second\nline")
+        raise EstimationError("every cell failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", (body, ""))
+    assert main(["stats", "--config", str(workspace["config"])]) == 3
+    assert capsys.readouterr().err == ("warning: first (3 times)\n"
+                                       "warning: second line\n"
+                                       "estimation error: every cell failed\n")
 
 
 def test_anomaly_refuses_an_input_series_named_like_a_derived_one(

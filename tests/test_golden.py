@@ -12,7 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from climpanel.cli import load_config, main
+from climpanel.cli import main
+from climpanel.config import load_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_sha256.json"
 

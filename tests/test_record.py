@@ -7,7 +7,7 @@ import pytest
 
 # every module that defines records, by name: a command loads only its own
 import climpanel.ardl  # noqa: F401
-import climpanel.cli  # noqa: F401
+import climpanel.config  # noqa: F401
 import climpanel.dataset  # noqa: F401
 import climpanel.localproj  # noqa: F401
 import climpanel.regress  # noqa: F401
