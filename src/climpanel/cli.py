@@ -1,53 +1,44 @@
-"""Command-line pipeline: ingest -> anomalies -> local projections / ARDL.
+"""Command bodies: anomaly, lp, ardl, stats and simulate. __main__ parses
+the command line and imports this module once a command's configuration
+is checked; importing it loads numpy and the panel layer.
 
-The INI configuration is read and checked by config.load_config.
 Identical config plus identical inputs produce byte-identical outputs:
 every emitted file carries the toolkit version and a hash of the resolved
-configuration, never a timestamp.
-Each command writes its files through a _Run and returns its summary
-line, report facts and failure lists; main writes the run report, then
-prints the summary.
-
-Exit codes: 0 success, 1 usage/config, or an output file (a series name
-holding a path separator included) or stdout that cannot be written, 2
-data validation, 3 estimation failure in every cell.
+configuration, never a timestamp. Each command writes its files through a
+_Run and returns its summary line, report facts and failure lists;
+__main__.run writes the run report, then prints the summary. The bodies
+call the panel readers and writers, attach_anomaly_features and
+estimate_irf through this module's globals, where the benchmark's tracer
+wraps them.
 """
 from __future__ import annotations
 
-import argparse
-import contextlib
-import importlib
-import io
 import os
-import sys
-import warnings
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ClimPanelError,
-    ConfigError,
-    DataValidationError,
-    EstimationError,
-    describe,
+from .climate import attach_anomaly_features
+from .config import RunConfig, _inputs
+from .dataset import (
+    PanelDataset,
+    comment_lines,
+    load_panel,
+    merge_panels,
+    subset,
+    summary_stats,
+    write_csv as _write_csv,
+    write_panel,
 )
+from .errors import ClimPanelError, ConfigError, EstimationError, describe
+from .specs import derived_names
 
 
-def _on_first_call(home: str, name: str):
-    """A stand-in for home's function name, which imports home at its
-    first call. The command bodies call these through this module's
-    globals, where the benchmark's tracer wraps them."""
-    def call(*args, **kwargs):
-        module = importlib.import_module(f".{home}", __package__)
-        return getattr(module, name)(*args, **kwargs)
-    return call
-
-
-load_panel = _on_first_call("dataset", "load_panel")
-write_panel = _on_first_call("dataset", "write_panel")
-_write_csv = _on_first_call("dataset", "write_csv")
-attach_anomaly_features = _on_first_call("climate", "attach_anomaly_features")
-estimate_irf = _on_first_call("localproj", "estimate_irf")
+def main(argv=None) -> int:
+    """__main__.run, for callers that run a command in process. It is
+    imported here, not at the top: under python -m climpanel, a top-level
+    import would compile __main__.py a second time as climpanel.__main__."""
+    from .__main__ import run
+    return run(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +124,11 @@ def _load(cfg: RunConfig, command: str) -> PanelDataset:
     """The panel of the [input] files command reads. With both, the climate
     file fixes the region order, so the price file may list its regions in
     any order; the price series still come first."""
-    from .config import _inputs
     inp, schema = cfg.input, cfg.input.schema()
     panels = [load_panel(getattr(inp, key), schema)
               for key in _inputs(cfg, command)]
     if len(panels) == 1:
         return panels[0]
-    from .dataset import merge_panels, subset
     climate, prices = panels
     return subset(merge_panels(climate, prices),
                   prices.variables + climate.variables)
@@ -150,7 +139,6 @@ def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,
     """ds with both climate variables' anomaly series for each window in
     ms; files, if given, gets each (variable, window)'s anomaly and norms
     audit file names mapped to their series."""
-    from .specs import derived_names
     for var, polarities in ((cfg.input.temperature_var, ("hot", "cold")),
                             (cfg.input.precipitation_var, ("wet", "dry"))):
         for m in ms:
@@ -176,8 +164,13 @@ def _estimation_panel(cfg: RunConfig, section: str, ms, seasonal: bool):
 # Command bodies: each reads its inputs, writes its files through run and
 # returns its summary line, its run report facts and its failure lists.
 # Each imports the estimator or generator it runs, so a command loads none
-# of the others' modules.
+# of the others' modules; lp's is estimate_irf, a name the tracer wraps.
 # ---------------------------------------------------------------------------
+
+def estimate_irf(ds: PanelDataset, spec) -> tuple:
+    from .localproj import estimate_irf
+    return estimate_irf(ds, spec)
+
 
 def _cmd_anomaly(cfg: RunConfig, run: _Run) -> tuple:
     files = {}
@@ -231,7 +224,6 @@ def _cmd_lp(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _longrun_label(variable: str, m: int) -> str:
-    from .specs import derived_names
     head, _, tail = variable.rpartition(derived_names("", m, seasonal=False)[1])
     return head + tail
 
@@ -261,7 +253,6 @@ def _longrun_text(outcome: str, tables) -> str:
 
 def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
     from . import ardl
-    from .dataset import comment_lines
     ds, window = _estimation_panel(cfg, "ardl", cfg.ardl.m, seasonal=False)
     # one long-run table per (outcome, m) cell, m ascending within each
     # outcome; a failing cell is recorded and the rest still estimated
@@ -301,7 +292,6 @@ def _cmd_ardl(cfg: RunConfig, run: _Run) -> tuple:
 
 
 def _cmd_stats(cfg: RunConfig, run: _Run) -> tuple:
-    from .dataset import summary_stats
     ds = _load(cfg, "stats")
     variables = cfg.stats.variables or ds.variables
     rows = [[var, s.region, s.min, s.q1, s.median, s.q3, s.max, s.mean, s.sd]
@@ -327,136 +317,3 @@ def _cmd_simulate(cfg: RunConfig, run: _Run) -> tuple:
     run.panels(ds, files)
     return (f"simulate: wrote {', '.join(files)} to {run.out}",
             {"kind": sim.kind, "seed": sim.seed}, {})
-
-
-# ---------------------------------------------------------------------------
-# Command line
-# ---------------------------------------------------------------------------
-
-# subcommand -> (body, help text)
-_COMMANDS = {
-    "anomaly": (_cmd_anomaly,
-                "Compute norms, anomalies, sign splits and seasonal shocks; "
-                "write the series plus a norms audit file."),
-    "ardl": (_cmd_ardl,
-             "Estimate ARDL long-run effects per outcome and norm window, "
-             "with annualized summaries."),
-    "lp": (_cmd_lp,
-           "Estimate cumulative impulse responses of each outcome to each "
-           "configured shock."),
-    "simulate": (_cmd_simulate,
-                 "Generate seeded synthetic panels (demo climate/prices, LP "
-                 "DGP, ARDL DGP)."),
-    "stats": (_cmd_stats,
-              "Per-region summary statistics for panel variables."),
-}
-
-
-def _parser() -> argparse.ArgumentParser:
-    # --help but no -h, and no abbreviated options: --conf is a usage
-    # error, not --config
-    flags = {"add_help": False, "allow_abbrev": False}
-    help_flag = {"action": "help", "help": "Show this message and exit."}
-    parser = argparse.ArgumentParser(
-        prog="climpanel", **flags,
-        description="Climate norms and anomalies, LP impulse responses, and "
-                    "ARDL long-run effects for regional quarterly panels.")
-    parser.add_argument("--version", action="version",
-                        version=f"climpanel, version {__version__}",
-                        help="Show the version and exit.")
-    parser.add_argument("--help", **help_flag)
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                     required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        command = commands.add_parser(name, help=help_text,
-                                      description=help_text, **flags)
-        command.add_argument("--config", metavar="PATH",
-                             help="INI config file.")
-        command.add_argument("--out", metavar="DIR",
-                             help="Override [output] dir.")
-        command.add_argument("--m", metavar="LIST",
-                             help="Override norm windows, e.g. 20,30,40 "
-                                  "(lp uses the first entry).")
-        command.add_argument("--seed", type=int, metavar="N",
-                             help="Override [simulate] seed.")
-        command.add_argument("--help", **help_flag)
-    return parser
-
-
-# error class -> (stderr prefix, exit code); the first match wins
-_EXITS = (
-    (ConfigError, "config error", 1),
-    (DataValidationError, "data error", 2),
-    (EstimationError, "estimation error", 3),
-    (ClimPanelError, "error", 1),
-)
-
-
-def _print_warnings(caught: list) -> None:
-    """One stderr line per distinct warning text, in the order each first
-    occurred, with no source line and with its count if it occurred more
-    than once."""
-    counts = {}
-    for warning in caught:
-        message = " ".join(str(warning.message).splitlines())
-        counts[message] = counts.get(message, 0) + 1
-    for message, n in counts.items():
-        print(f"warning: {message}" + (f" ({n} times)" if n > 1 else ""),
-              file=sys.stderr)
-
-
-def main(argv=None) -> int:
-    """Entry point mapping toolkit errors, and a stdout that cannot be
-    written (a pipe whose reader has gone), to one stderr line and a code."""
-    code, text = 0, io.StringIO()   # stdout: argparse's text or the summary
-    try:
-        with contextlib.redirect_stdout(text):
-            args = _parser().parse_args(argv)
-        body, _ = _COMMANDS[args.command]
-        # the config layer loads once argparse has picked a command, so
-        # --version, --help and a usage error compile none of it
-        from .config import _inputs, load_config
-        run = _Run(load_config(args.config, args.out, args.m, args.seed))
-        _inputs(run.cfg, args.command)
-        # numpy and the panel layer load here, in one place: --version,
-        # --help and a usage or config error (a missing [input] path or
-        # outcome list among them) exit without them, and no command's
-        # first call to a stand-in above pays for the import
-        from . import climate  # noqa: F401
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                # every warning is kept, also one repeated at a code
-                # location, which the default filter would show once
-                warnings.simplefilter("always")
-                try:
-                    summary, facts, failures = body(run.cfg, run)
-                finally:
-                    _print_warnings(caught)
-            run.report(args.command, facts, failures)
-        except OSError as exc:   # the readers raise typed errors: a write
-            raise ClimPanelError(f"{exc.filename or run.out}: cannot write: "
-                                 f"{exc.strerror or exc}") from None
-        text.write(summary + "\n")
-    except SystemExit as exc:
-        # --help and --version exit 0; argparse exits 2 on a usage error,
-        # which is 1 here like every other usage/config error
-        code = 1 if exc.code else 0
-    except ClimPanelError as exc:
-        prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
-                            if isinstance(exc, kind))
-        # one stderr line per failure, also for a multi-line message such
-        # as configparser's
-        print(f"{prefix}: " + " ".join(str(exc).splitlines()),
-              file=sys.stderr)
-    try:
-        print(text.getvalue(), end="", flush=True)
-    except OSError as exc:
-        # what is still buffered goes to os.devnull, so that no later flush
-        # reports the failure again (the SIGPIPE note of Python's signal docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write to stdout: {exc.strerror}",
-              file=sys.stderr)
-        return 1
-    return code

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import PanelDataset, _join
 from .errors import BurnInError, SpecError
-from .specs import NORM_MODES, SEASONS, derived_names
+from .specs import NORM_MODES, SEASONS, check_int, derived_names
 
 # hot/wet keep the positive part of the anomaly, cold/dry the negative part.
 POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
@@ -34,6 +34,7 @@ def historical_norm(
     The window ends strictly before t, so norm[:, t] never depends on
     levels[:, s] with s >= t.
     """
+    check_int("m", m)
     if m < 1:
         raise SpecError(f"m must be >= 1, got {m}")
     if mode not in NORM_MODES:

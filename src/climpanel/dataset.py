@@ -25,6 +25,7 @@ from .errors import (
     GapError,
     PanelIntegrityError,
     SchemaError,
+    SpecError,
     TransformDomainError,
     VariableLookupError,
 )
@@ -34,6 +35,7 @@ from .specs import (
     QuarterIndex,
     _quarter_at,
     _quarter_code,
+    check_names,
     quarter_range,
 )
 
@@ -72,6 +74,10 @@ class PanelDataset:
             raise EmptyPanelError("panel has no quarters")
         if len(set(regions)) != len(regions):
             raise PanelIntegrityError("region names must be unique")
+        bad = [q for q in time if not isinstance(q, QuarterIndex)]
+        if bad:
+            raise SpecError("time must hold QuarterIndex values, "
+                            f"got {bad[0]!r}")
         # contiguous: the quarters' codes count up one at a time
         codes = [q.year * 4 + q.quarter for q in time]
         if codes != list(range(codes[0], codes[0] + len(codes))):
@@ -156,6 +162,7 @@ def subset(
     end: QuarterIndex | str | None = None,
 ) -> PanelDataset:
     """Restrict to named variables and an inclusive quarter window."""
+    check_names("variables", variables)
     names = tuple(variables) if variables is not None else ds.variables
     for name in names:
         ds.values(name)  # raises VariableLookupError
@@ -491,6 +498,8 @@ def write_panel(
     schema = schema or PanelSchema()
     if isinstance(files, (str, os.PathLike)):
         files = {files: ds.variables}
+    for names in files.values():
+        check_names("each file's series", names)
     files = {path: tuple(dict.fromkeys(names)) for path, names in files.items()}
     # every written series once, as a column of each region's block
     written = list(dict.fromkeys(n for names in files.values() for n in names))

@@ -20,6 +20,22 @@ from .errors import SpecError
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
 
+def check_int(name: str, value) -> None:
+    """SpecError unless value is an integer, a numpy one included: a bool
+    is an int, and a float, even a whole one, would print as 2.0 or fail
+    deep in an estimator."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def check_names(name: str, names) -> None:
+    """SpecError for a bare string where series names are expected: it
+    would otherwise run once per character."""
+    if isinstance(names, str):
+        raise SpecError(f"{name} must be a collection of series names, "
+                        f"got the string {names!r}")
+
+
 def _quarter_code(year: int, quarter: int) -> int:
     """A quarter's position on one integer axis, year * 4 + quarter - 1."""
     if quarter not in (1, 2, 3, 4):
@@ -40,14 +56,10 @@ class QuarterIndex(Record):
     quarter: int
 
     def __post_init__(self):
-        # a bool is an int, and a float year would print as 2000.5Q1; the
-        # usual two plain ints skip the loop, as a panel builds hundreds
+        # the usual two plain ints skip the checks, as a panel builds hundreds
         if type(self.year) is not int or type(self.quarter) is not int:
-            for name in ("year", "quarter"):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not hasattr(value, "__index__"):
-                    raise SpecError(f"{name} must be an integer, "
-                                    f"got {value!r}")
+            check_int("year", self.year)
+            check_int("quarter", self.quarter)
         _quarter_code(self.year, self.quarter)
 
     def __lt__(self, other):
@@ -140,8 +152,10 @@ class HACSpec(Record):
     small_sample: bool = True
 
     def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth < 0:
-            raise SpecError("bandwidth must be >= 0")
+        if self.bandwidth is not None:
+            check_int("bandwidth", self.bandwidth)
+            if self.bandwidth < 0:
+                raise SpecError("bandwidth must be >= 0")
 
 
 def check_window(window) -> None:
@@ -178,14 +192,17 @@ class LPSpec(Record):
     sample: tuple | None = None
 
     def __post_init__(self):
-        # a bare string would otherwise run once per character
-        if isinstance(self.shocks, str) or not self.shocks:
+        check_names("shocks", self.shocks)
+        if not self.shocks:
             raise SpecError("shocks must be a nonempty tuple of names")
         if len(set(self.shocks)) != len(self.shocks):
             raise SpecError("shock names must be unique")
         if not self.horizons or len(set(self.horizons)) != len(self.horizons):
             raise SpecError("horizons must list at least one horizon, "
                             "each once")
+        for h in self.horizons:
+            check_int("each horizon", h)
+        check_int("lags", self.lags)
         if any(h < 0 for h in self.horizons):
             raise SpecError("horizons must list horizons >= 0, "
                             f"got {self.horizons}")
@@ -211,6 +228,9 @@ class ARDLSpec(Record):
     hac: HACSpec | None = None   # None: classical standard errors
 
     def __post_init__(self):
+        check_int("p", self.p)
+        check_int("m", self.m)
+        check_names("block", self.block)
         if self.p < 0:
             raise SpecError("p must be >= 0")
         if not self.block:

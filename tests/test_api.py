@@ -150,3 +150,74 @@ def test_quarter_fields_must_be_integers(year, quarter, message):
         QuarterIndex(year, quarter)
     assert str(info.value) == message
 
+
+def _lp_panel():
+    return climpanel.PanelDataset(
+        ["a", "b"], quarter_range(QuarterIndex(2000, 1), QuarterIndex(2004, 4)),
+        {"price": np.ones((2, 20)), "shock": np.zeros((2, 20))})
+
+
+# each count used to end in a bare TypeError deep in an estimator, or, for
+# ARDLSpec.m, to reach the long-run table as 2.5
+@pytest.mark.parametrize("make, message", [
+    (lambda: estimate_irf(_lp_panel(),
+                          LPSpec("price", ("shock",), lags=1.5)),
+     "lags must be an integer, got 1.5"),
+    (lambda: estimate_irf(_lp_panel(),
+                          LPSpec("price", ("shock",), horizons=(0.5,))),
+     "each horizon must be an integer, got 0.5"),
+    (lambda: estimate_irf(_lp_panel(),
+                          LPSpec("price", ("shock",), hac=HACSpec(1.5))),
+     "bandwidth must be an integer, got 1.5"),
+    (lambda: LPSpec("price", ("shock",), lags=True),
+     "lags must be an integer, got True"),
+    (lambda: ARDLSpec("price", ("x",), p=1.0),
+     "p must be an integer, got 1.0"),
+    (lambda: ARDLSpec("price", ("x",), m=2.5),
+     "m must be an integer, got 2.5"),
+    (lambda: historical_norm(np.ones((1, 40)), 1.5),
+     "m must be an integer, got 1.5"),
+])
+def test_counts_must_be_integers(make, message):
+    with pytest.raises(SpecError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_counts_may_be_numpy_integers():
+    spec = LPSpec("price", ("shock",), horizons=(np.int64(0),),
+                  lags=np.int32(1), hac=HACSpec(np.int64(2)))
+    (res,) = estimate_irf(_lp_panel(), spec)
+    assert [r.horizon for r in (*res.responses, *res.failures)] == [0]
+    assert ARDLSpec("price", ("x",), p=np.int64(1), m=np.int64(2)).m == 2
+    assert np.array_equal(historical_norm(np.ones((1, 12)), np.int64(1)),
+                          historical_norm(np.ones((1, 12)), 1), equal_nan=True)
+
+
+# a bare string used to run once per character: 'block names must be
+# unique', or "unknown variable 'f'"
+@pytest.mark.parametrize("make, message", [
+    (lambda ds, tmp: ARDLSpec("price", "driver"),
+     "block must be a collection of series names, got the string 'driver'"),
+    (lambda ds, tmp: climpanel.subset(ds, "price"),
+     "variables must be a collection of series names, got the string "
+     "'price'"),
+    (lambda ds, tmp: climpanel.write_panel(ds, {tmp / "p.csv": "price"}),
+     "each file's series must be a collection of series names, got the "
+     "string 'price'"),
+])
+def test_series_names_are_not_a_bare_string(tmp_path, make, message):
+    with pytest.raises(SpecError) as info:
+        make(_lp_panel(), tmp_path)
+    assert str(info.value) == message
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_panel_time_must_hold_quarters():
+    # the entry is not parsed: a label is not a quarter
+    with pytest.raises(SpecError) as info:
+        climpanel.PanelDataset(["a"], [QuarterIndex(2000, 1), "2000Q2"],
+                               {"x": [[1.0, 2.0]]})
+    assert str(info.value) == ("time must hold QuarterIndex values, "
+                               "got '2000Q2'")
+

@@ -750,17 +750,18 @@ sys.argv = ["climpanel", *sys.argv[1:]]
 runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
-# what a run that argparse ends loads: the command line alone
-PARSER_MODULES = ["climpanel.cli", "climpanel.errors"]
+# what a run that argparse ends loads: the command line (__main__, which
+# runs as the __main__ module) and the errors it maps to exit codes
+PARSER_MODULES = ["climpanel.errors"]
 
 # what every run that gets past argparse loads: the config layer and the
 # setting records its validation builds
 CONFIG_MODULES = sorted(PARSER_MODULES + [
     "climpanel._record", "climpanel.config", "climpanel.specs"])
 
-# what every command loads once its config is checked: the panel and the
-# anomalies, and with them numpy
-PANEL_MODULES = ["climpanel.climate", "climpanel.dataset"]
+# what every command loads once its config is checked: the command bodies,
+# the panel and the anomalies, and with them numpy
+PANEL_MODULES = ["climpanel.cli", "climpanel.climate", "climpanel.dataset"]
 
 # the modules each command loads beyond those
 OWN_MODULES = {"stats": [], "anomaly": [],
@@ -804,6 +805,14 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path,
     assert (modules, numpy) == expected
     if command in PARSER_ONLY:
         assert stdlib == []
+
+
+def test_each_command_name_has_one_body():
+    # __main__._COMMANDS is the one list of command names; run takes each
+    # command's body from cli by its name
+    from climpanel import __main__, cli
+    assert sorted(name for name in vars(cli) if name.startswith("_cmd_")) \
+        == sorted(f"_cmd_{name}" for name in __main__._COMMANDS)
 
 
 def test_config_layer_loads_no_command_line_and_no_numpy():
@@ -990,6 +999,8 @@ def test_benchmark_tracer_patches_current_modules():
     Tracer, install = tracing.Tracer, tracing.install
     from climpanel import cli, localproj, regress
     before = {(m.__name__, a): getattr(m, a) for m, a in (
+        (cli, "load_panel"), (cli, "write_panel"), (cli, "_write_csv"),
+        (cli, "attach_anomaly_features"),
         (cli, "estimate_irf"), (localproj, "build_lp_design"),
         (localproj, "ols"), (regress, "within_transform"),
         (regress, "vcov_driscoll_kraay"))}
@@ -1441,7 +1452,7 @@ def test_warnings_print_before_the_error_line(workspace, capsys,
         warnings.warn("second\nline")
         raise EstimationError("every cell failed")
 
-    monkeypatch.setitem(cli._COMMANDS, "stats", (body, ""))
+    monkeypatch.setattr(cli, "_cmd_stats", body)
     assert main(["stats", "--config", str(workspace["config"])]) == 3
     assert capsys.readouterr().err == ("warning: first (3 times)\n"
                                        "warning: second line\n"
