@@ -1,6 +1,6 @@
 """Command line: ``python -m climpanel`` and the ``climpanel`` script both
-call main(), which runs the command without the cyclic garbage collector.
-Run as a module, the process ends without interpreter teardown (see _exit).
+call main(), which runs the command without the cyclic garbage collector,
+then ends the process without interpreter teardown.
 The command bodies are in cli, which run imports once argparse and the
 config layer have accepted the command, so --version, --help and a usage
 or config error load no numpy.
@@ -149,7 +149,7 @@ def run(argv=None) -> int:
     return code
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> None:
     # Every regression here is far too small for a second OpenBLAS thread
     # to help, and its spin-waiting costs CPU and sometimes stalls a QR.
     # OpenBLAS reads the variable when numpy loads, so set it before run
@@ -162,16 +162,13 @@ def main(argv=None) -> int:
     # Reference counting still frees every array. It stays off to the end:
     # re-enabled, its first pass would scan all that was allocated since.
     gc.disable()
-    return run(argv)
-
-
-def _exit(code: int) -> None:
-    """End the process with code as interpreter shutdown would, without
-    tearing the interpreter down: run the exit handlers, flush stdout and
-    stderr, then os._exit. Teardown, mostly of numpy's modules, costs each
-    command ~21 ms and has nothing left to do, since every output file is
-    closed when main returns. A stream that cannot be flushed falls back
-    to sys.exit, whose shutdown reports it as before."""
+    code = run(argv)
+    # End the process as interpreter shutdown would, without tearing the
+    # interpreter down: run the exit handlers, flush stdout and stderr,
+    # then os._exit. Teardown, mostly of numpy's modules, costs each
+    # command ~21 ms and has nothing left to do, since every output file is
+    # closed when run returns. A stream that cannot be flushed falls back
+    # to sys.exit, whose shutdown reports it as before.
     atexit._run_exitfuncs()   # and clears them, so they run once
     try:
         for stream in (sys.stdout, sys.stderr):
@@ -183,4 +180,4 @@ def _exit(code: int) -> None:
 
 
 if __name__ == "__main__":
-    _exit(main())
+    main()

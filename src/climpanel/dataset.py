@@ -353,17 +353,15 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
         return None
     # each cell that is the missing token becomes a nan literal other than
     # the token; the first pattern runs twice, since a match takes the
-    # comma that opens the next cell. Each match changes the body's length
-    # by grow, which then counts them without a scan of its own.
-    nan = "NaN" if missing == "nan" else "nan"
-    body, n_missing = "\n" + text[len(lines[at]):] + "\n", 0
+    # comma that opens the next cell. The literal is never as long as the
+    # token, so each match changes the body's length by grow, which then
+    # counts them without a scan of its own.
+    nan = "+nan" if len(missing) == 3 else "nan"
+    body = "\n" + text[len(lines[at]):] + "\n"
     grow, size = len(nan) - len(missing), len(body)
     for a, b in ((",", ","), (",", ","), (",", "\n"), ("\n", ",")):
-        if not grow:
-            n_missing += body.count(a + missing + b)
         body = body.replace(a + missing + b, a + nan + b)
-    if grow:
-        n_missing = (len(body) - size) // grow
+    n_missing = (len(body) - size) // grow
     kinds = {schema.region: object, schema.year: np.int64,
              schema.quarter: np.int64}
     try:

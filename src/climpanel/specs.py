@@ -90,8 +90,11 @@ class QuarterIndex(Record):
                 - _quarter_code(other.year, other.quarter))
 
 
-def quarter_range(start: QuarterIndex, end: QuarterIndex) -> tuple[QuarterIndex, ...]:
-    """Inclusive contiguous range of quarters."""
+def quarter_range(start: QuarterIndex | str,
+                  end: QuarterIndex | str) -> tuple[QuarterIndex, ...]:
+    """Inclusive contiguous range of quarters; labels such as '2002Q1' are
+    parsed."""
+    start, end = QuarterIndex.parse(start), QuarterIndex.parse(end)
     n = end - start
     if n < 0:
         raise SpecError(f"empty quarter range {start}..{end}")
@@ -156,6 +159,10 @@ class HACSpec(Record):
             check_int("bandwidth", self.bandwidth)
             if self.bandwidth < 0:
                 raise SpecError("bandwidth must be >= 0")
+        # in compares by ==, so numpy's bools pass, and so do 1 and 0
+        if self.small_sample not in (True, False):
+            raise SpecError("small_sample must be True or False, "
+                            f"got {self.small_sample!r}")
 
 
 def check_window(window) -> None:
@@ -197,7 +204,12 @@ class LPSpec(Record):
             raise SpecError("shocks must be a nonempty tuple of names")
         if len(set(self.shocks)) != len(self.shocks):
             raise SpecError("shock names must be unique")
-        if not self.horizons or len(set(self.horizons)) != len(self.horizons):
+        try:
+            distinct = len(set(self.horizons)) == len(self.horizons)
+        except TypeError:   # such as a bare int or a generator
+            raise SpecError("horizons must be a collection of horizons, "
+                            f"got {self.horizons!r}") from None
+        if not self.horizons or not distinct:
             raise SpecError("horizons must list at least one horizon, "
                             "each once")
         for h in self.horizons:
@@ -208,7 +220,12 @@ class LPSpec(Record):
                             f"got {self.horizons}")
         if self.lags < 0:
             raise SpecError("lags must be >= 0")
-        if not 0.0 < self.level < 1.0:
+        try:
+            inside = 0.0 < self.level < 1.0
+        except TypeError:   # such as the string "0.9"
+            raise SpecError("level must be a number, "
+                            f"got {self.level!r}") from None
+        if not inside:
             raise SpecError("level must be in (0, 1)")
         check_window(self.sample)
 

@@ -3,8 +3,11 @@
 For each CONFIG the script runs simulate, anomaly, lp, ardl and stats, each
 into its own output directory, and the runs that take no config (--version,
 --help, lp --help, no command at all, a bad config value (stats --m 0),
-and stats and lp, which lack their inputs or outcomes), once with this tree's src and once
-with the src of a `git archive` copy of REV (HEAD by default). For each run it compares the output tree byte for byte (a
+and stats and lp, which lack their inputs or outcomes), as `python -m
+climpanel`; then stats and --version once more through the `climpanel`
+script's form, `sys.exit(main())`. It makes each run once with this tree's
+src and once with the src of a `git archive` copy of REV (HEAD by
+default). For each run it compares the output tree byte for byte (a
 directory that is missing differs from an empty one), stdout and stderr
 with each side's output directory replaced by <out>, and the exit code. It
 prints every difference and exits 1 if there is any.
@@ -27,6 +30,13 @@ COMMANDS = ("simulate", "anomaly", "lp", "ardl", "stats")
 # runs that read no config and write nothing, by their arguments
 NO_CONFIG = ("--version", "--help", "lp --help", "", "stats --m 0", "stats",
              "lp")
+# the interpreter arguments of each form: `python -m climpanel`, and pip's
+# `climpanel` script, which calls sys.exit(main())
+FORMS = {"module": ["-m", "climpanel"],
+         "script": ["-c", "import sys; from climpanel.__main__ import main; "
+                          "sys.exit(main())"]}
+# (command, whether it reads the config) for the runs in the script's form
+SCRIPT_RUNS = (("stats", True), ("--version", False))
 
 
 def _tree(out: Path) -> dict | None:
@@ -38,12 +48,12 @@ def _tree(out: Path) -> dict | None:
             for p in sorted(out.rglob("*"))}
 
 
-def _run(src: Path, args: list[str], out: Path | None) -> dict:
-    """What one `python -m climpanel *args` on src leaves and prints."""
+def _run(src: Path, form: str, args: list[str], out: Path | None) -> dict:
+    """What one `climpanel *args` in form on src leaves and prints."""
     if out is not None:
         args = [*args, "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run([sys.executable, "-m", "climpanel", *args], env=env,
+    run = subprocess.run([sys.executable, *FORMS[form], *args], env=env,
                          capture_output=True, text=True)
 
     def clean(text):
@@ -85,19 +95,22 @@ def main(argv=None) -> int:
                                   "src"], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
         for config in args.configs:
-            for command, configured in (*((c, True) for c in COMMANDS),
-                                        *((c, False) for c in NO_CONFIG)):
+            for form, command, configured in (
+                    *(("module", c, True) for c in COMMANDS),
+                    *(("module", c, False) for c in NO_CONFIG),
+                    *(("script", *run) for run in SCRIPT_RUNS)):
                 runs += 1
                 cmd = ([command, "--config", config] if configured
                        else command.split())
                 outs = ((tmp / f"here{runs}", tmp / f"rev{runs}")
                         if configured else (None, None))
-                found = _differences(_run(ROOT / "src", cmd, outs[0]),
-                                     _run(tmp / "src", cmd, outs[1]),
+                found = _differences(_run(ROOT / "src", form, cmd, outs[0]),
+                                     _run(tmp / "src", form, cmd, outs[1]),
                                      args.rev)
                 differ += bool(found)
                 label = (command if configured
                          else f"{command or '(no command)'} (no config)")
+                label += " (script)" if form == "script" else ""
                 print(f"{config} {label}: "
                       + (f"{len(found)} differences" if found else "same"),
                       *(f"  {line}" for line in found), sep="\n", flush=True)

@@ -194,6 +194,31 @@ def test_counts_may_be_numpy_integers():
                           historical_norm(np.ones((1, 12)), 1), equal_nan=True)
 
 
+# each used to end in a bare TypeError, or, for small_sample, to be read
+# as true
+@pytest.mark.parametrize("make, message", [
+    (lambda: LPSpec("price", ("shock",), horizons=3),
+     "horizons must be a collection of horizons, got 3"),
+    (lambda: LPSpec("price", ("shock",), level="0.9"),
+     "level must be a number, got '0.9'"),
+    (lambda: HACSpec(2, "no"), "small_sample must be True or False, got 'no'"),
+])
+def test_spec_values_of_the_wrong_kind(make, message):
+    with pytest.raises(SpecError) as info:
+        make()
+    assert str(info.value) == message
+    assert HACSpec(2, np.False_).small_sample is np.False_
+
+
+def test_quarter_range_parses_labels():
+    assert quarter_range("2000Q4", "2001Q1") == (QuarterIndex(2000, 4),
+                                                 QuarterIndex(2001, 1))
+    with pytest.raises(SpecError) as info:
+        quarter_range(QuarterIndex(2000, 4), 2001)
+    assert str(info.value) == ("cannot parse quarter label 2001 "
+                               "(want e.g. 2002Q1)")
+
+
 # a bare string used to run once per character: 'block names must be
 # unique', or "unknown variable 'f'"
 @pytest.mark.parametrize("make, message", [

@@ -834,11 +834,11 @@ def test_spec_records_load_no_estimator():
         ["climpanel._record", "climpanel.errors", "climpanel.specs"], "False")
 
 
-# Runs `climpanel stats` with the arguments after the snippet, the way
-# `python -m climpanel` does, then prints the OpenBLAS thread setting the
-# run saw, whether it had to load numpy after the package import and
-# whether the cyclic garbage collector was still on; the run ends the
-# process, so an exit handler prints
+# With a RUN line after it, runs `climpanel stats` with the arguments after
+# the snippet, then prints the OpenBLAS thread setting the run saw, whether
+# it had to load numpy after the package import and whether the cyclic
+# garbage collector was still on; the run ends the process, so an exit
+# handler prints
 MODULE_RUN = """
 import atexit, gc, os, runpy, sys
 import climpanel
@@ -846,18 +846,29 @@ before = "numpy" in sys.modules
 atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"), before,
                               "numpy" in sys.modules, gc.isenabled()))
 sys.argv = ["climpanel", "stats", *sys.argv[1:]]
-runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
+
+# the last line of a snippet that runs the command, in each form:
+# `python -m climpanel`, and pip's `climpanel` script, which calls
+# sys.exit(main())
+RUN = {"module": 'runpy.run_module("climpanel", run_name="__main__", '
+                 'alter_sys=True)\n',
+       "script": "from climpanel.__main__ import main; sys.exit(main())\n"}
+# the interpreter arguments that run the command in each form
+COMMAND = {"module": ["-m", "climpanel"],
+           "script": ["-c", "import sys\n" + RUN["script"]]}
 
 
 @pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
 def test_entry_point_runs_openblas_on_one_thread_by_default(workspace,
                                                             tmp_path, threads,
                                                             seen):
-    lines = _python("-c", MODULE_RUN, "--config", str(workspace["config"]),
-                    "--out", str(tmp_path), threads=threads).splitlines()
-    assert lines[0] == f"stats: wrote {tmp_path / 'summary_stats.csv'}"
-    assert lines[-1] == f"{seen} False True False"
+    for run in RUN.values():
+        lines = _python("-c", MODULE_RUN + run,
+                        "--config", str(workspace["config"]),
+                        "--out", str(tmp_path), threads=threads).splitlines()
+        assert lines[0] == f"stats: wrote {tmp_path / 'summary_stats.csv'}"
+        assert lines[-1] == f"{seen} False True False"
 
 
 def test_commands_leave_no_array_record_or_error_to_the_cyclic_collector(
@@ -891,20 +902,24 @@ def test_commands_leave_no_array_record_or_error_to_the_cyclic_collector(
     assert kept == []
 
 
-# Runs `python -m climpanel` with the arguments after the snippet, under an
-# exit handler registered before the run, which must still run
+# With a RUN line after it, runs the command with the arguments after the
+# snippet, under an exit handler registered before the run, which must
+# still run, and an object that only interpreter teardown would free
 MODULE_RUN_WITH_HANDLER = """
 import atexit, runpy, sys
+class Held:
+    def __del__(self):
+        print("torn down")
+held = Held()
 atexit.register(print, "exit handler ran")
 sys.argv = ["climpanel", *sys.argv[1:]]
-runpy.run_module("climpanel", run_name="__main__", alter_sys=True)
 """
 
 
 def test_module_run_flushes_both_pipes_and_runs_exit_handlers(workspace,
                                                               tmp_path):
-    # the module run ends in os._exit, which drops what is still buffered;
-    # with PYTHONUNBUFFERED unset, pipes are block-buffered
+    # both forms end in os._exit, which drops what is still buffered; with
+    # PYTHONUNBUFFERED unset, pipes are block-buffered
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(climpanel.__file__).resolve().parents[1]),
         os.environ.get("PYTHONPATH")])))
@@ -914,22 +929,25 @@ def test_module_run_flushes_both_pipes_and_runs_exit_handlers(workspace,
                        .replace("climate.csv", "no_such.csv"),
                        encoding="utf-8")
     cfg, out = str(workspace["config"]), str(tmp_path / "o")
-    for args, code, stream, start in (
-            (["-m", "climpanel", "stats", "--config", cfg, "--out", out],
-             0, "stdout", "stats: wrote "),
-            (["-m", "climpanel", "stats", "--config", cfg, "--m", "0"],
-             1, "stderr", "config error: "),
-            (["-m", "climpanel", "stats", "--config", str(missing)],
-             2, "stderr", "data error: "),
-            (["-c", MODULE_RUN_WITH_HANDLER, "stats", "--config", cfg,
-              "--out", out], 0, "stdout", "stats: wrote ")):
-        run = subprocess.run([sys.executable, *args], env=env,
-                             capture_output=True, text=True)
-        assert run.returncode == code
-        lines = getattr(run, stream).splitlines()
-        assert lines[0].startswith(start)
-        if args[0] == "-c":
-            assert lines[1:] == ["exit handler ran"]
+    for form, command in COMMAND.items():
+        handled = ["-c", MODULE_RUN_WITH_HANDLER + RUN[form]]
+        for args, code, stream, start in (
+                ([*command, "stats", "--config", cfg, "--out", out],
+                 0, "stdout", "stats: wrote "),
+                ([*command, "stats", "--config", cfg, "--m", "0"],
+                 1, "stderr", "config error: "),
+                ([*command, "stats", "--config", str(missing)],
+                 2, "stderr", "data error: "),
+                ([*handled, "stats", "--config", cfg, "--out", out],
+                 0, "stdout", "stats: wrote ")):
+            run = subprocess.run([sys.executable, *args], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == code, form
+            lines = getattr(run, stream).splitlines()
+            assert lines[0].startswith(start), form
+            if args[:2] == handled:
+                # no teardown: the held object is never freed
+                assert lines[1:] == ["exit handler ran"], form
 
 
 @pytest.mark.parametrize("command, unbuffered", [
@@ -946,29 +964,31 @@ def test_closed_stdout_is_one_stderr_line_and_exit_1(workspace, tmp_path,
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    args = [command]
-    if command == "stats":
-        args += ["--config", str(workspace["config"]),
-                 "--out", str(tmp_path / "closed")]
     read, write = os.pipe()
     os.close(read)
     try:
-        run = subprocess.run([sys.executable, "-m", "climpanel", *args],
-                             env=env, stdout=write, stderr=subprocess.PIPE,
-                             text=True)
+        for form, start in COMMAND.items():
+            args = [command]
+            if command == "stats":
+                args += ["--config", str(workspace["config"]),
+                         "--out", str(tmp_path / form)]
+            run = subprocess.run([sys.executable, *start, *args], env=env,
+                                 stdout=write, stderr=subprocess.PIPE,
+                                 text=True)
+            assert run.returncode == 1, form
+            assert "Traceback" not in run.stderr
+            assert "Exception ignored" not in run.stderr
+            assert len(run.stderr.splitlines()) == 1
+            assert run.stderr.startswith("error: cannot write to stdout: ")
     finally:
         os.close(write)
-    assert run.returncode == 1
-    assert "Traceback" not in run.stderr
-    assert "Exception ignored" not in run.stderr
-    assert len(run.stderr.splitlines()) == 1
-    assert run.stderr.startswith("error: cannot write to stdout: ")
     if command == "stats":
         assert main(["stats", "--config", str(workspace["config"]),
                      "--out", str(tmp_path / "open")]) == 0
-        for name in ("summary_stats.csv", "run_report_stats.txt"):
-            assert ((tmp_path / "closed" / name).read_bytes()
-                    == (tmp_path / "open" / name).read_bytes())
+        for form in COMMAND:
+            for name in ("summary_stats.csv", "run_report_stats.txt"):
+                assert ((tmp_path / form / name).read_bytes()
+                        == (tmp_path / "open" / name).read_bytes())
 
 
 def test_climpanel_script_is_the_module_entry_point():
