@@ -29,14 +29,12 @@ from .errors import (
     TransformDomainError,
     VariableLookupError,
 )
-# quarter_range too, so the climpanel.dataset import path still has it
 from .specs import (
     PanelSchema,
     QuarterIndex,
     _quarter_at,
     _quarter_code,
     check_names,
-    quarter_range,
 )
 
 

@@ -81,7 +81,7 @@ def build_lp_design(ds: PanelDataset, spec: LPSpec, horizon: int) -> Design:
     """
     log_p, lag1, block = _regressors(  # tuples hash, as the cache needs
         ds, spec.outcome, tuple(spec.shocks), spec.lags,
-        spec.sample and tuple(spec.sample))
+        None if spec.sample is None else tuple(spec.sample))
     return _block_design(shift(log_p, -horizon) - lag1, block,
                          fixed_effects=spec.fixed_effects)
 

@@ -31,7 +31,7 @@ from .errors import (
     SampleError,
     SpecError,
 )
-from .specs import HACSpec, QuarterIndex, _quarter_code, check_fixed_effects
+from .specs import HACSpec, _quarter_code, check_fixed_effects, check_window
 
 _RANK_TOL = 1e-10
 _NO_ROWS = "no usable observations: all {} rows dropped listwise"
@@ -77,8 +77,7 @@ def window_slice(time, window) -> slice:
     """Columns of a quarter axis inside a (start, end) window; None keeps all."""
     if window is None:
         return slice(None)
-    lo = QuarterIndex.parse(window[0])
-    hi = QuarterIndex.parse(window[1])
+    lo, hi = check_window(window)
     a = max(lo - time[0], 0)
     b = min(hi - time[0], len(time) - 1)
     if b < a:
@@ -237,7 +236,6 @@ class FitResult(Record):
     se: np.ndarray
     nobs: int
     dof: int
-    rank: int
     absorbed: int
     within_x: np.ndarray
     resid_vec: np.ndarray
@@ -323,7 +321,7 @@ def ols(design: Design) -> FitResult:
     se = np.sqrt(np.diag(vcov))
     return FitResult(
         names=d.names, coef=coef, vcov=vcov, se=se,
-        nobs=n, dof=dof, rank=rank, absorbed=d.absorbed,
+        nobs=n, dof=dof, absorbed=d.absorbed,
         within_x=d.X, resid_vec=resid,
         time_codes=d.time_codes, xtx_inv=xtx_inv,
     )
@@ -372,7 +370,7 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
         if fit.dof <= 0:
             raise DegreesOfFreedomError(
                 f"small-sample factor needs nobs > k + absorbed: "
-                f"nobs={fit.nobs}, k={fit.rank}, absorbed={fit.absorbed}"
+                f"nobs={fit.nobs}, k={len(fit.coef)}, absorbed={fit.absorbed}"
             )
         S *= fit.nobs / fit.dof
     V = fit.xtx_inv @ (T * S) @ fit.xtx_inv

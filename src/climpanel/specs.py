@@ -23,9 +23,18 @@ _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 def check_int(name: str, value) -> None:
     """SpecError unless value is an integer, a numpy one included: a bool
     is an int, and a float, even a whole one, would print as 2.0 or fail
-    deep in an estimator."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
+    deep in an estimator. A numpy array has __index__ but is not one."""
+    if (isinstance(value, bool) or not hasattr(value, "__index__")
+            or getattr(value, "shape", ())):
         raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def check_unshaped(name: str, value, want: str) -> None:
+    """SpecError for an array, such as numpy's, where a record wants a
+    tuple, a list or one value: an array's truth value is ambiguous and it
+    does not hash. A numpy scalar's shape is () and passes."""
+    if getattr(value, "shape", ()):
+        raise SpecError(f"{name} must be {want}, got an array: {value!r}")
 
 
 def check_names(name: str, names) -> None:
@@ -56,10 +65,8 @@ class QuarterIndex(Record):
     quarter: int
 
     def __post_init__(self):
-        # the usual two plain ints skip the checks, as a panel builds hundreds
-        if type(self.year) is not int or type(self.quarter) is not int:
-            check_int("year", self.year)
-            check_int("quarter", self.quarter)
+        check_int("year", self.year)
+        check_int("quarter", self.quarter)
         _quarter_code(self.year, self.quarter)
 
     def __lt__(self, other):
@@ -159,24 +166,25 @@ class HACSpec(Record):
             check_int("bandwidth", self.bandwidth)
             if self.bandwidth < 0:
                 raise SpecError("bandwidth must be >= 0")
+        check_unshaped("small_sample", self.small_sample, "True or False")
         # in compares by ==, so numpy's bools pass, and so do 1 and 0
         if self.small_sample not in (True, False):
             raise SpecError("small_sample must be True or False, "
                             f"got {self.small_sample!r}")
 
 
-def check_window(window) -> None:
-    """Reject a sample window that is neither None nor a (start, end) pair
-    of quarter labels."""
+def check_window(window) -> tuple[QuarterIndex, QuarterIndex] | None:
+    """The (start, end) quarters of a sample window, None for None; a
+    SpecError for anything but a pair of quarter labels."""
     if window is None:
-        return
+        return None
+    check_unshaped("sample", window, "a (start, end) pair of quarter labels")
     try:
         start, end = window
     except (TypeError, ValueError):
         raise SpecError("sample must be a (start, end) pair of quarter "
                         f"labels, got {window!r}") from None
-    QuarterIndex.parse(start)
-    QuarterIndex.parse(end)
+    return QuarterIndex.parse(start), QuarterIndex.parse(end)
 
 
 def check_fixed_effects(dims) -> None:
@@ -199,6 +207,10 @@ class LPSpec(Record):
     sample: tuple | None = None
 
     def __post_init__(self):
+        check_unshaped("shocks", self.shocks, "a tuple or list")
+        check_unshaped("horizons", self.horizons, "a tuple or list")
+        check_unshaped("fixed_effects", self.fixed_effects, "a tuple or list")
+        check_unshaped("level", self.level, "a number")
         check_names("shocks", self.shocks)
         if not self.shocks:
             raise SpecError("shocks must be a nonempty tuple of names")
@@ -247,6 +259,7 @@ class ARDLSpec(Record):
     def __post_init__(self):
         check_int("p", self.p)
         check_int("m", self.m)
+        check_unshaped("block", self.block, "a tuple or list")
         check_names("block", self.block)
         if self.p < 0:
             raise SpecError("p must be >= 0")

@@ -88,6 +88,9 @@ MUTANTS = [
      "    if clash:", "    if False:"),
     ("gap walk one quarter short", "src/climpanel/dataset.py",
      "for code in range(lo, hi + 1):", "for code in range(lo, hi):"),
+    ("sample window ends at its start", "src/climpanel/specs.py",
+     "return QuarterIndex.parse(start), QuarterIndex.parse(end)",
+     "return QuarterIndex.parse(start), QuarterIndex.parse(start)"),
     ("design window ignored", "src/climpanel/regress.py",
      "cols = window_slice(time, window)", "cols = window_slice(time, None)"),
     ("ARDL without region effects", "src/climpanel/ardl.py",

@@ -31,7 +31,7 @@ from climpanel import (
 )
 from climpanel.cli import main
 from climpanel.simulate import ardl_panel, lp_panel
-from climpanel.dataset import QuarterIndex, quarter_range
+from climpanel.specs import QuarterIndex, quarter_range
 from oracles import (
     ardl_steady_state,
     brute_anomaly,

@@ -195,19 +195,66 @@ def test_counts_may_be_numpy_integers():
 
 
 # each used to end in a bare TypeError, or, for small_sample, to be read
-# as true
+# as true; a numpy array's truth value is ambiguous, and a record must hash
 @pytest.mark.parametrize("make, message", [
     (lambda: LPSpec("price", ("shock",), horizons=3),
      "horizons must be a collection of horizons, got 3"),
     (lambda: LPSpec("price", ("shock",), level="0.9"),
      "level must be a number, got '0.9'"),
     (lambda: HACSpec(2, "no"), "small_sample must be True or False, got 'no'"),
+    (lambda: LPSpec("price", ("shock",), horizons=np.arange(2)),
+     "horizons must be a tuple or list, got an array: array([0, 1])"),
+    (lambda: LPSpec("price", ("shock",), level=np.array([0.9, 0.8])),
+     "level must be a number, got an array: array([0.9, 0.8])"),
+    (lambda: HACSpec(2, np.array([True, False])),
+     "small_sample must be True or False, got an array: "
+     "array([ True, False])"),
+    (lambda: LPSpec("price", np.array(["a", "b"])),
+     "shocks must be a tuple or list, got an array: "
+     "array(['a', 'b'], dtype='<U1')"),
+    (lambda: ARDLSpec("price", np.array(["a", "b"])),
+     "block must be a tuple or list, got an array: "
+     "array(['a', 'b'], dtype='<U1')"),
+    (lambda: ARDLSpec("price", ("x",), sample=np.array(["2003Q1", "2020Q4"])),
+     "sample must be a (start, end) pair of quarter labels, got an array: "
+     "array(['2003Q1', '2020Q4'], dtype='<U6')"),
+    (lambda: estimate_irf(_lp_panel(), LPSpec(
+        "price", ("shock",), sample=np.array(["2000Q1", "2004Q4"]))),
+     "sample must be a (start, end) pair of quarter labels, got an array: "
+     "array(['2000Q1', '2004Q4'], dtype='<U6')"),
+    (lambda: LPSpec("price", ("shock",), fixed_effects=np.array(["region"])),
+     "fixed_effects must be a tuple or list, got an array: "
+     "array(['region'], dtype='<U6')"),
+    (lambda: LPSpec("price", ("shock",), lags=np.array([1, 2])),
+     "lags must be an integer, got array([1, 2])"),
 ])
 def test_spec_values_of_the_wrong_kind(make, message):
     with pytest.raises(SpecError) as info:
         make()
     assert str(info.value) == message
     assert HACSpec(2, np.False_).small_sample is np.False_
+
+
+def test_tuples_lists_and_ranges_still_make_specs():
+    spec = LPSpec("price", ["shock"], horizons=range(2), level=np.float64(0.9),
+                  sample=["2000Q1", "2004Q4"])
+    (res,) = estimate_irf(_lp_panel(), spec)
+    assert [r.horizon for r in (*res.responses, *res.failures)] == [0, 1]
+    # records hash by value, so a list in a field makes hash() a TypeError
+    with pytest.raises(TypeError):
+        hash(spec)
+    assert hash(spec.replace(shocks=("shock",), horizons=(0, 1),
+                             sample=("2000Q1", "2004Q4"))) is not None
+
+
+@pytest.mark.parametrize("block, message", [
+    ((), "block must name at least one regressor"),
+    (("a", "a"), "block names must be unique"),
+])
+def test_ardl_block_errors_keep_their_messages(block, message):
+    with pytest.raises(SpecError) as info:
+        ARDLSpec("price", block)
+    assert str(info.value) == message
 
 
 def test_quarter_range_parses_labels():

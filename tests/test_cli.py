@@ -1060,6 +1060,9 @@ _OUT_OF_RANGE_MESSAGES = {
     "lp.horizons=-2": "[lp] horizons must list horizons >= 0, got (-2,)",
     "lp.horizons=-1-3": "[lp] horizons: invalid literal for int() with "
                         "base 10: '-1-3'",
+    "lp.horizons=5-2": "[lp] horizons: empty horizon range '5-2'",
+    "anomaly.seasonal=maybe": "[anomaly] seasonal: expected true/false, got "
+                              "'maybe'",
     "anomaly.m=3,03": "[anomaly] m: lists 3 twice",
     "--m=3,3": "--m: lists 3 twice",
     "lp.horizons=0,0": "[lp] horizons: lists 0 twice",
@@ -1107,6 +1110,8 @@ _OUT_OF_RANGE_MESSAGES = {
     ("lp", "lp.horizons=0,-1"),
     ("lp", "lp.horizons=-2"),
     ("lp", "lp.horizons=-1-3"),
+    ("lp", "lp.horizons=5-2"),
+    ("anomaly", "anomaly.seasonal=maybe"),
     ("lp", "lp.lags=-1"),
     ("lp", "lp.bandwidth=-2"),
     ("lp", "lp.shocks="),

@@ -491,6 +491,40 @@ def test_frozen_arrays_are_shared_and_writeable_ones_copied():
     assert out.values("view")[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("regions, n_quarters, series, error, message", [
+    ([], 4, {}, EmptyPanelError, "panel has no regions"),
+    (["a"], 0, {}, EmptyPanelError, "panel has no quarters"),
+    (["a", "b", "a"], 4, {}, PanelIntegrityError,
+     "region names must be unique"),
+    (["a"], 4, {"x": np.zeros((2, 4))}, PanelIntegrityError,
+     "series 'x' has shape (2, 4), expected (1, 4)"),
+])
+def test_malformed_panels_rejected(regions, n_quarters, series, error,
+                                   message):
+    start = QuarterIndex(2000, 1)
+    time = [start.offset(i) for i in range(n_quarters)]
+    with pytest.raises(error) as info:
+        PanelDataset(regions, time, series)
+    assert str(info.value) == message
+
+
+def test_load_panel_without_value_columns(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_csv(path, ["a,2000,1", "a,2000,2"], header="region,year,quarter")
+    with pytest.raises(SchemaError) as info:
+        load_panel(path)
+    assert str(info.value) == f"{path}: no value columns"
+
+
+def test_merge_panels_without_common_quarters():
+    a = make_panel(n_quarters=4, start=QuarterIndex(2000, 1))
+    b = make_panel(n_quarters=4, start=QuarterIndex(2001, 1), seed=1)
+    b = PanelDataset(b.regions, b.time, {"other": b.values("temp")})
+    with pytest.raises(EmptyPanelError) as info:
+        merge_panels(a, b)
+    assert str(info.value) == "panels share no quarters"
+
+
 def test_noncontiguous_time_rejected():
     qs = (QuarterIndex(2000, 1), QuarterIndex(2000, 3))
     with pytest.raises(GapError):

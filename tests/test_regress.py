@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from scipy import linalg, special
 
 from climpanel import (
+    ARDLSpec,
     Design,
     HACSpec,
+    LPSpec,
     PanelDataset,
     QuarterIndex,
+    build_ardl_design,
+    build_lp_design,
     confidence_band,
     default_bandwidth,
     ols,
@@ -320,6 +324,25 @@ def test_duplicated_column_rank_error_names_both():
         ols(design)
     assert "x_first" in err.value.columns
     assert "x_second" in err.value.columns
+
+
+@pytest.mark.parametrize("build", [
+    lambda ds, window: build_lp_design(
+        ds, LPSpec("price", ("x",), lags=1, sample=window), 0),
+    lambda ds, window: build_ardl_design(
+        ds, ARDLSpec("price", ("x",), p=1, sample=window)),
+], ids=["lp", "ardl"])
+def test_outcome_blank_over_the_window_has_no_usable_rows(build):
+    # 2 regions x 2 quarters of the window, the outcome blank in all of them
+    rng = np.random.default_rng(7)
+    price = np.exp(rng.normal(size=(2, 12)))
+    price[:, 4:6] = np.nan
+    ds = PanelDataset(["a", "b"], grid(12),
+                      {"price": price, "x": rng.normal(size=(2, 12))})
+    with pytest.raises(SampleError) as err:
+        build(ds, ("2001Q1", "2001Q2"))
+    assert str(err.value) == ("no usable observations: all 4 rows dropped "
+                              "listwise")
 
 
 def test_zero_column_reported_as_degenerate():
