@@ -30,6 +30,7 @@ from .errors import (
     VariableLookupError,
 )
 from .specs import (
+    _MAX_YEAR,
     PanelSchema,
     QuarterIndex,
     _quarter_at,
@@ -275,11 +276,14 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
 
     Expects a header row with region, year and quarter columns plus one or
     more value columns, each named once; '#'-prefixed lines are comments
-    ('# unit var = u' comments populate units). Identical duplicate rows are
-    dropped; conflicting duplicates raise PanelIntegrityError; a missing
-    (region, quarter) row raises GapError naming the holes (the first
-    max(rows read, 1000) of them) and counting them all. Lines may end in
-    \\n, \\r\\n or \\r; one leading byte-order mark is dropped.
+    ('# unit var = u' comments populate units) and blank lines are skipped.
+    A cell is read without the blanks around it, so a padded missing token
+    is missing too, and a year lies in -2**60..2**60, so that every quarter
+    code fits an int64. Identical duplicate rows are dropped; conflicting
+    duplicates raise PanelIntegrityError; a missing (region, quarter) row
+    raises GapError naming the holes (the first max(rows read, 1000) of
+    them) and counting them all. Lines may end in \\n, \\r\\n or \\r;
+    one leading byte-order mark is dropped.
 
     After _header's checks, a plain file is parsed column-wise by
     _plain_panel; any other file, and every file that fails a check, is
@@ -324,30 +328,27 @@ def _header(path, lines, schema: PanelSchema):
     return taken[0] - 1, ((taken[-1], row) for row in reader), header, value_pos
 
 
-# what str.strip removes, but the line end and the space
-_BLANKS = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f"
-           "\u3000" + "".join(map(chr, range(0x2000, 0x200b))))
-
-
 def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     """The panel of a plain file, parsed by one np.loadtxt call; None for
     any other file.
 
-    Plain means: no comment or blank line below the header; no quote, NUL
-    or whitespace from the header on but line ends and inner spaces of
-    region cells, so no cell needs stripping; a data row, each as wide as
-    the header, whose years and quarters loadtxt reads as integers and
-    value cells as finite numbers or the missing token (a token holding a
-    comma or newline is not plain); quarters in 1..4; and one row for each
-    (region, quarter) of a hole-free grid. _row_panel then raises nothing
-    and reads the same numbers, which float() and loadtxt parse alike.
+    Plain means: no comment line below the header and no quote or NUL from
+    the header on; a missing token without outer blanks, a comma or a
+    newline; a data row, each as wide as the header, whose years and
+    quarters read as integers and value cells as finite numbers or the
+    missing token, no cell being the token padded with blanks; years in
+    -_MAX_YEAR.._MAX_YEAR and quarters in 1..4; region names without outer
+    blanks, as loadtxt keeps region cells raw; and one row for each
+    (region, quarter) of a hole-free grid. loadtxt skips empty lines and
+    strips the blanks around a number as _row_panel does, so _row_panel
+    then raises nothing and reads the same numbers, which float() and
+    loadtxt parse alike.
     """
     at, _, header, value_pos = head
     text = "".join(lines[at:])   # the header line, then the data lines
     missing = schema.missing
-    if ('"' in text or "\0" in text or "\n#" in text or "\n\n" in text
-            or any(c in text for c in _BLANKS)
-            or "," in missing or "\n" in missing):
+    if ('"' in text or "\0" in text or "\n#" in text
+            or "," in missing or "\n" in missing or missing != missing.strip()):
         return None
     # each cell that is the missing token becomes a nan literal other than
     # the token; the first pattern runs twice, since a match takes the
@@ -360,8 +361,10 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     for a, b in ((",", ","), (",", ","), (",", "\n"), ("\n", ",")):
         body = body.replace(a + missing + b, a + nan + b)
     n_missing = (len(body) - size) // grow
-    kinds = {schema.region: object, schema.year: np.int64,
-             schema.quarter: np.int64}
+    # loadtxt's integer parser takes some letters past ASCII for digits, so
+    # the years and quarters of a file that is not ASCII are read by int()
+    whole = np.int64 if text.isascii() else object
+    kinds = {schema.region: object, schema.year: whole, schema.quarter: whole}
     try:
         with warnings.catch_warnings():
             # older numpy warns, then truncates, on a year such as 1962.0
@@ -369,17 +372,23 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
             rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
                               ndmin=1, dtype=[(f"c{j}", kinds.get(col, float))
                                               for j, col in enumerate(header)])
-    except (ValueError, Warning):   # a bad cell or row width; no rows
+        region, year, quarter = (rows[f"c{header.index(c)}"] for c in kinds)
+        year, quarter = year.astype(np.int64), quarter.astype(np.int64)
+    except (ValueError, OverflowError, Warning):   # a bad cell or row width
         return None
-    region, year, quarter = (rows[f"c{header.index(c)}"] for c in kinds)
     region = region.tolist()
     names = tuple(dict.fromkeys(region))
     values = np.stack([rows[f"c{j}"] for _, j in value_pos])
+    try:   # a number token padded with blanks reads here as that number
+        token = float(missing)
+    except ValueError:
+        token = math.nan
     # a token in a region cell leaves a region named nan; a nan or inf
     # literal leaves more non-finite cells than tokens
     if (nan in names or n_missing != np.count_nonzero(~np.isfinite(values))
+            or token in values or any(name != name.strip() for name in names)
             or not ((quarter >= 1) & (quarter <= 4)).all()
-            or year.min() < -2**60 or year.max() > 2**60):   # codes fit int64
+            or year.min() < -_MAX_YEAR or year.max() > _MAX_YEAR):
         return None
     codes = year * 4 + quarter - 1
     lo, hi = int(codes.min()), int(codes.max())
@@ -389,10 +398,7 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     ri = np.fromiter(map(index.__getitem__, region), np.intp, len(rows))
     seen = np.zeros((len(names), hi - lo + 1), dtype=bool)
     seen[ri, codes - lo] = True
-    # one row per cell, as a repeated key leaves a hole; so each region has
-    # hi - lo + 1 rows, and each space is inside a name, not at its ends
-    if not seen.all() or text.count(" ") != (hi - lo + 1) * sum(
-            name.count(" ") for name in names if name == name.strip()):
+    if not seen.all():   # one row per cell, as a repeated key leaves a hole
         return None
     return _grid_panel(names, ri, codes, lo, hi, value_pos, values,
                        lines[:at])
@@ -414,8 +420,8 @@ def _row_panel(path, lines, head, schema: PanelSchema) -> PanelDataset:
             raise SchemaError(f"{path}:{lineno}: {len(row)} fields where the "
                               f"header has {len(header)}")
         region = row[ir].strip()
-        try:
-            code = _quarter_code(int(row[iy]), int(row[iq]))
+        try:   # stripped, as int() alone keeps the blanks \x1c..\x1f
+            code = _quarter_code(int(row[iy].strip()), int(row[iq].strip()))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: bad year/quarter: {exc}") from None
         vals = []

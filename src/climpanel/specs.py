@@ -20,20 +20,26 @@ from .errors import SpecError
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
 
+def _is_array(value) -> bool:
+    """True for an array, such as numpy's, of any shape, 0-d included: it
+    has a shape and does not hash. A numpy scalar hashes; a list has no
+    shape."""
+    return hasattr(value, "shape") and type(value).__hash__ is None
+
+
 def check_int(name: str, value) -> None:
     """SpecError unless value is an integer, a numpy one included: a bool
     is an int, and a float, even a whole one, would print as 2.0 or fail
     deep in an estimator. A numpy array has __index__ but is not one."""
     if (isinstance(value, bool) or not hasattr(value, "__index__")
-            or getattr(value, "shape", ())):
+            or _is_array(value)):
         raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
 def check_unshaped(name: str, value, want: str) -> None:
-    """SpecError for an array, such as numpy's, where a record wants a
-    tuple, a list or one value: an array's truth value is ambiguous and it
-    does not hash. A numpy scalar's shape is () and passes."""
-    if getattr(value, "shape", ()):
+    """SpecError for an array where a record wants a tuple, a list or one
+    value: an array's truth value is ambiguous and it does not hash."""
+    if _is_array(value):
         raise SpecError(f"{name} must be {want}, got an array: {value!r}")
 
 
@@ -45,10 +51,17 @@ def check_names(name: str, names) -> None:
                         f"got the string {names!r}")
 
 
+# the largest year either way: every quarter code then fits an int64
+_MAX_YEAR = 2**60
+
+
 def _quarter_code(year: int, quarter: int) -> int:
     """A quarter's position on one integer axis, year * 4 + quarter - 1."""
     if quarter not in (1, 2, 3, 4):
         raise SpecError(f"quarter must be in 1..4, got {quarter!r}")
+    if not -_MAX_YEAR <= year <= _MAX_YEAR:
+        raise SpecError(f"year must be in -{_MAX_YEAR}..{_MAX_YEAR}, "
+                        f"got {year!r}")
     return year * 4 + quarter - 1
 
 

@@ -88,6 +88,16 @@ MUTANTS = [
      "    if clash:", "    if False:"),
     ("gap walk one quarter short", "src/climpanel/dataset.py",
      "for code in range(lo, hi + 1):", "for code in range(lo, hi):"),
+    ("column reader keeps padded region names", "src/climpanel/dataset.py",
+     "any(name != name.strip() for name in names)", "False"),
+    ("column reader reads a padded number token", "src/climpanel/dataset.py",
+     "or token in values or", "or"),
+    ("row loop keeps the blanks around a year", "src/climpanel/dataset.py",
+     "int(row[iy].strip())", "int(row[iy])"),
+    ("column reader parses years past ASCII", "src/climpanel/dataset.py",
+     "np.int64 if text.isascii() else object", "np.int64"),
+    ("year bound dropped", "src/climpanel/specs.py",
+     "if not -_MAX_YEAR <= year <= _MAX_YEAR:", "if False:"),
     ("sample window ends at its start", "src/climpanel/specs.py",
      "return QuarterIndex.parse(start), QuarterIndex.parse(end)",
      "return QuarterIndex.parse(start), QuarterIndex.parse(start)"),

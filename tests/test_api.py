@@ -128,6 +128,11 @@ def test_spec_errors_are_typed(make):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: QuarterIndex(2000, 5), "quarter must be in 1..4, got 5"),
+    # 2**61 * 4 overflows the int64 quarter codes of a panel's grid
+    (lambda: QuarterIndex(2**61, 1), "year must be in -1152921504606846976.."
+     "1152921504606846976, got 2305843009213693952"),
+    (lambda: QuarterIndex(2**60, 4).offset(1), "year must be in "
+     "-1152921504606846976..1152921504606846976, got 1152921504606846977"),
     (lambda: LPSpec("cpi", ("shock",), sample=("2002-03", "2010Q4")),
      "cannot parse quarter label '2002-03' (want e.g. 2002Q1)"),
 ])
@@ -227,6 +232,18 @@ def test_counts_may_be_numpy_integers():
      "array(['region'], dtype='<U6')"),
     (lambda: LPSpec("price", ("shock",), lags=np.array([1, 2])),
      "lags must be an integer, got array([1, 2])"),
+    # a 0-d array's shape is () like a numpy scalar's, but it does not hash
+    (lambda: LPSpec("price", ("shock",), lags=np.array(2)),
+     "lags must be an integer, got array(2)"),
+    (lambda: LPSpec("price", ("shock",), level=np.array(0.9)),
+     "level must be a number, got an array: array(0.9)"),
+    (lambda: HACSpec(2, np.array(True)),
+     "small_sample must be True or False, got an array: array(True)"),
+    (lambda: HACSpec(np.array(2)), "bandwidth must be an integer, got array(2)"),
+    (lambda: ARDLSpec("price", ("x",), p=np.array(1)),
+     "p must be an integer, got array(1)"),
+    (lambda: ARDLSpec("price", ("x",), m=np.array(30)),
+     "m must be an integer, got array(30)"),
 ])
 def test_spec_values_of_the_wrong_kind(make, message):
     with pytest.raises(SpecError) as info:

@@ -1323,6 +1323,30 @@ def test_unreadable_or_malformed_input_exit_2(workspace, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# the first year used to end in an IndexError traceback from the grid, the
+# second in "missing quarters: " naming no quarter
+@pytest.mark.parametrize("year", ["99999999999999999999",
+                                  "2305843009213693952"])
+def test_year_past_the_int64_bound_exit_2(workspace, tmp_path, capsys, year):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "prices.csv").write_bytes(
+        (workspace["data"] / "prices.csv").read_bytes())
+    lines = (workspace["data"] / "climate.csv").read_text(
+        encoding="utf-8").splitlines()
+    cells = lines[-1].split(",")   # region,year,quarter,...
+    lines[-1] = ",".join([cells[0], year, *cells[2:]])
+    climate = data / "climate.csv"
+    climate.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=data, out=tmp_path / "o"),
+                   encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {climate}:{len(lines)}: bad year/quarter: year must be "
+        f"in -{2**60}..{2**60}, got {year}\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "anomaly", "lp", "ardl",
                                      "stats"])
 def test_out_naming_an_existing_file_exit_1(workspace, tmp_path, capsys,

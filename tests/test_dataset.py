@@ -1,7 +1,6 @@
 """Panel container, CSV round trips, log changes and summaries."""
 import itertools
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,6 @@ from climpanel import (
     write_panel,
 )
 from climpanel.dataset import (
-    _BLANKS,
     _header,
     _plain_panel,
     _row_panel,
@@ -162,6 +160,28 @@ def test_load_panel_far_off_year_raises_without_the_grid(tmp_path):
         "missing quarters: " + ", ".join(f"(a, {q})" for q in (
             "2000Q3", "2000Q4", "2001Q1", "2001Q2", "2001Q3", "2001Q4",
             "2002Q1", "2002Q2")) + f" and {n_gaps - 8} more")
+
+
+@pytest.mark.parametrize("year", ["99999999999999999999",
+                                  "2305843009213693952", "-2305843009213693952"])
+def test_load_panel_year_past_the_int64_bound_names_its_line(tmp_path, year):
+    # past 2**60 a quarter code overflows int64: the first year ended in an
+    # IndexError from the grid, the second in a GapError of count -1
+    path = tmp_path / "panel.csv"
+    write_csv(path, ["a,2000,1,1.0", f"a,{year},2,2.0"])
+    with pytest.raises(SchemaError) as err:
+        load_panel(path)
+    assert str(err.value) == (f"{path}:3: bad year/quarter: year must be in "
+                              f"-{2**60}..{2**60}, got {year}")
+
+
+def test_load_panel_reads_the_years_at_the_bound(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_csv(path, [f"a,{2**60},4,1.0", f"b,{2**60},4,2.0"])
+    fast, loop = _both_readers(path)
+    assert fast.time == loop.time == (QuarterIndex(2**60, 4),)
+    write_csv(path, [f"a,-{2**60},1,1.0"])
+    assert load_panel(path).time == (QuarterIndex(-2**60, 1),)
 
 
 def test_load_panel_dedups_identical_rows(tmp_path):
@@ -584,12 +604,19 @@ _CELL = st.one_of(
     st.integers(1990, 2010).map(str),
     st.integers(-1, 5).map(str),
 )
+# blanks that str.strip, float() and loadtxt drop around a number; int()
+# alone keeps the separator \x1c
+_PAD = st.sampled_from(["", "", " ", "\t", "\xa0", "\u3000", "\x1c"])
 
 
 @st.composite
 def _panel_text(draw):
     """CSV text near the schema: random headers (repeats included), rows
-    of the right or wrong width, duplicates and holes, comments, blanks."""
+    of the right or wrong width, duplicates and holes, comments, blank
+    lines and blanks around number cells."""
+    def pad(cell):
+        return draw(_PAD) + cell + draw(_PAD)
+
     header = draw(st.one_of(
         st.just(["region", "year", "quarter", "cpi", "food"]),
         st.lists(_COLUMN, max_size=6),
@@ -601,14 +628,14 @@ def _panel_text(draw):
         if kind == "row":
             lines.append(",".join([
                 draw(st.sampled_from(["a", "b", " c"])),
-                str(draw(st.integers(1990, 2010))),
-                str(draw(st.integers(1, 4))),
-                *[draw(_CELL) for _ in header[3:]],
+                pad(str(draw(st.integers(1990, 2010)))),
+                pad(str(draw(st.integers(1, 4)))),
+                *[pad(draw(_CELL)) for _ in header[3:]],
             ]))
         elif kind == "cells":
             lines.append(",".join(draw(st.lists(_CELL, max_size=7))))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  "])))
+            lines.append(draw(st.sampled_from(["", "", "  ", "\t", "\u3000"])))
         else:
             lines.append(draw(st.sampled_from(["# note", "# unit cpi = idx"])))
     if draw(st.booleans()):
@@ -800,9 +827,10 @@ _TOKEN = st.sampled_from(["1.5", "-0.0", "0", "1e3", ".5", "5.", "+2", "", "NA",
 
 @st.composite
 def _grid_text(draw):
-    """A full region x quarter grid written as CSV, then perhaps shuffled,
-    with a row dropped or repeated, a year or quarter damaged, or a comment
-    or blank line put in."""
+    """A full region x quarter grid written as CSV, perhaps with blanks
+    around its number cells, then perhaps shuffled, with a row dropped or
+    repeated, a year or quarter damaged, or a comment or blank line put
+    in."""
     regions = draw(st.lists(st.sampled_from(["a", "b", "MX01", "nan", "é",
                                              "Nuevo León", "Ciudad de México",
                                              "San  Luis", " c", "d ", "e\tf"]),
@@ -811,12 +839,16 @@ def _grid_text(draw):
     n = draw(st.integers(1, 6))
     cols = draw(st.sampled_from([["region", "year", "quarter", "cpi"],
                                  ["cpi", "quarter", "region", "food", "year"]]))
+    pad = _PAD if draw(st.booleans()) else st.just("")
     lines = []
     for region in regions:
         for code in range(start, start + n):
             cell = {"region": region, "year": str(code // 4),
                     "quarter": str(code % 4 + 1)}
-            lines.append(",".join(cell.get(c) or draw(_TOKEN) for c in cols))
+            lines.append(",".join(
+                cell[c] if c == "region" else
+                draw(pad) + (cell.get(c) or draw(_TOKEN)) + draw(pad)
+                for c in cols))
     lines = draw(st.permutations(lines))
     i = draw(st.integers(0, len(lines) - 1))
     edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "year",
@@ -829,7 +861,7 @@ def _grid_text(draw):
         j = cols.index(edit)
         cells = lines[i].split(",")
         cells[j] = draw(st.sampled_from(["1962.0", "1e3", "5", "0", "-1", "x",
-                                         "+2001", "0002", ""]))
+                                         "+2001", "0002", "", "\u01fe2"]))
         lines[i] = ",".join(cells)
     elif edit in ("comment", "blank"):
         lines.insert(i, "# note" if edit == "comment" else "")
@@ -900,13 +932,6 @@ def test_plain_files_take_the_column_reader(tmp_path):
     _assert_same_outcome(fast, _row_panel(path, lines, head, PanelSchema()))
 
 
-def test_plain_files_hold_no_whitespace_but_spaces():
-    # _BLANKS is every character str.strip removes, but the newline and the
-    # space, which the column reader checks on its own
-    blanks = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
-    assert set(_BLANKS) == blanks - {"\n", " "}
-
-
 _ROWS = ["a,2000,1,1.5", "a,2000,2,2.5", "b,2000,1,3.5", "b,2000,2,4.5"]
 
 
@@ -914,11 +939,43 @@ def _rows_with(i, row):
     return "\n".join(["region,year,quarter,cpi", *_ROWS[:i], row, *_ROWS[i + 1:]])
 
 
+# loadtxt strips the blanks around a number and skips empty lines, as the
+# row loop does; only a region cell is kept raw
+@pytest.mark.parametrize("text, missing", [
+    pytest.param(_rows_with(1, "a,2000,2, 2.5"), "", id="padded"),
+    pytest.param(_rows_with(1, "a,2000 ,2,2.5"), "", id="padded-year"),
+    pytest.param(_rows_with(1, "a,\t2000,2\t,\t2.5\t"), "", id="tab"),
+    pytest.param(_rows_with(1, "a,2000\xa0,\xa02,2.5\xa0"), "", id="nbsp"),
+    pytest.param(_rows_with(1, "a,\u30002000,2,\u30002.5"), "",
+                 id="ideographic-space"),
+    # int() alone keeps these; the row loop strips the cell first
+    pytest.param(_rows_with(1, "a,\x1c2000\x1f,2,2.5"), "",
+                 id="separator-year"),
+    pytest.param(_rows_with(1, "a,2000,2, 2.5 ").replace("1.5", "NA"), "NA",
+                 id="padded-number-beside-token"),
+    pytest.param("\n\n".join(["region,year,quarter,cpi", *_ROWS]) + "\n\n",
+                 "", id="blank-lines"),
+    pytest.param("\n".join(["region,year,quarter,cpi",
+                             *(row.replace("a,", "a\tz,").replace("b,", "b c,")
+                               for row in _ROWS)]), "", id="inner-tab-region"),
+])
+def test_padded_numbers_and_blank_lines_take_the_column_reader(tmp_path, text,
+                                                               missing):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = PanelSchema(missing=missing)
+    lines = _lines(path)
+    fast = _plain_panel(lines, _header(path, lines, schema), schema)
+    assert fast is not None
+    _, loop = _both_readers(path, schema)
+    assert isinstance(loop, PanelDataset)
+    _assert_same_outcome(fast, loop)
+
+
 # one file per form the column reader hands to the row loop; None where the
 # loop reads a panel, else the loop's message
 @pytest.mark.parametrize("text, missing, message", [
     pytest.param(_rows_with(1, 'a,2000,2,"2.5"'), "", None, id="quoted"),
-    pytest.param(_rows_with(1, "a,2000,2, 2.5"), "", None, id="padded"),
     # CRLF alone is plain (see test_plain_files_take_the_column_reader);
     # with a quoted cell the file still goes to the loop, read as its LF copy
     pytest.param("\r\n".join(["region,year,quarter,cpi", _ROWS[0],
@@ -931,7 +988,6 @@ def _rows_with(i, row):
                              *(row.replace(",", " ,", 1)
                                for row in _ROWS[2:])]),
                  "", None, id="region-padded-after"),
-    pytest.param(_rows_with(1, "a,2000 ,2,2.5"), "", None, id="padded-year"),
     pytest.param(_rows_with(1, "a,2000,2,1_000"), "", None, id="underscore"),
     pytest.param(_rows_with(1, "a,2000,2,infinity"), "",
                  "panel.csv:3: cannot parse cpi='infinity' as a finite number",
@@ -950,6 +1006,11 @@ def _rows_with(i, row):
                  "got 5", id="quarter-5"),
     pytest.param(_rows_with(1, "a,2000,2"), "",
                  "panel.csv:3: 3 fields where the header has 4", id="short"),
+    # loadtxt's integer parser read this year as 4622000, a full grid
+    pytest.param("region,year,quarter,cpi\na,\u01fe2000,1,1.5\n"
+                 "b,\u01fe2000,1,2.5\n", "",
+                 "panel.csv:2: bad year/quarter: invalid literal for int() "
+                 "with base 10: '\u01fe2000'", id="letter-year"),
     pytest.param(_rows_with(1, "a,2000,2,2.5\na,2000,2,2.5"), "", None,
                  id="duplicate"),
     pytest.param(_rows_with(1, "a,2000,2,2.5\na,2000,2,2.6"), "",
@@ -975,6 +1036,14 @@ def _rows_with(i, row):
                  "panel.csv:3: cannot parse cpi='-inf' as a finite number",
                  id="token-and-inf"),
     pytest.param(_rows_with(1, "a,2000,2, NA"), "NA", None, id="padded-token"),
+    # the loop reads a padded token as missing, loadtxt as the number
+    pytest.param(_rows_with(1, "a,2000,2,\t-99 "), "-99", None,
+                 id="padded-number-token"),
+    # the loop compares stripped cells with the token, so this one never
+    # matches and a blank cell is an error
+    pytest.param(_rows_with(1, "a,2000,2, "), " ",
+                 "panel.csv:3: cannot parse cpi='' as a finite number",
+                 id="blank-token"),
     pytest.param(_rows_with(1, 'a,2000,2,"N,A"'), "N,A", None,
                  id="token-with-comma"),
 ])
