@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import re
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -286,8 +285,9 @@ def load_panel(path, schema: PanelSchema | None = None) -> PanelDataset:
     one leading byte-order mark is dropped.
 
     After _header's checks, a plain file is parsed column-wise by
-    _plain_panel; any other file, and every file that fails a check, is
-    read row by row by _row_panel. Both give the same panel for a plain file.
+    _plain_panel, on numpy 2.4's loadtxt; any other file, and every file
+    that fails a check, is read row by row by _row_panel. Both give the
+    same panel for a plain file.
     """
     schema = schema or PanelSchema()
     try:
@@ -339,10 +339,10 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     missing token, no cell being the token padded with blanks; years in
     -_MAX_YEAR.._MAX_YEAR and quarters in 1..4; region names without outer
     blanks, as loadtxt keeps region cells raw; and one row for each
-    (region, quarter) of a hole-free grid. loadtxt skips empty lines and
-    strips the blanks around a number as _row_panel does, so _row_panel
-    then raises nothing and reads the same numbers, which float() and
-    loadtxt parse alike.
+    (region, quarter) of a hole-free grid. numpy 2.4's loadtxt, the contract
+    here, skips empty lines and strips the blanks around a number as
+    _row_panel does, so _row_panel then raises nothing and reads the same
+    numbers, which float() and loadtxt parse alike.
     """
     at, _, header, value_pos = head
     text = "".join(lines[at:])   # the header line, then the data lines
@@ -365,16 +365,15 @@ def _plain_panel(lines, head, schema: PanelSchema) -> PanelDataset | None:
     # the years and quarters of a file that is not ASCII are read by int()
     whole = np.int64 if text.isascii() else object
     kinds = {schema.region: object, schema.year: whole, schema.quarter: whole}
+    if not body.strip("\n"):   # no data rows, which loadtxt would warn of
+        return None
     try:
-        with warnings.catch_warnings():
-            # older numpy warns, then truncates, on a year such as 1962.0
-            warnings.simplefilter("error")
-            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
-                              ndmin=1, dtype=[(f"c{j}", kinds.get(col, float))
-                                              for j, col in enumerate(header)])
+        rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                          ndmin=1, dtype=[(f"c{j}", kinds.get(col, float))
+                                          for j, col in enumerate(header)])
         region, year, quarter = (rows[f"c{header.index(c)}"] for c in kinds)
         year, quarter = year.astype(np.int64), quarter.astype(np.int64)
-    except (ValueError, OverflowError, Warning):   # a bad cell or row width
+    except (ValueError, OverflowError):   # a bad cell or row width
         return None
     region = region.tolist()
     names = tuple(dict.fromkeys(region))
@@ -544,7 +543,7 @@ def _write_rows(outs, starts, block, missing: str) -> None:
         cells[k] = missing
     text = np.empty((len(starts), 1 + block.shape[1]), dtype=object)
     text[:, 0] = starts
-    text[:, 1:] = np.array(cells, dtype=object)[inverse.reshape(block.shape)]
+    text[:, 1:] = np.array(cells, dtype=object)[inverse]
     for fh, cols in outs:
         fh.write("\n".join(map(",".join, text[:, cols].tolist())) + "\n")
 
