@@ -24,12 +24,12 @@ from .dataset import (
     comment_lines,
     load_panel,
     merge_panels,
-    subset,
     summary_stats,
     write_csv as _write_csv,
     write_panel,
 )
-from .errors import ClimPanelError, ConfigError, EstimationError, describe
+from .errors import (ClimPanelError, ConfigError, EstimationError,
+                     PanelIntegrityError, describe)
 from .specs import derived_names
 
 
@@ -120,18 +120,27 @@ def _cells(command: str, run: _Run, estimated: int, failed: list) -> tuple:
                       f"{len(failed)} failed"})
 
 
+def _by_name(ds: PanelDataset) -> PanelDataset:
+    """ds with its regions in name order."""
+    rows = sorted(range(ds.n_regions), key=ds.regions.__getitem__)
+    return PanelDataset(sorted(ds.regions), ds.time,
+                        {k: v[rows] for k, v in ds.series.items()}, ds.units)
+
+
 def _load(cfg: RunConfig, command: str) -> PanelDataset:
-    """The panel of the [input] files command reads. With both, the climate
-    file fixes the region order, so the price file may list its regions in
-    any order; the price series still come first."""
+    """The panel of the [input] files command reads, its regions in name
+    order, so that no output depends on the order of a file's rows. With
+    both files, the climate series follow the price series; files holding
+    other regions raise PanelIntegrityError naming both."""
     inp, schema = cfg.input, cfg.input.schema()
     panels = [load_panel(getattr(inp, key), schema)
               for key in _inputs(cfg, command)]
-    if len(panels) == 1:
-        return panels[0]
-    climate, prices = panels
-    return subset(merge_panels(climate, prices),
-                  prices.variables + climate.variables)
+    first = _by_name(panels[-1])   # prices, when both files are read
+    names = [sorted(ds.regions) for ds in panels]
+    if names[0] != names[-1]:
+        raise PanelIntegrityError(f"region lists differ: {inp.climate} has "
+                                  f"{names[0]}, {inp.prices} has {names[-1]}")
+    return merge_panels(first, panels[0]) if len(panels) == 2 else first
 
 
 def _attach_all(cfg: RunConfig, ds: PanelDataset, ms, seasonal: bool,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import PanelDataset, _join
 from .errors import BurnInError, SpecError
-from .specs import NORM_MODES, SEASONS, check_int, derived_names
+from .specs import NORM_MODES, SEASONS, check_count, derived_names
 
 # hot/wet keep the positive part of the anomaly, cold/dry the negative part.
 POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
@@ -34,9 +34,7 @@ def historical_norm(
     The window ends strictly before t, so norm[:, t] never depends on
     levels[:, s] with s >= t.
     """
-    check_int("m", m)
-    if m < 1:
-        raise SpecError(f"m must be >= 1, got {m}")
+    check_count("m", m, 1)
     if mode not in NORM_MODES:
         raise SpecError(f"mode must be one of {NORM_MODES}, got {mode!r}")
     levels = np.atleast_2d(np.asarray(levels, dtype=float))
@@ -88,11 +86,8 @@ def seasonal_shock(
     in_season = np.array(
         [SEASONS[q.quarter - 1] == season for q in time], dtype=bool
     )
-    if sign_conditioned:
-        part = (np.maximum(values, 0.0) if POLARITY_SIGN[polarity] > 0
-                else np.minimum(values, 0.0))
-    else:
-        part = values
+    part = (sign_split(values)[POLARITY_SIGN[polarity] < 0]
+            if sign_conditioned else values)
     out = np.where(in_season[None, :], part, 0.0)
     out[np.isnan(values)] = np.nan
     return out

@@ -107,22 +107,19 @@ def _regressor_block(entries, time, window):
             np.isfinite(block).all(axis=1), cols, tuple(time)[cols])
 
 
-def _block_design(y_mat, regressors, fixed_effects=(),
-                  add_constant=None) -> Design:
+def _block_design(y_mat, regressors, fixed_effects=()) -> Design:
     """Stack the region-by-quarter outcome y_mat, in the block's window, and
     a _regressor_block into a listwise-deleted design: rows with any NaN in
     the outcome or a regressor are dropped. With no fixed effects declared
-    a constant column is appended (override with add_constant)."""
+    a constant column is appended."""
     names, block, finite, cols, time = regressors
     y = np.asarray(y_mat, float)[:, cols].ravel()
     rows = np.flatnonzero(np.isfinite(y) & finite)
     if not rows.size:
         raise SampleError(_NO_ROWS.format(y.size))
     region_codes, period = np.divmod(rows, len(time))
-    if add_constant is None:
-        add_constant = not fixed_effects
     X = block[rows]
-    if add_constant:
+    if not fixed_effects:
         X = np.column_stack([X, np.ones(rows.size)])
         names += ("const",)
     return Design(

@@ -36,6 +36,13 @@ def check_int(name: str, value) -> None:
         raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
+def check_count(name: str, value, low: int) -> None:
+    """SpecError unless value is an integer, as check_int has it, >= low."""
+    check_int(name, value)
+    if value < low:
+        raise SpecError(f"{name} must be >= {low}, got {value}")
+
+
 def check_unshaped(name: str, value, want: str) -> None:
     """SpecError for an array where a record wants a tuple, a list or one
     value: an array's truth value is ambiguous and it does not hash."""
@@ -176,9 +183,7 @@ class HACSpec(Record):
 
     def __post_init__(self):
         if self.bandwidth is not None:
-            check_int("bandwidth", self.bandwidth)
-            if self.bandwidth < 0:
-                raise SpecError("bandwidth must be >= 0")
+            check_count("bandwidth", self.bandwidth, 0)
         check_unshaped("small_sample", self.small_sample, "True or False")
         # in compares by ==, so numpy's bools pass, and so do 1 and 0
         if self.small_sample not in (True, False):
@@ -239,12 +244,10 @@ class LPSpec(Record):
                             "each once")
         for h in self.horizons:
             check_int("each horizon", h)
-        check_int("lags", self.lags)
         if any(h < 0 for h in self.horizons):
             raise SpecError("horizons must list horizons >= 0, "
                             f"got {self.horizons}")
-        if self.lags < 0:
-            raise SpecError("lags must be >= 0")
+        check_count("lags", self.lags, 0)
         try:
             inside = 0.0 < self.level < 1.0
         except TypeError:   # such as the string "0.9"
@@ -270,16 +273,12 @@ class ARDLSpec(Record):
     hac: HACSpec | None = None   # None: classical standard errors
 
     def __post_init__(self):
-        check_int("p", self.p)
-        check_int("m", self.m)
+        check_count("p", self.p, 0)
+        check_count("m", self.m, 1)
         check_unshaped("block", self.block, "a tuple or list")
         check_names("block", self.block)
-        if self.p < 0:
-            raise SpecError("p must be >= 0")
         if not self.block:
             raise SpecError("block must name at least one regressor")
         if len(set(self.block)) != len(self.block):
             raise SpecError("block names must be unique")
-        if self.m < 1:
-            raise SpecError("m must be >= 1")
         check_window(self.sample)

@@ -100,8 +100,8 @@ MUTANTS = [
      "offsets = range(step, 4 * m, step)",
      "tests/test_acceptance.py::test_anomaly_engine_bruteforce_1e12"),
     ("seasonal shock keeps both signs", "src/climpanel/climate.py",
-     "part = (np.maximum(values, 0.0) if POLARITY_SIGN[polarity] > 0",
-     "part = (values if POLARITY_SIGN[polarity] > 0",
+     "part = (sign_split(values)[POLARITY_SIGN[polarity] < 0]",
+     "part = (values",
      "tests/test_climate.py::test_hot_summer_on_negative_series_is_zero"),
     ("annualized over m", "src/climpanel/ardl.py",
      "return theta * 2.0 / (m + 1.0)", "return theta * 2.0 / m",
@@ -146,6 +146,9 @@ MUTANTS = [
     ("year bound dropped", "src/climpanel/specs.py",
      "if not -_MAX_YEAR <= year <= _MAX_YEAR:", "if False:",
      "tests/test_api.py::test_quarter_errors_keep_their_messages"),
+    ("count bound off by one", "src/climpanel/specs.py",
+     "if value < low:", "if value < low - 1:",
+     "tests/test_climate.py::test_norm_params_validation"),
     ("sample window ends at its start", "src/climpanel/specs.py",
      "return QuarterIndex.parse(start), QuarterIndex.parse(end)",
      "return QuarterIndex.parse(start), QuarterIndex.parse(start)",
@@ -156,6 +159,10 @@ MUTANTS = [
     ("ARDL without region effects", "src/climpanel/ardl.py",
      'fixed_effects=("region",)', "fixed_effects=()",
      "tests/test_ardl.py::test_design_column_count_with_region_fe"),
+    ("CLI keeps each file's region order", "src/climpanel/cli.py",
+     "rows = sorted(range(ds.n_regions), key=ds.regions.__getitem__)",
+     "return ds",
+     "tests/test_cli.py::test_row_order_and_repeated_rows_change_no_output"),
 ]
 
 

@@ -317,16 +317,20 @@ def panels_equal(a, b):
 
 
 def design_from_matrices(y_mat, x_named, time, fixed_effects=(),
-                         window=None, add_constant=None):
+                         window=None, constant=True):
     """Stack region-by-quarter matrices into a listwise-deleted design.
 
     x_named is an ordered list of (name, matrix) pairs; rows with any NaN in
     the outcome or a regressor are dropped. When no fixed effects are
-    declared a constant column is appended (override with add_constant).
+    declared a constant column is appended, unless constant is False.
     """
     entries = [(name, np.asarray(mat, float), 0) for name, mat in x_named]
-    return _block_design(y_mat, _regressor_block(entries, time, window),
-                         fixed_effects, add_constant)
+    design = _block_design(y_mat, _regressor_block(entries, time, window),
+                           fixed_effects)
+    if not (constant or fixed_effects):
+        design = design.replace(X=np.ascontiguousarray(design.X[:, :-1]),
+                                names=design.names[:-1])
+    return design
 
 
 def peak_traced(fn, peaks: list):
@@ -342,14 +346,12 @@ def peak_traced(fn, peaks: list):
     return call
 
 
-def panel_design(ds, outcome, regressors, fixed_effects=(),
-                 add_constant=None):
+def panel_design(ds, outcome, regressors, fixed_effects=()):
     """Design of ds's named outcome on its named regressors over the whole
-    panel (a constant column when there are no fixed effects, unless
-    add_constant says otherwise)."""
+    panel (a constant column when there are no fixed effects)."""
     return design_from_matrices(
         ds.values(outcome), [(name, ds.values(name)) for name in regressors],
-        ds.time, fixed_effects=fixed_effects, add_constant=add_constant)
+        ds.time, fixed_effects=fixed_effects)
 
 
 def write_panel_csv(ds, path, schema=None, header_comments=()):

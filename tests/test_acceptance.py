@@ -126,8 +126,7 @@ def test_dk_degenerate_newey_west_oracle():
         e = rng.normal(size=n)
         y = 0.4 * x + e + 0.5 * np.concatenate([[0.0], e[:-1]])
         design = design_from_matrices(
-            y[None, :], [("x", x[None, :])], time_grid[:n], add_constant=True,
-        )
+            y[None, :], [("x", x[None, :])], time_grid[:n])
         fit = ols(design)
         X = fit.within_x
         for L in (0, 1, 4):

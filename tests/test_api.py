@@ -163,7 +163,8 @@ def _lp_panel():
 
 
 # each count used to end in a bare TypeError deep in an estimator, or, for
-# ARDLSpec.m, to reach the long-run table as 2.5
+# ARDLSpec.m, to reach the long-run table as 2.5; below its bound, each
+# count's message names the bound and the value
 @pytest.mark.parametrize("make, message", [
     (lambda: estimate_irf(_lp_panel(),
                           LPSpec("price", ("shock",), lags=1.5)),
@@ -182,6 +183,14 @@ def _lp_panel():
      "m must be an integer, got 2.5"),
     (lambda: historical_norm(np.ones((1, 40)), 1.5),
      "m must be an integer, got 1.5"),
+    (lambda: HACSpec(-1), "bandwidth must be >= 0, got -1"),
+    (lambda: LPSpec("price", ("shock",), lags=-1),
+     "lags must be >= 0, got -1"),
+    (lambda: ARDLSpec("price", ("x",), p=-1), "p must be >= 0, got -1"),
+    (lambda: ARDLSpec("price", ("x",), m=0), "m must be >= 1, got 0"),
+    # a numpy integer is named by its value, not its repr
+    (lambda: historical_norm(np.ones((1, 40)), np.int64(0)),
+     "m must be >= 1, got 0"),
 ])
 def test_counts_must_be_integers(make, message):
     with pytest.raises(SpecError) as info:

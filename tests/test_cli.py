@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import climpanel
@@ -636,6 +636,29 @@ def test_price_regions_in_another_order_change_no_output(workspace, tmp_path):
     for name in names:
         assert ((tmp_path / "same" / name).read_bytes()
                 == (tmp_path / "permuted" / name).read_bytes()), name
+
+
+def test_files_holding_other_regions_name_each_file(workspace, tmp_path,
+                                                     capsys):
+    # the message used to list the two panels' regions in file order,
+    # naming neither file
+    data = tmp_path / "data"
+    data.mkdir()
+    climate, prices = data / "climate.csv", data / "prices.csv"
+    climate.write_bytes((workspace["data"] / "climate.csv").read_bytes())
+    regions = load_panel(climate).regions
+    lines = (workspace["data"] / "prices.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    prices.write_text("".join(l for l in lines
+                              if not l.startswith(regions[0] + ",")),
+                      encoding="utf-8")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE_CONFIG.format(data=data, out=tmp_path / "o"),
+                   encoding="utf-8")
+    assert main(["lp", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: region lists differ: {climate} has {sorted(regions)}, "
+        f"{prices} has {sorted(regions[1:])}\n")
 
 
 def test_lp_and_ardl_trees_do_not_depend_on_openblas_threads(workspace,
@@ -1640,22 +1663,6 @@ def _split(text):
     return lines[:head + 1], lines[head + 1:]
 
 
-def _region(row):
-    return row.split(",", 1)[0]
-
-
-def _shuffle_keeping_region_order(rows, rnd):
-    """rows in random order, the regions still first appearing in their
-    original order: shuffle, then refill the slots of the i-th region to
-    appear with the (shuffled) rows of the i-th original region; every
-    region has as many rows, the panel being balanced."""
-    shuffled = rnd.sample(rows, len(rows))
-    pools = {region: [r for r in shuffled if _region(r) == region]
-             for region in dict.fromkeys(map(_region, rows))}
-    slots = dict(zip(dict.fromkeys(map(_region, shuffled)), pools))
-    return [pools[slots[_region(r)]].pop() for r in shuffled]
-
-
 def _repeat_some(rows, rnd):
     """rows with a few of them repeated later in the file."""
     rows = list(rows)
@@ -1672,15 +1679,17 @@ def ordered_outputs(workspace):
     return texts, _pipeline_outputs(*texts)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+# no shrink phase: a smaller shuffle would say no more, and shrinking one
+# that fails reruns the pipeline for minutes
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=(Phase.generate,))
 @given(rnd=st.randoms(use_true_random=False))
 def test_row_order_and_repeated_rows_change_no_output(ordered_outputs, rnd):
-    # price rows in any order, climate rows in any order that keeps the
-    # order in which the regions first appear (it fixes the region order)
+    # the rows of both files in any order, the regions first appearing in
+    # any order too: the panel's regions are in name order
     (climate, prices), want = ordered_outputs
     head, rows = _split(climate)
-    climate = "".join(head + _repeat_some(
-        _shuffle_keeping_region_order(rows, rnd), rnd))
+    climate = "".join(head + _repeat_some(rnd.sample(rows, len(rows)), rnd))
     head, rows = _split(prices)
     prices = "".join(head + _repeat_some(rnd.sample(rows, len(rows)), rnd))
     got = _pipeline_outputs(climate, prices)

@@ -1,5 +1,6 @@
-"""Golden outputs: the README demo pipeline must reproduce its files byte
-for byte, and fixed configs must keep their resolved-config hashes.
+"""Golden outputs: the README demo pipeline and a small ragged pipeline
+must reproduce their files byte for byte, and fixed configs must keep
+their resolved-config hashes.
 
 A change that alters numbers on purpose refreshes the stored hashes with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -12,10 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from climpanel.cli import main
 from climpanel.config import load_config
+from climpanel.dataset import PanelDataset, write_panel
+from climpanel.simulate import PRICE_COMPONENTS, climate_panel
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_sha256.json"
+RAGGED_GOLDEN = GOLDEN.with_name("ragged_sha256.json")
 
 # The Quickstart config of README.md. Input paths are relative, because the
 # resolved-config hash (written into every output) includes them.
@@ -114,23 +120,32 @@ CONFIG_HASHES = {
 }
 
 
-def demo_hashes(root: Path, run=main) -> dict[str, str]:
-    """Run the demo pipeline in root, each command by run(argv) -> exit
-    code; sha256 of every file it writes."""
+def _run_in(root: Path, configs: dict, commands, run=main) -> None:
+    """Write each named config text in root, then run each command there by
+    run(argv) -> exit code, which must be 0."""
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        Path("run.ini").write_text(DEMO_CONFIG, encoding="utf-8")
-        for argv in DEMO_COMMANDS:
+        for name, text in configs.items():
+            Path(name).write_text(text, encoding="utf-8")
+        for argv in commands:
             assert run(argv) == 0, argv
     finally:
         os.chdir(cwd)
-    return {
-        path.relative_to(root).as_posix():
+
+
+def _hashes(root: Path, dirs) -> dict[str, str]:
+    """sha256 of every file in root's dirs, by its path from root."""
+    return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((root / "data").iterdir())
-        + sorted((root / "out").iterdir())
-    }
+            for name in dirs for path in sorted((root / name).iterdir())}
+
+
+def demo_hashes(root: Path, run=main) -> dict[str, str]:
+    """Run the demo pipeline in root, each command by run(argv) -> exit
+    code; sha256 of every file it writes."""
+    _run_in(root, {"run.ini": DEMO_CONFIG}, DEMO_COMMANDS, run)
+    return _hashes(root, ("data", "out"))
 
 
 def config_hashes(root: Path) -> dict[str, str]:
@@ -206,6 +221,82 @@ def test_demo_pipeline_runs_without_scipy(tmp_path):
     assert got["hashes"] == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+# The paths of a ragged panel that the demo's balanced one does not take:
+# regions whose prices start late, blank price and climate cells, files
+# that list the regions in different orders, none of them in name order,
+# singleton groups in the two-way absorption and Driscoll-Kraay ARDL cells.
+# The short window of window.ini leaves more singletons.
+RAGGED_CONFIG = """\
+[input]
+climate = data/climate.csv
+prices = data/prices.csv
+{window}
+[anomaly]
+m = 2,3
+
+[lp]
+outcomes = food,energy
+m = 2
+lags = 2
+
+[ardl]
+outcomes = food,energy
+m = 2,3
+p = 1
+se = driscoll-kraay
+"""
+
+RAGGED_COMMANDS = (
+    ["anomaly", "--config", "run.ini"],
+    ["lp", "--config", "run.ini"],
+    ["ardl", "--config", "run.ini"],
+    ["stats", "--config", "run.ini"],
+    ["lp", "--config", "window.ini", "--out", "window"],
+    ["ardl", "--config", "window.ini", "--out", "window"],
+)
+
+
+def _ragged_inputs(data: Path) -> None:
+    """climate_panel's series on 6 regions x 48 quarters, with seeded holes:
+    each region's prices start at a drawn quarter in the first third (blank
+    before it), and 5% of the other price cells and 1% of the climate cells
+    are blank. The climate file lists the regions in reverse order."""
+    ds = climate_panel(n_regions=6, n_quarters=48, start="1995Q1", seed=43)
+    rng = np.random.default_rng(43)
+    R, T = ds.n_regions, ds.n_quarters
+    late = np.arange(T) < rng.integers(0, T // 3, R)[:, None]
+    prices = {name: np.where(late | (rng.random((R, T)) < 0.05), np.nan,
+                             ds.values(name)) for name in PRICE_COMPONENTS}
+    back = slice(None, None, -1)
+    climate = {name: np.where(rng.random((R, T)) < 0.01, np.nan,
+                              ds.values(name))[back]
+               for name in ("temperature", "precipitation")}
+    data.mkdir()
+    write_panel(PanelDataset(ds.regions, ds.time, prices, ds.units),
+                data / "prices.csv")
+    write_panel(PanelDataset(ds.regions[back], ds.time, climate, ds.units),
+                data / "climate.csv")
+
+
+def ragged_hashes(root: Path) -> dict[str, str]:
+    """Write the ragged inputs in root and run the ragged pipeline there;
+    sha256 of every input and output file."""
+    _ragged_inputs(root / "data")
+    _run_in(root, {"run.ini": RAGGED_CONFIG.format(window=""),
+                   "window.ini": RAGGED_CONFIG.format(
+                       window="start = 2000Q1\nend = 2001Q2\n")},
+            RAGGED_COMMANDS)
+    return _hashes(root, ("data", "out", "window"))
+
+
+def test_ragged_pipeline_outputs_match_golden_hashes(tmp_path):
+    expected = json.loads(RAGGED_GOLDEN.read_text(encoding="utf-8"))
+    got = ragged_hashes(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"outputs differ from the golden run: {changed}"
+
+
 def test_source_imports_no_scipy():
     # every import statement in the package, at any depth, so that an
     # import inside a function, which the run above may never reach, counts;
@@ -272,16 +363,10 @@ PARTIAL_FAILURE_HASHES = {
 
 
 def test_partial_failure_bookkeeping_matches_pinned_hashes(tmp_path):
-    cwd = os.getcwd()
-    os.chdir(tmp_path)
-    try:
-        Path("run.ini").write_text(PARTIAL_FAILURE_CONFIG, encoding="utf-8")
-        for argv in (["simulate", "--config", "run.ini", "--out", "data"],
-                     ["lp", "--config", "run.ini"],
-                     ["ardl", "--config", "run.ini"]):
-            assert main(argv) == 0, argv
-    finally:
-        os.chdir(cwd)
+    _run_in(tmp_path, {"run.ini": PARTIAL_FAILURE_CONFIG},
+            (["simulate", "--config", "run.ini", "--out", "data"],
+             ["lp", "--config", "run.ini"],
+             ["ardl", "--config", "run.ini"]))
     assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
             .hexdigest() for name in PARTIAL_FAILURE_HASHES} \
         == PARTIAL_FAILURE_HASHES
@@ -290,9 +375,9 @@ def test_partial_failure_bookkeeping_matches_pinned_hashes(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        hashes = demo_hashes(Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)
+    for path, make in ((GOLDEN, demo_hashes), (RAGGED_GOLDEN, ragged_hashes)):
+        with tempfile.TemporaryDirectory() as tmp:
+            hashes = make(Path(tmp))
+        path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {len(hashes)} hashes to {path}", file=sys.stderr)

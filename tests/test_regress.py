@@ -59,14 +59,14 @@ def grid(n):
     return quarter_range(QuarterIndex(2000, 1), QuarterIndex(2000, 1).offset(n - 1))
 
 
-def simple_design(y, x, fixed_effects=(), n_regions=1, add_constant=None):
+def simple_design(y, x, fixed_effects=(), n_regions=1, constant=True):
     """Single-region helper: y, x are 1-D arrays."""
     T = len(y) // n_regions
     return design_from_matrices(
         np.asarray(y, float).reshape(n_regions, T),
         [("x", np.asarray(x, float).reshape(n_regions, T))],
         grid(T), fixed_effects=fixed_effects,
-        add_constant=add_constant,
+        constant=constant,
     )
 
 
@@ -304,7 +304,7 @@ def test_absorbed_y_and_x_are_views_of_one_c_ordered_block(fixed_effects):
 
 def test_exact_fit():
     x = np.arange(1.0, 13.0)
-    design = simple_design(2.0 * x, x, add_constant=False)
+    design = simple_design(2.0 * x, x, constant=False)
     fit = ols(design)
     assert fit.coef[0] == pytest.approx(2.0, rel=1e-14)
     np.testing.assert_allclose(fit.resid_vec, 0.0, atol=1e-12)
@@ -318,7 +318,7 @@ def test_duplicated_column_rank_error_names_both():
     design = design_from_matrices(
         rng.normal(size=(1, 20)),
         [("x_first", x.reshape(1, 20)), ("x_second", x.reshape(1, 20))],
-        time, add_constant=False,
+        time, constant=False,
     )
     with pytest.raises(RankDeficiencyError) as err:
         ols(design)
@@ -351,7 +351,7 @@ def test_zero_column_reported_as_degenerate():
     design = design_from_matrices(
         rng.normal(size=(1, 15)),
         [("live", rng.normal(size=(1, 15))), ("dead", np.zeros((1, 15)))],
-        time, add_constant=False,
+        time, constant=False,
     )
     with pytest.raises(RankDeficiencyError, match="no variation"):
         ols(design)
@@ -413,7 +413,7 @@ def test_frisch_waugh_partialling():
     resid_y = residual_grid("y")
     resid_x1 = residual_grid("x1")
     partial = ols(design_from_matrices(
-        resid_y, [("x1", resid_x1)], ds.time, add_constant=False))
+        resid_y, [("x1", resid_x1)], ds.time, constant=False))
     assert partial.coef[0] == pytest.approx(full.coef[full.names.index("x1")],
                                            abs=1e-10)
 
@@ -426,7 +426,7 @@ def test_classical_single_regressor_closed_form():
     rng = np.random.default_rng(11)
     x = rng.normal(size=40)
     y = 0.5 * x + rng.normal(size=40)
-    fit = ols(simple_design(y, x, add_constant=False))
+    fit = ols(simple_design(y, x, constant=False))
     sigma2 = fit.resid_vec @ fit.resid_vec / (40 - 1)
     assert fit.vcov[0, 0] == pytest.approx(sigma2 / (x @ x), rel=1e-12)
 
@@ -435,7 +435,7 @@ def test_classical_scaling_homogeneity():
     rng = np.random.default_rng(12)
     x = rng.normal(size=30)
     y = x + rng.normal(size=30)
-    fit = ols(simple_design(y, x, add_constant=False))
+    fit = ols(simple_design(y, x, constant=False))
     base = vcov_classical(fit)
     doubled = fit.replace(resid_vec=2.0 * fit.resid_vec)
     np.testing.assert_allclose(vcov_classical(doubled), 4.0 * base, rtol=1e-14)
@@ -444,8 +444,7 @@ def test_classical_scaling_homogeneity():
 def test_classical_dof_error():
     rng = np.random.default_rng(13)
     # two observations, x plus const: rank 2 leaves zero residual dof
-    design = simple_design(rng.normal(size=2), rng.normal(size=2),
-                           add_constant=True)
+    design = simple_design(rng.normal(size=2), rng.normal(size=2))
     with pytest.raises(DegreesOfFreedomError):
         ols(design)
 
@@ -461,7 +460,7 @@ def test_dk_single_unit_equals_newey_west(bandwidth, small_sample):
     n = 60
     x = rng.normal(size=n)
     y = 1.0 + 0.5 * x + rng.normal(size=n)
-    fit = ols(simple_design(y, x, add_constant=True))
+    fit = ols(simple_design(y, x))
     got = vcov_driscoll_kraay(fit, HACSpec(bandwidth, small_sample))
     X = np.column_stack([x, np.ones(n)])
     want = newey_west_double_loop(X, fit.resid_vec, bandwidth, small_sample)
@@ -472,7 +471,7 @@ def test_dk_lag0_constant_residuals_proportional_to_classical():
     rng = np.random.default_rng(15)
     n = 50
     x = rng.normal(size=n)
-    fit = ols(simple_design(x + rng.normal(size=n), x, add_constant=False))
+    fit = ols(simple_design(x + rng.normal(size=n), x, constant=False))
     const_resid = fit.replace(resid_vec=np.full(n, 0.7))
     dk = vcov_driscoll_kraay(const_resid, HACSpec(0, small_sample=False))
     classical = vcov_classical(const_resid)
