@@ -19,7 +19,7 @@ import numpy as np
 
 from ._record import Record
 from .dataset import PanelDataset, checked_log, shift
-from .errors import SpecError, UnitRootError
+from .errors import UnitRootError
 from .regress import (
     Design,
     _block_design,
@@ -28,15 +28,14 @@ from .regress import (
     significance_stars,
     with_driscoll_kraay,
 )
-from .specs import ARDLSpec, derived_names
+from .specs import ARDLSpec, check_count, derived_names
 
 _PHI_FLOOR = 1e-6
 
 
 def annualize(theta: float, m: int) -> float:
     """Annualized long-run effect theta * 2 / (m + 1)."""
-    if m < 1:
-        raise SpecError("m must be >= 1")
+    check_count("m", m, 1)
     return theta * 2.0 / (m + 1.0)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import PanelDataset, _join
-from .errors import BurnInError, SpecError
-from .specs import NORM_MODES, SEASONS, check_count, derived_names
+from .errors import BurnInError
+from .specs import NORM_MODES, SEASONS, check_choice, check_count, derived_names
 
 # hot/wet keep the positive part of the anomaly, cold/dry the negative part.
 POLARITY_SIGN = {"hot": 1, "wet": 1, "cold": -1, "dry": -1}
@@ -35,8 +35,7 @@ def historical_norm(
     levels[:, s] with s >= t.
     """
     check_count("m", m, 1)
-    if mode not in NORM_MODES:
-        raise SpecError(f"mode must be one of {NORM_MODES}, got {mode!r}")
+    check_choice("mode", mode, NORM_MODES)
     levels = np.atleast_2d(np.asarray(levels, dtype=float))
     step = 4 if mode == "same-quarter" else 1
     offsets = range(step, 4 * m + 1, step)
@@ -78,11 +77,8 @@ def seasonal_shock(
     otherwise the raw anomaly is kept inside the season. Cells outside the
     season are zero; undefined anomaly cells stay NaN.
     """
-    if season not in SEASONS:
-        raise SpecError(f"season must be one of {SEASONS}, got {season!r}")
-    if polarity not in POLARITY_SIGN:
-        raise SpecError(f"polarity must be one of {sorted(POLARITY_SIGN)}, "
-                        f"got {polarity!r}")
+    check_choice("season", season, SEASONS)
+    check_choice("polarity", polarity, tuple(POLARITY_SIGN))
     in_season = np.array(
         [SEASONS[q.quarter - 1] == season for q in time], dtype=bool
     )

@@ -24,7 +24,11 @@ from .specs import (
     LPSpec,
     PanelSchema,
     QuarterIndex,
+    check_choice,
+    check_count,
     check_fixed_effects,
+    check_items,
+    check_once,
     derived_names,
 )
 
@@ -45,8 +49,8 @@ def _checked(where: str, fn, *args):
 
 
 def _check_windows(where: str, ms: tuple[int, ...]) -> None:
-    _require(ms and min(ms) >= 1, where,
-             f"must list norm windows of at least 1 year, got {ms}")
+    _checked(where, check_items, "m", ms,
+             lambda m: check_count("each m", m, 1))
 
 
 def _check_path(where: str, path: str | None) -> None:
@@ -102,9 +106,8 @@ class AnomalyConfig(Record):
     sign_conditioned: bool = True
 
     def __post_init__(self):
-        _check_windows("[anomaly] m", self.m)
-        _require(self.mode in NORM_MODES, "[anomaly] mode",
-                 f"must be one of {NORM_MODES}")
+        _check_windows("[anomaly]", self.m)
+        _checked("[anomaly]", check_choice, "mode", self.mode, NORM_MODES)
 
 
 class LPConfig(Record):
@@ -119,13 +122,12 @@ class LPConfig(Record):
     fixed_effects: tuple[str, ...] = LPSpec.fixed_effects
 
     def __post_init__(self):
-        _check_windows("[lp] m", (self.m,))
+        _checked("[lp]", check_count, "m", self.m, 1)
         try:
-            names = self.shock_names()
+            self.shock_names()
         except (KeyError, IndexError, ValueError, AttributeError, TypeError):
             raise ConfigError(f"[lp] shocks: bad placeholder in {self.shocks} "
                               "(only {m} is substituted)") from None
-        _checked(f"[lp] shocks (with {{m}} = {self.m}):", _each_once, names)
         _checked("[lp]", check_fixed_effects, self.fixed_effects)
         _checked("[lp]", self.spec, "")
 
@@ -149,9 +151,9 @@ class ARDLConfig(Record):
     small_sample: bool = HACSpec.small_sample
 
     def __post_init__(self):
-        _check_windows("[ardl] m", self.m)
-        _require(self.se in ("classical", "driscoll-kraay"), "[ardl] se",
-                 "must be classical or driscoll-kraay")
+        _check_windows("[ardl]", self.m)
+        _checked("[ardl]", check_choice, "se", self.se,
+                 ("classical", "driscoll-kraay"))
         # the outcome and block are each cell's; any one stands in here
         _checked("[ardl]", self.spec, "", ("",), self.m[0])
 
@@ -170,11 +172,10 @@ class SimulateConfig(Record):
     start: str = "1962Q1"
 
     def __post_init__(self):
-        _require(self.kind in ("climate", "lp", "ardl"), "[simulate] kind",
-                 "must be climate, lp or ardl")
-        _require(self.seed >= 0, "[simulate] seed", "must be >= 0")
-        _require(self.regions >= 1, "[simulate] regions", "must be >= 1")
-        _require(self.quarters >= 1, "[simulate] quarters", "must be >= 1")
+        _checked("[simulate]", check_choice, "kind", self.kind,
+                 ("climate", "lp", "ardl"))
+        for key, low in (("seed", 0), ("regions", 1), ("quarters", 1)):
+            _checked("[simulate]", check_count, key, getattr(self, key), low)
         _checked("[simulate] start:", QuarterIndex.parse, self.start)
 
 
@@ -232,21 +233,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _each_once(items: tuple) -> tuple:
-    """items, unless one is listed twice: every list names each entry once."""
-    repeated = [x for i, x in enumerate(items) if x in items[:i]]
-    if repeated:
-        raise ValueError(f"lists {repeated[0]!r} twice")
-    return items
-
-
 def _parse_list(text: str) -> tuple[str, ...]:
-    return _each_once(tuple(s.strip() for s in text.split(",") if s.strip()))
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    # compared as ints, so 30 and 030 are one entry
-    return _each_once(tuple(int(s) for s in text.split(",") if s.strip()))
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 _HORIZON_RANGE = re.compile(r"(\d+)\s*-\s*(\d+)")
@@ -289,6 +281,9 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
         parse = (_parse_horizons if (name, key) == ("lp", "horizons")
                  else _PARSERS[types[key]])
         values[key] = _checked(f"[{name}] {key}:", parse, text)
+        # every list names each entry once; ints compare as ints, 30 == 030
+        if types[key].startswith("tuple"):
+            _checked(f"[{name}]", check_once, key, values[key])
     return values
 
 
@@ -320,7 +315,7 @@ def load_config(
     if m_list is not None:
         ms = _checked("--m:", _parse_int_list, m_list)
         # a bad list is named by the first section it lands in, [anomaly]
-        _check_windows("--m: [anomaly] m", ms)
+        _check_windows("--m: [anomaly]", ms)
         raw["anomaly"]["m"] = raw["ardl"]["m"] = ms
         raw["lp"]["m"] = ms[0]
     _check_path("--out", out_dir)

@@ -34,7 +34,7 @@ from .specs import (
     QuarterIndex,
     _quarter_at,
     _quarter_code,
-    check_names,
+    check_list,
 )
 
 
@@ -160,8 +160,8 @@ def subset(
     end: QuarterIndex | str | None = None,
 ) -> PanelDataset:
     """Restrict to named variables and an inclusive quarter window."""
-    check_names("variables", variables)
-    names = tuple(variables) if variables is not None else ds.variables
+    names = ds.variables if variables is None else variables
+    check_list("variables", names)
     for name in names:
         ds.values(name)  # raises VariableLookupError
     lo = QuarterIndex.parse(start) if start is not None else ds.time[0]
@@ -500,7 +500,7 @@ def write_panel(
     if isinstance(files, (str, os.PathLike)):
         files = {files: ds.variables}
     for names in files.values():
-        check_names("each file's series", names)
+        check_list("each file's series", names)
     files = {path: tuple(dict.fromkeys(names)) for path, names in files.items()}
     # every written series once, as a column of each region's block
     written = list(dict.fromkeys(n for names in files.values() for n in names))

@@ -8,9 +8,14 @@ its own records back under their old names. The quarter and column-schema
 records and the derived-series names live here too, apart from the panels,
 so that building a config loads no numpy; dataset and climate import them
 back the same way.
+
+Each value rule has one checker, which the records, the library functions
+and the config sections all call: check_count, check_list, check_once,
+check_items and check_choice.
 """
 from __future__ import annotations
 
+import numbers
 import re
 from functools import total_ordering
 
@@ -43,19 +48,37 @@ def check_count(name: str, value, low: int) -> None:
         raise SpecError(f"{name} must be >= {low}, got {value}")
 
 
-def check_unshaped(name: str, value, want: str) -> None:
-    """SpecError for an array where a record wants a tuple, a list or one
-    value: an array's truth value is ambiguous and it does not hash."""
-    if _is_array(value):
-        raise SpecError(f"{name} must be {want}, got an array: {value!r}")
+def check_list(name: str, value) -> None:
+    """SpecError unless value is a tuple, a list or a range: a set or a
+    dict has no order that repeats from run to run, an iterator is spent
+    once read, and a string or an array is one value."""
+    if not isinstance(value, (tuple, list, range)):
+        raise SpecError(f"{name} must be a tuple or list, got {value!r}")
 
 
-def check_names(name: str, names) -> None:
-    """SpecError for a bare string where series names are expected: it
-    would otherwise run once per character."""
-    if isinstance(names, str):
-        raise SpecError(f"{name} must be a collection of series names, "
-                        f"got the string {names!r}")
+def check_once(name: str, items) -> None:
+    """SpecError if items lists an entry twice."""
+    repeated = [x for i, x in enumerate(items) if x in items[:i]]
+    if repeated:
+        raise SpecError(f"{name} lists {repeated[0]!r} twice")
+
+
+def check_items(name: str, items, each=None) -> None:
+    """SpecError unless items is a list of at least one entry, each passing
+    each(entry) and then listed once, so that no array is ever compared."""
+    check_list(name, items)
+    if not items:
+        raise SpecError(f"{name} must list at least one entry")
+    for entry in items if each else ():
+        each(entry)
+    check_once(name, items)
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """SpecError unless value equals one of choices; an array, which
+    compares elementwise, never does."""
+    if _is_array(value) or value not in choices:
+        raise SpecError(f"{name} must be one of {choices}, got {value!r}")
 
 
 # the largest year either way: every quarter code then fits an int64
@@ -184,11 +207,8 @@ class HACSpec(Record):
     def __post_init__(self):
         if self.bandwidth is not None:
             check_count("bandwidth", self.bandwidth, 0)
-        check_unshaped("small_sample", self.small_sample, "True or False")
         # in compares by ==, so numpy's bools pass, and so do 1 and 0
-        if self.small_sample not in (True, False):
-            raise SpecError("small_sample must be True or False, "
-                            f"got {self.small_sample!r}")
+        check_choice("small_sample", self.small_sample, (True, False))
 
 
 def check_window(window) -> tuple[QuarterIndex, QuarterIndex] | None:
@@ -196,10 +216,10 @@ def check_window(window) -> tuple[QuarterIndex, QuarterIndex] | None:
     SpecError for anything but a pair of quarter labels."""
     if window is None:
         return None
-    check_unshaped("sample", window, "a (start, end) pair of quarter labels")
+    check_list("sample", window)
     try:
         start, end = window
-    except (TypeError, ValueError):
+    except ValueError:
         raise SpecError("sample must be a (start, end) pair of quarter "
                         f"labels, got {window!r}") from None
     return QuarterIndex.parse(start), QuarterIndex.parse(end)
@@ -225,35 +245,14 @@ class LPSpec(Record):
     sample: tuple | None = None
 
     def __post_init__(self):
-        check_unshaped("shocks", self.shocks, "a tuple or list")
-        check_unshaped("horizons", self.horizons, "a tuple or list")
-        check_unshaped("fixed_effects", self.fixed_effects, "a tuple or list")
-        check_unshaped("level", self.level, "a number")
-        check_names("shocks", self.shocks)
-        if not self.shocks:
-            raise SpecError("shocks must be a nonempty tuple of names")
-        if len(set(self.shocks)) != len(self.shocks):
-            raise SpecError("shock names must be unique")
-        try:
-            distinct = len(set(self.horizons)) == len(self.horizons)
-        except TypeError:   # such as a bare int or a generator
-            raise SpecError("horizons must be a collection of horizons, "
-                            f"got {self.horizons!r}") from None
-        if not self.horizons or not distinct:
-            raise SpecError("horizons must list at least one horizon, "
-                            "each once")
-        for h in self.horizons:
-            check_int("each horizon", h)
-        if any(h < 0 for h in self.horizons):
-            raise SpecError("horizons must list horizons >= 0, "
-                            f"got {self.horizons}")
+        check_items("shocks", self.shocks)
+        check_items("horizons", self.horizons,
+                    lambda h: check_count("each horizon", h, 0))
+        check_list("fixed_effects", self.fixed_effects)
         check_count("lags", self.lags, 0)
-        try:
-            inside = 0.0 < self.level < 1.0
-        except TypeError:   # such as the string "0.9"
-            raise SpecError("level must be a number, "
-                            f"got {self.level!r}") from None
-        if not inside:
+        if not isinstance(self.level, numbers.Real):
+            raise SpecError(f"level must be a number, got {self.level!r}")
+        if not 0.0 < self.level < 1.0:
             raise SpecError("level must be in (0, 1)")
         check_window(self.sample)
 
@@ -275,10 +274,5 @@ class ARDLSpec(Record):
     def __post_init__(self):
         check_count("p", self.p, 0)
         check_count("m", self.m, 1)
-        check_unshaped("block", self.block, "a tuple or list")
-        check_names("block", self.block)
-        if not self.block:
-            raise SpecError("block must name at least one regressor")
-        if len(set(self.block)) != len(self.block):
-            raise SpecError("block names must be unique")
+        check_items("block", self.block)
         check_window(self.sample)

@@ -149,6 +149,15 @@ MUTANTS = [
     ("count bound off by one", "src/climpanel/specs.py",
      "if value < low:", "if value < low - 1:",
      "tests/test_climate.py::test_norm_params_validation"),
+    ("list rule takes any iterable", "src/climpanel/specs.py",
+     "isinstance(value, (tuple, list, range))", 'hasattr(value, "__iter__")',
+     "tests/test_api.py::test_spec_values_of_the_wrong_kind"),
+    ("repeat check sees no repeat", "src/climpanel/specs.py",
+     "if repeated:", "if False:",
+     "tests/test_api.py::test_spec_errors_are_typed[lp-horizons-repeated]"),
+    ("choice check takes anything", "src/climpanel/specs.py",
+     "if _is_array(value) or value not in choices:", "if False:",
+     "tests/test_api.py::test_spec_errors_are_typed[norm-mode]"),
     ("sample window ends at its start", "src/climpanel/specs.py",
      "return QuarterIndex.parse(start), QuarterIndex.parse(end)",
      "return QuarterIndex.parse(start), QuarterIndex.parse(start)",

@@ -1,4 +1,6 @@
 """The package's public surface: its exported names and its error types."""
+import itertools
+import os
 import re
 import types
 from pathlib import Path
@@ -212,47 +214,67 @@ def test_counts_may_be_numpy_integers():
 # as true; a numpy array's truth value is ambiguous, and a record must hash
 @pytest.mark.parametrize("make, message", [
     (lambda: LPSpec("price", ("shock",), horizons=3),
-     "horizons must be a collection of horizons, got 3"),
+     "horizons must be a tuple or list, got 3"),
     (lambda: LPSpec("price", ("shock",), level="0.9"),
      "level must be a number, got '0.9'"),
-    (lambda: HACSpec(2, "no"), "small_sample must be True or False, got 'no'"),
+    (lambda: HACSpec(2, "no"),
+     "small_sample must be one of (True, False), got 'no'"),
     (lambda: LPSpec("price", ("shock",), horizons=np.arange(2)),
-     "horizons must be a tuple or list, got an array: array([0, 1])"),
+     "horizons must be a tuple or list, got array([0, 1])"),
     (lambda: LPSpec("price", ("shock",), level=np.array([0.9, 0.8])),
-     "level must be a number, got an array: array([0.9, 0.8])"),
+     "level must be a number, got array([0.9, 0.8])"),
     (lambda: HACSpec(2, np.array([True, False])),
-     "small_sample must be True or False, got an array: "
-     "array([ True, False])"),
+     "small_sample must be one of (True, False), got array([ True, False])"),
     (lambda: LPSpec("price", np.array(["a", "b"])),
-     "shocks must be a tuple or list, got an array: "
-     "array(['a', 'b'], dtype='<U1')"),
+     "shocks must be a tuple or list, got array(['a', 'b'], dtype='<U1')"),
     (lambda: ARDLSpec("price", np.array(["a", "b"])),
-     "block must be a tuple or list, got an array: "
-     "array(['a', 'b'], dtype='<U1')"),
+     "block must be a tuple or list, got array(['a', 'b'], dtype='<U1')"),
     (lambda: ARDLSpec("price", ("x",), sample=np.array(["2003Q1", "2020Q4"])),
-     "sample must be a (start, end) pair of quarter labels, got an array: "
+     "sample must be a tuple or list, got "
      "array(['2003Q1', '2020Q4'], dtype='<U6')"),
     (lambda: estimate_irf(_lp_panel(), LPSpec(
         "price", ("shock",), sample=np.array(["2000Q1", "2004Q4"]))),
-     "sample must be a (start, end) pair of quarter labels, got an array: "
+     "sample must be a tuple or list, got "
      "array(['2000Q1', '2004Q4'], dtype='<U6')"),
     (lambda: LPSpec("price", ("shock",), fixed_effects=np.array(["region"])),
-     "fixed_effects must be a tuple or list, got an array: "
-     "array(['region'], dtype='<U6')"),
+     "fixed_effects must be a tuple or list, got array(['region'], "
+     "dtype='<U6')"),
     (lambda: LPSpec("price", ("shock",), lags=np.array([1, 2])),
      "lags must be an integer, got array([1, 2])"),
     # a 0-d array's shape is () like a numpy scalar's, but it does not hash
     (lambda: LPSpec("price", ("shock",), lags=np.array(2)),
      "lags must be an integer, got array(2)"),
     (lambda: LPSpec("price", ("shock",), level=np.array(0.9)),
-     "level must be a number, got an array: array(0.9)"),
+     "level must be a number, got array(0.9)"),
     (lambda: HACSpec(2, np.array(True)),
-     "small_sample must be True or False, got an array: array(True)"),
+     "small_sample must be one of (True, False), got array(True)"),
     (lambda: HACSpec(np.array(2)), "bandwidth must be an integer, got array(2)"),
     (lambda: ARDLSpec("price", ("x",), p=np.array(1)),
      "p must be an integer, got array(1)"),
     (lambda: ARDLSpec("price", ("x",), m=np.array(30)),
      "m must be an integer, got array(30)"),
+    # a set or a dict has no order that repeats from run to run: a set
+    # sample window or block used to follow PYTHONHASHSEED, and an
+    # iterator of shocks, read twice, used to end in a bare TypeError
+    (lambda: LPSpec("price", {"shock"}),
+     "shocks must be a tuple or list, got {'shock'}"),
+    (lambda: LPSpec("price", {"shock": 1}),
+     "shocks must be a tuple or list, got {'shock': 1}"),
+    (lambda: LPSpec("price", itertools.repeat("shock", 1)),
+     "shocks must be a tuple or list, got repeat('shock', 1)"),
+    (lambda: LPSpec("price", ("shock",), horizons={0}),
+     "horizons must be a tuple or list, got {0}"),
+    # each entry is checked before any two are compared
+    (lambda: LPSpec("price", ("shock",), horizons=[np.arange(2), 3]),
+     "each horizon must be an integer, got array([0, 1])"),
+    (lambda: ARDLSpec("price", {"x"}),
+     "block must be a tuple or list, got {'x'}"),
+    (lambda: LPSpec("price", ("shock",), sample={"2000Q1"}),
+     "sample must be a tuple or list, got {'2000Q1'}"),
+    (lambda: climpanel.subset(_lp_panel(), {"price"}),
+     "variables must be a tuple or list, got {'price'}"),
+    (lambda: climpanel.write_panel(_lp_panel(), {os.devnull: {"price"}}),
+     "each file's series must be a tuple or list, got {'price'}"),
 ])
 def test_spec_values_of_the_wrong_kind(make, message):
     with pytest.raises(SpecError) as info:
@@ -274,8 +296,8 @@ def test_tuples_lists_and_ranges_still_make_specs():
 
 
 @pytest.mark.parametrize("block, message", [
-    ((), "block must name at least one regressor"),
-    (("a", "a"), "block names must be unique"),
+    ((), "block must list at least one entry"),
+    (("a", "a"), "block lists 'a' twice"),
 ])
 def test_ardl_block_errors_keep_their_messages(block, message):
     with pytest.raises(SpecError) as info:
@@ -296,13 +318,11 @@ def test_quarter_range_parses_labels():
 # unique', or "unknown variable 'f'"
 @pytest.mark.parametrize("make, message", [
     (lambda ds, tmp: ARDLSpec("price", "driver"),
-     "block must be a collection of series names, got the string 'driver'"),
+     "block must be a tuple or list, got 'driver'"),
     (lambda ds, tmp: climpanel.subset(ds, "price"),
-     "variables must be a collection of series names, got the string "
-     "'price'"),
+     "variables must be a tuple or list, got 'price'"),
     (lambda ds, tmp: climpanel.write_panel(ds, {tmp / "p.csv": "price"}),
-     "each file's series must be a collection of series names, got the "
-     "string 'price'"),
+     "each file's series must be a tuple or list, got 'price'"),
 ])
 def test_series_names_are_not_a_bare_string(tmp_path, make, message):
     with pytest.raises(SpecError) as info:

@@ -475,8 +475,7 @@ def test_bad_m_override_keeps_its_message(workspace, tmp_path, capsys, file_m):
                    encoding="utf-8")
     assert main(["anomaly", "--config", str(cfg), "--m", "0"]) == 1
     assert capsys.readouterr().err == (
-        "config error: --m: [anomaly] m must list norm windows of at least 1 "
-        "year, got (0,)\n")
+        "config error: --m: [anomaly] each m must be >= 1, got 0\n")
 
 
 def test_simulate_lp_and_ardl_kinds(tmp_path):
@@ -1080,19 +1079,19 @@ def test_benchmark_tracer_sees_every_layer_it_wraps(workspace, tmp_path):
 
 # a negative horizon is a list, never the a-b range form
 _OUT_OF_RANGE_MESSAGES = {
-    "lp.horizons=-2": "[lp] horizons must list horizons >= 0, got (-2,)",
+    "lp.horizons=-2": "[lp] each horizon must be >= 0, got -2",
     "lp.horizons=-1-3": "[lp] horizons: invalid literal for int() with "
                         "base 10: '-1-3'",
     "lp.horizons=5-2": "[lp] horizons: empty horizon range '5-2'",
     "anomaly.seasonal=maybe": "[anomaly] seasonal: expected true/false, got "
                               "'maybe'",
-    "anomaly.m=3,03": "[anomaly] m: lists 3 twice",
-    "--m=3,3": "--m: lists 3 twice",
-    "lp.horizons=0,0": "[lp] horizons: lists 0 twice",
-    "stats.variables=food,all_items,food": "[stats] variables: lists 'food' "
+    "anomaly.m=3,03": "[anomaly] m lists 3 twice",
+    "--m=3,3": "--m: [anomaly] m lists 3 twice",
+    "lp.horizons=0,0": "[lp] horizons lists 0 twice",
+    "stats.variables=food,all_items,food": "[stats] variables lists 'food' "
                                            "twice",
     "lp.shocks=temperature_anom_m{m},temperature_anom_m2":
-        "[lp] shocks (with {m} = 2): lists 'temperature_anom_m2' twice",
+        "[lp] shocks lists 'temperature_anom_m2' twice",
     "input.region_col=year":
         "[input] region_col, year_col and quarter_col: region, year and "
         "quarter must name three different columns, got ('year', 'year', "
@@ -1210,8 +1209,11 @@ def test_config_error_comes_before_any_data_error(workspace, tmp_path,
     parser.set("input", "climate", str(tmp_path / "missing.csv"))
     cfg = tmp_path / "cfg.ini"
     command = "stats" if section == "input" else section
+    # a list's bad entry is named as one entry, not by the list's key
+    named = {"lp.horizons": "[lp] each horizon"}.get(target,
+                                                      f"[{section}] {key}")
     for change, code, start in ((None, 2, "data error: "),
-                                (value, 1, f"config error: [{section}] {key}")):
+                                (value, 1, f"config error: {named}")):
         if change is not None:
             parser.set(section, key, change)
         with open(cfg, "w", encoding="utf-8") as fh:

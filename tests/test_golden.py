@@ -316,6 +316,28 @@ def test_source_imports_no_scipy():
     assert found == []
 
 
+def test_value_rules_are_spelled_only_in_specs():
+    # a repeat, a count's bound, a choice and a list's kind each have one
+    # checker in specs.py; a message of one spelled out in any other module,
+    # in a raise or handed to one, is a second copy of its rule. Docstrings
+    # are statements of their own and are not messages.
+    src = Path(__file__).resolve().parents[1] / "src" / "climpanel"
+    rules = (" twice", "must be >= ", "must be one of",
+             "must be a tuple or list")
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "specs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Expr)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and id(node) not in docs
+                  and isinstance(node.value, str)
+                  and any(rule in node.value for rule in rules)]
+    assert found == []
+
+
 def test_resolved_config_hashes_are_pinned(tmp_path):
     assert config_hashes(tmp_path) == CONFIG_HASHES
 
