@@ -9,28 +9,23 @@ import importlib
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it
+# public name -> the submodule that defines it. The public surface is the
+# pipeline: its calls, the specs a caller builds and the records they
+# return. The building blocks stay importable from their modules.
 _HOMES = {
     **dict.fromkeys((
         "ARDLResult", "LongRunEffect", "LongRunTable", "annualize",
-        "build_ardl_design", "estimate_ardl",
+        "estimate_ardl",
     ), "ardl"),
-    **dict.fromkeys((
-        "anomaly", "attach_anomaly_features", "historical_norm",
-        "seasonal_shock", "sign_split",
-    ), "climate"),
+    "attach_anomaly_features": "climate",
     **dict.fromkeys((
         "PanelDataset", "RegionSummary", "load_panel", "merge_panels",
-        "subset", "summary_stats", "write_panel",
+        "summary_stats", "write_panel",
     ), "dataset"),
     **dict.fromkeys((
-        "ImpulseResponse", "LPResult", "build_lp_design", "estimate_irf",
+        "HorizonFailure", "ImpulseResponse", "LPResult", "estimate_irf",
     ), "localproj"),
-    **dict.fromkeys((
-        "Design", "FitResult", "confidence_band",
-        "default_bandwidth", "ols", "significance_stars",
-        "vcov_driscoll_kraay", "with_driscoll_kraay", "within_transform",
-    ), "regress"),
+    "FitResult": "regress",
     **dict.fromkeys((
         "ARDLSpec", "HACSpec", "LPSpec", "PanelSchema", "QuarterIndex",
         "quarter_range",

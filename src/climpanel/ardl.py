@@ -102,8 +102,6 @@ def long_run_from_coefficients(
     theta_k = (sum_l beta_lk) / phi, phi = 1 - sum_l phi_l. The gradient of
     theta_k is 1/phi on each beta_lk and theta_k/phi on each phi_l.
     """
-    coef = np.asarray(coef, dtype=float)
-    vcov = np.asarray(vcov, dtype=float)
     phi_idx = [names.index(_lag_name(outcome, lag))
                for lag in range(1, p + 1)]
     phi = 1.0 - float(coef[phi_idx].sum())   # exactly 1.0 at p = 0

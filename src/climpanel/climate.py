@@ -77,7 +77,6 @@ def seasonal_shock(
     otherwise the raw anomaly is kept inside the season. Cells outside the
     season are zero; undefined anomaly cells stay NaN.
     """
-    check_choice("season", season, SEASONS)
     check_choice("polarity", polarity, tuple(POLARITY_SIGN))
     in_season = np.array(
         [SEASONS[q.quarter - 1] == season for q in time], dtype=bool

@@ -29,7 +29,6 @@ from .errors import (
     DegreesOfFreedomError,
     RankDeficiencyError,
     SampleError,
-    SpecError,
 )
 from .specs import HACSpec, _quarter_code, check_fixed_effects, check_window
 
@@ -153,14 +152,10 @@ def within_transform(design: Design) -> Design:
     until none is left. Groups are counted by np.bincount on offset codes,
     with no sort; y and X are absorbed in place as one C-ordered block.
     """
-    if design.demeaned:
-        return design
     dims = design.fixed_effects
     if not dims:
         return design.replace(demeaned=True, absorbed=0)
     check_fixed_effects(dims)
-    if not design.nobs:
-        raise SampleError("no observations to absorb")
 
     raw = {"region": design.region_codes, "time": design.time_codes}
     codes = {dim: raw[dim] - raw[dim].min() for dim in dims}
@@ -293,8 +288,6 @@ def ols(design: Design) -> FitResult:
     """
     d = design if design.demeaned else within_transform(design)
     n, k = d.X.shape
-    if n == 0:
-        raise SampleError("empty design")
     R, qty, norms, rank, null = _factor(d.X, d.y)
     if rank < k:
         offenders, lines = _describe_rank_deficiency(null, d.names, norms)
@@ -364,11 +357,6 @@ def vcov_driscoll_kraay(fit: FitResult, hac: HACSpec) -> np.ndarray:
         # dof-aware factor: within residuals are shrunk by the absorbed FE
         # dummies as well as the k slopes, so scale by nobs/(nobs-k-absorbed);
         # with one unit and no FE this is exactly T/(T-k)
-        if fit.dof <= 0:
-            raise DegreesOfFreedomError(
-                f"small-sample factor needs nobs > k + absorbed: "
-                f"nobs={fit.nobs}, k={len(fit.coef)}, absorbed={fit.absorbed}"
-            )
         S *= fit.nobs / fit.dof
     V = fit.xtx_inv @ (T * S) @ fit.xtx_inv
     return (V + V.T) / 2.0
@@ -452,8 +440,6 @@ def confidence_band(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric per-coefficient bands coef +/- q * se, q the normal
     quantile; level = 0 degenerates to [coef, coef]."""
-    if not 0.0 <= level < 1.0:
-        raise SpecError(f"level must be in [0, 1), got {level}")
     # imported here: statistics loads decimal and fractions, which no other
     # command needs
     from statistics import NormalDist

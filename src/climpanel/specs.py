@@ -10,8 +10,8 @@ so that building a config loads no numpy; dataset and climate import them
 back the same way.
 
 Each value rule has one checker, which the records, the library functions
-and the config sections all call: check_count, check_list, check_once,
-check_items and check_choice.
+and the config sections all call: check_count, check_name, check_list,
+check_once, check_items and check_choice.
 """
 from __future__ import annotations
 
@@ -46,6 +46,13 @@ def check_count(name: str, value, low: int) -> None:
     check_int(name, value)
     if value < low:
         raise SpecError(f"{name} must be >= {low}, got {value}")
+
+
+def check_name(name: str, value) -> None:
+    """SpecError unless value is a string, such as a series name: an array
+    does not hash, and any other value names no series."""
+    if not isinstance(value, str):
+        raise SpecError(f"{name} must be a string, got {value!r}")
 
 
 def check_list(name: str, value) -> None:
@@ -245,7 +252,9 @@ class LPSpec(Record):
     sample: tuple | None = None
 
     def __post_init__(self):
-        check_items("shocks", self.shocks)
+        check_name("outcome", self.outcome)
+        check_items("shocks", self.shocks,
+                    lambda shock: check_name("each shock", shock))
         check_items("horizons", self.horizons,
                     lambda h: check_count("each horizon", h, 0))
         check_list("fixed_effects", self.fixed_effects)
@@ -274,5 +283,7 @@ class ARDLSpec(Record):
     def __post_init__(self):
         check_count("p", self.p, 0)
         check_count("m", self.m, 1)
-        check_items("block", self.block)
+        check_name("outcome", self.outcome)
+        check_items("block", self.block,
+                    lambda entry: check_name("each block entry", entry))
         check_window(self.sample)

@@ -155,6 +155,9 @@ MUTANTS = [
     ("repeat check sees no repeat", "src/climpanel/specs.py",
      "if repeated:", "if False:",
      "tests/test_api.py::test_spec_errors_are_typed[lp-horizons-repeated]"),
+    ("name check takes anything", "src/climpanel/specs.py",
+     "if not isinstance(value, str):", "if False:",
+     "tests/test_api.py::test_spec_values_of_the_wrong_kind"),
     ("choice check takes anything", "src/climpanel/specs.py",
      "if _is_array(value) or value not in choices:", "if False:",
      "tests/test_api.py::test_spec_errors_are_typed[norm-mode]"),

@@ -17,19 +17,17 @@ from climpanel import (
     HACSpec,
     LPSpec,
     PanelSchema,
-    anomaly,
     annualize,
     attach_anomaly_features,
     estimate_ardl,
     estimate_irf,
     load_panel,
     merge_panels,
-    ols,
-    sign_split,
-    subset,
-    vcov_driscoll_kraay,
 )
 from climpanel.cli import main
+from climpanel.climate import anomaly, sign_split
+from climpanel.dataset import subset
+from climpanel.regress import ols, vcov_driscoll_kraay
 from climpanel.simulate import ardl_panel, lp_panel
 from climpanel.specs import QuarterIndex, quarter_range
 from oracles import (

@@ -16,13 +16,13 @@ from climpanel import (
     PanelSchema,
     QuarterIndex,
     annualize,
-    confidence_band,
+    attach_anomaly_features,
+    estimate_ardl,
     estimate_irf,
-    historical_norm,
     quarter_range,
-    seasonal_shock,
 )
 from climpanel.ardl import default_block
+from climpanel.climate import historical_norm, seasonal_shock
 from climpanel.config import _SECTIONS
 from climpanel.errors import ClimPanelError, ConfigError, SpecError
 
@@ -40,13 +40,12 @@ def test_star_import_binds_exactly_all():
 def test_every_public_name_is_in_the_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
-    assert [name for name in climpanel.__all__
-            if not re.search(rf"\b{name}\b", readme)] == []
-    # and the other way: the README lists no name the package lacks
+    # the "Public names" paragraph lists each exported name once, and no
+    # other: a name mentioned elsewhere in the README is not listed
     listed = re.search(r"^Public names \(.*?\n\n", readme,
                        re.MULTILINE | re.DOTALL)
-    names = set(re.findall(r"`(\w+)`", listed.group()))
-    assert sorted(names - set(climpanel.__all__)) == []
+    assert (sorted(re.findall(r"`(\w+)`", listed.group()))
+            == sorted(climpanel.__all__))
 
 
 def test_readme_config_table_lists_every_key():
@@ -74,11 +73,8 @@ def test_readme_config_table_lists_every_key():
     pytest.param(lambda: annualize(0.5, 0), id="annualize-m"),
     pytest.param(lambda: historical_norm(np.zeros((1, 8)), 1,
                                          mode="monthly"), id="norm-mode"),
-    pytest.param(lambda: seasonal_shock(None, (), "monsoon", "hot"),
-                 id="season"),
     pytest.param(lambda: seasonal_shock(None, (), "summer", "humid"),
                  id="polarity"),
-    pytest.param(lambda: confidence_band(None, 1.0), id="band-level"),
     pytest.param(lambda: quarter_range(QuarterIndex(2001, 1),
                                        QuarterIndex(2000, 4)),
                  id="quarter-range"),
@@ -193,6 +189,9 @@ def _lp_panel():
     # a numpy integer is named by its value, not its repr
     (lambda: historical_norm(np.ones((1, 40)), np.int64(0)),
      "m must be >= 1, got 0"),
+    # the public call keeps the norm's own check
+    (lambda: attach_anomaly_features(_lp_panel(), "shock", m=0),
+     "m must be >= 1, got 0"),
 ])
 def test_counts_must_be_integers(make, message):
     with pytest.raises(SpecError) as info:
@@ -271,10 +270,29 @@ def test_counts_may_be_numpy_integers():
      "block must be a tuple or list, got {'x'}"),
     (lambda: LPSpec("price", ("shock",), sample={"2000Q1"}),
      "sample must be a tuple or list, got {'2000Q1'}"),
-    (lambda: climpanel.subset(_lp_panel(), {"price"}),
+    (lambda: climpanel.dataset.subset(_lp_panel(), {"price"}),
      "variables must be a tuple or list, got {'price'}"),
     (lambda: climpanel.write_panel(_lp_panel(), {os.devnull: {"price"}}),
      "each file's series must be a tuple or list, got {'price'}"),
+    # a name is a string: an array entry used to end in numpy's ambiguous
+    # truth value, and an array outcome in a bare unhashable TypeError
+    (lambda: ARDLSpec("price", [np.array(["a", "b"]), "x"]),
+     "each block entry must be a string, got array(['a', 'b'], dtype='<U1')"),
+    (lambda: LPSpec("price", [np.array(["a", "b"]), "shock"]),
+     "each shock must be a string, got array(['a', 'b'], dtype='<U1')"),
+    (lambda: estimate_irf(_lp_panel(), LPSpec(np.array(["price"]),
+                                              ("shock",))),
+     "outcome must be a string, got array(['price'], dtype='<U5')"),
+    (lambda: estimate_ardl(_lp_panel(), ARDLSpec(np.array(["price"]),
+                                                 ("shock",))),
+     "outcome must be a string, got array(['price'], dtype='<U5')"),
+    # the public call keeps the choices checked inside its building blocks
+    (lambda: attach_anomaly_features(_lp_panel(), "shock", m=1,
+                                     mode="monthly"),
+     "mode must be one of ('same-quarter', 'rolling'), got 'monthly'"),
+    (lambda: attach_anomaly_features(_lp_panel(), "shock", m=1,
+                                     polarities=("hot", "humid")),
+     "polarity must be one of ('hot', 'wet', 'cold', 'dry'), got 'humid'"),
 ])
 def test_spec_values_of_the_wrong_kind(make, message):
     with pytest.raises(SpecError) as info:
@@ -319,7 +337,7 @@ def test_quarter_range_parses_labels():
 @pytest.mark.parametrize("make, message", [
     (lambda ds, tmp: ARDLSpec("price", "driver"),
      "block must be a tuple or list, got 'driver'"),
-    (lambda ds, tmp: climpanel.subset(ds, "price"),
+    (lambda ds, tmp: climpanel.dataset.subset(ds, "price"),
      "variables must be a tuple or list, got 'price'"),
     (lambda ds, tmp: climpanel.write_panel(ds, {tmp / "p.csv": "price"}),
      "each file's series must be a tuple or list, got 'price'"),

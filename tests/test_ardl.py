@@ -10,21 +10,19 @@ from climpanel import (
     HACSpec,
     PanelDataset,
     annualize,
-    build_ardl_design,
     estimate_ardl,
     quarter_range,
     QuarterIndex,
-    with_driscoll_kraay,
 )
 from climpanel import ardl
-from climpanel.ardl import long_run_from_coefficients
+from climpanel.ardl import build_ardl_design, long_run_from_coefficients
 from climpanel.errors import (
     ClimPanelError,
     RankDeficiencyError,
     SampleError,
     UnitRootError,
 )
-from climpanel.regress import _regressor_block
+from climpanel.regress import _regressor_block, with_driscoll_kraay
 from climpanel.simulate import ardl_panel
 import oracles
 from oracles import ardl_steady_state, peak_traced, with_series

@@ -20,16 +20,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import climpanel
-from climpanel import (
-    HACSpec,
-    LPSpec,
-    PanelSchema,
-    build_lp_design,
-    default_bandwidth,
-    load_panel,
-    ols,
-    with_driscoll_kraay,
-)
+from climpanel import HACSpec, LPSpec, PanelSchema, load_panel
+from climpanel.localproj import build_lp_design
+from climpanel.regress import default_bandwidth, ols, with_driscoll_kraay
 from climpanel.cli import _attach_all, _load, main
 from climpanel.config import load_config
 from climpanel.errors import EstimationError

@@ -11,10 +11,12 @@ from hypothesis.extra import numpy as hnp
 from climpanel import (
     PanelDataset,
     QuarterIndex,
-    anomaly,
     attach_anomaly_features,
-    historical_norm,
     quarter_range,
+)
+from climpanel.climate import (
+    anomaly,
+    historical_norm,
     seasonal_shock,
     sign_split,
 )

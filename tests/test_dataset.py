@@ -14,11 +14,9 @@ from climpanel import (
     PanelDataset,
     PanelSchema,
     QuarterIndex,
-    build_lp_design,
     load_panel,
     merge_panels,
     quarter_range,
-    subset,
     summary_stats,
     write_panel,
 )
@@ -28,6 +26,7 @@ from climpanel.dataset import (
     _row_panel,
     checked_log,
     shift,
+    subset,
 )
 from climpanel.errors import (
     DataValidationError,
@@ -39,6 +38,7 @@ from climpanel.errors import (
     TransformDomainError,
     VariableLookupError,
 )
+from climpanel.localproj import build_lp_design
 import oracles
 from oracles import (
     panels_equal,

@@ -13,19 +13,20 @@ from climpanel import (
     LPSpec,
     PanelDataset,
     QuarterIndex,
-    build_lp_design,
-    confidence_band,
-    default_bandwidth,
     estimate_irf,
-    ols,
     quarter_range,
-    with_driscoll_kraay,
 )
 from climpanel import localproj, regress
 from climpanel.dataset import shift
 from climpanel.errors import ClimPanelError, RankDeficiencyError, SampleError
-from climpanel.localproj import _sample_groups
-from climpanel.regress import _regressor_block
+from climpanel.localproj import _sample_groups, build_lp_design
+from climpanel.regress import (
+    _regressor_block,
+    confidence_band,
+    default_bandwidth,
+    ols,
+    with_driscoll_kraay,
+)
 from climpanel.simulate import lp_panel
 from oracles import (
     dk_double_loop,

@@ -11,27 +11,27 @@ from scipy import linalg, special
 
 from climpanel import (
     ARDLSpec,
-    Design,
     HACSpec,
     LPSpec,
     PanelDataset,
     QuarterIndex,
-    build_ardl_design,
-    build_lp_design,
+    quarter_range,
+)
+from climpanel.ardl import build_ardl_design
+from climpanel.localproj import build_lp_design
+from climpanel.regress import (
+    Design,
+    _RANK_TOL,
+    _STAR_CUTOFFS,
+    _factor,
     confidence_band,
     default_bandwidth,
+    focal_driscoll_kraay,
     ols,
-    quarter_range,
     significance_stars,
     vcov_driscoll_kraay,
     with_driscoll_kraay,
     within_transform,
-)
-from climpanel.regress import (
-    _RANK_TOL,
-    _STAR_CUTOFFS,
-    _factor,
-    focal_driscoll_kraay,
 )
 from climpanel.errors import (
     BandwidthError,
